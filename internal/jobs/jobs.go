@@ -184,6 +184,9 @@ type Job struct {
 	// restored marks jobs reloaded from the spill directory after a
 	// restart; their results are raw encoded bytes.
 	restored bool
+	// finishing claims the terminal transition while finish spills the
+	// result unlocked, so a concurrent finish (Cancel, Close) backs off.
+	finishing bool
 }
 
 // ID returns the job's identifier.
@@ -569,8 +572,10 @@ func (s *Store) execute(j *Job) {
 	s.finish(j, result, err)
 }
 
-// finish moves a job to its terminal state, appends the terminal event
-// and spills successful results.
+// finish moves a job to its terminal state and appends the terminal
+// event. A successful result is spilled before the state is published,
+// so whoever observes Done (Wait, Events, GC) finds it on disk, and GC
+// can never delete the files ahead of the write that creates them.
 func (s *Store) finish(j *Job, result any, err error) {
 	final := Done
 	switch {
@@ -580,26 +585,32 @@ func (s *Store) finish(j *Job, result any, err error) {
 		final = Failed
 	}
 	j.mu.Lock()
-	if j.state.Terminal() {
+	if j.state.Terminal() || j.finishing {
 		j.mu.Unlock()
 		return
 	}
+	j.finishing = true
+	finished := s.now()
+	snap := j.snapshotLocked()
+	j.mu.Unlock()
+	if final == Done && s.opts.SpillDir != "" {
+		snap.State, snap.Finished = final, finished
+		s.spill(snap, result)
+	}
+
+	j.mu.Lock()
 	prev := j.state
 	j.state = final
 	j.result = result
 	j.err = err
-	j.finished = s.now()
+	j.finished = finished
 	ev := Event{Type: "state", State: final}
 	if err != nil {
 		ev.Err = err.Error()
 	}
 	j.appendLocked(ev)
-	snap := j.snapshotLocked()
 	j.mu.Unlock()
 	s.transition(prev, final)
-	if final == Done && s.opts.SpillDir != "" {
-		s.spill(snap, result)
-	}
 }
 
 // transition moves one job between state buckets.

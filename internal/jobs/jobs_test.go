@@ -228,6 +228,87 @@ func TestTTLGC(t *testing.T) {
 	}
 }
 
+// TestGCDuringSpill: a GC that lands while a finished job's result is
+// still being spilled must not see the job as finished. If it did, it
+// would delete files the spill then rewrites, and a restart would bring
+// the expired job back. The spill's encoder runs the GC at exactly that
+// instant, with the injected clock far past the TTL.
+func TestGCDuringSpill(t *testing.T) {
+	dir := t.TempDir()
+	base := time.Unix(1700000000, 0)
+	var s *Store
+	dropped := -1
+	s = newStore(t, Options{Workers: 1, TTL: time.Minute, SpillDir: dir,
+		Encode: func(_ string, result any) ([]byte, error) {
+			dropped = s.GC(base.Add(time.Hour))
+			return json.Marshal(result)
+		}})
+	s.now = func() time.Time { return base }
+	j, err := s.Submit("short", 1, func(context.Context, *Job) (any, error) {
+		return map[string]string{"ok": "yes"}, nil
+	})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if _, err := j.Wait(context.Background()); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if dropped != 0 {
+		t.Fatalf("GC during the spill dropped %d jobs, want 0", dropped)
+	}
+	if _, ok := s.Get(j.ID()); !ok {
+		t.Fatal("job collected before it was published")
+	}
+	assertGCExpires(t, s, dir, j.ID(), base)
+}
+
+// TestGCAfterPublish: once Wait returns, the spill is already on disk
+// (no polling), and a later GC removes both the job and its files for
+// good.
+func TestGCAfterPublish(t *testing.T) {
+	dir := t.TempDir()
+	base := time.Unix(1700000000, 0)
+	s := newStore(t, Options{Workers: 1, TTL: time.Minute, SpillDir: dir})
+	s.now = func() time.Time { return base }
+	j, err := s.Submit("short", 1, func(context.Context, *Job) (any, error) {
+		return map[string]string{"ok": "yes"}, nil
+	})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if _, err := j.Wait(context.Background()); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	for _, path := range []string{s.resultPath(j.ID()), s.metaPath(j.ID())} {
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("spill missing when Wait returned: %v", err)
+		}
+	}
+	if n := s.GC(base.Add(30 * time.Second)); n != 0 {
+		t.Fatalf("GC inside the TTL dropped %d jobs", n)
+	}
+	assertGCExpires(t, s, dir, j.ID(), base)
+}
+
+// assertGCExpires runs a GC past the TTL of a job finished at `finished`
+// and checks that the job, its spill files and any trace of it after a
+// restart are gone.
+func assertGCExpires(t *testing.T, s *Store, dir, id string, finished time.Time) {
+	t.Helper()
+	if n := s.GC(finished.Add(time.Hour)); n != 1 {
+		t.Fatalf("GC past the TTL dropped %d jobs, want 1", n)
+	}
+	for _, path := range []string{s.resultPath(id), s.metaPath(id)} {
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("expired spill file %s still present: %v", path, err)
+		}
+	}
+	s2 := newStore(t, Options{Workers: 1, SpillDir: dir})
+	if _, ok := s2.Get(id); ok {
+		t.Fatal("expired job resurrected by reload")
+	}
+}
+
 // TestInjectedClock: job timestamps flow from the store's injected
 // clock, so retention expiry is testable without sleeping.
 func TestInjectedClock(t *testing.T) {
