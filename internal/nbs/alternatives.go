@@ -1,11 +1,6 @@
 package nbs
 
-import (
-	"fmt"
-	"math"
-
-	"github.com/edmac-project/edmac/internal/opt"
-)
+import "fmt"
 
 // The alternative bargaining solutions below share the NBS feasible
 // region — costs capped at the component-wise minimum of the budgets and
@@ -28,12 +23,9 @@ func KalaiSmorodinsky(g Game, vA, vB, idealA, idealB float64) (Point, error) {
 	if rangeA <= 0 || rangeB <= 0 {
 		return Point{}, fmt.Errorf("nbs: kalai-smorodinsky: empty gain ranges (%v, %v)", rangeA, rangeB)
 	}
-	obj := func(x opt.Vector) float64 {
-		fracA := (vA - g.CostA(x)) / rangeA
-		fracB := (vB - g.CostB(x)) / rangeB
-		return -math.Min(fracA, fracB)
-	}
-	return solveCompromise(g, obj, vA, vB)
+	p := g.bargaining(goalKS, vA, vB)
+	p.rangeA, p.rangeB = rangeA, rangeB
+	return p.solveCompromise()
 }
 
 // Egalitarian computes the egalitarian solution: it maximizes the
@@ -44,10 +36,7 @@ func Egalitarian(g Game, vA, vB float64) (Point, error) {
 	if err := g.Validate(); err != nil {
 		return Point{}, err
 	}
-	obj := func(x opt.Vector) float64 {
-		return -math.Min(vA-g.CostA(x), vB-g.CostB(x))
-	}
-	return solveCompromise(g, obj, vA, vB)
+	return g.bargaining(goalEgalitarian, vA, vB).solveCompromise()
 }
 
 // WeightedSum minimizes w·Ā(x) + (1−w)·B̄(x), with each cost normalized
@@ -64,22 +53,17 @@ func WeightedSum(g Game, vA, vB, w float64) (Point, error) {
 	if vA <= 0 || vB <= 0 {
 		return Point{}, fmt.Errorf("nbs: weighted sum needs positive normalizers, got (%v, %v)", vA, vB)
 	}
-	obj := func(x opt.Vector) float64 {
-		return w*g.CostA(x)/vA + (1-w)*g.CostB(x)/vB
-	}
-	return solveCompromise(g, obj, vA, vB)
+	p := g.bargaining(goalWeighted, vA, vB)
+	p.w = w
+	return p.solveCompromise()
 }
 
-// solveCompromise minimizes obj over the game's bargaining region.
-func solveCompromise(g Game, obj opt.Func, vA, vB float64) (Point, error) {
-	cons := append(g.structural(),
-		opt.AtMost("cap-A", g.CostA, math.Min(g.BudgetA, vA)),
-		opt.AtMost("cap-B", g.CostB, math.Min(g.BudgetB, vB)),
-	)
-	p := opt.Problem{Objective: obj, Bounds: g.Bounds, Constraints: cons}
-	r, err := opt.Solve(p)
+// solveCompromise solves a program over the bargaining region and
+// returns its optimum.
+func (p program) solveCompromise() (Point, error) {
+	r, err := p.solve()
 	if err != nil {
 		return Point{}, fmt.Errorf("nbs: compromise solve: %w", err)
 	}
-	return g.pointAt(r.X), nil
+	return p.g.pointAt(r.X), nil
 }

@@ -36,12 +36,7 @@ func FrontierContext(ctx context.Context, g Game, hi float64, n int) ([]Point, e
 	}
 
 	// Player B's ideal under the A budget gives the left end of the sweep.
-	p2 := opt.Problem{
-		Objective:   g.CostB,
-		Bounds:      g.Bounds,
-		Constraints: append(g.structural(), opt.AtMost("budget-A", g.CostA, g.BudgetA)),
-	}
-	r2, err := opt.Solve(p2)
+	r2, err := g.minB(g.BudgetA).solve()
 	if err != nil {
 		return nil, fmt.Errorf("nbs: frontier anchor (P2): %w", err)
 	}
@@ -56,12 +51,7 @@ func FrontierContext(ctx context.Context, g Game, hi float64, n int) ([]Point, e
 			return nil, err
 		}
 		cap := lo + (hi-lo)*float64(i)/float64(n-1)
-		p := opt.Problem{
-			Objective:   g.CostA,
-			Bounds:      g.Bounds,
-			Constraints: append(g.structural(), opt.AtMost("cap-B", g.CostB, cap)),
-		}
-		r, err := opt.Solve(p)
+		r, err := g.minA(cap).solve()
 		if err != nil {
 			if errors.Is(err, opt.ErrInfeasible) {
 				continue

@@ -104,22 +104,13 @@ func Solve(g Game) (Outcome, error) {
 		return Outcome{}, err
 	}
 
-	p1 := opt.Problem{
-		Objective:   g.CostA,
-		Bounds:      g.Bounds,
-		Constraints: append(g.structural(), opt.AtMost("budget-B", g.CostB, g.BudgetB)),
-	}
-	r1, err := opt.Solve(p1)
+	r1, err := g.minA(g.BudgetB).solve()
 	if err != nil {
 		return Outcome{}, fmt.Errorf("nbs: player A problem (P1): %w", err)
 	}
 
-	p2 := opt.Problem{
-		Objective:   g.CostB,
-		Bounds:      g.Bounds,
-		Constraints: append(g.structural(), opt.AtMost("budget-A", g.CostA, g.BudgetA)),
-	}
-	r2, err := opt.Solve(p2)
+	p2 := g.minB(g.BudgetA)
+	r2, err := p2.solve()
 	budgetExceeded := false
 	if err != nil {
 		if !g.Relax || !errors.Is(err, opt.ErrInfeasible) {
@@ -128,8 +119,8 @@ func Solve(g Game) (Outcome, error) {
 		// Relaxed: the budget is below the protocol's reachable energy;
 		// threaten with the unconstrained delay optimum instead.
 		budgetExceeded = true
-		p2.Constraints = g.structural()
-		r2, err = opt.Solve(p2)
+		p2.hasCapA = false
+		r2, err = p2.solve()
 		if err != nil {
 			return Outcome{}, fmt.Errorf("nbs: player B problem (P2, relaxed): %w", err)
 		}
@@ -162,10 +153,104 @@ func Solve(g Game) (Outcome, error) {
 	return out, nil
 }
 
-// structural returns a copy of the structural constraint slice so that
-// appending budget constraints never aliases the caller's slice.
-func (g Game) structural() []opt.Constraint {
-	return append([]opt.Constraint(nil), g.Structural...)
+// goal is what a program minimizes, as a function of the two costs.
+type goal uint8
+
+const (
+	goalA           goal = iota // A: (P1), frontier caps, the degenerate fallback
+	goalB                       // B: (P2) and the frontier anchor
+	goalNash                    // −log(vA − A) − log(vB − B): the bargain (P4)
+	goalKS                      // −min of the gain fractions: Kalai-Smorodinsky
+	goalEgalitarian             // −min of the absolute gains
+	goalWeighted                // w·A/vA + (1−w)·B/vB
+)
+
+// program is one of the game's constrained programs: minimize goal
+// subject to the structural constraints and the optional caps on A and
+// B. opt solves it through eval, one call per candidate point.
+type program struct {
+	g    *Game
+	goal goal
+	// capA and capB bound the costs when hasCapA / hasCapB are set.
+	capA, capB       float64
+	hasCapA, hasCapB bool
+	// vA and vB are the disagreement point of the bargaining goals;
+	// rangeA and rangeB scale the Kalai-Smorodinsky gains, and w weighs
+	// the weighted sum.
+	vA, vB, rangeA, rangeB, w float64
+}
+
+// minA is the program "minimize A subject to B <= capB".
+func (g *Game) minA(capB float64) program {
+	return program{g: g, goal: goalA, capB: capB, hasCapB: true}
+}
+
+// minB is the program "minimize B subject to A <= capA".
+func (g *Game) minB(capA float64) program {
+	return program{g: g, goal: goalB, capA: capA, hasCapA: true}
+}
+
+// bargaining is the program "minimize goal over the bargaining region":
+// both costs capped at the smaller of their budget and the disagreement
+// point (vA, vB).
+func (g *Game) bargaining(goal goal, vA, vB float64) program {
+	return program{
+		g: g, goal: goal, vA: vA, vB: vB,
+		capA: math.Min(g.BudgetA, vA), hasCapA: true,
+		capB: math.Min(g.BudgetB, vB), hasCapB: true,
+	}
+}
+
+// solve minimizes the program over the game's bounds.
+func (p program) solve() (opt.Result, error) {
+	return opt.Solve(opt.Problem{Eval: p.eval, Bounds: p.g.Bounds})
+}
+
+// eval is the program's opt.PointFunc. It computes each cost at most
+// once, and only when the goal or a cap reads it, then derives the
+// objective and the total violation from them: the structural
+// constraints first, then the A cap, then the B cap.
+func (p *program) eval(x opt.Vector) (f, viol float64) {
+	var a, b float64
+	if p.goal != goalB || p.hasCapA {
+		a = p.g.CostA(x)
+	}
+	if p.goal != goalA || p.hasCapB {
+		b = p.g.CostB(x)
+	}
+	viol = opt.Violation(x, p.g.Structural)
+	if p.hasCapA {
+		viol = opt.AddViolation(viol, a-p.capA)
+	}
+	if p.hasCapB {
+		viol = opt.AddViolation(viol, b-p.capB)
+	}
+	return p.objective(a, b), viol
+}
+
+// objective is the goal's value at costs (a, b).
+func (p *program) objective(a, b float64) float64 {
+	switch p.goal {
+	case goalA:
+		return a
+	case goalB:
+		return b
+	case goalNash:
+		gainA := p.vA - a
+		gainB := p.vB - b
+		if gainA <= 0 || gainB <= 0 {
+			return math.Inf(1)
+		}
+		return -math.Log(gainA) - math.Log(gainB)
+	case goalKS:
+		fracA := (p.vA - a) / p.rangeA
+		fracB := (p.vB - b) / p.rangeB
+		return -math.Min(fracA, fracB)
+	case goalEgalitarian:
+		return -math.Min(p.vA-a, p.vB-b)
+	default: // goalWeighted
+		return p.w*a/p.vA + (1-p.w)*b/p.vB
+	}
 }
 
 // Bargain computes the Nash Bargaining Solution for an explicit
@@ -186,23 +271,8 @@ func Bargain(g Game, vA, vB float64) (Point, bool, error) {
 	if err := g.Validate(); err != nil {
 		return Point{}, false, err
 	}
-	capA := math.Min(g.BudgetA, vA)
-	capB := math.Min(g.BudgetB, vB)
-
-	obj := func(x opt.Vector) float64 {
-		gainA := vA - g.CostA(x)
-		gainB := vB - g.CostB(x)
-		if gainA <= 0 || gainB <= 0 {
-			return math.Inf(1)
-		}
-		return -math.Log(gainA) - math.Log(gainB)
-	}
-	cons := append(g.structural(),
-		opt.AtMost("cap-A", g.CostA, capA),
-		opt.AtMost("cap-B", g.CostB, capB),
-	)
-	p := opt.Problem{Objective: obj, Bounds: g.Bounds, Constraints: cons}
-	r, err := opt.Solve(p)
+	p := g.bargaining(goalNash, vA, vB)
+	r, err := p.solve()
 	if err == nil && !math.IsInf(r.F, 1) {
 		return g.pointAt(r.X), false, nil
 	}
@@ -210,8 +280,8 @@ func Bargain(g Game, vA, vB float64) (Point, bool, error) {
 	// Degenerate: fall back to the best feasible point for player A
 	// under both caps, typically because the frontier collapses to a
 	// point or v itself is on the frontier.
-	fb := opt.Problem{Objective: g.CostA, Bounds: g.Bounds, Constraints: cons}
-	rf, ferr := opt.Solve(fb)
+	p.goal = goalA
+	rf, ferr := p.solve()
 	if ferr != nil {
 		return Point{}, true, fmt.Errorf("nbs: bargaining region empty: %w", ferr)
 	}

@@ -8,6 +8,9 @@ import (
 	"github.com/edmac-project/edmac/internal/par"
 )
 
+// multiStartWeight is MultiStart's fixed exact-penalty weight.
+const multiStartWeight = 1e7
+
 // MultiStart runs Nelder-Mead with an exact penalty from `starts` points
 // sampled uniformly from the box (deterministically for a given seed)
 // plus the box centre, and returns the lexicographically best outcome.
@@ -23,24 +26,17 @@ func MultiStart(p Problem, starts int, seed int64) (Result, error) {
 	const feasTol = 1e-9
 	rng := rand.New(rand.NewSource(seed))
 	evals := 0
-	obj := func(x Vector) float64 {
+	eval := func(x Vector) (float64, float64) {
 		evals++
-		return p.Objective(x)
+		return p.Eval(x)
 	}
-	pen := func(x Vector) float64 {
-		v := p.Violation(x)
-		if math.IsInf(v, 1) {
-			return math.Inf(1)
-		}
-		return obj(x) + 1e7*v
-	}
+	pen := penalized(eval, multiStartWeight)
 
 	dim := p.Bounds.Dim()
 	best := Result{F: math.Inf(1), Violation: math.Inf(1)}
 	try := func(x0 Vector) {
 		r := NelderMead(pen, x0, p.Bounds, NMOptions{})
-		f := obj(r.X)
-		viol := p.Violation(r.X)
+		f, viol := eval(r.X)
 		if isWorse(best.F, best.Violation, f, viol, feasTol) {
 			best = Result{X: r.X.Clone(), F: f, Violation: viol}
 		}
@@ -68,8 +64,8 @@ func MultiStart(p Problem, starts int, seed int64) (Result, error) {
 // (including Evals: the counter is shared atomically and every run
 // performs the same evaluations it would sequentially).
 //
-// The problem's Objective and Constraints must be safe for concurrent
-// calls; the framework's closed-form models are (they are immutable).
+// The problem's Eval must be safe for concurrent calls; the framework's
+// closed-form models are (they are immutable).
 // workers < 1 uses one worker per CPU.
 func MultiStartParallel(p Problem, starts int, seed int64, workers int) (Result, error) {
 	if err := p.Validate(); err != nil {
@@ -96,21 +92,15 @@ func MultiStartParallel(p Problem, starts int, seed int64, workers int) (Result,
 
 	var evals atomic.Int64
 	results := make([]Result, starts)
+	eval := func(x Vector) (float64, float64) {
+		evals.Add(1)
+		return p.Eval(x)
+	}
+	pen := penalized(eval, multiStartWeight)
 	solve := func(s int) {
-		obj := func(x Vector) float64 {
-			evals.Add(1)
-			return p.Objective(x)
-		}
-		pen := func(x Vector) float64 {
-			v := p.Violation(x)
-			if math.IsInf(v, 1) {
-				return math.Inf(1)
-			}
-			return obj(x) + 1e7*v
-		}
 		r := NelderMead(pen, points[s], p.Bounds, NMOptions{})
-		f := obj(r.X)
-		results[s] = Result{X: r.X, F: f, Violation: p.Violation(r.X)}
+		f, viol := eval(r.X)
+		results[s] = Result{X: r.X, F: f, Violation: viol}
 	}
 
 	// A nil context: multi-start has no cancellation story — it either

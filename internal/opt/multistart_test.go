@@ -11,20 +11,20 @@ import (
 func multiStartProblems() map[string]Problem {
 	return map[string]Problem{
 		"quadratic": {
-			Objective: func(x Vector) float64 { return (x[0]-0.3)*(x[0]-0.3) + (x[1]+0.7)*(x[1]+0.7) },
-			Bounds:    Bounds{Lo: Vector{-2, -2}, Hi: Vector{2, 2}},
+			Eval:   Constrained(func(x Vector) float64 { return (x[0]-0.3)*(x[0]-0.3) + (x[1]+0.7)*(x[1]+0.7) }),
+			Bounds: Bounds{Lo: Vector{-2, -2}, Hi: Vector{2, 2}},
 		},
 		"constrained": {
-			Objective:   func(x Vector) float64 { return x[0] * x[0] },
-			Bounds:      Bounds{Lo: Vector{-5}, Hi: Vector{5}},
-			Constraints: []Constraint{{Name: "x>=1", F: func(x Vector) float64 { return 1 - x[0] }}},
+			Eval: Constrained(func(x Vector) float64 { return x[0] * x[0] },
+				Constraint{Name: "x>=1", F: func(x Vector) float64 { return 1 - x[0] }}),
+			Bounds: Bounds{Lo: Vector{-5}, Hi: Vector{5}},
 		},
 		"multimodal": {
 			// Rastrigin-flavoured: many local minima, global at the origin.
-			Objective: func(x Vector) float64 {
+			Eval: Constrained(func(x Vector) float64 {
 				return 20 + x[0]*x[0] - 10*math.Cos(2*math.Pi*x[0]) +
 					x[1]*x[1] - 10*math.Cos(2*math.Pi*x[1])
-			},
+			}),
 			Bounds: Bounds{Lo: Vector{-5.12, -5.12}, Hi: Vector{5.12, 5.12}},
 		},
 	}
@@ -65,9 +65,9 @@ func TestMultiStartParallelMatchesSequential(t *testing.T) {
 
 func TestMultiStartParallelInfeasible(t *testing.T) {
 	p := Problem{
-		Objective:   func(x Vector) float64 { return x[0] },
-		Bounds:      Bounds{Lo: Vector{0}, Hi: Vector{1}},
-		Constraints: []Constraint{{Name: "impossible", F: func(x Vector) float64 { return 1 }}},
+		Eval: Constrained(func(x Vector) float64 { return x[0] },
+			Constraint{Name: "impossible", F: func(x Vector) float64 { return 1 }}),
+		Bounds: Bounds{Lo: Vector{0}, Hi: Vector{1}},
 	}
 	if _, err := MultiStartParallel(p, 4, 1, 2); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("MultiStartParallel error = %v, want ErrInfeasible", err)

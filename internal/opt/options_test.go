@@ -9,9 +9,9 @@ func TestWithFeasibilityTolerance(t *testing.T) {
 	// A constraint violated by 1e-6 everywhere: infeasible at the
 	// default tolerance, feasible at a loose one.
 	p := Problem{
-		Objective:   func(x Vector) float64 { return x[0] },
-		Bounds:      Bounds{Lo: Vector{0}, Hi: Vector{1}},
-		Constraints: []Constraint{{Name: "just-off", F: func(x Vector) float64 { return 1e-6 }}},
+		Eval: Constrained(func(x Vector) float64 { return x[0] },
+			Constraint{Name: "just-off", F: func(x Vector) float64 { return 1e-6 }}),
+		Bounds: Bounds{Lo: Vector{0}, Hi: Vector{1}},
 	}
 	if _, err := Solve(p); err == nil {
 		t.Error("tight tolerance accepted a violated constraint")
@@ -32,7 +32,10 @@ func TestWithGridPointsAndRefinements(t *testing.T) {
 		d := x[0] - 0.377
 		return -1/(1+2000*d*d) + 1
 	}
-	p := Problem{Objective: f, Bounds: Bounds{Lo: Vector{0}, Hi: Vector{1}}}
+	p := Problem{
+		Eval:   Constrained(f),
+		Bounds: Bounds{Lo: Vector{0}, Hi: Vector{1}},
+	}
 	r, err := Solve(p, WithGridPoints(301), WithRefinements(6))
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
@@ -50,11 +53,11 @@ func TestSolve3D(t *testing.T) {
 	// Three-dimensional convex bowl with one active constraint: the
 	// solvers are sized for 1-2D but must stay correct in 3D.
 	p := Problem{
-		Objective: func(x Vector) float64 {
+		Eval: Constrained(func(x Vector) float64 {
 			return (x[0]-0.5)*(x[0]-0.5) + (x[1]-0.5)*(x[1]-0.5) + (x[2]-0.5)*(x[2]-0.5)
 		},
-		Bounds:      Bounds{Lo: Vector{0, 0, 0}, Hi: Vector{1, 1, 1}},
-		Constraints: []Constraint{AtMost("sum", func(x Vector) float64 { return x[0] + x[1] + x[2] }, 1)},
+			AtMost("sum", func(x Vector) float64 { return x[0] + x[1] + x[2] }, 1)),
+		Bounds: Bounds{Lo: Vector{0, 0, 0}, Hi: Vector{1, 1, 1}},
 	}
 	r, err := Solve(p, WithGridPoints(9))
 	if err != nil {

@@ -114,44 +114,67 @@ func (b Bounds) Width() Vector {
 	return w
 }
 
+// PointFunc evaluates one candidate point: the objective value f and
+// the total constraint violation viol (zero when x is feasible, +Inf
+// when a constraint is NaN). Every solver gets both from one call, so
+// work a point's objective and constraints share is done once.
+type PointFunc func(x Vector) (f, viol float64)
+
 // Problem is a bounded, inequality-constrained minimization problem.
 type Problem struct {
-	// Objective is minimized.
-	Objective Func
+	// Eval returns the objective, which is minimized, and the total
+	// constraint violation at a point. Constrained builds it from an
+	// objective and a constraint list.
+	Eval PointFunc
 	// Bounds delimit the search box; solvers never evaluate outside it.
 	Bounds Bounds
-	// Constraints are inequality constraints g(x) <= 0.
-	Constraints []Constraint
 }
 
 // Validate reports whether the problem is well formed.
 func (p Problem) Validate() error {
-	if p.Objective == nil {
-		return errors.New("opt: nil objective")
+	if p.Eval == nil {
+		return errors.New("opt: nil point function")
 	}
-	if err := p.Bounds.Validate(); err != nil {
-		return err
-	}
-	for i, c := range p.Constraints {
-		if c.F == nil {
-			return fmt.Errorf("opt: constraint %d (%q) has nil function", i, c.Name)
-		}
-	}
-	return nil
+	return p.Bounds.Validate()
 }
 
-// Violation returns the total positive constraint violation at x, zero
-// when x is feasible. NaN constraint values count as infinite violation.
-func (p Problem) Violation(x Vector) float64 {
+// Constrained builds the point function of minimizing objective subject
+// to the constraints cons (g(x) <= 0). It returns nil, which Validate
+// rejects, when objective or a constraint function is nil.
+func Constrained(objective Func, cons ...Constraint) PointFunc {
+	if objective == nil {
+		return nil
+	}
+	for _, c := range cons {
+		if c.F == nil {
+			return nil
+		}
+	}
+	return func(x Vector) (float64, float64) {
+		return objective(x), Violation(x, cons)
+	}
+}
+
+// Violation returns the total positive violation of cons at x, zero
+// when x satisfies them all. NaN constraint values count as infinite
+// violation.
+func Violation(x Vector, cons []Constraint) float64 {
 	total := 0.0
-	for _, c := range p.Constraints {
-		v := c.F(x)
-		if math.IsNaN(v) {
-			return math.Inf(1)
-		}
-		if v > 0 {
-			total += v
-		}
+	for _, c := range cons {
+		total = AddViolation(total, c.F(x))
+	}
+	return total
+}
+
+// AddViolation adds one constraint value g(x) to a running violation
+// total: a positive value adds, a non-positive one is satisfied, and a
+// NaN makes the total +Inf.
+func AddViolation(total, g float64) float64 {
+	if math.IsNaN(g) {
+		return math.Inf(1)
+	}
+	if g > 0 {
+		total += g
 	}
 	return total
 }
@@ -164,7 +187,7 @@ type Result struct {
 	F float64
 	// Violation is the total constraint violation at X (0 when feasible).
 	Violation float64
-	// Evals counts objective evaluations performed.
+	// Evals counts point evaluations performed.
 	Evals int
 }
 

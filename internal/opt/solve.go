@@ -83,14 +83,14 @@ func Solve(p Problem, opts ...Option) (Result, error) {
 	}
 
 	evals := 0
-	obj := func(x Vector) float64 {
+	eval := func(x Vector) (float64, float64) {
 		evals++
-		return p.Objective(x)
+		return p.Eval(x)
 	}
 
-	best, ok := gridPhase(p, obj, cfg)
+	best, ok := gridPhase(p.Bounds, eval, cfg)
 	if cfg.polish {
-		best = polishPhase(p, obj, best, cfg)
+		best = polishPhase(p.Bounds, eval, best, cfg)
 		if best.Violation <= cfg.feasTol {
 			ok = true
 		}
@@ -104,9 +104,9 @@ func Solve(p Problem, opts ...Option) (Result, error) {
 
 // gridPhase runs the refining lattice search. The returned bool reports
 // whether any feasible lattice point was seen.
-func gridPhase(p Problem, obj Func, cfg config) (Result, bool) {
-	dim := p.Bounds.Dim()
-	box := Bounds{Lo: p.Bounds.Lo.Clone(), Hi: p.Bounds.Hi.Clone()}
+func gridPhase(bounds Bounds, eval PointFunc, cfg config) (Result, bool) {
+	dim := bounds.Dim()
+	box := Bounds{Lo: bounds.Lo.Clone(), Hi: bounds.Hi.Clone()}
 	best := Result{F: math.Inf(1), Violation: math.Inf(1)}
 	foundFeasible := false
 
@@ -121,8 +121,7 @@ func gridPhase(p Problem, obj Func, cfg config) (Result, bool) {
 				frac := float64(idx[i]) / float64(cfg.gridPoints-1)
 				x[i] = box.Lo[i] + frac*(box.Hi[i]-box.Lo[i])
 			}
-			f := obj(x)
-			viol := p.Violation(x)
+			f, viol := eval(x)
 			if viol <= cfg.feasTol {
 				foundFeasible = true
 			}
@@ -149,11 +148,11 @@ func gridPhase(p Problem, obj Func, cfg config) (Result, bool) {
 			cell := (box.Hi[i] - box.Lo[i]) / float64(cfg.gridPoints-1)
 			lo := best.X[i] - 2*cell
 			hi := best.X[i] + 2*cell
-			if lo < p.Bounds.Lo[i] {
-				lo = p.Bounds.Lo[i]
+			if lo < bounds.Lo[i] {
+				lo = bounds.Lo[i]
 			}
-			if hi > p.Bounds.Hi[i] {
-				hi = p.Bounds.Hi[i]
+			if hi > bounds.Hi[i] {
+				hi = bounds.Hi[i]
 			}
 			box.Lo[i], box.Hi[i] = lo, hi
 		}
@@ -163,27 +162,30 @@ func gridPhase(p Problem, obj Func, cfg config) (Result, bool) {
 
 // polishPhase refines the incumbent with Nelder-Mead under an escalating
 // exact penalty, keeping the lexicographically best point seen.
-func polishPhase(p Problem, obj Func, incumbent Result, cfg config) Result {
+func polishPhase(bounds Bounds, eval PointFunc, incumbent Result, cfg config) Result {
 	scale := math.Abs(incumbent.F)
 	if math.IsInf(scale, 0) || math.IsNaN(scale) || scale < 1 {
 		scale = 1
 	}
 	best := incumbent
 	for _, w := range []float64{1e2, 1e4, 1e6, 1e8} {
-		weight := w * scale
-		pen := func(x Vector) float64 {
-			v := p.Violation(x)
-			if math.IsInf(v, 1) {
-				return math.Inf(1)
-			}
-			return obj(x) + weight*v
-		}
-		r := NelderMead(pen, best.X, p.Bounds, NMOptions{})
-		f := obj(r.X)
-		viol := p.Violation(r.X)
+		r := NelderMead(penalized(eval, w*scale), best.X, bounds, NMOptions{})
+		f, viol := eval(r.X)
 		if isWorse(best.F, best.Violation, f, viol, cfg.feasTol) {
 			best = Result{X: r.X.Clone(), F: f, Violation: viol}
 		}
 	}
 	return best
+}
+
+// penalized is the exact-penalty function f + weight·viol that the
+// Nelder-Mead phases minimize; points with infinite violation are +Inf.
+func penalized(eval PointFunc, weight float64) Func {
+	return func(x Vector) float64 {
+		f, v := eval(x)
+		if math.IsInf(v, 1) {
+			return math.Inf(1)
+		}
+		return f + weight*v
+	}
 }

@@ -9,8 +9,8 @@ import (
 
 func TestSolveUnconstrainedQuadratic(t *testing.T) {
 	p := Problem{
-		Objective: func(x Vector) float64 { return (x[0]-0.3)*(x[0]-0.3) + (x[1]+0.7)*(x[1]+0.7) },
-		Bounds:    Bounds{Lo: Vector{-2, -2}, Hi: Vector{2, 2}},
+		Eval:   Constrained(func(x Vector) float64 { return (x[0]-0.3)*(x[0]-0.3) + (x[1]+0.7)*(x[1]+0.7) }),
+		Bounds: Bounds{Lo: Vector{-2, -2}, Hi: Vector{2, 2}},
 	}
 	r, err := Solve(p)
 	if err != nil {
@@ -24,9 +24,9 @@ func TestSolveUnconstrainedQuadratic(t *testing.T) {
 func TestSolveActiveConstraint(t *testing.T) {
 	// Minimize x² subject to x >= 1 (i.e. 1 - x <= 0): optimum at x = 1.
 	p := Problem{
-		Objective:   func(x Vector) float64 { return x[0] * x[0] },
-		Bounds:      Bounds{Lo: Vector{-5}, Hi: Vector{5}},
-		Constraints: []Constraint{{Name: "x>=1", F: func(x Vector) float64 { return 1 - x[0] }}},
+		Eval: Constrained(func(x Vector) float64 { return x[0] * x[0] },
+			Constraint{Name: "x>=1", F: func(x Vector) float64 { return 1 - x[0] }}),
+		Bounds: Bounds{Lo: Vector{-5}, Hi: Vector{5}},
 	}
 	r, err := Solve(p)
 	if err != nil {
@@ -44,11 +44,9 @@ func TestSolveConstrained2D(t *testing.T) {
 	// Maximize x+y inside the unit circle (minimize the negation):
 	// optimum at the tangency point x=y=1/sqrt(2).
 	p := Problem{
-		Objective: func(x Vector) float64 { return -(x[0] + x[1]) },
-		Bounds:    Bounds{Lo: Vector{0, 0}, Hi: Vector{2, 2}},
-		Constraints: []Constraint{
-			{Name: "inside-circle", F: func(x Vector) float64 { return x[0]*x[0] + x[1]*x[1] - 1 }},
-		},
+		Eval: Constrained(func(x Vector) float64 { return -(x[0] + x[1]) },
+			Constraint{Name: "inside-circle", F: func(x Vector) float64 { return x[0]*x[0] + x[1]*x[1] - 1 }}),
+		Bounds: Bounds{Lo: Vector{0, 0}, Hi: Vector{2, 2}},
 	}
 	r, err := Solve(p)
 	if err != nil {
@@ -68,11 +66,9 @@ func TestSolveMinOutsideCircleHitsCorner(t *testing.T) {
 	// Minimize x+y outside the unit circle: the feasible minimum is 1,
 	// attained at (1,0) or (0,1) where the line x+y=1 meets the circle.
 	p := Problem{
-		Objective: func(x Vector) float64 { return x[0] + x[1] },
-		Bounds:    Bounds{Lo: Vector{0, 0}, Hi: Vector{2, 2}},
-		Constraints: []Constraint{
-			{Name: "outside-circle", F: func(x Vector) float64 { return 1 - (x[0]*x[0] + x[1]*x[1]) }},
-		},
+		Eval: Constrained(func(x Vector) float64 { return x[0] + x[1] },
+			Constraint{Name: "outside-circle", F: func(x Vector) float64 { return 1 - (x[0]*x[0] + x[1]*x[1]) }}),
+		Bounds: Bounds{Lo: Vector{0, 0}, Hi: Vector{2, 2}},
 	}
 	r, err := Solve(p)
 	if err != nil {
@@ -85,9 +81,9 @@ func TestSolveMinOutsideCircleHitsCorner(t *testing.T) {
 
 func TestSolveInfeasible(t *testing.T) {
 	p := Problem{
-		Objective:   func(x Vector) float64 { return x[0] },
-		Bounds:      Bounds{Lo: Vector{0}, Hi: Vector{1}},
-		Constraints: []Constraint{{Name: "impossible", F: func(x Vector) float64 { return 1 + x[0] }}},
+		Eval: Constrained(func(x Vector) float64 { return x[0] },
+			Constraint{Name: "impossible", F: func(x Vector) float64 { return 1 + x[0] }}),
+		Bounds: Bounds{Lo: Vector{0}, Hi: Vector{1}},
 	}
 	_, err := Solve(p)
 	if !errors.Is(err, ErrInfeasible) {
@@ -100,16 +96,16 @@ func TestSolveValidation(t *testing.T) {
 		t.Error("Solve of empty problem should fail")
 	}
 	p := Problem{
-		Objective: func(x Vector) float64 { return x[0] },
-		Bounds:    Bounds{Lo: Vector{1}, Hi: Vector{0}},
+		Eval:   Constrained(func(x Vector) float64 { return x[0] }),
+		Bounds: Bounds{Lo: Vector{1}, Hi: Vector{0}},
 	}
 	if _, err := Solve(p); err == nil {
 		t.Error("Solve with inverted bounds should fail")
 	}
 	p = Problem{
-		Objective:   func(x Vector) float64 { return x[0] },
-		Bounds:      Bounds{Lo: Vector{0}, Hi: Vector{1}},
-		Constraints: []Constraint{{Name: "nil"}},
+		Eval: Constrained(func(x Vector) float64 { return x[0] },
+			Constraint{Name: "nil"}),
+		Bounds: Bounds{Lo: Vector{0}, Hi: Vector{1}},
 	}
 	if _, err := Solve(p); err == nil {
 		t.Error("Solve with nil constraint function should fail")
@@ -119,9 +115,9 @@ func TestSolveValidation(t *testing.T) {
 func TestSolveAtMostHelper(t *testing.T) {
 	delay := func(x Vector) float64 { return 3 * x[0] }
 	p := Problem{
-		Objective:   func(x Vector) float64 { return 1 / x[0] },
-		Bounds:      Bounds{Lo: Vector{0.01}, Hi: Vector{10}},
-		Constraints: []Constraint{AtMost("delay", delay, 6)},
+		Eval: Constrained(func(x Vector) float64 { return 1 / x[0] },
+			AtMost("delay", delay, 6)),
+		Bounds: Bounds{Lo: Vector{0.01}, Hi: Vector{10}},
 	}
 	r, err := Solve(p)
 	if err != nil {
@@ -135,8 +131,8 @@ func TestSolveAtMostHelper(t *testing.T) {
 
 func TestSolveGridOnly(t *testing.T) {
 	p := Problem{
-		Objective: func(x Vector) float64 { return math.Abs(x[0] - 0.25) },
-		Bounds:    Bounds{Lo: Vector{0}, Hi: Vector{1}},
+		Eval:   Constrained(func(x Vector) float64 { return math.Abs(x[0] - 0.25) }),
+		Bounds: Bounds{Lo: Vector{0}, Hi: Vector{1}},
 	}
 	r, err := Solve(p, WithoutPolish(), WithGridPoints(33), WithRefinements(10))
 	if err != nil {
@@ -155,11 +151,11 @@ func TestSolveMatchesMultiStart(t *testing.T) {
 		cy := float64(cyRaw%100)/50 - 1
 		cap := 0.5 + float64(capRaw%100)/100 // [0.5, 1.5)
 		p := Problem{
-			Objective: func(x Vector) float64 {
+			Eval: Constrained(func(x Vector) float64 {
 				return (x[0]-cx)*(x[0]-cx) + (x[1]-cy)*(x[1]-cy)
 			},
-			Bounds:      Bounds{Lo: Vector{-2, -2}, Hi: Vector{2, 2}},
-			Constraints: []Constraint{AtMost("sum", func(x Vector) float64 { return x[0] + x[1] }, cap)},
+				AtMost("sum", func(x Vector) float64 { return x[0] + x[1] }, cap)),
+			Bounds: Bounds{Lo: Vector{-2, -2}, Hi: Vector{2, 2}},
 		}
 		a, errA := Solve(p)
 		b, errB := MultiStart(p, 8, 1)
@@ -175,9 +171,9 @@ func TestSolveMatchesMultiStart(t *testing.T) {
 
 func TestMultiStartInfeasible(t *testing.T) {
 	p := Problem{
-		Objective:   func(x Vector) float64 { return x[0] },
-		Bounds:      Bounds{Lo: Vector{0}, Hi: Vector{1}},
-		Constraints: []Constraint{{Name: "impossible", F: func(x Vector) float64 { return 1 }}},
+		Eval: Constrained(func(x Vector) float64 { return x[0] },
+			Constraint{Name: "impossible", F: func(x Vector) float64 { return 1 }}),
+		Bounds: Bounds{Lo: Vector{0}, Hi: Vector{1}},
 	}
 	if _, err := MultiStart(p, 4, 1); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("MultiStart error = %v, want ErrInfeasible", err)
@@ -220,13 +216,45 @@ func TestVectorClone(t *testing.T) {
 	}
 }
 
+// TestViolationNaN: a NaN constraint value counts as infinite violation,
+// through Violation and through the point function Constrained builds,
+// wherever it sits in the constraint list.
 func TestViolationNaN(t *testing.T) {
-	p := Problem{
-		Objective:   func(x Vector) float64 { return 0 },
-		Bounds:      Bounds{Lo: Vector{0}, Hi: Vector{1}},
-		Constraints: []Constraint{{Name: "nan", F: func(x Vector) float64 { return math.NaN() }}},
+	nan := Constraint{Name: "nan", F: func(x Vector) float64 { return math.NaN() }}
+	over := Constraint{Name: "over", F: func(x Vector) float64 { return 0.5 }}
+	for _, cons := range [][]Constraint{{nan}, {over, nan}, {nan, over}} {
+		if v := Violation(Vector{0.5}, cons); !math.IsInf(v, 1) {
+			t.Errorf("Violation with NaN constraint = %v, want +Inf", v)
+		}
+		f, v := Constrained(func(x Vector) float64 { return 7 }, cons...)(Vector{0.5})
+		if f != 7 || !math.IsInf(v, 1) {
+			t.Errorf("point function with NaN constraint = (%v, %v), want (7, +Inf)", f, v)
+		}
 	}
-	if v := p.Violation(Vector{0.5}); !math.IsInf(v, 1) {
-		t.Errorf("Violation with NaN constraint = %v, want +Inf", v)
+	if v := Violation(Vector{0.5}, []Constraint{over, over}); v != 1 {
+		t.Errorf("Violation of two 0.5 overshoots = %v, want 1", v)
+	}
+}
+
+// TestSolveRanksFeasibilityFirst: the objective keeps falling into the
+// infeasible region, where the constraint is first violated and then
+// NaN, yet Solve returns the best feasible point.
+func TestSolveRanksFeasibilityFirst(t *testing.T) {
+	p := Problem{
+		Eval: Constrained(func(x Vector) float64 { return -x[0] },
+			Constraint{Name: "x<=0.5", F: func(x Vector) float64 {
+				if x[0] > 0.9 {
+					return math.NaN()
+				}
+				return x[0] - 0.5
+			}}),
+		Bounds: Bounds{Lo: Vector{0}, Hi: Vector{1}},
+	}
+	r, err := Solve(p)
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	if math.Abs(r.X[0]-0.5) > 1e-6 || !r.Feasible(1e-9) {
+		t.Errorf("x = %v with violation %v, want the feasible boundary 0.5", r.X[0], r.Violation)
 	}
 }
