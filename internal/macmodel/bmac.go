@@ -31,6 +31,9 @@ type BMAC struct {
 
 	tData float64
 	tPoll float64
+
+	out1       float64 // ring-1 transmit rate, attempts included
+	bottleneck ringTerms
 }
 
 var _ Model = (*BMAC)(nil)
@@ -47,6 +50,10 @@ func NewBMAC(env Env) (*BMAC, error) {
 		tData:    env.DataAirtime(),
 		tPoll:    env.Radio.Startup + 2*env.Radio.CCA,
 	}
+	m.out1 = m.attempts * m.flows.Out(1)
+	// Every term depends on the wakeup interval: the preamble spans it.
+	// Lossy links repeat the whole preamble+data exchange per attempt.
+	m.bottleneck = windowLoad(env, m.flows, m.attempts, m.flows.Bottleneck())
 	if err := validateSpecs(m.Name(), m.Params()); err != nil {
 		return nil, err
 	}
@@ -73,37 +80,38 @@ func (m *BMAC) Structural() []opt.Constraint {
 		Name: "bmac-unsaturated",
 		F: func(x opt.Vector) float64 {
 			tw := x[0]
-			return m.attempts*m.flows.Out(1)*(tw+m.tData) - 0.5
+			return m.out1*(tw+m.tData) - 0.5
 		},
 	}}
 }
 
 // EnergyAt implements Model.
 func (m *BMAC) EnergyAt(x opt.Vector, ring int) Components {
-	tw := x[0]
-	r := m.env.Radio
+	return m.energy(x[0], windowLoad(m.env, m.flows, m.attempts, ring))
+}
+
+// energy is the per-window energy of a node with ring terms t at wakeup
+// interval tw.
+func (m *BMAC) energy(tw float64, t ringTerms) Components {
+	r := &m.env.Radio
 	w := m.env.Window
-	// Lossy links repeat the whole preamble+data exchange per attempt.
-	fout := m.attempts * m.flows.Out(ring)
-	fin := m.attempts * m.flows.In(ring)
-	fb := m.attempts * m.flows.Background(ring)
 
 	csTime := w / tw * m.tPoll
 	cs := csTime * r.PowerListen
 
 	// The preamble must span a full check interval to guarantee capture.
 	txTimePerPkt := tw + m.tData
-	tx := w * fout * txTimePerPkt * r.PowerTx
+	tx := t.wOut * txTimePerPkt * r.PowerTx
 
 	// The receiver catches the preamble half-way on average and must hang
 	// on until the data arrives — and so does every overhearer, because
 	// the preamble carries no address.
 	rxTimePerPkt := tw/2 + m.tData
-	rx := w * fin * rxTimePerPkt * r.PowerRx
-	ovrTime := w * fb * rxTimePerPkt
+	rx := t.wIn * rxTimePerPkt * r.PowerRx
+	ovrTime := t.wBg * rxTimePerPkt
 	ovr := ovrTime * r.PowerRx
 
-	awake := csTime + w*fout*txTimePerPkt + w*fin*rxTimePerPkt + ovrTime
+	awake := csTime + t.wOut*txTimePerPkt + t.wIn*rxTimePerPkt + ovrTime
 	sleepTime := w - awake
 	if sleepTime < 0 {
 		sleepTime = 0
@@ -119,7 +127,7 @@ func (m *BMAC) EnergyAt(x opt.Vector, ring int) Components {
 
 // Energy implements Model.
 func (m *BMAC) Energy(x opt.Vector) float64 {
-	return m.EnergyAt(x, m.flows.Bottleneck()).Total()
+	return m.energy(x[0], m.bottleneck).Total()
 }
 
 // Delay implements Model: every hop pays the full preamble plus data,

@@ -42,6 +42,12 @@ type DMAC struct {
 	tHdr  float64
 	tCW   float64 // full contention window duration
 	muMin float64 // minimum slot: startup + CW + data + turnaround + ACK
+
+	out1       float64 // ring-1 transmit rate, attempts included
+	syncTime   float64 // per-window time spent sending (and hearing) beacons
+	syncTx     float64 // per-window beacon transmit energy
+	syncRx     float64 // per-window beacon receive energy
+	bottleneck ringTerms
 }
 
 var _ Model = (*DMAC)(nil)
@@ -66,6 +72,12 @@ func NewDMAC(env Env) (*DMAC, error) {
 	if m.muMin >= dmacSlotMax {
 		return nil, fmt.Errorf("macmodel: dmac minimum slot %v s exceeds the slot cap %v s (payload too large)", m.muMin, dmacSlotMax)
 	}
+	m.out1 = m.attempts * m.flows.Out(1)
+	// Schedule synchronization beacons.
+	m.syncTime = env.Window / dmacSyncPeriod * m.tSync
+	m.syncTx = m.syncTime * r.PowerTx
+	m.syncRx = m.syncTime * r.PowerRx
+	m.bottleneck = m.ringTerms(m.flows.Bottleneck())
 	if err := validateSpecs(m.Name(), m.Params()); err != nil {
 		return nil, err
 	}
@@ -104,32 +116,25 @@ func (m *DMAC) Structural() []opt.Constraint {
 		{
 			Name: "dmac-capacity",
 			F: func(x opt.Vector) float64 {
-				return m.attempts*m.flows.Out(1)*x[0] - dmacCapacity
+				return m.out1*x[0] - dmacCapacity
 			},
 		},
 	}
 }
 
-// EnergyAt implements Model.
-func (m *DMAC) EnergyAt(x opt.Vector, ring int) Components {
-	frame, mu := x[0], x[1]
-	r := m.env.Radio
-	w := m.env.Window
-	// A failed slot exchange repeats in a later frame: lossy links
-	// multiply every flow-driven term by the expected attempts.
-	fout := m.attempts * m.flows.Out(ring)
-	fin := m.attempts * m.flows.In(ring)
-	fb := m.attempts * m.flows.Background(ring)
-
-	// Baseline: one receive slot per frame, listened end to end.
-	csTime := w / frame * (r.Startup + mu)
-	cs := csTime * r.PowerListen
+// ringTerms returns the ring's parameter-independent energy terms: with
+// the slot schedule fixed, only the receive-slot baseline depends on the
+// frame and slot lengths.
+func (m *DMAC) ringTerms(ring int) ringTerms {
+	r := &m.env.Radio
+	t := windowLoad(m.env, m.flows, m.attempts, ring)
 
 	// Transmit (in the parent's receive slot): wake, contend for half
 	// the window on average, send data, turn around, collect the ACK.
 	txTimePerPkt := r.Startup + m.tCW/2 + m.tData + r.Turnaround + m.tAck
 	txPerPkt := (r.Startup+m.tCW/2)*r.PowerListen + m.tData*r.PowerTx + r.Turnaround*r.PowerListen + m.tAck*r.PowerRx
-	tx := w * fout * txPerPkt
+	t.tx = t.wOut * txPerPkt
+	t.txTime = t.wOut * txTimePerPkt
 
 	// Receive: the receive-slot listening is already in the baseline;
 	// reception charges the marginal cost of decoding plus the ACK reply.
@@ -138,39 +143,51 @@ func (m *DMAC) EnergyAt(x opt.Vector, ring int) Components {
 		rxPerPkt = 0
 	}
 	rxTimePerPkt := r.Turnaround + m.tAck
-	rx := w * fin * rxPerPkt
+	t.rx = t.wIn * rxPerPkt
+	t.rxTime = t.wIn * rxTimePerPkt
 
 	// Overhearing: only same-ladder neighbours are awake concurrently;
 	// they decode a header and drop. The 0.5 factor reflects the partial
 	// schedule overlap of the staggered ladder.
-	ovrTime := w * fb * 0.5 * m.tHdr
-	ovr := ovrTime * r.PowerRx
+	t.ovrTime = t.wBg * 0.5 * m.tHdr
+	t.ovr = t.ovrTime * r.PowerRx
+	return t
+}
 
-	// Schedule synchronization beacons.
-	syncTxTime := w / dmacSyncPeriod * m.tSync
-	syncRxTime := w / dmacSyncPeriod * m.tSync
-	stx := syncTxTime * r.PowerTx
-	srx := syncRxTime * r.PowerRx
+// EnergyAt implements Model.
+func (m *DMAC) EnergyAt(x opt.Vector, ring int) Components {
+	return m.energy(x[0], x[1], m.ringTerms(ring))
+}
 
-	awake := csTime + w*fout*txTimePerPkt + w*fin*rxTimePerPkt + ovrTime + syncTxTime + syncRxTime
+// energy is the per-window energy of a node with ring terms t at frame
+// length frame and slot length mu.
+func (m *DMAC) energy(frame, mu float64, t ringTerms) Components {
+	r := &m.env.Radio
+	w := m.env.Window
+
+	// Baseline: one receive slot per frame, listened end to end.
+	csTime := w / frame * (r.Startup + mu)
+	cs := csTime * r.PowerListen
+
+	awake := csTime + t.txTime + t.rxTime + t.ovrTime + m.syncTime + m.syncTime
 	sleepTime := w - awake
 	if sleepTime < 0 {
 		sleepTime = 0
 	}
 	return Components{
 		CarrierSense: cs,
-		Tx:           tx,
-		Rx:           rx,
-		Overhear:     ovr,
-		SyncTx:       stx,
-		SyncRx:       srx,
+		Tx:           t.tx,
+		Rx:           t.rx,
+		Overhear:     t.ovr,
+		SyncTx:       m.syncTx,
+		SyncRx:       m.syncRx,
 		Sleep:        sleepTime * r.PowerSleep,
 	}
 }
 
 // Energy implements Model.
 func (m *DMAC) Energy(x opt.Vector) float64 {
-	return m.EnergyAt(x, m.flows.Bottleneck()).Total()
+	return m.energy(x[0], x[1], m.bottleneck).Total()
 }
 
 // Delay implements Model: a packet waits half a frame on average for its

@@ -39,6 +39,10 @@ type LMAC struct {
 	tCtrl    float64
 	slotMin  float64 // control + CCA + data + turnaround
 	slotsMin float64 // 2C+3: a conflict-free 2-hop schedule must fit
+
+	out1       float64 // ring-1 transmit rate, attempts included
+	tTrack     float64 // control tracking per foreign slot: control + CCA
+	bottleneck ringTerms
 }
 
 var _ Model = (*LMAC)(nil)
@@ -62,6 +66,9 @@ func NewLMAC(env Env) (*LMAC, error) {
 		return nil, fmt.Errorf("macmodel: lmac needs at least %v slots for density %d, above the %d-slot cap",
 			m.slotsMin, env.Rings.Density, lmacSlotsMax)
 	}
+	m.out1 = m.attempts * m.flows.Out(1)
+	m.tTrack = m.tCtrl + r.CCA
+	m.bottleneck = m.ringTerms(m.flows.Bottleneck())
 	if err := validateSpecs(m.Name(), m.Params()); err != nil {
 		return nil, err
 	}
@@ -92,46 +99,55 @@ func (m *LMAC) Structural() []opt.Constraint {
 		Name: "lmac-capacity",
 		F: func(x opt.Vector) float64 {
 			frame := x[0] * x[1]
-			return m.attempts*m.flows.Out(1)*frame - lmacCapacity
+			return m.out1*frame - lmacCapacity
 		},
 	}}
 }
 
+// ringTerms returns the ring's parameter-independent energy terms: the
+// data sections. Lossy links repeat a hop's data section in a later
+// owned slot, so the data flows carry the expected attempts (the
+// control-tracking baseline is schedule-driven and does not).
+func (m *LMAC) ringTerms(ring int) ringTerms {
+	r := &m.env.Radio
+	t := windowLoad(m.env, m.flows, m.attempts, ring)
+	// Data: collision-free by schedule — no contention, no preamble.
+	t.txTime = t.wOut * m.tData
+	t.tx = t.txTime * r.PowerTx
+	t.rxTime = t.wIn * (m.tData + r.Turnaround)
+	t.rx = t.wIn * (m.tData*r.PowerRx + r.Turnaround*r.PowerListen)
+	return t
+}
+
 // EnergyAt implements Model.
 func (m *LMAC) EnergyAt(x opt.Vector, ring int) Components {
-	slots, tslot := x[0], x[1]
+	return m.energy(x[0], x[1], m.ringTerms(ring))
+}
+
+// energy is the per-window energy of a node with ring terms t at slots
+// slots per frame of length tslot.
+func (m *LMAC) energy(slots, tslot float64, t ringTerms) Components {
 	frame := slots * tslot
-	r := m.env.Radio
+	r := &m.env.Radio
 	w := m.env.Window
-	// Lossy links repeat a hop's data section in a later owned slot:
-	// the data flows inflate by the expected attempts (the control
-	// tracking baseline is schedule-driven and does not).
-	fout := m.attempts * m.flows.Out(ring)
-	fin := m.attempts * m.flows.In(ring)
 
 	// Control tracking: listen to the control section (plus a CCA to
 	// catch the section start) of every slot it does not own.
-	srxTime := w * (slots - 1) / frame * (m.tCtrl + r.CCA)
+	srxTime := w * (slots - 1) / frame * m.tTrack
 	srx := srxTime * r.PowerRx
 
 	// Own slot: the control beacon goes out every frame, data or not.
 	stxTime := w / frame * m.tCtrl
 	stx := stxTime * r.PowerTx
 
-	// Data: collision-free by schedule — no contention, no preamble.
-	txTime := w * fout * m.tData
-	tx := txTime * r.PowerTx
-	rxTime := w * fin * (m.tData + r.Turnaround)
-	rx := w * fin * (m.tData*r.PowerRx + r.Turnaround*r.PowerListen)
-
-	awake := srxTime + stxTime + txTime + rxTime
+	awake := srxTime + stxTime + t.txTime + t.rxTime
 	sleepTime := w - awake
 	if sleepTime < 0 {
 		sleepTime = 0
 	}
 	return Components{
-		Tx:     tx,
-		Rx:     rx,
+		Tx:     t.tx,
+		Rx:     t.rx,
 		SyncTx: stx,
 		SyncRx: srx,
 		Sleep:  sleepTime * r.PowerSleep,
@@ -140,7 +156,7 @@ func (m *LMAC) EnergyAt(x opt.Vector, ring int) Components {
 
 // Energy implements Model.
 func (m *LMAC) Energy(x opt.Vector) float64 {
-	return m.EnergyAt(x, m.flows.Bottleneck()).Total()
+	return m.energy(x[0], x[1], m.bottleneck).Total()
 }
 
 // Delay implements Model: at every hop a packet waits half a frame on

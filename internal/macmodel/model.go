@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/edmac-project/edmac/internal/opt"
+	"github.com/edmac-project/edmac/internal/traffic"
 )
 
 // Components decomposes a node's per-window energy the way the paper
@@ -99,6 +100,31 @@ func New(name string, env Env) (Model, error) {
 // Names lists the protocols New accepts, in presentation order: the
 // paper's three first, then the framework extensions.
 func Names() []string { return []string{"xmac", "dmac", "lmac", "bmac", "scpmac"} }
+
+// ringTerms are the parts of a ring-d node's energy formula that depend
+// on its traffic but not on the parameter vector. Each model computes
+// them once per ring, with the expressions its formula would otherwise
+// evaluate at every point, and fills the fields its formula reads.
+type ringTerms struct {
+	// wOut, wIn and wBg are the window times the transmit, receive and
+	// overheard rates, expected attempts included.
+	wOut, wIn, wBg float64
+	// tx, rx and ovr are energy components, and txTime, rxTime and
+	// ovrTime the awake time they cost, where those are fixed.
+	tx, rx, ovr             float64
+	txTime, rxTime, ovrTime float64
+}
+
+// windowLoad returns the ring's wOut, wIn and wBg: every flow-driven
+// term repeats per attempt, so lossy links scale all three.
+func windowLoad(env Env, flows traffic.RingFlows, attempts float64, ring int) ringTerms {
+	w := env.Window
+	return ringTerms{
+		wOut: w * (attempts * flows.Out(ring)),
+		wIn:  w * (attempts * flows.In(ring)),
+		wBg:  w * (attempts * flows.Background(ring)),
+	}
+}
 
 // boundsOf assembles the opt search box from parameter specs.
 func boundsOf(specs []ParamSpec) opt.Bounds {

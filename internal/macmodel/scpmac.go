@@ -43,6 +43,13 @@ type SCPMAC struct {
 	tSync float64
 	tPoll float64
 	tCW   float64
+
+	tone       float64 // wakeup-tone duration, see toneTime
+	out1       float64 // ring-1 transmit rate, attempts included
+	syncTime   float64 // per-window time spent sending (and hearing) beacons
+	syncTx     float64 // per-window beacon transmit energy
+	syncRx     float64 // per-window beacon receive energy
+	bottleneck ringTerms
 }
 
 var _ Model = (*SCPMAC)(nil)
@@ -63,6 +70,13 @@ func NewSCPMAC(env Env) (*SCPMAC, error) {
 		tPoll:    r.Startup + 2*r.CCA,
 		tCW:      8 * r.CCA,
 	}
+	m.tone = m.toneTime()
+	m.out1 = m.attempts * m.flows.Out(1)
+	// Synchronization beacons keep the poll schedule aligned.
+	m.syncTime = env.Window / scpSyncPeriod * m.tSync
+	m.syncTx = m.syncTime * r.PowerTx
+	m.syncRx = m.syncTime * r.PowerRx
+	m.bottleneck = m.ringTerms(m.flows.Bottleneck())
 	if err := validateSpecs(m.Name(), m.Params()); err != nil {
 		return nil, err
 	}
@@ -100,70 +114,74 @@ func (m *SCPMAC) Structural() []opt.Constraint {
 	return []opt.Constraint{{
 		Name: "scpmac-capacity",
 		F: func(x opt.Vector) float64 {
-			return m.attempts*m.flows.Out(1)*x[0] - 0.9
+			return m.out1*x[0] - 0.9
 		},
 	}}
 }
 
+// ringTerms returns the ring's parameter-independent energy terms: with
+// synchronized polls, only the polling itself depends on the period.
+// Lossy links repeat the tone/data/ACK exchange per attempt.
+func (m *SCPMAC) ringTerms(ring int) ringTerms {
+	r := &m.env.Radio
+	t := windowLoad(m.env, m.flows, m.attempts, ring)
+
+	// Transmit: contend briefly before the scheduled poll, send the tone
+	// and the data, collect the ACK. No long preamble — that is the
+	// whole point of synchronized polling.
+	txTimePerPkt := m.tCW/2 + m.tone + m.tData + r.Turnaround + m.tAck
+	txPerPkt := m.tCW/2*r.PowerListen + (m.tone+m.tData)*r.PowerTx +
+		r.Turnaround*r.PowerListen + m.tAck*r.PowerRx
+	t.tx = t.wOut * txPerPkt
+	t.txTime = t.wOut * txTimePerPkt
+
+	// Receive: the poll caught a tone; stay up for the data, reply.
+	rxTimePerPkt := m.tone + m.tData + r.Turnaround + m.tAck
+	rxPerPkt := (m.tone+m.tData)*r.PowerRx + r.Turnaround*r.PowerListen + m.tAck*r.PowerTx
+	t.rx = t.wIn * rxPerPkt
+	t.rxTime = t.wIn * rxTimePerPkt
+
+	// Overhear: synchronized polls wake every neighbour for every tone;
+	// non-targets decode the data header and drop.
+	t.ovrTime = t.wBg * (m.tone + m.env.HeaderAirtime())
+	t.ovr = t.ovrTime * r.PowerRx
+	return t
+}
+
 // EnergyAt implements Model.
 func (m *SCPMAC) EnergyAt(x opt.Vector, ring int) Components {
-	tp := x[0]
-	r := m.env.Radio
+	return m.energy(x[0], m.ringTerms(ring))
+}
+
+// energy is the per-window energy of a node with ring terms t at poll
+// period tp.
+func (m *SCPMAC) energy(tp float64, t ringTerms) Components {
+	r := &m.env.Radio
 	w := m.env.Window
-	// Lossy links repeat the tone/data/ACK exchange per attempt.
-	fout := m.attempts * m.flows.Out(ring)
-	fin := m.attempts * m.flows.In(ring)
-	fb := m.attempts * m.flows.Background(ring)
-	tone := m.toneTime()
 
 	// Synchronized polls: a short CCA pair every poll period.
 	csTime := w / tp * m.tPoll
 	cs := csTime * r.PowerListen
 
-	// Transmit: contend briefly before the scheduled poll, send the tone
-	// and the data, collect the ACK. No long preamble — that is the
-	// whole point of synchronized polling.
-	txTimePerPkt := m.tCW/2 + tone + m.tData + r.Turnaround + m.tAck
-	txPerPkt := m.tCW/2*r.PowerListen + (tone+m.tData)*r.PowerTx +
-		r.Turnaround*r.PowerListen + m.tAck*r.PowerRx
-	tx := w * fout * txPerPkt
-
-	// Receive: the poll caught a tone; stay up for the data, reply.
-	rxTimePerPkt := tone + m.tData + r.Turnaround + m.tAck
-	rxPerPkt := (tone+m.tData)*r.PowerRx + r.Turnaround*r.PowerListen + m.tAck*r.PowerTx
-	rx := w * fin * rxPerPkt
-
-	// Overhear: synchronized polls wake every neighbour for every tone;
-	// non-targets decode the data header and drop.
-	hdr := m.env.HeaderAirtime()
-	ovrTime := w * fb * (tone + hdr)
-	ovr := ovrTime * r.PowerRx
-
-	// Synchronization beacons keep the poll schedule aligned.
-	syncTxTime := w / scpSyncPeriod * m.tSync
-	syncRxTime := w / scpSyncPeriod * m.tSync
-	stx := syncTxTime * r.PowerTx
-	srx := syncRxTime * r.PowerRx
-
-	awake := csTime + w*fout*txTimePerPkt + w*fin*rxTimePerPkt + ovrTime + syncTxTime + syncRxTime
+	awake := csTime + t.txTime + t.rxTime + t.ovrTime + m.syncTime + m.syncTime
 	sleepTime := w - awake
 	if sleepTime < 0 {
 		sleepTime = 0
 	}
 	return Components{
 		CarrierSense: cs,
-		Tx:           tx,
-		Rx:           rx,
-		Overhear:     ovr,
-		SyncTx:       stx,
-		SyncRx:       srx,
+		Tx:           t.tx,
+		Rx:           t.rx,
+		Overhear:     t.ovr,
+		SyncTx:       m.syncTx,
+		SyncRx:       m.syncRx,
 		Sleep:        sleepTime * r.PowerSleep,
 	}
 }
 
 // Energy implements Model.
 func (m *SCPMAC) Energy(x opt.Vector) float64 {
-	return m.EnergyAt(x, m.flows.Bottleneck()).Total()
+	return m.energy(x[0], m.bottleneck).Total()
 }
 
 // Delay implements Model: a packet waits half a poll period for the next
@@ -171,7 +189,7 @@ func (m *SCPMAC) Energy(x opt.Vector) float64 {
 // the whole service repeating per expected attempt on lossy links.
 func (m *SCPMAC) Delay(x opt.Vector) float64 {
 	tp := x[0]
-	perHop := tp/2 + m.toneTime() + m.tData + m.env.Radio.Turnaround + m.tAck
+	perHop := tp/2 + m.tone + m.tData + m.env.Radio.Turnaround + m.tAck
 	return float64(m.env.Rings.Depth) * perHop * m.attempts
 }
 

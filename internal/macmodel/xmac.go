@@ -36,6 +36,13 @@ type XMAC struct {
 	tPeriod float64 // strobe period: strobe + gap
 	tPoll   float64 // receiver poll duration: startup + 2 CCA
 	tShake  float64 // post-wakeup handshake: strobe + ACK + data + turnarounds
+
+	strobePower float64 // mean power while strobing: strobe tx + gap listening
+	dataTx      float64 // data frame airtime × PowerTx
+	ackRx       float64 // ACK airtime × PowerRx
+	out1        float64 // ring-1 transmit rate
+	inShake1    float64 // ring-1 receive rate × handshake time
+	bottleneck  ringTerms
 }
 
 var _ Model = (*XMAC)(nil)
@@ -58,6 +65,13 @@ func NewXMAC(env Env) (*XMAC, error) {
 	m.tPeriod = m.tStrobe + m.tGap
 	m.tPoll = r.Startup + 2*r.CCA
 	m.tShake = m.tStrobe + r.Turnaround + m.tAck + r.Turnaround + m.tData
+	strobeDuty := m.tStrobe / m.tPeriod
+	m.strobePower = strobeDuty*r.PowerTx + (1-strobeDuty)*r.PowerListen
+	m.dataTx = m.tData * r.PowerTx
+	m.ackRx = m.tAck * r.PowerRx
+	m.out1 = m.flows.Out(1)
+	m.inShake1 = m.flows.In(1) * m.tShake
+	m.bottleneck = m.ringTerms(m.flows.Bottleneck())
 	if err := validateSpecs(m.Name(), m.Params()); err != nil {
 		return nil, err
 	}
@@ -95,19 +109,34 @@ func (m *XMAC) Structural() []opt.Constraint {
 func (m *XMAC) utilization(x opt.Vector) float64 {
 	tw := x[0]
 	perPacket := tw/2 + m.tShake
-	return m.attempts * (m.flows.Out(1)*perPacket + m.flows.In(1)*m.tShake)
+	return m.attempts * (m.out1*perPacket + m.inShake1)
+}
+
+// ringTerms returns the ring's parameter-independent energy terms.
+func (m *XMAC) ringTerms(ring int) ringTerms {
+	r := &m.env.Radio
+	t := windowLoad(m.env, m.flows, m.attempts, ring)
+	// Receive: after its poll catches a strobe, the node hears the rest
+	// of the strobe period, sends the early ACK, and receives the data.
+	rxTimePerPkt := m.tPeriod/2 + m.tStrobe + m.tAck + m.tData
+	t.rx = t.wIn * (m.tPeriod/2*r.PowerListen + m.tStrobe*r.PowerRx + m.tAck*r.PowerTx + m.tData*r.PowerRx)
+	t.rxTime = t.wIn * rxTimePerPkt
+	// Overhear: one strobe header identifies a foreign target.
+	t.ovrTime = t.wBg * m.tStrobe
+	t.ovr = t.ovrTime * r.PowerRx
+	return t
 }
 
 // EnergyAt implements Model.
 func (m *XMAC) EnergyAt(x opt.Vector, ring int) Components {
-	tw := x[0]
-	r := m.env.Radio
+	return m.energy(x[0], m.ringTerms(ring))
+}
+
+// energy is the per-window energy of a node with ring terms t at wakeup
+// interval tw.
+func (m *XMAC) energy(tw float64, t ringTerms) Components {
+	r := &m.env.Radio
 	w := m.env.Window
-	// Every flow-driven term repeats per attempt: lossy links multiply
-	// the handshakes a node transmits, receives and overhears.
-	fout := m.attempts * m.flows.Out(ring)
-	fin := m.attempts * m.flows.In(ring)
-	fb := m.attempts * m.flows.Background(ring)
 
 	// Periodic channel polls: startup plus two CCAs per check.
 	csTime := w / tw * m.tPoll
@@ -115,21 +144,10 @@ func (m *XMAC) EnergyAt(x opt.Vector, ring int) Components {
 
 	// Transmit: strobe for Tw/2 on average (transmitting a strobe, then
 	// listening in the gap for the early ACK), then the data exchange.
-	strobeDuty := m.tStrobe / m.tPeriod
-	strobePower := strobeDuty*r.PowerTx + (1-strobeDuty)*r.PowerListen
 	txTimePerPkt := tw/2 + m.tData + m.tAck
-	tx := w * fout * (tw/2*strobePower + m.tData*r.PowerTx + m.tAck*r.PowerRx)
+	tx := t.wOut * (tw/2*m.strobePower + m.dataTx + m.ackRx)
 
-	// Receive: after its poll catches a strobe, the node hears the rest
-	// of the strobe period, sends the early ACK, and receives the data.
-	rxTimePerPkt := m.tPeriod/2 + m.tStrobe + m.tAck + m.tData
-	rx := w * fin * (m.tPeriod/2*r.PowerListen + m.tStrobe*r.PowerRx + m.tAck*r.PowerTx + m.tData*r.PowerRx)
-
-	// Overhear: one strobe header identifies a foreign target.
-	ovrTime := w * fb * m.tStrobe
-	ovr := ovrTime * r.PowerRx
-
-	awake := csTime + w*fout*txTimePerPkt + w*fin*rxTimePerPkt + ovrTime
+	awake := csTime + t.wOut*txTimePerPkt + t.rxTime + t.ovrTime
 	sleepTime := w - awake
 	if sleepTime < 0 {
 		sleepTime = 0
@@ -137,15 +155,15 @@ func (m *XMAC) EnergyAt(x opt.Vector, ring int) Components {
 	return Components{
 		CarrierSense: cs,
 		Tx:           tx,
-		Rx:           rx,
-		Overhear:     ovr,
+		Rx:           t.rx,
+		Overhear:     t.ovr,
 		Sleep:        sleepTime * r.PowerSleep,
 	}
 }
 
 // Energy implements Model.
 func (m *XMAC) Energy(x opt.Vector) float64 {
-	return m.EnergyAt(x, m.flows.Bottleneck()).Total()
+	return m.energy(x[0], m.bottleneck).Total()
 }
 
 // Delay implements Model: each hop waits Tw/2 on average for the
