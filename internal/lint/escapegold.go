@@ -36,6 +36,8 @@ var Escapegold = &Analyzer{
 // covers. Every //edvet:hotpath annotation in the tree must live in one
 // of them.
 var escapeScope = []string{
+	"internal/macmodel",
+	"internal/nbs",
 	"internal/sim",
 }
 

@@ -86,12 +86,16 @@ func (m *BMAC) Structural() []opt.Constraint {
 }
 
 // EnergyAt implements Model.
+//
+//edvet:hotpath
 func (m *BMAC) EnergyAt(x opt.Vector, ring int) Components {
 	return m.energy(x[0], windowLoad(m.env, m.flows, m.attempts, ring))
 }
 
 // energy is the per-window energy of a node with ring terms t at wakeup
 // interval tw.
+//
+//edvet:hotpath
 func (m *BMAC) energy(tw float64, t ringTerms) Components {
 	r := &m.env.Radio
 	w := m.env.Window
@@ -126,12 +130,16 @@ func (m *BMAC) energy(tw float64, t ringTerms) Components {
 }
 
 // Energy implements Model.
+//
+//edvet:hotpath
 func (m *BMAC) Energy(x opt.Vector) float64 {
 	return m.energy(x[0], m.bottleneck).Total()
 }
 
 // Delay implements Model: every hop pays the full preamble plus data,
 // once per expected attempt on lossy links.
+//
+//edvet:hotpath
 func (m *BMAC) Delay(x opt.Vector) float64 {
 	tw := x[0]
 	return float64(m.env.Rings.Depth) * (tw + m.tData) * m.attempts

@@ -155,12 +155,16 @@ func (m *DMAC) ringTerms(ring int) ringTerms {
 }
 
 // EnergyAt implements Model.
+//
+//edvet:hotpath
 func (m *DMAC) EnergyAt(x opt.Vector, ring int) Components {
 	return m.energy(x[0], x[1], m.ringTerms(ring))
 }
 
 // energy is the per-window energy of a node with ring terms t at frame
 // length frame and slot length mu.
+//
+//edvet:hotpath
 func (m *DMAC) energy(frame, mu float64, t ringTerms) Components {
 	r := &m.env.Radio
 	w := m.env.Window
@@ -186,6 +190,8 @@ func (m *DMAC) energy(frame, mu float64, t ringTerms) Components {
 }
 
 // Energy implements Model.
+//
+//edvet:hotpath
 func (m *DMAC) Energy(x opt.Vector) float64 {
 	return m.energy(x[0], x[1], m.bottleneck).Total()
 }
@@ -194,6 +200,8 @@ func (m *DMAC) Energy(x opt.Vector) float64 {
 // level's next transmission slot, then rides the staggered wave one slot
 // per hop. On lossy links each failed hop exchange defers the packet to
 // a later frame, so every expected extra attempt costs a full frame.
+//
+//edvet:hotpath
 func (m *DMAC) Delay(x opt.Vector) float64 {
 	frame, mu := x[0], x[1]
 	return frame/2 + float64(m.env.Rings.Depth)*(mu+(m.attempts-1)*frame)

@@ -120,12 +120,16 @@ func (m *LMAC) ringTerms(ring int) ringTerms {
 }
 
 // EnergyAt implements Model.
+//
+//edvet:hotpath
 func (m *LMAC) EnergyAt(x opt.Vector, ring int) Components {
 	return m.energy(x[0], x[1], m.ringTerms(ring))
 }
 
 // energy is the per-window energy of a node with ring terms t at slots
 // slots per frame of length tslot.
+//
+//edvet:hotpath
 func (m *LMAC) energy(slots, tslot float64, t ringTerms) Components {
 	frame := slots * tslot
 	r := &m.env.Radio
@@ -155,6 +159,8 @@ func (m *LMAC) energy(slots, tslot float64, t ringTerms) Components {
 }
 
 // Energy implements Model.
+//
+//edvet:hotpath
 func (m *LMAC) Energy(x opt.Vector) float64 {
 	return m.energy(x[0], x[1], m.bottleneck).Total()
 }
@@ -163,6 +169,8 @@ func (m *LMAC) Energy(x opt.Vector) float64 {
 // average for the forwarder's owned slot, then occupies one data
 // section. On lossy links every expected extra attempt defers the hop
 // by one full frame (the next owned slot).
+//
+//edvet:hotpath
 func (m *LMAC) Delay(x opt.Vector) float64 {
 	frame := x[0] * x[1]
 	return float64(m.env.Rings.Depth) * (frame/2 + m.tData + (m.attempts-1)*frame)

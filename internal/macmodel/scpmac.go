@@ -149,12 +149,16 @@ func (m *SCPMAC) ringTerms(ring int) ringTerms {
 }
 
 // EnergyAt implements Model.
+//
+//edvet:hotpath
 func (m *SCPMAC) EnergyAt(x opt.Vector, ring int) Components {
 	return m.energy(x[0], m.ringTerms(ring))
 }
 
 // energy is the per-window energy of a node with ring terms t at poll
 // period tp.
+//
+//edvet:hotpath
 func (m *SCPMAC) energy(tp float64, t ringTerms) Components {
 	r := &m.env.Radio
 	w := m.env.Window
@@ -180,6 +184,8 @@ func (m *SCPMAC) energy(tp float64, t ringTerms) Components {
 }
 
 // Energy implements Model.
+//
+//edvet:hotpath
 func (m *SCPMAC) Energy(x opt.Vector) float64 {
 	return m.energy(x[0], m.bottleneck).Total()
 }
@@ -187,6 +193,8 @@ func (m *SCPMAC) Energy(x opt.Vector) float64 {
 // Delay implements Model: a packet waits half a poll period for the next
 // synchronized poll, then completes the tone/data exchange, per hop —
 // the whole service repeating per expected attempt on lossy links.
+//
+//edvet:hotpath
 func (m *SCPMAC) Delay(x opt.Vector) float64 {
 	tp := x[0]
 	perHop := tp/2 + m.tone + m.tData + m.env.Radio.Turnaround + m.tAck

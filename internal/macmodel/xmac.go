@@ -128,12 +128,16 @@ func (m *XMAC) ringTerms(ring int) ringTerms {
 }
 
 // EnergyAt implements Model.
+//
+//edvet:hotpath
 func (m *XMAC) EnergyAt(x opt.Vector, ring int) Components {
 	return m.energy(x[0], m.ringTerms(ring))
 }
 
 // energy is the per-window energy of a node with ring terms t at wakeup
 // interval tw.
+//
+//edvet:hotpath
 func (m *XMAC) energy(tw float64, t ringTerms) Components {
 	r := &m.env.Radio
 	w := m.env.Window
@@ -162,6 +166,8 @@ func (m *XMAC) energy(tw float64, t ringTerms) Components {
 }
 
 // Energy implements Model.
+//
+//edvet:hotpath
 func (m *XMAC) Energy(x opt.Vector) float64 {
 	return m.energy(x[0], m.bottleneck).Total()
 }
@@ -169,6 +175,8 @@ func (m *XMAC) Energy(x opt.Vector) float64 {
 // Delay implements Model: each hop waits Tw/2 on average for the
 // receiver's poll, then completes the strobe/ACK/data handshake — and
 // repeats the whole service per expected attempt on lossy links.
+//
+//edvet:hotpath
 func (m *XMAC) Delay(x opt.Vector) float64 {
 	tw := x[0]
 	return float64(m.env.Rings.Depth) * (tw/2 + m.tShake) * m.attempts

@@ -46,3 +46,24 @@ func TestSolveEvaluationCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestProgramEvalAllocFree: the per-point path — a program's eval over a
+// real protocol model — allocates nothing, whatever the goal and caps.
+func TestProgramEvalAllocFree(t *testing.T) {
+	for _, name := range macmodel.Names() {
+		m, err := macmodel.New(name, macmodel.Default())
+		if err != nil {
+			t.Fatalf("New(%s): %v", name, err)
+		}
+		g := &Game{
+			CostA: m.Energy, CostB: m.Delay, BudgetA: 0.06, BudgetB: 6,
+			Bounds: m.Bounds(), Structural: m.Structural(),
+		}
+		x := m.Bounds().Center()
+		for _, p := range []program{g.minA(6), g.minB(0.06), g.bargaining(goalNash, 0.06, 6)} {
+			if n := testing.AllocsPerRun(100, func() { p.eval(x) }); n != 0 {
+				t.Errorf("%s: goal %d eval allocates %v times per point", name, p.goal, n)
+			}
+		}
+	}
+}

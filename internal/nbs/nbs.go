@@ -210,6 +210,8 @@ func (p program) solve() (opt.Result, error) {
 // once, and only when the goal or a cap reads it, then derives the
 // objective and the total violation from them: the structural
 // constraints first, then the A cap, then the B cap.
+//
+//edvet:hotpath
 func (p *program) eval(x opt.Vector) (f, viol float64) {
 	var a, b float64
 	if p.goal != goalB || p.hasCapA {
