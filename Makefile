@@ -7,17 +7,18 @@
 # benchmarks, which report it) events/sec (refresh the baseline with
 # `make bench-baseline` whenever a PR intentionally moves the needle).
 # SimulatorEventRate matches all three channel variants: the perfect,
-# Lossy and Faulty paths are gated together.
+# Lossy and Faulty paths are gated together. OptimizeCold gates the
+# cold-solve path (a full bargaining solve per request).
 
 GO         ?= go
-BENCH      ?= Figure|Frontier|Sweep|SimValidation|SimulatorEventRate(Lossy|Faulty)?|SimulateBatch|ServeOptimizeCached|JobsSubmitPoll
+BENCH      ?= Figure|Frontier|OptimizeCold|Sweep|SimValidation|SimulatorEventRate(Lossy|Faulty)?|SimulateBatch|ServeOptimizeCached|JobsSubmitPoll
 BENCHTIME  ?= 1s
-GATE_BENCH ?= SimulatorEventRate(Lossy|Faulty)?|ServeOptimizeCached|JobsSubmitPoll
+GATE_BENCH ?= SimulatorEventRate(Lossy|Faulty)?|ServeOptimizeCached|JobsSubmitPoll|OptimizeCold
 GATE_TOL   ?= 0.15
 
 FUZZTIME ?= 30s
 
-.PHONY: build test race vet fmt lint lint-escape escape-golden api-golden gate-coverage fuzz bench bench-gate bench-baseline suite golden suite-golden check fix-check
+.PHONY: build test race vet fmt lint lint-escape escape-golden api-golden gate-coverage print-gate-bench fuzz bench bench-gate bench-baseline suite golden suite-golden check fix-check
 
 build:
 	$(GO) build ./...
@@ -65,6 +66,11 @@ api-golden:
 gate-coverage:
 	$(GO) test -run '^$$' -list 'Benchmark.*' ./... \
 	  | $(GO) run ./tools/benchjson -covered '$(GATE_BENCH)'
+
+# Print the gate regexp, so CI re-records the base commit's benchmarks
+# with exactly the set the gate then compares.
+print-gate-bench:
+	@echo '$(GATE_BENCH)'
 
 check: fmt lint build test
 

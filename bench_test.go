@@ -117,6 +117,42 @@ func BenchmarkFrontierXMAC(b *testing.B) { benchFrontier(b, edmac.XMAC) }
 func BenchmarkFrontierDMAC(b *testing.B) { benchFrontier(b, edmac.DMAC) }
 func BenchmarkFrontierLMAC(b *testing.B) { benchFrontier(b, edmac.LMAC) }
 
+// BenchmarkOptimizeCold is the in-repo twin of the repo benchmark's
+// optimize-cold workload (perfbench/): distinct relaxed optimize
+// requests from the same requirement grid (energy budgets 20–120 mJ,
+// delay bounds 3–6 s) cycling all five protocols through a cache-free
+// Client, so every iteration plays the whole bargaining game. Gated in
+// make bench-gate, so a solver or model regression fails CI.
+func BenchmarkOptimizeCold(b *testing.B) {
+	c, err := edmac.NewClient()
+	if err != nil {
+		b.Fatal(err)
+	}
+	const pairs = 8
+	var reqs []edmac.OptimizeRequest
+	for k := 0; k < pairs; k++ {
+		for _, p := range edmac.Protocols() {
+			reqs = append(reqs, edmac.OptimizeRequest{
+				Protocol: p,
+				Requirements: edmac.Requirements{
+					EnergyBudget: 0.02 + 0.0125*float64(k),
+					MaxDelay:     3 + 0.375*float64(3*k%pairs),
+				},
+				Relaxed: true,
+			})
+		}
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := reqs[i%len(reqs)]
+		if _, err := c.Optimize(ctx, req); err != nil {
+			b.Fatalf("%s %+v: %v", req.Protocol, req.Requirements, err)
+		}
+	}
+}
+
 // --- Proportional fairness (the paper's closing identity) ------------
 
 func BenchmarkProportionalFairness(b *testing.B) {
