@@ -1,8 +1,8 @@
 // Package adapt is the online re-bargaining controller: it re-plays the
 // Nash bargaining game of internal/core once per traffic phase of a
 // non-stationary scenario, producing the per-epoch MAC parameter
-// vectors an adaptive runtime (sim.RunPhased) deploys at the phase
-// boundaries.
+// vectors an adaptive runtime (sim.RunPhasedContext) deploys at the
+// phase boundaries.
 //
 // The controller closes the loop the paper motivates but plays offline:
 // when the workload shifts, the old bargain sits at the wrong point of

@@ -17,15 +17,16 @@ type BatchResult struct {
 // pool of `workers` goroutines (one per CPU when workers < 1) and
 // returns one BatchResult per config, in config order.
 //
-// Every run owns its entire world — engine, medium, transceivers, MAC
-// state and RNG streams are built fresh inside Run, and the shared
-// inputs (topology.Network, radio.Radio) are immutable — so results are
-// bit-identical to calling Run sequentially on each config; concurrency
-// changes only the wall clock. Cancelling ctx skips configs not yet
-// started (their entries carry ctx.Err(), and an already-cancelled
-// context runs nothing) and aborts runs already in flight via
-// RunContext, so a cancelled batch returns within a few thousand
-// events per worker; aborted entries carry the context's error.
+// Each config runs through RunContext, which builds its entire world —
+// engine, medium, transceivers, MAC state and RNG streams — fresh, while
+// the shared inputs (topology.Network, radio.Radio, an attached
+// Materialized) are immutable; so results are bit-identical to calling
+// RunContext sequentially on each config, and concurrency changes only
+// the wall clock. Cancelling ctx skips configs not yet started (their
+// entries carry ctx.Err(), and an already-cancelled context runs
+// nothing) and aborts runs already in flight, so a cancelled batch
+// returns within a few thousand events per worker; aborted entries
+// carry the context's error.
 func RunBatch(ctx context.Context, cfgs []Config, workers int) []BatchResult {
 	out := make([]BatchResult, len(cfgs))
 	err := par.ForEach(ctx, len(cfgs), workers, func(i int) {

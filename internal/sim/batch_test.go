@@ -72,7 +72,7 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 	cfgs := batchConfigs(t)
 	sequential := make([]*Result, len(cfgs))
 	for i, c := range cfgs {
-		res, err := Run(c)
+		res, err := RunContext(context.Background(), c)
 		if err != nil {
 			t.Fatalf("sequential run %d: %v", i, err)
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"github.com/edmac-project/edmac/internal/opt"
@@ -10,7 +11,7 @@ import (
 
 func TestBMACDeliversOverMultipleHops(t *testing.T) {
 	cfg := lineConfig(t, "bmac", opt.Vector{0.2}, 3, 0.01, 2000)
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -82,7 +83,7 @@ func TestBMACCostlierThanXMACSimulated(t *testing.T) {
 	}
 	energy := func(protocol string) float64 {
 		cfg := lineConfig(t, protocol, opt.Vector{0.2}, 3, 0.1, 1000)
-		res, err := Run(cfg)
+		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", protocol, err)
 		}

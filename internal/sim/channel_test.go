@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestMediumReceptionDraw(t *testing.T) {
 	run := func(prr float64) (*recorder, *Medium) {
 		net := lossyLine(t, 2, prr)
 		eng := NewEngine()
-		med := NewMedium(eng, net, radio.CC2420())
+		med := newMedium(eng, net, radio.CC2420(), nil)
 		med.enableLoss(7)
 		rx := &recorder{}
 		med.Transceiver(1).SetHandler(rx)
@@ -54,7 +55,7 @@ func TestMediumReceptionDraw(t *testing.T) {
 	}
 	net.SetLink(0, 1, 0, 0)
 	eng := NewEngine()
-	med := NewMedium(eng, net, radio.CC2420())
+	med := newMedium(eng, net, radio.CC2420(), nil)
 	med.enableLoss(7)
 	rx := &recorder{}
 	med.Transceiver(1).SetHandler(rx)
@@ -109,7 +110,7 @@ func TestMediumCapture(t *testing.T) {
 			net.SetLink(0, 1, 1, tc.gain0)
 			net.SetLink(2, 1, 1, tc.gain2)
 			eng := NewEngine()
-			med := NewMedium(eng, net, radio.CC2420())
+			med := newMedium(eng, net, radio.CC2420(), nil)
 			med.enableCapture(3)
 			rx := &recorder{}
 			med.Transceiver(1).SetHandler(rx)
@@ -154,7 +155,7 @@ func TestMediumCapturePileUp(t *testing.T) {
 	net.SetLink(2, 1, 1, 2)
 	net.SetLink(3, 1, 1, 4)
 	eng := NewEngine()
-	med := NewMedium(eng, net, radio.CC2420())
+	med := newMedium(eng, net, radio.CC2420(), nil)
 	med.enableCapture(3)
 	rx := &recorder{}
 	med.Transceiver(1).SetHandler(rx)
@@ -199,7 +200,7 @@ func TestSinkDeduplicatesDeliveries(t *testing.T) {
 		Duration:   60,
 		Seed:       3,
 	}
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestPushOverflowKeepsInFlightHead(t *testing.T) {
 func TestLossyRunDeterministic(t *testing.T) {
 	run := func(seed int64) string {
 		net := lossyLine(t, 3, 0.8)
-		res, err := Run(Config{
+		res, err := RunContext(context.Background(), Config{
 			Protocol:   "xmac",
 			Network:    net,
 			Radio:      radio.CC2420(),

@@ -10,24 +10,27 @@ import (
 )
 
 // TestRunContextBackgroundIdentical pins the cancellation plumbing's
-// zero-cost contract: threading an uncancellable context changes no
-// event, metric or joule relative to Run.
+// zero-cost contract: threading a cancellable context that is never
+// cancelled (and so is polled) changes no event, metric or joule
+// relative to an uncancellable one (never polled).
 func TestRunContextBackgroundIdentical(t *testing.T) {
 	cfg := lineConfig(t, "xmac", opt.Vector{0.25}, 4, 0.05, 800)
-	want, err := Run(cfg)
+	want, err := RunContext(context.Background(), cfg)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("background: %v", err)
 	}
-	got, err := RunContext(context.Background(), cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := RunContext(ctx, cfg)
 	if err != nil {
-		t.Fatalf("RunContext: %v", err)
+		t.Fatalf("cancellable: %v", err)
 	}
 	if want.Events != got.Events {
-		t.Fatalf("event counts diverge: Run %d, RunContext %d", want.Events, got.Events)
+		t.Fatalf("event counts diverge: background %d, cancellable %d", want.Events, got.Events)
 	}
 	if want.Metrics.Generated() != got.Metrics.Generated() ||
 		want.Metrics.Delivered() != got.Metrics.Delivered() {
-		t.Fatalf("metrics diverge: Run %d/%d, RunContext %d/%d",
+		t.Fatalf("metrics diverge: background %d/%d, cancellable %d/%d",
 			want.Metrics.Generated(), want.Metrics.Delivered(),
 			got.Metrics.Generated(), got.Metrics.Delivered())
 	}

@@ -113,51 +113,20 @@ func TestQuiesceUnderCrashReclaimsPools(t *testing.T) {
 			}
 			cfg.Failures = &FailureConfig{Events: events}
 
-			// Run through the exported API first: the run must complete.
-			res, err := Run(cfg)
+			// Run the fault runner production builds, then quiesce the
+			// final state exactly as an epoch would and assert nothing
+			// leaked.
+			r := newRunner(cfg, []PhaseConfig{{Params: cfg.Params, Until: cfg.Duration}}, faultRun, nil)
+			res, err := r.run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Deaths == 0 {
 				t.Fatal("no crash fired")
 			}
-
-			// Then drive the runner's internals to inspect the pools at
-			// the horizon: quiesce the final state exactly as an epoch
-			// would and assert nothing leaked.
-			eng := NewEngine()
-			med := newMediumFor(eng, cfg)
-			metrics := &Metrics{}
-			nodes := buildNodes(cfg, eng, med, metrics)
-			fs := &faultState{
-				cfg:         &cfg,
-				eng:         eng,
-				med:         med,
-				metrics:     metrics,
-				nodes:       nodes,
-				phases:      []PhaseConfig{{Params: cfg.Params, Until: cfg.Duration}},
-				alive:       make([]bool, cfg.Network.N()),
-				batteryDead: make([]bool, cfg.Network.N()),
-				points:      faultPoints(cfg.Failures, cfg.Network, cfg.Seed, cfg.Duration),
-				arrivals:    make([][]float64, cfg.Network.N()),
-				cursor:      make([]int, cfg.Network.N()),
-				arena:       &packetArena{},
-				params:      cfg.Params,
-			}
-			for i := range fs.alive {
-				fs.alive[i] = true
-			}
-			for i := 1; i < cfg.Network.N(); i++ {
-				fs.arrivals[i] = arrivalSchedule(cfg, topology.NodeID(i))
-			}
-			med.fault = fs
-			if err := fs.install(0); err != nil {
-				t.Fatal(err)
-			}
-			eng.Run(cfg.Duration)
-			eng.DropPending()
-			med.quiesce()
-			assertPoolsReclaimed(t, med, proto.name)
+			r.eng.DropPending()
+			r.med.quiesce()
+			assertPoolsReclaimed(t, r.med, proto.name)
 		})
 	}
 }
@@ -168,52 +137,21 @@ func TestQuiesceUnderCrashReclaimsPools(t *testing.T) {
 func TestQuiesceUnderBatteryDeathReclaimsPools(t *testing.T) {
 	cfg := phasedSimConfig(t, traffic.Periodic{Rate: 0.5}, 120)
 	cfg.Params = opt.Vector{0.3}
-	base, err := Run(cfg)
+	base, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Battery = &BatteryConfig{Capacity: base.Energy[1] / 3}
 
-	eng := NewEngine()
-	med := newMediumFor(eng, cfg)
-	metrics := &Metrics{}
-	nodes := buildNodes(cfg, eng, med, metrics)
-	n := cfg.Network.N()
-	fs := &faultState{
-		cfg:         &cfg,
-		eng:         eng,
-		med:         med,
-		metrics:     metrics,
-		nodes:       nodes,
-		phases:      []PhaseConfig{{Params: cfg.Params, Until: cfg.Duration}},
-		alive:       make([]bool, n),
-		batteryDead: make([]bool, n),
-		arrivals:    make([][]float64, n),
-		cursor:      make([]int, n),
-		arena:       &packetArena{},
-		params:      cfg.Params,
-		capacity:    make([]float64, n),
-		deathTimer:  make([]Timer, n),
-		nodeArg:     make([]any, n),
-	}
-	fs.deathCb = func(a any) { fs.batteryDeath(a.(topology.NodeID)) }
-	for i := range fs.alive {
-		fs.alive[i] = true
-	}
-	for i := 1; i < n; i++ {
-		fs.arrivals[i] = arrivalSchedule(cfg, topology.NodeID(i))
-		fs.capacity[i] = cfg.Battery.Capacity
-		fs.nodeArg[i] = topology.NodeID(i)
-	}
-	med.fault = fs
-	if err := fs.install(0); err != nil {
+	r := newRunner(cfg, []PhaseConfig{{Params: cfg.Params, Until: cfg.Duration}}, faultRun, nil)
+	res, err := r.run(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Run(cfg.Duration)
-	if fs.deaths == 0 {
+	if res.Deaths == 0 {
 		t.Fatal("no battery death fired")
 	}
-	eng.DropPending()
-	med.quiesce()
-	assertPoolsReclaimed(t, med, "battery")
+	r.eng.DropPending()
+	r.med.quiesce()
+	assertPoolsReclaimed(t, r.med, "battery")
 }

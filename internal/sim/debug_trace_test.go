@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"github.com/edmac-project/edmac/internal/opt"
@@ -13,7 +14,7 @@ func TestDebugXMACTrace(t *testing.T) {
 		t.Skip("trace only under -v")
 	}
 	cfg := lineConfig(t, "xmac", opt.Vector{0.25}, 1, 0.05, 60)
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

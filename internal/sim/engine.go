@@ -10,17 +10,23 @@
 // predict; the cross-validation tests and the `edsim validate` command
 // compare the two.
 //
+// Three entry points run a simulation: RunContext with one parameter
+// vector throughout, RunPhasedContext with a vector per traffic phase,
+// and RunFaultyContext with node failures and re-bargaining over the
+// survivors. All three execute the same epoch loop (see runner).
+//
 // # Concurrency and determinism contract
 //
 // One Engine (and everything hanging off it: Medium, Transceivers, MAC
 // nodes, Metrics) is single-threaded by design and must only be driven
 // from one goroutine. Determinism is a correctness requirement: a run is
 // a pure function of its Config, so equal seeds reproduce runs exactly,
-// event for event. Independent runs share nothing mutable — Run builds a
-// fresh Engine, Medium and RNG set per call, and topology.Network and
-// radio.Radio are immutable after construction — so any number of runs
-// may execute concurrently (see RunBatch), and a batch's results are
-// bit-identical to executing the same configs sequentially.
+// event for event. Independent runs share nothing mutable — every run
+// builds a fresh Engine, Medium and RNG set, and topology.Network,
+// radio.Radio and an attached Materialized world are immutable after
+// construction — so any number of runs may execute concurrently (see
+// RunBatch), and a batch's results are bit-identical to executing the
+// same configs sequentially.
 package sim
 
 import (
@@ -32,26 +38,6 @@ import (
 // than time.Duration because it feeds the same closed-form arithmetic as
 // the analytic models (it is compared against them directly).
 type Time = float64
-
-// SchedulerKind selects the Engine's priority-queue implementation.
-// Both implementations realize the exact same strict total order
-// (at, seq) — earliest timestamp first, FIFO among equals — so they are
-// interchangeable event for event; the differential property test in
-// scheduler_diff_test.go holds them to that.
-type SchedulerKind uint8
-
-const (
-	// SchedulerWheel is the default: a calendar-queue timing wheel with
-	// amortized O(1) insert, pop and cancel. Duty-cycle workloads are
-	// near-periodic with a tiny pending set, which is exactly the regime
-	// calendar queues dominate comparison-based heaps in.
-	SchedulerWheel SchedulerKind = iota
-	// SchedulerHeap is the reference indexed 4-ary min-heap, kept as the
-	// differential-testing oracle and as an escape hatch should a
-	// workload ever degenerate the wheel (e.g. adversarial same-tick
-	// pile-ups, where the wheel's bucket scan goes quadratic).
-	SchedulerHeap
-)
 
 // event is one scheduled callback, stored in the engine's flat arena.
 // Callbacks come in two forms: a plain closure fn, or the pair (do, arg)
@@ -67,9 +53,9 @@ type event struct {
 	do   func(any)
 	arg  any
 	gen  uint32 // bumped on slot reuse; stale Timers miss
-	loc  int32  // heap position | wheel bucket | overflowLoc; noSlot when free
+	loc  int32  // wheel bucket | overflowLoc; noSlot when free
 	next int32  // chain / free-list link, noSlot at the end
-	prev int32  // wheel chain back-link (unused by heap and free-list)
+	prev int32  // wheel chain back-link (unused by the free-list)
 }
 
 const (
@@ -86,7 +72,7 @@ const (
 // suite scenarios); only rare far-future events (arrival schedules,
 // fault points) take the overflow path. Scaling by a power of two keeps
 // tick = ⌊at·tickScale⌋ exact and monotone in `at`, which is what makes
-// the wheel's pop order provably identical to the heap's.
+// the wheel's pop order exactly the (at, seq) order.
 const (
 	wheelBits  = 12
 	wheelSize  = 1 << wheelBits
@@ -117,13 +103,17 @@ func (t *Timer) Cancel() {
 }
 
 // Engine is the discrete-event scheduler: a priority queue of callbacks
-// over virtual time. Events live in a flat arena recycled through a
-// free-list; ordering comes from a calendar-queue timing wheel (or the
-// reference 4-ary heap, see SchedulerKind), so scheduling and cancelling
-// are allocation-free in steady state and cancellation removes the event
-// immediately instead of leaving a tombstone to be popped. The engine is
-// single-goroutine; see the package comment for the concurrency
-// contract.
+// over virtual time, in the strict total order (at, seq) — earliest
+// timestamp first, FIFO among equals. Events live in a flat arena
+// recycled through a free-list; ordering comes from a calendar-queue
+// timing wheel with amortized O(1) insert, pop and cancel (duty-cycle
+// workloads are near-periodic with a tiny pending set, the regime
+// calendar queues dominate comparison-based heaps in), so scheduling and
+// cancelling are allocation-free in steady state and cancellation
+// removes the event immediately instead of leaving a tombstone to be
+// popped. A reference 4-ary heap in the tests holds the wheel to that
+// order (scheduler_diff_test.go). The engine is single-goroutine; see
+// the package comment for the concurrency contract.
 type Engine struct {
 	now       Time
 	seq       uint64
@@ -133,9 +123,7 @@ type Engine struct {
 	pending   int // live events currently queued
 	peak      int // high-water mark of pending
 
-	sched SchedulerKind
-
-	// Timing wheel (SchedulerWheel): heads[b]/tails[b] chain the events
+	// Timing wheel: heads[b]/tails[b] chain the events
 	// of the single tick currently mapped to bucket b, kept sorted by
 	// (at, seq) so the chain head is the bucket minimum; occ is the
 	// occupancy bitmap. The wheel covers ticks [base, base+wheelSize);
@@ -151,26 +139,20 @@ type Engine struct {
 	cur      int64
 	overflow int32
 	promoted uint64 // events promoted overflow → wheel (observability)
-
-	// Reference heap (SchedulerHeap).
-	order []int32 // 4-ary min-heap of slots, keyed by (at, seq)
 }
 
-// NewEngine returns a wheel-scheduled engine at time zero.
-func NewEngine() *Engine { return NewEngineSched(SchedulerWheel) }
-
-// NewEngineSched returns an engine using the given scheduler.
-func NewEngineSched(k SchedulerKind) *Engine {
-	e := &Engine{free: noSlot, sched: k}
-	if k == SchedulerWheel {
-		e.heads = make([]int32, wheelSize)
-		e.tails = make([]int32, wheelSize)
-		for i := range e.heads {
-			e.heads[i] = noSlot
-			e.tails[i] = noSlot
-		}
-		e.occ = make([]uint64, wheelWords)
-		e.overflow = noSlot
+// NewEngine returns an empty engine at time zero.
+func NewEngine() *Engine {
+	e := &Engine{
+		free:     noSlot,
+		heads:    make([]int32, wheelSize),
+		tails:    make([]int32, wheelSize),
+		occ:      make([]uint64, wheelWords),
+		overflow: noSlot,
+	}
+	for i := range e.heads {
+		e.heads[i] = noSlot
+		e.tails[i] = noSlot
 	}
 	return e
 }
@@ -193,7 +175,7 @@ func (e *Engine) PeakPending() int { return e.peak }
 // the wheel horizon and were later promoted into the wheel. High counts
 // relative to Processed would mean the workload's periods outrun the
 // horizon and the wheel is degenerating into a scan; duty-cycle
-// workloads keep this near zero. Always zero under SchedulerHeap.
+// workloads keep this near zero.
 func (e *Engine) OverflowPromotions() uint64 { return e.promoted }
 
 // At schedules fn at absolute time t (clamped to now for past times) and
@@ -224,7 +206,7 @@ func (e *Engine) AfterCall(d float64, do func(any), arg any) Timer {
 }
 
 // schedule allocates a slot (reusing the free-list), fills it and links
-// it into the active scheduler structure.
+// it into the wheel.
 //
 //edvet:hotpath
 func (e *Engine) schedule(t Time, fn func(), do func(any), arg any) Timer {
@@ -250,13 +232,7 @@ func (e *Engine) schedule(t Time, fn func(), do func(any), arg any) Timer {
 	if e.pending > e.peak {
 		e.peak = e.pending
 	}
-	if e.sched == SchedulerHeap {
-		ev.loc = int32(len(e.order))
-		e.order = append(e.order, slot)
-		e.siftUp(int(ev.loc))
-	} else {
-		e.wheelInsert(slot, ev)
-	}
+	e.wheelInsert(slot, ev)
 	return Timer{eng: e, slot: slot, gen: ev.gen}
 }
 
@@ -272,11 +248,7 @@ func (e *Engine) cancel(slot int32, gen uint32) {
 	if ev.gen != gen || ev.loc == noSlot {
 		return
 	}
-	if e.sched == SchedulerHeap {
-		e.removeAt(int(ev.loc))
-	} else {
-		e.wheelUnlink(ev)
-	}
+	e.wheelUnlink(ev)
 	e.pending--
 	e.release(slot)
 }
@@ -303,14 +275,6 @@ func (e *Engine) release(slot int32) {
 // endings, protocol timeouts) is discarded before the next regime's MAC
 // layer is installed.
 func (e *Engine) DropPending() {
-	if e.sched == SchedulerHeap {
-		for _, slot := range e.order {
-			e.release(slot)
-		}
-		e.order = e.order[:0]
-		e.pending = 0
-		return
-	}
 	for w, word := range e.occ {
 		for word != 0 {
 			b := int32(w<<6) + int32(bits.TrailingZeros64(word))
@@ -359,13 +323,7 @@ func (e *Engine) RunContext(ctx context.Context, until Time) error {
 	if ctx != nil {
 		done = ctx.Done()
 	}
-	var err error
-	if e.sched == SchedulerHeap {
-		err = e.runHeap(ctx, done, until)
-	} else {
-		err = e.runWheel(ctx, done, until)
-	}
-	if err != nil {
+	if err := e.runWheel(ctx, done, until); err != nil {
 		return err
 	}
 	if e.now < until {
@@ -556,7 +514,7 @@ func (e *Engine) scanOcc(start, end int64) int64 {
 // everything inside the new horizon. tick = ⌊at·tickScale⌋ is monotone
 // in `at` and all of a bucket's events share one tick, so the head of
 // the first occupied bucket (chains are sorted) is the global minimum —
-// the exact (at, seq) order the heap realizes. The cursor makes the
+// the exact (at, seq) order. The cursor makes the
 // common case O(1): the scan resumes at the tick the last pop stopped
 // on, which is still occupied while its bucket drains.
 //
@@ -637,121 +595,4 @@ func (e *Engine) runWheel(ctx context.Context, done <-chan struct{}, until Time)
 		}
 	}
 	return nil
-}
-
-// --- indexed 4-ary min-heap over the order slice ----------------------
-
-// runHeap is the heap-scheduled event loop behind RunContext.
-//
-//edvet:hotpath
-func (e *Engine) runHeap(ctx context.Context, done <-chan struct{}, until Time) error {
-	countdown := ctxCheckInterval
-	for len(e.order) > 0 {
-		slot := e.order[0]
-		ev := &e.events[slot]
-		if ev.at > until {
-			break
-		}
-		if done != nil {
-			countdown--
-			if countdown == 0 {
-				countdown = ctxCheckInterval
-				select {
-				case <-done:
-					return ctx.Err()
-				default:
-				}
-			}
-		}
-		e.now = ev.at
-		fn, do, arg := ev.fn, ev.do, ev.arg
-		e.removeAt(0)
-		e.pending--
-		e.release(slot)
-		e.processed++
-		if do != nil {
-			do(arg)
-		} else {
-			fn()
-		}
-	}
-	return nil
-}
-
-// less orders slots by (at, seq): earliest first, FIFO among equals.
-//
-//edvet:hotpath
-func (e *Engine) less(a, b int32) bool {
-	ea, eb := &e.events[a], &e.events[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
-	}
-	return ea.seq < eb.seq
-}
-
-// place writes slot at heap position i and records the position.
-//
-//edvet:hotpath
-func (e *Engine) place(slot int32, i int) {
-	e.order[i] = slot
-	e.events[slot].loc = int32(i)
-}
-
-//edvet:hotpath
-func (e *Engine) siftUp(i int) {
-	slot := e.order[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !e.less(slot, e.order[parent]) {
-			break
-		}
-		e.place(e.order[parent], i)
-		i = parent
-	}
-	e.place(slot, i)
-}
-
-//edvet:hotpath
-func (e *Engine) siftDown(i int) {
-	slot := e.order[i]
-	n := len(e.order)
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if e.less(e.order[c], e.order[best]) {
-				best = c
-			}
-		}
-		if !e.less(e.order[best], slot) {
-			break
-		}
-		e.place(e.order[best], i)
-		i = best
-	}
-	e.place(slot, i)
-}
-
-// removeAt deletes the heap entry at position i, restoring heap order.
-// The caller releases (or has copied) the slot itself.
-//
-//edvet:hotpath
-func (e *Engine) removeAt(i int) {
-	n := len(e.order) - 1
-	lastSlot := e.order[n]
-	e.order = e.order[:n]
-	if i == n {
-		return
-	}
-	e.place(lastSlot, i)
-	// The moved slot may need to travel either direction.
-	e.siftUp(i)
-	e.siftDown(int(e.events[lastSlot].loc))
 }

@@ -171,34 +171,19 @@ func faultPoints(f *FailureConfig, net *topology.Network, seed int64, duration f
 	return pts
 }
 
-// faultState is the runtime of a fault-injected run: liveness, the
-// battery meters, the survivability integrals and the epoch-swap
-// machinery. It hangs off the Medium so the transceiver state machine
+// faultState is the failure side of a fault-injected run: liveness,
+// the battery meters, the failure points and the survivability
+// integrals. It hangs off the Medium so the transceiver state machine
 // can notify it of radio-state changes (battery depletion instants are
 // recomputed exactly at each transition); runs without failures never
 // create one, so the failure-free hot path stays draw-free.
 type faultState struct {
-	cfg     *Config
-	eng     *Engine
-	med     *Medium
-	metrics *Metrics
-	nodes   []*node
-	phases  []PhaseConfig
-	reb     Rebargainer
-
-	phaseIdx int
-	params   opt.Vector
-	good     opt.Vector // last successfully deployed vector
+	run *runner
 
 	alive       []bool
 	batteryDead []bool
 	deadCount   int
 	points      []faultPoint
-
-	arrivals [][]float64
-	cursor   []int
-	nextID   int64
-	arena    *packetArena
 
 	capacity   []float64 // per node, joules; 0 = mains-powered
 	deathTimer []Timer
@@ -208,85 +193,25 @@ type faultState struct {
 	deaths      int
 	recoveries  int
 	stranded    int
-	rebargains  int
-	degraded    int
 	deadSeconds float64
 	partSeconds float64
 	lastAccount float64
 	partitioned bool
 }
 
-// RunFaulty executes a fault-injected simulation: the failure schedule
-// and battery accounting of cfg drive node crashes, recoveries and
-// battery deaths, each handled as a reconfiguration epoch through the
-// same DropPending+quiesce machinery phased runs use at boundaries — so
-// a dying node's in-flight transmissions, committed frames and pending
-// timers are reclaimed with no pool leaks and no dangling callbacks.
-//
-// phases may be nil for a single-regime run (cfg.Params throughout);
-// otherwise they follow the RunPhased contract. reb may be nil for a
-// static run (the deployed vector never reacts to deaths); see
-// Rebargainer for the adaptive convention. Determinism matches Run:
-// equal (cfg, phases) reproduce the run exactly, including the churn.
-func RunFaulty(cfg Config, phases []PhaseConfig, reb Rebargainer) (*Result, error) {
-	return RunFaultyContext(context.Background(), cfg, phases, reb)
-}
-
-// RunFaultyContext is RunFaulty with the cooperative-cancellation
-// contract of RunContext.
-func RunFaultyContext(ctx context.Context, cfg Config, phases []PhaseConfig, reb Rebargainer) (*Result, error) {
-	if len(phases) == 0 {
-		phases = []PhaseConfig{{Params: cfg.Params, Until: cfg.Duration}}
-	}
-	prev := 0.0
-	for i, ph := range phases {
-		if ph.Until <= prev {
-			return nil, fmt.Errorf("sim: phase %d ends at %v, not after %v", i, ph.Until, prev)
-		}
-		prev = ph.Until
-		probe := cfg
-		probe.Params = ph.Params
-		if err := probe.Validate(); err != nil {
-			return nil, fmt.Errorf("sim: phase %d: %w", i, err)
-		}
-	}
-	if last := phases[len(phases)-1].Until; last != cfg.Duration {
-		return nil, fmt.Errorf("sim: last phase ends at %v, want the run duration %v", last, cfg.Duration)
-	}
-
-	eng := NewEngineSched(cfg.Scheduler)
-	med := newMediumFor(eng, cfg)
-	metrics := &Metrics{}
+// newFaultState materializes r's failure schedule and battery budgets
+// with every node alive.
+func newFaultState(r *runner) *faultState {
+	cfg := r.cfg
 	n := cfg.Network.N()
-	nodes := buildNodes(cfg, eng, med, metrics)
-
 	fs := &faultState{
-		cfg:         &cfg,
-		eng:         eng,
-		med:         med,
-		metrics:     metrics,
-		nodes:       nodes,
-		phases:      phases,
-		reb:         reb,
+		run:         r,
 		alive:       make([]bool, n),
 		batteryDead: make([]bool, n),
 		points:      faultPoints(cfg.Failures, cfg.Network, cfg.Seed, cfg.Duration),
-		arrivals:    make([][]float64, n),
-		cursor:      make([]int, n),
-		arena:       &packetArena{},
 	}
 	for i := range fs.alive {
 		fs.alive[i] = true
-	}
-	if pre := cfg.Shared.arrivalsFor(&cfg); pre != nil {
-		// The shared world's schedules are exactly arrivalSchedule's
-		// output for this (traffic, seed, duration); the fault runner
-		// only reads them, so sharing is safe.
-		fs.arrivals = pre
-	} else {
-		for i := 1; i < n; i++ {
-			fs.arrivals[i] = arrivalSchedule(cfg, topology.NodeID(i))
-		}
 	}
 	if cfg.Battery != nil {
 		fs.capacity = make([]float64, n)
@@ -298,40 +223,34 @@ func RunFaultyContext(ctx context.Context, cfg Config, phases []PhaseConfig, reb
 		}
 		fs.deathCb = func(a any) { fs.batteryDeath(a.(topology.NodeID)) }
 	}
-	med.fault = fs
+	return fs
+}
 
-	for k := range phases {
-		fs.phaseIdx = k
-		fs.params = phases[k].Params
-		// Degradation-aware phase entry: the planned vector was bargained
-		// over the full topology; with nodes down, re-solve for the
-		// survivors before deploying it.
-		if fs.deadCount > 0 {
-			fs.consultRebargain(eng.Now())
-		}
-		if err := fs.install(eng.Now()); err != nil {
-			return nil, err
-		}
-		if err := eng.RunContext(ctx, phases[k].Until); err != nil {
-			return nil, fmt.Errorf("sim: run aborted: %w", err)
-		}
-		if phases[k].Until < cfg.Duration {
-			eng.DropPending()
-			med.quiesce()
-		}
+// RunFaultyContext executes a fault-injected simulation: the failure
+// schedule and battery accounting of cfg drive node crashes, recoveries
+// and battery deaths, each handled as a reconfiguration epoch through
+// the same DropPending+quiesce machinery phased runs use at boundaries —
+// so a dying node's in-flight transmissions, committed frames and
+// pending timers are reclaimed with no pool leaks and no dangling
+// callbacks.
+//
+// phases may be nil for a single-regime run (cfg.Params throughout);
+// otherwise they follow the RunPhasedContext contract. reb may be nil
+// for a static run (the deployed vector never reacts to deaths); see
+// Rebargainer for the adaptive convention. A phase vector that cannot
+// be deployed (an LMAC frame the network cannot schedule) fails the run
+// only in the first epoch; later it degrades to the last vector that
+// deployed and counts in DegradedRebargains. Equal (cfg, phases)
+// reproduce the run exactly, including the churn, and ctx follows
+// RunContext's cancellation contract.
+func RunFaultyContext(ctx context.Context, cfg Config, phases []PhaseConfig, reb Rebargainer) (*Result, error) {
+	if len(phases) == 0 {
+		phases = []PhaseConfig{{Params: cfg.Params, Until: cfg.Duration}}
 	}
-	fs.settle(cfg.Duration)
-	med.fault = nil
-	res := collectResult(cfg.Duration, eng, med, metrics, n)
-	res.Deaths = fs.deaths
-	res.Recoveries = fs.recoveries
-	res.DeadAtEnd = fs.deadCount
-	res.StrandedPackets = fs.stranded
-	res.DeadNodeSeconds = fs.deadSeconds
-	res.PartitionSeconds = fs.partSeconds
-	res.Rebargains = fs.rebargains
-	res.DegradedRebargains = fs.degraded
-	return res, nil
+	if err := validatePhases(cfg, phases); err != nil {
+		return nil, err
+	}
+	return newRunner(cfg, phases, faultRun, reb).run(ctx)
 }
 
 // arrivalSchedule materializes one node's full arrival schedule. With a
@@ -371,12 +290,13 @@ func (fs *faultState) settle(now float64) {
 // clock measures.
 func (fs *faultState) refreshPartition() {
 	fs.partitioned = false
+	net := fs.run.cfg.Network
 	for i := 1; i < len(fs.alive); i++ {
 		if !fs.alive[i] {
 			continue
 		}
 		for id := topology.NodeID(i); id != 0; {
-			id = fs.cfg.Network.Parent(id)
+			id = net.Parent(id)
 			if id != 0 && !fs.alive[id] {
 				fs.partitioned = true
 				return
@@ -389,13 +309,13 @@ func (fs *faultState) refreshPartition() {
 // as stranded and cleared, and the epoch swap reclaims everything it
 // had in flight.
 func (fs *faultState) kill(id topology.NodeID) {
-	now := fs.eng.Now()
+	now := fs.run.eng.Now()
 	fs.settle(now)
 	fs.alive[id] = false
 	fs.deadCount++
 	fs.deaths++
-	fs.stranded += fs.nodes[id].queueLen()
-	fs.nodes[id].clearQueue()
+	fs.stranded += fs.run.nodes[id].queueLen()
+	fs.run.nodes[id].clearQueue()
 	fs.epoch(now)
 }
 
@@ -403,7 +323,7 @@ func (fs *faultState) kill(id topology.NodeID) {
 // queue, energy history intact (the battery did not recharge while the
 // node was down — off time is simply not metered).
 func (fs *faultState) revive(id topology.NodeID) {
-	now := fs.eng.Now()
+	now := fs.run.eng.Now()
 	fs.settle(now)
 	fs.alive[id] = true
 	fs.deadCount--
@@ -447,98 +367,28 @@ func (fs *faultState) firePoint(i int) {
 // are halted so their energy meters freeze, and a fresh regime is
 // installed over the surviving topology.
 func (fs *faultState) epoch(now float64) {
-	fs.eng.DropPending()
-	fs.med.quiesce()
-	for i := range fs.med.halted {
-		fs.med.halted[i] = !fs.alive[i]
+	r := fs.run
+	r.eng.DropPending()
+	r.med.quiesce()
+	for i := range r.med.halted {
+		r.med.halted[i] = !fs.alive[i]
 	}
 	fs.refreshPartition()
-	fs.consultRebargain(now)
-	if err := fs.install(now); err != nil {
+	r.consultRebargain(now)
+	if err := r.install(now); err != nil {
 		// Unreachable with validated phase vectors: install falls back to
 		// the last-good vector, which deployed successfully before.
 		panic(fmt.Sprintf("sim: fault epoch at t=%v: %v", now, err))
 	}
 }
 
-// consultRebargain asks the hook for a survivor-aware vector; failures
-// degrade to the currently deployed vector (counted, never fatal).
-func (fs *faultState) consultRebargain(now float64) {
-	if fs.reb == nil {
-		return
-	}
-	fs.rebargains++
-	v, err := fs.reb(fs.alive, fs.phaseIdx, now)
-	if err == nil {
-		probe := *fs.cfg
-		probe.Params = v
-		if probe.Validate() != nil {
-			err = fmt.Errorf("sim: rebargained vector invalid")
-		}
-	}
-	if err != nil {
-		fs.degraded++
-		return
-	}
-	fs.params = v
-}
-
-// install deploys the current parameter vector: MACs rebuilt for every
-// node, handlers installed only on the living, arrival schedules
-// re-spliced from each node's cursor, battery-death timers re-armed and
-// unfired failure points rescheduled (the epoch's DropPending discarded
-// all of them along with the old regime's events).
-func (fs *faultState) install(now float64) error {
-	macs, err := buildMACs(fs.cfg.Protocol, fs.params, fs.cfg.Network, fs.nodes, fs.cfg.Shared)
-	if err != nil {
-		if fs.good == nil {
-			return err
-		}
-		// An infeasible rebargained vector (e.g. an LMAC slot count the
-		// schedule cannot satisfy): degrade to the last-good vector.
-		fs.degraded++
-		fs.params = fs.good
-		if macs, err = buildMACs(fs.cfg.Protocol, fs.params, fs.cfg.Network, fs.nodes, fs.cfg.Shared); err != nil {
-			return err
-		}
-	}
-	fs.good = fs.params
-	for i, mac := range macs {
-		x := fs.med.Transceiver(topology.NodeID(i))
-		if fs.alive[i] {
-			x.SetHandler(mac)
-		} else {
-			x.SetHandler(nil)
-		}
-	}
-	end := fs.phases[fs.phaseIdx].Until
-	for i, mac := range macs {
-		if !fs.alive[i] {
-			continue
-		}
-		mac.start()
-		if i == 0 {
-			continue
-		}
-		times := fs.arrivals[i]
-		// Arrivals strictly before now were missed while the node was
-		// down (or dissolved in the same-instant reconfiguration): the
-		// node did not sample, so they are neither generated nor lost.
-		for fs.cursor[i] < len(times) && times[fs.cursor[i]] < now {
-			fs.cursor[i]++
-		}
-		lim := fs.cursor[i]
-		for lim < len(times) && times[lim] <= end {
-			lim++
-		}
-		if lim > fs.cursor[i] {
-			fs.spliceArrivals(mac, topology.NodeID(i), lim)
-		}
-	}
+// rearm schedules what an epoch's DropPending discarded: the battery
+// death timers of the living and every unfired failure point.
+func (fs *faultState) rearm() {
 	if fs.capacity != nil {
 		for i := 1; i < len(fs.alive); i++ {
 			if fs.alive[i] {
-				fs.armDeathTimer(fs.med.xcvrs[i])
+				fs.armDeathTimer(fs.run.med.xcvrs[i])
 			}
 		}
 	}
@@ -547,33 +397,29 @@ func (fs *faultState) install(now float64) error {
 			continue
 		}
 		i := i
-		fs.eng.At(fs.points[i].at, func() { fs.firePoint(i) })
+		fs.run.eng.At(fs.points[i].at, func() { fs.firePoint(i) })
 	}
-	return nil
 }
 
-// spliceArrivals schedules arrivals[id][cursor:lim] as one chained
-// callback with the same delta arithmetic as scheduleArrivals, while
-// advancing the node's cursor so the next epoch resumes exactly where
-// the dropped chain stopped.
-func (fs *faultState) spliceArrivals(mac macLayer, id topology.NodeID, lim int) {
-	times := fs.arrivals[id]
-	var tick func()
-	tick = func() {
-		j := fs.cursor[id]
-		fs.nextID++
-		p := fs.arena.new()
-		p.ID = fs.nextID
-		p.Origin = id
-		p.Created = fs.eng.Now()
-		fs.metrics.recordGenerated()
-		mac.sampled(p)
-		fs.cursor[id] = j + 1
-		if j+1 < lim {
-			fs.eng.After(times[j+1]-times[j], tick)
-		}
+// consultRebargain asks the hook for a survivor-aware vector; failures
+// and invalid vectors degrade to the currently deployed vector
+// (counted, never fatal).
+func (r *runner) consultRebargain(now float64) {
+	if r.reb == nil {
+		return
 	}
-	fs.eng.After(times[fs.cursor[id]]-fs.eng.Now(), tick)
+	r.rebargains++
+	v, err := r.reb(r.fs.alive, r.phase, now)
+	if err == nil {
+		probe := *r.cfg
+		probe.Params = v
+		err = probe.Validate()
+	}
+	if err != nil {
+		r.degraded++
+		return
+	}
+	r.params = v
 }
 
 // onState is the battery meter's radio-state hook: at every transition
@@ -594,15 +440,16 @@ func (fs *faultState) onState(x *Transceiver) {
 // armDeathTimer (re)schedules node x's battery death from its residual.
 func (fs *faultState) armDeathTimer(x *Transceiver) {
 	id := x.id
+	eng := fs.run.eng
 	fs.deathTimer[id].Cancel()
 	residual := fs.capacity[id] - x.Energy()
 	if residual <= 0 {
-		fs.deathTimer[id] = fs.eng.AtCall(fs.eng.Now(), fs.deathCb, fs.nodeArg[id])
+		fs.deathTimer[id] = eng.AtCall(eng.Now(), fs.deathCb, fs.nodeArg[id])
 		return
 	}
 	draw := x.prof.Power(x.med.states[x.id])
 	if draw <= 0 {
 		return // this state is free; depletion postponed until the next transition
 	}
-	fs.deathTimer[id] = fs.eng.AtCall(fs.eng.Now()+residual/draw, fs.deathCb, fs.nodeArg[id])
+	fs.deathTimer[id] = eng.AtCall(eng.Now()+residual/draw, fs.deathCb, fs.nodeArg[id])
 }

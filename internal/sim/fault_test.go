@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -12,7 +13,7 @@ import (
 
 // TestRunFaultyNoFaultsMatchesRun asserts the degenerate contract: with
 // an empty failure schedule and no battery, the fault runner reproduces
-// Run bit for bit for every simulated protocol — same interleaving,
+// RunContext bit for bit for every simulated protocol — same interleaving,
 // same arrival-delta arithmetic, same event sequence.
 func TestRunFaultyNoFaultsMatchesRun(t *testing.T) {
 	for _, proto := range []struct {
@@ -27,16 +28,16 @@ func TestRunFaultyNoFaultsMatchesRun(t *testing.T) {
 		cfg := phasedSimConfig(t, traffic.Periodic{Rate: 0.05}, 120)
 		cfg.Protocol = proto.name
 		cfg.Params = proto.params
-		faulty, err := RunFaulty(cfg, nil, nil)
+		faulty, err := RunFaultyContext(context.Background(), cfg, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", proto.name, err)
 		}
-		fixed, err := Run(cfg)
+		fixed, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", proto.name, err)
 		}
 		if !reflect.DeepEqual(faulty, fixed) {
-			t.Errorf("%s: no-fault RunFaulty diverged from Run:\nfaulty: gen=%d del=%d events=%d\nfixed:  gen=%d del=%d events=%d",
+			t.Errorf("%s: no-fault RunFaultyContext diverged from RunContext:\nfaulty: gen=%d del=%d events=%d\nfixed:  gen=%d del=%d events=%d",
 				proto.name, faulty.Metrics.Generated(), faulty.Metrics.Delivered(), faulty.Events,
 				fixed.Metrics.Generated(), fixed.Metrics.Delivered(), fixed.Events)
 		}
@@ -82,12 +83,12 @@ func TestFaultPointsChurnDeterministic(t *testing.T) {
 func TestRunFaultyPermanentCrash(t *testing.T) {
 	cfg := phasedSimConfig(t, traffic.Periodic{Rate: 0.05}, 400)
 	cfg.Params = opt.Vector{0.3}
-	base, err := Run(cfg)
+	base, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Failures = &FailureConfig{Events: []FailureEvent{{Node: 1, At: 200}}}
-	res, err := Run(cfg) // delegates to the fault runner
+	res, err := RunContext(context.Background(), cfg) // delegates to the fault runner
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestRunFaultyRecovery(t *testing.T) {
 	cfg := phasedSimConfig(t, traffic.Periodic{Rate: 0.05}, 400)
 	cfg.Params = opt.Vector{0.3}
 	cfg.Failures = &FailureConfig{Events: []FailureEvent{{Node: 1, At: 100, Duration: 100}}}
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestRunFaultyRecovery(t *testing.T) {
 func TestRunFaultyBatteryDeath(t *testing.T) {
 	cfg := phasedSimConfig(t, traffic.Periodic{Rate: 0.05}, 400)
 	cfg.Params = opt.Vector{0.3}
-	base, err := Run(cfg)
+	base, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestRunFaultyBatteryDeath(t *testing.T) {
 	// must deplete mid-run.
 	capacity := base.Energy[1] / 2
 	cfg.Battery = &BatteryConfig{Capacity: capacity}
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +190,11 @@ func TestRunFaultyDeterministic(t *testing.T) {
 	cfg.Params = opt.Vector{0.3}
 	cfg.Failures = &FailureConfig{MTBF: 150, MTTR: 50}
 	cfg.Battery = &BatteryConfig{Capacity: 0.5}
-	a, err := Run(cfg)
+	a, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestRunFaultyRebargainHook(t *testing.T) {
 		sawAlive = append([]bool(nil), alive...)
 		return opt.Vector{0.6}, nil
 	}
-	res, err := RunFaulty(cfg, nil, reb)
+	res, err := RunFaultyContext(context.Background(), cfg, nil, reb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestRunFaultyRebargainHook(t *testing.T) {
 	failing := func(alive []bool, phase int, at float64) (opt.Vector, error) {
 		return nil, errors.New("infeasible")
 	}
-	res, err = RunFaulty(cfg, nil, failing)
+	res, err = RunFaultyContext(context.Background(), cfg, nil, failing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestRunFaultyValidation(t *testing.T) {
 	for _, tc := range cases {
 		c := base
 		tc.mutate(&c)
-		if _, err := Run(c); err == nil {
+		if _, err := RunContext(context.Background(), c); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}

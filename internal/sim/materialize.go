@@ -97,19 +97,27 @@ func Materialize(cfg Config) (*Materialized, error) {
 		m.arrivals[i] = arrivalSchedule(cfg, topology.NodeID(i))
 	}
 	if cfg.Protocol == "lmac" {
-		frameSlots := int(math.Round(cfg.Params[0]))
-		slots, _, err := cfg.Network.AssignSlots(frameSlots)
-		if err != nil {
-			return nil, fmt.Errorf("sim: lmac schedule: %w", err)
-		}
-		m.slotsFor = frameSlots
-		m.slots = slots
-		m.bySlot = make(map[int]topology.NodeID, n)
-		for id, s := range slots {
-			m.bySlot[s] = topology.NodeID(id)
+		m.slotsFor = int(math.Round(cfg.Params[0]))
+		var err error
+		if m.slots, m.bySlot, err = slotPlan(cfg.Network, m.slotsFor); err != nil {
+			return nil, err
 		}
 	}
 	return m, nil
+}
+
+// slotPlan derives LMAC's two-hop conflict-free schedule for a frame of
+// frameSlots slots: each node's slot and the owner of each used slot.
+func slotPlan(net *topology.Network, frameSlots int) ([]int, map[int]topology.NodeID, error) {
+	slots, _, err := net.AssignSlots(frameSlots)
+	if err != nil {
+		return nil, nil, fmt.Errorf("sim: lmac schedule: %w", err)
+	}
+	bySlot := make(map[int]topology.NodeID, len(slots))
+	for id, s := range slots {
+		bySlot[s] = topology.NodeID(id)
+	}
+	return slots, bySlot, nil
 }
 
 // structuralFor reports whether the structural tables apply to cfg:
@@ -132,6 +140,7 @@ func (m *Materialized) arrivalsFor(cfg *Config) [][]float64 {
 
 // slotPlanFor returns the shared LMAC slot plan when it was built for
 // cfg's network with exactly frameSlots slots, else (nil, nil).
+// Nil-receiver safe.
 func (m *Materialized) slotPlanFor(cfg *Config, frameSlots int) ([]int, map[int]topology.NodeID) {
 	if !m.structuralFor(cfg) || m.slotsFor != frameSlots {
 		return nil, nil

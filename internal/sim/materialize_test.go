@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestMaterializedEquivalence(t *testing.T) {
 		}, nil},
 		{"xmac phased", Config{
 			Protocol: "xmac", Network: phasedSimNetwork(t), Radio: radio.CC2420(),
-			Params:  opt.Vector{0.3}, // ignored by RunPhased, validated by Materialize
+			Params:  opt.Vector{0.3}, // ignored by RunPhasedContext, validated by Materialize
 			Traffic: traffic.Periodic{Rate: 0.05}, Payload: 32,
 			Duration: 120, Seed: 3,
 		}, []PhaseConfig{
@@ -55,9 +56,9 @@ func TestMaterializedEquivalence(t *testing.T) {
 			err error
 		)
 		if phases != nil {
-			res, err = RunPhased(cfg, phases)
+			res, err = RunPhasedContext(context.Background(), cfg, phases)
 		} else {
-			res, err = Run(cfg)
+			res, err = RunContext(context.Background(), cfg)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -86,17 +87,6 @@ func TestMaterializedEquivalence(t *testing.T) {
 			}
 			if got := run(cfg, tc.phases); !reflect.DeepEqual(base, got) {
 				t.Errorf("stale shared world changed the run")
-			}
-			// The heap scheduler must agree with the wheel end to end.
-			cfg = tc.cfg
-			cfg.Scheduler = SchedulerHeap
-			got := run(cfg, tc.phases)
-			// The schedulers' queue shapes legitimately differ; every
-			// simulation outcome must not.
-			base.PeakPending, got.PeakPending = 0, 0
-			base.WheelPromotions, got.WheelPromotions = 0, 0
-			if !reflect.DeepEqual(base, got) {
-				t.Errorf("heap scheduler diverged from wheel")
 			}
 		})
 	}

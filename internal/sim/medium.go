@@ -102,14 +102,10 @@ type Medium struct {
 	shared *Materialized
 }
 
-// NewMedium creates the channel and one transceiver per node.
-func NewMedium(eng *Engine, net *topology.Network, prof radio.Radio) *Medium {
-	return newMedium(eng, net, prof, nil)
-}
-
-// newMedium is NewMedium with an optional shared world: a matching
-// Materialized supplies the cached neighbour lists and, later, the
-// link-PRR/gain tables (see enableLoss/ensureGains) — all read-only.
+// newMedium creates the channel and one transceiver per node. A
+// non-nil shared world supplies the cached neighbour lists and, later,
+// the link-PRR/gain tables (see enableLoss/ensureGains) — all
+// read-only.
 func newMedium(eng *Engine, net *topology.Network, prof radio.Radio, sh *Materialized) *Medium {
 	n := net.N()
 	m := &Medium{

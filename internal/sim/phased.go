@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/edmac-project/edmac/internal/opt"
-	"github.com/edmac-project/edmac/internal/topology"
 )
 
 // PhaseConfig is one epoch of a phased run: the MAC parameter vector in
@@ -19,10 +18,10 @@ type PhaseConfig struct {
 	Until float64
 }
 
-// RunPhased executes a simulation whose MAC parameter vector changes at
-// phase boundaries — the runtime half of adaptive re-bargaining: an
-// adaptation controller re-plays the Nash bargain per traffic phase and
-// this runner deploys each phase's vector in sequence.
+// RunPhasedContext executes a simulation whose MAC parameter vector
+// changes at phase boundaries — the runtime half of adaptive
+// re-bargaining: an adaptation controller re-plays the Nash bargain per
+// traffic phase and this runner deploys each phase's vector in sequence.
 //
 // At every boundary the engine quiesces: pending events of the old
 // regime are dropped, the channel is cleared (frames mid-air at the
@@ -30,21 +29,18 @@ type PhaseConfig struct {
 // lose them), and a fresh MAC layer with the next vector is installed
 // over the same per-node state. Forwarding queues, per-node randomness
 // streams, metrics and energy accounting all carry across the swap —
-// no queued packet and no joule is dropped. cfg.Params is ignored;
-// cfg.Traffic must be set (phased runs replay a precomputed schedule,
-// typically a traffic.Phased model aligned with the same boundaries).
+// no queued packet and no joule is dropped. Arrivals in (previous
+// boundary, Until] belong to a phase; an arrival exactly on the boundary
+// still fires under the old regime (the engine processes events at the
+// horizon), and its packet rides the queue into the next one.
+// cfg.Params is ignored; cfg.Traffic must be set (phased runs replay a
+// precomputed schedule, typically a traffic.Phased model aligned with
+// the same boundaries). A config that injects failures runs under
+// RunFaultyContext's contract.
 //
-// A one-phase call reproduces Run bit for bit — same events, same
-// instants, same metrics. Determinism matches Run: equal (cfg, phases)
-// reproduce the run exactly.
-func RunPhased(cfg Config, phases []PhaseConfig) (*Result, error) {
-	return RunPhasedContext(context.Background(), cfg, phases)
-}
-
-// RunPhasedContext is RunPhased with the cooperative-cancellation
-// contract of RunContext: a done ctx aborts the current epoch's event
-// loop and returns the context's error; an uncancellable ctx is never
-// polled and reproduces RunPhased exactly.
+// A one-phase call reproduces RunContext bit for bit — same events, same
+// instants, same metrics. Equal (cfg, phases) reproduce the run exactly,
+// and ctx follows RunContext's cancellation contract.
 func RunPhasedContext(ctx context.Context, cfg Config, phases []PhaseConfig) (*Result, error) {
 	if len(phases) == 0 {
 		return nil, fmt.Errorf("sim: phased run needs at least one phase")
@@ -55,108 +51,30 @@ func RunPhasedContext(ctx context.Context, cfg Config, phases []PhaseConfig) (*R
 	if cfg.Traffic == nil {
 		return nil, fmt.Errorf("sim: phased run needs a traffic model")
 	}
+	if err := validatePhases(cfg, phases); err != nil {
+		return nil, err
+	}
+	return newRunner(cfg, phases, phasedRun, nil).run(ctx)
+}
+
+// validatePhases checks that the phases end strictly in order, the last
+// one at the run duration, and that every phase's vector obeys the same
+// arity and positivity rules as a fixed run's.
+func validatePhases(cfg Config, phases []PhaseConfig) error {
 	prev := 0.0
 	for i, ph := range phases {
 		if ph.Until <= prev {
-			return nil, fmt.Errorf("sim: phase %d ends at %v, not after %v", i, ph.Until, prev)
+			return fmt.Errorf("sim: phase %d ends at %v, not after %v", i, ph.Until, prev)
 		}
 		prev = ph.Until
-		// Per-phase parameter vectors obey the same arity and
-		// positivity rules as a fixed run's.
 		probe := cfg
 		probe.Params = ph.Params
 		if err := probe.Validate(); err != nil {
-			return nil, fmt.Errorf("sim: phase %d: %w", i, err)
+			return fmt.Errorf("sim: phase %d: %w", i, err)
 		}
 	}
 	if last := phases[len(phases)-1].Until; last != cfg.Duration {
-		return nil, fmt.Errorf("sim: last phase ends at %v, want the run duration %v", last, cfg.Duration)
+		return fmt.Errorf("sim: last phase ends at %v, want the run duration %v", last, cfg.Duration)
 	}
-
-	eng := NewEngineSched(cfg.Scheduler)
-	med := newMediumFor(eng, cfg)
-	metrics := &Metrics{}
-	n := cfg.Network.N()
-	nodes := buildNodes(cfg, eng, med, metrics)
-
-	// The full arrival schedule of every node, deterministic in the
-	// seed — shared from the attached world when it matches, derived
-	// fresh otherwise; each epoch schedules only its own slice, so the
-	// generator chain never crosses a boundary and the boundary drop
-	// cannot eat a pending sample.
-	arrivals := cfg.Shared.arrivalsFor(&cfg)
-	if arrivals == nil {
-		arrivals = make([][]float64, n)
-		for i := 1; i < n; i++ {
-			arrivals[i] = cfg.Traffic.Arrivals(cfg.Network, topology.NodeID(i), cfg.Seed, cfg.Duration)
-		}
-	}
-	next := make([]int, n)
-
-	var nextID int64
-	arena := &packetArena{}
-	for k, ph := range phases {
-		macs, err := buildMACs(cfg.Protocol, ph.Params, cfg.Network, nodes, cfg.Shared)
-		if err != nil {
-			return nil, fmt.Errorf("sim: phase %d: %w", k, err)
-		}
-		for i, mac := range macs {
-			med.Transceiver(topology.NodeID(i)).SetHandler(mac)
-		}
-		// Start each MAC and its epoch slice of the arrival schedule in
-		// the same per-node interleaving (and the same delta arithmetic)
-		// as Run, so a one-phase call reproduces Run event for event.
-		// Arrivals in (prev boundary, Until] belong to this epoch; an
-		// arrival exactly on the boundary still fires under the old
-		// regime (Engine.Run processes events at the horizon), and its
-		// packet rides the queue into the next one.
-		for i, mac := range macs {
-			mac.start()
-			if i == 0 {
-				continue
-			}
-			j := next[i]
-			times := arrivals[i]
-			for next[i] < len(times) && times[next[i]] <= ph.Until {
-				next[i]++
-			}
-			if next[i] > j {
-				scheduleArrivals(eng, times[j:next[i]], mac, topology.NodeID(i), metrics, &nextID, arena)
-			}
-		}
-		if err := eng.RunContext(ctx, ph.Until); err != nil {
-			return nil, fmt.Errorf("sim: run aborted: %w", err)
-		}
-		if ph.Until < cfg.Duration {
-			eng.DropPending()
-			med.quiesce()
-		}
-	}
-	return collectResult(cfg.Duration, eng, med, metrics, n), nil
-}
-
-// scheduleArrivals walks a slice of a node's precomputed schedule with
-// a single chained callback: first event relative to now, then
-// successive differences. It is the one generator both Run (whole
-// schedule from time zero) and RunPhased (one epoch's slice from the
-// boundary) use, which is what makes a one-phase run bit-identical to
-// a fixed one.
-func scheduleArrivals(eng *Engine, times []float64, mac macLayer,
-	id topology.NodeID, metrics *Metrics, nextID *int64, arena *packetArena) {
-	i := 0
-	var tick func()
-	tick = func() {
-		*nextID++
-		p := arena.new()
-		p.ID = *nextID
-		p.Origin = id
-		p.Created = eng.Now()
-		metrics.recordGenerated()
-		mac.sampled(p)
-		i++
-		if i < len(times) {
-			eng.After(times[i]-times[i-1], tick)
-		}
-	}
-	eng.After(times[0]-eng.Now(), tick)
+	return nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -60,7 +61,7 @@ func TestRunPhasedValidation(t *testing.T) {
 		if tc.mutate != nil {
 			tc.mutate(&c)
 		}
-		if _, err := RunPhased(c, tc.phases); err == nil {
+		if _, err := RunPhasedContext(context.Background(), c, tc.phases); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
@@ -78,11 +79,11 @@ func TestRunPhasedDeterminism(t *testing.T) {
 		{Params: opt.Vector{0.5}, Until: 60},
 		{Params: opt.Vector{0.1}, Until: 120},
 	}
-	a, err := RunPhased(cfg, phases)
+	a, err := RunPhasedContext(context.Background(), cfg, phases)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunPhased(cfg, phases)
+	b, err := RunPhasedContext(context.Background(), cfg, phases)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestRunPhasedDeterminism(t *testing.T) {
 	flat := []PhaseConfig{
 		{Params: opt.Vector{0.5}, Until: 120},
 	}
-	c, err := RunPhased(cfg, flat)
+	c, err := RunPhasedContext(context.Background(), cfg, flat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,9 +103,9 @@ func TestRunPhasedDeterminism(t *testing.T) {
 }
 
 // TestRunPhasedOnePhaseMatchesRun asserts the degenerate contract: a
-// one-phase RunPhased is bit-identical to Run — same per-node start and
-// generator interleaving, same arrival-delta arithmetic, so the very
-// same event sequence.
+// one-phase RunPhasedContext is bit-identical to RunContext — same
+// per-node start and generator interleaving, same arrival-delta
+// arithmetic, so the very same event sequence.
 func TestRunPhasedOnePhaseMatchesRun(t *testing.T) {
 	m := traffic.Phased{Phases: []traffic.Phase{
 		{Model: traffic.Periodic{Rate: 0.05}, Duration: 60},
@@ -121,17 +122,17 @@ func TestRunPhasedOnePhaseMatchesRun(t *testing.T) {
 	} {
 		cfg := phasedSimConfig(t, m, 120)
 		cfg.Protocol = proto.name
-		phased, err := RunPhased(cfg, []PhaseConfig{{Params: proto.params, Until: 120}})
+		phased, err := RunPhasedContext(context.Background(), cfg, []PhaseConfig{{Params: proto.params, Until: 120}})
 		if err != nil {
 			t.Fatalf("%s: %v", proto.name, err)
 		}
 		cfg.Params = proto.params
-		fixed, err := Run(cfg)
+		fixed, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", proto.name, err)
 		}
 		if !reflect.DeepEqual(phased, fixed) {
-			t.Errorf("%s: one-phase RunPhased diverged from Run:\nphased: gen=%d del=%d events=%d\nfixed:  gen=%d del=%d events=%d",
+			t.Errorf("%s: one-phase RunPhasedContext diverged from RunContext:\nphased: gen=%d del=%d events=%d\nfixed:  gen=%d del=%d events=%d",
 				proto.name, phased.Metrics.Generated(), phased.Metrics.Delivered(), phased.Events,
 				fixed.Metrics.Generated(), fixed.Metrics.Delivered(), fixed.Events)
 		}
@@ -149,7 +150,7 @@ func TestRunPhasedPreservesQueues(t *testing.T) {
 		{Model: traffic.Bursty{PeakRate: 1e-9, OnMean: 1e-6, OffMean: 1e6}, Duration: 160},
 	}}
 	cfg := phasedSimConfig(t, m, 200)
-	res, err := RunPhased(cfg, []PhaseConfig{
+	res, err := RunPhasedContext(context.Background(), cfg, []PhaseConfig{
 		{Params: opt.Vector{0.6}, Until: 41},
 		{Params: opt.Vector{0.2}, Until: 200},
 	})
@@ -181,7 +182,7 @@ func TestRunPhasedEnergyContinuity(t *testing.T) {
 	}}
 	cfg := phasedSimConfig(t, m, 200)
 	prof := cfg.Radio
-	res, err := RunPhased(cfg, []PhaseConfig{
+	res, err := RunPhasedContext(context.Background(), cfg, []PhaseConfig{
 		{Params: opt.Vector{0.4}, Until: 100},
 		{Params: opt.Vector{0.4}, Until: 200},
 	})
@@ -203,7 +204,7 @@ func TestRunPhasedEnergyContinuity(t *testing.T) {
 	// accounting gap (small drift from the boundary quiesce is fine).
 	fixed := cfg
 	fixed.Params = opt.Vector{0.4}
-	ref, err := Run(fixed)
+	ref, err := RunContext(context.Background(), fixed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestXMACDeliversOverMultipleHops(t *testing.T) {
 	cfg := lineConfig(t, "xmac", opt.Vector{0.25}, 4, 0.02, 2000)
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -75,7 +76,7 @@ func TestXMACDeliversOverMultipleHops(t *testing.T) {
 func TestXMACIdleEnergyMatchesPollingCost(t *testing.T) {
 	// No traffic: consumption must be dominated by the periodic poll.
 	cfg := lineConfig(t, "xmac", opt.Vector{0.5}, 2, 0, 1000)
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -96,7 +97,7 @@ func TestDMACWaveDelay(t *testing.T) {
 	// T=1 s, µ=5 ms, 4 hops: delays must concentrate near T/2 + D·µ and
 	// never exceed ~T + D·µ (a packet waits at most one frame).
 	cfg := lineConfig(t, "dmac", opt.Vector{1.0, 0.005}, 4, 0.02, 2000)
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -120,7 +121,7 @@ func TestDMACScheduleIsolation(t *testing.T) {
 	// With one sender per depth and staggered slots, collisions must be
 	// rare on a chain.
 	cfg := lineConfig(t, "dmac", opt.Vector{0.5, 0.005}, 4, 0.05, 1000)
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -131,7 +132,7 @@ func TestDMACScheduleIsolation(t *testing.T) {
 
 func TestLMACDeliversCollisionFree(t *testing.T) {
 	cfg := lineConfig(t, "lmac", opt.Vector{8, 0.01}, 4, 0.02, 2000)
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -149,7 +150,7 @@ func TestLMACDeliversCollisionFree(t *testing.T) {
 
 func TestLMACScheduleRejectsTinyFrame(t *testing.T) {
 	cfg := lineConfig(t, "lmac", opt.Vector{1, 0.01}, 4, 0.02, 100)
-	if _, err := Run(cfg); err == nil {
+	if _, err := RunContext(context.Background(), cfg); err == nil {
 		t.Error("1-slot frame accepted on a multi-node chain")
 	}
 }
@@ -165,11 +166,11 @@ func TestRunDeterministicForSeed(t *testing.T) {
 		case "lmac":
 			params = opt.Vector{8, 0.01}
 		}
-		a, err := Run(lineConfig(t, proto, params, 3, 0.05, 300))
+		a, err := RunContext(context.Background(), lineConfig(t, proto, params, 3, 0.05, 300))
 		if err != nil {
 			t.Fatalf("%s: %v", proto, err)
 		}
-		b, err := Run(lineConfig(t, proto, params, 3, 0.05, 300))
+		b, err := RunContext(context.Background(), lineConfig(t, proto, params, 3, 0.05, 300))
 		if err != nil {
 			t.Fatalf("%s: %v", proto, err)
 		}
@@ -188,7 +189,7 @@ func TestRunDeterministicForSeed(t *testing.T) {
 
 func TestEnergyAccountingCoversWholeRun(t *testing.T) {
 	cfg := lineConfig(t, "xmac", opt.Vector{0.2}, 3, 0.05, 500)
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -204,7 +205,7 @@ func TestEnergyAccountingCoversWholeRun(t *testing.T) {
 
 func TestDutyCycleDiagnostics(t *testing.T) {
 	cfg := lineConfig(t, "xmac", opt.Vector{0.5}, 2, 0, 500)
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -216,7 +217,7 @@ func TestDutyCycleDiagnostics(t *testing.T) {
 	}
 	// Duty cycle scales with the polling rate: halve the interval,
 	// roughly double the duty cycle.
-	fast, err := Run(lineConfig(t, "xmac", opt.Vector{0.25}, 2, 0, 500))
+	fast, err := RunContext(context.Background(), lineConfig(t, "xmac", opt.Vector{0.25}, 2, 0, 500))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -50,18 +50,12 @@ type Config struct {
 	// channel.DefaultCaptureDB. Ignored unless Capture is set.
 	CaptureDB float64
 	// Failures optionally injects node crashes and recoveries (explicit
-	// schedule or seeded churn). Runs with failures are executed by the
-	// fault runner; see RunFaulty.
+	// schedule or seeded churn). Runs with failures follow the fault
+	// runner's contract; see RunFaultyContext.
 	Failures *FailureConfig
 	// Battery optionally gives every non-sink node a finite energy
 	// store; a node dies permanently when its residual hits zero.
 	Battery *BatteryConfig
-	// Scheduler selects the engine's event-queue implementation. The
-	// zero value is the timing wheel; SchedulerHeap keeps the reference
-	// min-heap available for differential testing. Both implement the
-	// identical (at, seq) total order, so the choice never changes
-	// results — only the constant factors of the event loop.
-	Scheduler SchedulerKind
 	// Shared optionally attaches a pre-built immutable world (see
 	// Materialize) so repeated runs over the same scenario skip
 	// re-deriving neighbour tables, link tables, slot plans and arrival
@@ -137,8 +131,7 @@ type Result struct {
 	PeakPending int
 	// WheelPromotions counts events that landed beyond the timing
 	// wheel's one-second horizon and were later promoted into the
-	// wheel in bulk. Always 0 under SchedulerHeap; near 0 on healthy
-	// duty-cycle workloads.
+	// wheel in bulk; near 0 on healthy duty-cycle workloads.
 	WheelPromotions uint64
 	// Energy[i] is node i's consumption over the whole run, in joules.
 	Energy []float64
@@ -214,217 +207,343 @@ func (r *Result) MeanRingEnergyPerWindow(net *topology.Network, ring int, window
 	return sum / float64(len(ids))
 }
 
-// Run executes the configured simulation to completion.
-func Run(cfg Config) (*Result, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext is Run with cooperative cancellation: when ctx is done the
-// event loop aborts within a few thousand events and the context's
-// error is returned (no partial result). An uncancellable ctx — nil,
-// context.Background() — is never polled, so such runs are
-// event-for-event identical to Run; threading a cancellable context
-// changes nothing but the ability to abort.
+// RunContext executes the configured simulation to completion. When ctx
+// is done the event loop aborts within a few thousand events and the
+// context's error is returned (no partial result). An uncancellable ctx
+// — nil, context.Background() — is never polled, so threading a
+// cancellable context changes nothing but the ability to abort.
+//
+// A config that injects failures (Failures or Battery) runs under the
+// fault runner's contract with no phases and no re-bargaining; see
+// RunFaultyContext.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.faulty() {
-		// Fault-injected runs need the epoch-swap machinery; the static
-		// (no re-bargaining) fault runner handles them. Failure-free runs
-		// never take this branch, keeping their event trace byte-stable.
 		return RunFaultyContext(ctx, cfg, nil, nil)
 	}
-	eng := NewEngineSched(cfg.Scheduler)
-	med := newMediumFor(eng, cfg)
-	metrics := &Metrics{}
-
-	n := cfg.Network.N()
-	nodes := buildNodes(cfg, eng, med, metrics)
-	macs, err := buildMACs(cfg.Protocol, cfg.Params, cfg.Network, nodes, cfg.Shared)
-	if err != nil {
-		return nil, err
-	}
-	for i, mac := range macs {
-		med.Transceiver(topology.NodeID(i)).SetHandler(mac)
-	}
-
-	var nextID int64
-	arena := &packetArena{}
-	pre := cfg.Shared.arrivalsFor(&cfg)
-	for i, mac := range macs {
-		mac.start()
-		if cfg.Traffic != nil {
-			newScheduledGenerator(eng, cfg, pre, macs[i], topology.NodeID(i), metrics, &nextID, arena)
-		} else {
-			newNodeGenerator(eng, cfg, macs[i], cfg.Network, topology.NodeID(i), metrics, &nextID, arena)
-		}
-	}
-
-	if err := eng.RunContext(ctx, cfg.Duration); err != nil {
-		return nil, fmt.Errorf("sim: run aborted: %w", err)
-	}
-	return collectResult(cfg.Duration, eng, med, metrics, n), nil
+	return newRunner(cfg, []PhaseConfig{{Params: cfg.Params, Until: cfg.Duration}}, fixedRun, nil).run(ctx)
 }
 
-// newMediumFor builds the run's medium with the configured channel
-// behaviour: per-link delivery draws when the network carries lossy
-// links, power capture when requested. Run and RunPhased share it, so
-// the two runners can never disagree on the channel. A matching
-// cfg.Shared supplies the neighbour and link-PRR/gain tables; the
-// per-directed-link draw streams are always fresh (they are per-seed
-// mutable state, never shared).
-func newMediumFor(eng *Engine, cfg Config) *Medium {
+// runMode is the contract of the entry point a runner serves. The modes
+// differ only in what a MAC layer that cannot be built does to the run
+// and in how arrivals are generated.
+type runMode uint8
+
+const (
+	// fixedRun serves RunContext: one epoch; without a traffic model the
+	// chained periodic generator samples.
+	fixedRun runMode = iota
+	// phasedRun serves RunPhasedContext: a MAC layer that cannot be
+	// built fails the run with its phase index, and a phase boundary
+	// retires every arrival of the closing epoch.
+	phasedRun
+	// faultRun serves RunFaultyContext: a vector that cannot be deployed
+	// past the first epoch degrades to the last one that deployed, and
+	// the periodic generator is materialized so epochs can splice it.
+	faultRun
+)
+
+// runner executes one simulation as a sequence of epochs: one for a
+// fixed run, one per phase, and one more per liveness change when the
+// config injects faults. Every epoch installs a fresh MAC layer over the
+// same per-node state — forwarding queues, randomness streams, metrics
+// and energy meters carry across — and splices each node's arrival
+// schedule from its cursor. Between epochs the engine drops everything
+// the old regime had pending and the medium quiesces.
+type runner struct {
+	cfg     *Config
+	mode    runMode
+	eng     *Engine
+	med     *Medium
+	metrics *Metrics
+	nodes   []*node
+	phases  []PhaseConfig
+	reb     Rebargainer
+	fs      *faultState // nil unless cfg.faulty()
+
+	phase  int        // index of the active phase
+	params opt.Vector // the vector the next install deploys
+	good   opt.Vector // the last vector that deployed
+
+	// arrivals[i] is node i's full arrival schedule, nil when the
+	// chained periodic generator samples instead; cursor[i] indexes its
+	// next arrival.
+	arrivals [][]float64
+	cursor   []int
+	nextID   int64
+	arena    packetArena
+
+	rebargains int
+	degraded   int
+}
+
+// newRunner builds the world of one run: engine, medium, nodes, arrival
+// schedules and, when cfg injects faults, the fault state the medium
+// reports radio-state changes to. Failure-free runs keep a nil
+// Medium.fault, so their hot path stays draw-free.
+func newRunner(cfg Config, phases []PhaseConfig, mode runMode, reb Rebargainer) *runner {
+	n := cfg.Network.N()
+	r := &runner{cfg: &cfg, mode: mode, eng: NewEngine(), metrics: &Metrics{},
+		nodes: make([]*node, n), phases: phases, reb: reb}
+	// A matching shared world supplies the neighbour, parent and
+	// link-PRR/gain tables. The per-directed-link draw streams are
+	// per-seed mutable state, so they are always fresh.
 	var sh *Materialized
-	if cfg.Shared.structuralFor(&cfg) {
-		sh = cfg.Shared
-	}
-	med := newMedium(eng, cfg.Network, cfg.Radio, sh)
-	med.enableLoss(cfg.Seed)
-	if cfg.Capture {
-		med.enableCapture(cfg.CaptureDB)
-	}
-	return med
-}
-
-// buildNodes constructs the per-node state of a run. The seed formula
-// gives every node an independent random stream, so runs stay
-// reproducible even if one node's draw count changes; Run and RunPhased
-// share this construction — part of what makes a one-phase RunPhased
-// bit-identical to Run.
-func buildNodes(cfg Config, eng *Engine, med *Medium, metrics *Metrics) []*node {
-	n := cfg.Network.N()
-	nodes := make([]*node, n)
 	parent := cfg.Network.Parent
 	if cfg.Shared.structuralFor(&cfg) {
-		parents := cfg.Shared.parents
-		parent = func(id topology.NodeID) topology.NodeID { return parents[id] }
+		sh = cfg.Shared
+		parent = func(id topology.NodeID) topology.NodeID { return sh.parents[id] }
 	}
-	for i := 0; i < n; i++ {
-		nodeRng := rand.New(rand.NewSource(cfg.Seed + int64(i)*1000003 + 1))
-		nodes[i] = newNode(eng, cfg.Network, med, topology.NodeID(i), parent(topology.NodeID(i)), nodeRng, metrics, cfg.Payload)
+	r.med = newMedium(r.eng, cfg.Network, cfg.Radio, sh)
+	r.med.enableLoss(cfg.Seed)
+	if cfg.Capture {
+		r.med.enableCapture(cfg.CaptureDB)
 	}
-	return nodes
+	// Every node draws from its own stream, so runs stay reproducible
+	// even if one node's draw count changes.
+	for i := range r.nodes {
+		id := topology.NodeID(i)
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*1000003 + 1))
+		r.nodes[i] = newNode(r.eng, cfg.Network, r.med, id, parent(id), rng, r.metrics, cfg.Payload)
+	}
+	if cfg.Traffic != nil || mode == faultRun {
+		// Deterministic in the seed: shared from the attached world when
+		// it matches, derived fresh otherwise. Runners only read it.
+		if r.arrivals = cfg.Shared.arrivalsFor(&cfg); r.arrivals == nil {
+			r.arrivals = make([][]float64, n)
+			for i := 1; i < n; i++ {
+				r.arrivals[i] = arrivalSchedule(cfg, topology.NodeID(i))
+			}
+		}
+		r.cursor = make([]int, n)
+	}
+	if cfg.faulty() {
+		r.fs = newFaultState(r)
+		r.med.fault = r.fs
+	}
+	return r
 }
 
-// buildMACs constructs one protocol instance per node over the shared
-// node state. Run uses it once; RunPhased calls it at every epoch
-// boundary with the next parameter vector, reusing the same nodes so
-// queues, randomness streams and metrics carry across the swap. A
-// matching sh supplies the LMAC slot plan (AssignSlots is the one
-// expensive derivation here); epochs that re-bargain onto a different
-// slot count recompute their own.
-func buildMACs(protocol string, params opt.Vector, net *topology.Network, nodes []*node, sh *Materialized) ([]macLayer, error) {
-	n := net.N()
-	// LMAC needs a global two-hop conflict-free schedule.
+// run executes the epochs and assembles the result.
+func (r *runner) run(ctx context.Context) (*Result, error) {
+	for k, ph := range r.phases {
+		r.phase, r.params = k, ph.Params
+		now := r.eng.Now()
+		// Degradation-aware phase entry: the planned vector was bargained
+		// over the full topology; with nodes down, re-solve for the
+		// survivors before deploying it.
+		if r.fs != nil && r.fs.deadCount > 0 {
+			r.consultRebargain(now)
+		}
+		if err := r.install(now); err != nil {
+			if r.mode == phasedRun {
+				err = fmt.Errorf("sim: phase %d: %w", k, err)
+			}
+			return nil, err
+		}
+		if err := r.eng.RunContext(ctx, ph.Until); err != nil {
+			return nil, fmt.Errorf("sim: run aborted: %w", err)
+		}
+		if ph.Until < r.cfg.Duration {
+			r.eng.DropPending()
+			r.med.quiesce()
+		}
+	}
+	if r.fs != nil {
+		r.fs.settle(r.cfg.Duration)
+		r.med.fault = nil
+	}
+	return r.result(), nil
+}
+
+// install deploys the current parameter vector: MACs rebuilt for every
+// node, handlers installed only on the living, each living node started
+// with its arrivals up to the phase end, and on fault-injected runs the
+// death timers and failure points re-armed (the epoch's DropPending
+// discarded them with the old regime's events).
+func (r *runner) install(now float64) error {
+	macs, err := r.buildMACs(r.params)
+	if err != nil {
+		if r.mode != faultRun || r.good == nil {
+			return err
+		}
+		// An infeasible rebargained vector (e.g. an LMAC slot count the
+		// schedule cannot satisfy): degrade to the last-good vector.
+		r.degraded++
+		r.params = r.good
+		if macs, err = r.buildMACs(r.params); err != nil {
+			return err
+		}
+	}
+	r.good = r.params
+	for i, mac := range macs {
+		x := r.med.Transceiver(topology.NodeID(i))
+		if r.down(i) {
+			x.SetHandler(nil)
+		} else {
+			x.SetHandler(mac)
+		}
+	}
+	end := r.phases[r.phase].Until
+	for i, mac := range macs {
+		if r.down(i) {
+			continue
+		}
+		mac.start()
+		if i == 0 {
+			continue
+		}
+		if r.arrivals == nil {
+			r.periodic(mac, topology.NodeID(i))
+		} else {
+			r.splice(mac, topology.NodeID(i), now, end)
+		}
+	}
+	if r.fs != nil {
+		r.fs.rearm()
+	}
+	return nil
+}
+
+// down reports whether node i is dead.
+func (r *runner) down(i int) bool { return r.fs != nil && !r.fs.alive[i] }
+
+// splice schedules node id's arrivals in [now, end] from its cursor as
+// one chained callback: the first relative to now, then the schedule's
+// successive differences. The cursor advances as each arrival fires, so
+// the next epoch resumes exactly where a dropped chain stopped. At time
+// zero the first delta times[0]-0 is bit-identical to times[0].
+func (r *runner) splice(mac macLayer, id topology.NodeID, now, end float64) {
+	times := r.arrivals[id]
+	c := r.cursor[id]
+	// Arrivals before now were missed: a node that was down did not
+	// sample, so they are neither generated nor lost. At a boundary of
+	// a fault-free phased run the arrivals at now belong to the closing
+	// epoch too: one whose chained instant rounded past the boundary was
+	// dropped with it (the fault runner re-fires it instead).
+	for c < len(times) && (times[c] < now || times[c] == now && r.phase > 0 && r.mode != faultRun) {
+		c++
+	}
+	r.cursor[id] = c
+	lim := c
+	for lim < len(times) && times[lim] <= end {
+		lim++
+	}
+	if lim == c {
+		return
+	}
+	var tick func()
+	tick = func() {
+		j := r.cursor[id]
+		r.sample(mac, id)
+		r.cursor[id] = j + 1
+		if j+1 < lim {
+			r.eng.After(times[j+1]-times[j], tick)
+		}
+	}
+	r.eng.After(times[c]-now, tick)
+}
+
+// periodic wires the legacy phase-shifted periodic sampling of one node
+// as a self-rearming callback. Only fixed runs without a traffic model
+// use it; the fault runner splices the same process materialized by
+// arrivalSchedule. The two are not interchangeable bit for bit: the
+// chain leaves one tick pending past the horizon, which shows in
+// WheelPromotions and PeakPending.
+func (r *runner) periodic(mac macLayer, id topology.NodeID) {
+	if r.cfg.SampleRate <= 0 {
+		return
+	}
+	period := 1 / r.cfg.SampleRate
+	genRng := rand.New(rand.NewSource(r.cfg.Seed ^ (int64(id)*2654435761 + 7)))
+	var tick func()
+	tick = func() {
+		r.sample(mac, id)
+		r.eng.After(period, tick)
+	}
+	r.eng.After(genRng.Float64()*period, tick)
+}
+
+// sample generates one application packet at node id. Packets come from
+// the run's arena, so steady-state sampling does not hit the heap.
+func (r *runner) sample(mac macLayer, id topology.NodeID) {
+	r.nextID++
+	p := r.arena.new()
+	p.ID = r.nextID
+	p.Origin = id
+	p.Created = r.eng.Now()
+	r.metrics.recordGenerated()
+	mac.sampled(p)
+}
+
+// buildMACs constructs one protocol instance per node over the run's
+// node state with the given vector. LMAC takes its slot plan from a
+// matching shared world (AssignSlots is the one expensive derivation
+// here); epochs that re-bargain onto a different slot count derive
+// their own.
+func (r *runner) buildMACs(params opt.Vector) ([]macLayer, error) {
+	net := r.cfg.Network
 	var slots []int
 	var bySlot map[int]topology.NodeID
-	if protocol == "lmac" {
+	if r.cfg.Protocol == "lmac" {
 		frameSlots := int(math.Round(params[0]))
-		if sh != nil && sh.net == net {
-			slots, bySlot = sh.slots, sh.bySlot
-			if sh.slotsFor != frameSlots {
-				slots, bySlot = nil, nil
-			}
-		}
-		if slots == nil {
+		if slots, bySlot = r.cfg.Shared.slotPlanFor(r.cfg, frameSlots); slots == nil {
 			var err error
-			slots, _, err = net.AssignSlots(frameSlots)
-			if err != nil {
-				return nil, fmt.Errorf("sim: lmac schedule: %w", err)
-			}
-			bySlot = make(map[int]topology.NodeID, n)
-			for id, s := range slots {
-				bySlot[s] = topology.NodeID(id)
+			if slots, bySlot, err = slotPlan(net, frameSlots); err != nil {
+				return nil, err
 			}
 		}
 	}
-	macs := make([]macLayer, n)
-	for i := 0; i < n; i++ {
-		switch protocol {
+	macs := make([]macLayer, len(r.nodes))
+	for i, nd := range r.nodes {
+		switch r.cfg.Protocol {
 		case "xmac":
-			macs[i] = newXMACNode(nodes[i], params[0])
+			macs[i] = newXMACNode(nd, params[0])
 		case "bmac":
-			macs[i] = newBMACNode(nodes[i], params[0])
+			macs[i] = newBMACNode(nd, params[0])
 		case "dmac":
-			macs[i] = newDMACNode(nodes[i], params[0], params[1], net.Depth())
+			macs[i] = newDMACNode(nd, params[0], params[1], net.Depth())
 		case "lmac":
-			macs[i] = newLMACNode(nodes[i], int(math.Round(params[0])), params[1], slots[i], bySlot)
+			macs[i] = newLMACNode(nd, int(math.Round(params[0])), params[1], slots[i], bySlot)
 		}
 	}
 	return macs, nil
 }
 
-// collectResult assembles the public result after the engine drained.
-func collectResult(duration float64, eng *Engine, med *Medium, metrics *Metrics, n int) *Result {
+// result assembles the public result after the last epoch.
+func (r *runner) result() *Result {
+	n := len(r.nodes)
 	res := &Result{
-		Duration:        duration,
-		Metrics:         metrics,
-		Collisions:      med.Collisions(),
-		ChannelLosses:   med.ChannelLosses(),
-		Captures:        med.Captures(),
-		Events:          eng.Processed(),
-		PeakPending:     eng.PeakPending(),
-		WheelPromotions: eng.OverflowPromotions(),
-		Energy:          make([]float64, n),
-		ListenTime:      make([]float64, n),
-		TxTime:          make([]float64, n),
+		Duration:           r.cfg.Duration,
+		Metrics:            r.metrics,
+		Collisions:         r.med.Collisions(),
+		ChannelLosses:      r.med.ChannelLosses(),
+		Captures:           r.med.Captures(),
+		Events:             r.eng.Processed(),
+		PeakPending:        r.eng.PeakPending(),
+		WheelPromotions:    r.eng.OverflowPromotions(),
+		Energy:             make([]float64, n),
+		ListenTime:         make([]float64, n),
+		TxTime:             make([]float64, n),
+		Rebargains:         r.rebargains,
+		DegradedRebargains: r.degraded,
 	}
 	for i := 0; i < n; i++ {
-		x := med.Transceiver(topology.NodeID(i))
+		x := r.med.Transceiver(topology.NodeID(i))
 		x.finish()
 		res.Energy[i] = x.Energy()
 		res.ListenTime[i] = x.TimeIn(radio.Listen) + x.TimeIn(radio.Rx)
 		res.TxTime[i] = x.TimeIn(radio.Tx)
 	}
+	if fs := r.fs; fs != nil {
+		res.Deaths = fs.deaths
+		res.Recoveries = fs.recoveries
+		res.DeadAtEnd = fs.deadCount
+		res.StrandedPackets = fs.stranded
+		res.DeadNodeSeconds = fs.deadSeconds
+		res.PartitionSeconds = fs.partSeconds
+	}
 	return res
-}
-
-// newNodeGenerator wires the periodic application sampling of one node.
-// Packets come from the run's arena, so steady-state sampling does not
-// hit the heap.
-func newNodeGenerator(eng *Engine, cfg Config, mac macLayer, net *topology.Network,
-	id topology.NodeID, metrics *Metrics, nextID *int64, arena *packetArena) {
-	if id == 0 || cfg.SampleRate <= 0 {
-		return
-	}
-	period := 1 / cfg.SampleRate
-	genRng := rand.New(rand.NewSource(cfg.Seed ^ (int64(id)*2654435761 + 7)))
-	var tick func()
-	tick = func() {
-		*nextID++
-		p := arena.new()
-		p.ID = *nextID
-		p.Origin = id
-		p.Created = eng.Now()
-		metrics.recordGenerated()
-		mac.sampled(p)
-		eng.After(period, tick)
-	}
-	eng.After(genRng.Float64()*period, tick)
-}
-
-// newScheduledGenerator replays one node's precomputed traffic-model
-// arrival schedule. The whole schedule is materialized up front (it is
-// deterministic in cfg.Seed) — or taken from the shared world's
-// pre slices when the caller holds a matching Materialized — then
-// walked by scheduleArrivals' chained callback, so steady-state
-// generation allocates nothing beyond the schedule slice. (At time
-// zero, scheduleArrivals' first delta times[0]-Now() is bit-identical
-// to times[0].)
-func newScheduledGenerator(eng *Engine, cfg Config, pre [][]float64, mac macLayer,
-	id topology.NodeID, metrics *Metrics, nextID *int64, arena *packetArena) {
-	if id == 0 {
-		return
-	}
-	var times []float64
-	if pre != nil {
-		times = pre[id]
-	} else {
-		times = cfg.Traffic.Arrivals(cfg.Network, id, cfg.Seed, cfg.Duration)
-	}
-	if len(times) == 0 {
-		return
-	}
-	scheduleArrivals(eng, times, mac, id, metrics, nextID, arena)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"github.com/edmac-project/edmac/internal/opt"
@@ -38,7 +39,7 @@ func TestTrafficModelRun(t *testing.T) {
 	if want == 0 {
 		t.Fatal("schedule empty; pick a busier model")
 	}
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +56,11 @@ func TestTrafficModelRun(t *testing.T) {
 // seeds do not.
 func TestTrafficModelDeterminism(t *testing.T) {
 	cfg := trafficConfig(t, traffic.Event{EventRate: 0.02, EventRadius: 2, BackgroundRate: 0.01})
-	a, err := Run(cfg)
+	a, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestTrafficModelDeterminism(t *testing.T) {
 		}
 	}
 	cfg.Seed = 5
-	c, err := Run(cfg)
+	c, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -62,7 +63,7 @@ func validate(t *testing.T, protocol string, x opt.Vector, rate, duration float6
 	if err != nil {
 		t.Fatalf("model: %v", err)
 	}
-	res, err := Run(Config{
+	res, err := RunContext(context.Background(), Config{
 		Protocol:   protocol,
 		Network:    net,
 		Radio:      env.Radio,
@@ -141,7 +142,7 @@ func TestValidationEnergyOrdering(t *testing.T) {
 	measure := func(protocol string, rate float64, x opt.Vector) float64 {
 		env := validationEnv(rate)
 		net := validationNet(t, env)
-		res, err := Run(Config{
+		res, err := RunContext(context.Background(), Config{
 			Protocol:   protocol,
 			Network:    net,
 			Radio:      env.Radio,

@@ -80,8 +80,8 @@ type SimReport struct {
 	// wall clock. Events counts processed simulator events, PeakPending
 	// the event queue's high-water mark, WheelPromotions the events
 	// that landed beyond the timing wheel's horizon and were bulk
-	// promoted later (0 under the reference heap scheduler, near 0 on
-	// healthy duty-cycle workloads). All omitted when zero.
+	// promoted later (near 0 on healthy duty-cycle workloads). All
+	// omitted when zero.
 	Events          uint64 `json:"events,omitempty"`
 	PeakPending     int    `json:"peak_pending,omitempty"`
 	WheelPromotions uint64 `json:"wheel_promotions,omitempty"`

@@ -208,8 +208,8 @@ func (r *SuiteReport) JSON() ([]byte, error) {
 // Phased (version-2) scenarios additionally play the adaptive runtime
 // when their spec says so or SuiteOptions.Adaptive forces it: the
 // bargain is re-played per traffic phase and deployed at the phase
-// boundaries by sim.RunPhased, with the frozen static bargain simulated
-// alongside as the baseline (see SuiteCell).
+// boundaries by sim.RunPhasedContext, with the frozen static bargain
+// simulated alongside as the baseline (see SuiteCell).
 //
 // Cancelling ctx abandons the suite and returns ctx.Err(). Per-cell
 // failures (an unmeetable delay bound, an unschedulable LMAC frame) are
