@@ -18,7 +18,7 @@ GATE_TOL   ?= 0.15
 
 FUZZTIME ?= 30s
 
-.PHONY: build test race vet fmt lint lint-escape escape-golden api-golden gate-coverage print-gate-bench fuzz bench bench-gate bench-baseline suite golden suite-golden check fix-check
+.PHONY: build test race vet fmt lint lint-escape escape-golden api-golden gate-coverage print-gate-bench perfbench-check fuzz bench bench-gate bench-baseline suite golden suite-golden check fix-check
 
 build:
 	$(GO) build ./...
@@ -72,10 +72,15 @@ gate-coverage:
 print-gate-bench:
 	@echo '$(GATE_BENCH)'
 
-check: fmt lint build test
+# The repo benchmark is its own module (perfbench/go.mod), so the root
+# build never compiles it: vet and test it against this checkout.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+check: fmt lint build test perfbench-check
 
 # What to run before pushing a fix: format gate, vet + edvet, build,
-# tests. Alias of check, named for intent.
+# tests, the benchmark module. Alias of check, named for intent.
 fix-check: check
 
 # Fuzz the strict scenario parser (bump FUZZTIME for longer local
