@@ -116,7 +116,7 @@ func TestQuiesceUnderCrashReclaimsPools(t *testing.T) {
 			// Run the fault runner production builds, then quiesce the
 			// final state exactly as an epoch would and assert nothing
 			// leaked.
-			r := newRunner(cfg, []PhaseConfig{{Params: cfg.Params, Until: cfg.Duration}}, faultRun, nil)
+			r := newRunner(cfg, []PhaseConfig{{Params: cfg.Params, Until: cfg.Duration}}, faultyRun, nil)
 			res, err := r.run(context.Background())
 			if err != nil {
 				t.Fatal(err)
@@ -143,7 +143,7 @@ func TestQuiesceUnderBatteryDeathReclaimsPools(t *testing.T) {
 	}
 	cfg.Battery = &BatteryConfig{Capacity: base.Energy[1] / 3}
 
-	r := newRunner(cfg, []PhaseConfig{{Params: cfg.Params, Until: cfg.Duration}}, faultRun, nil)
+	r := newRunner(cfg, []PhaseConfig{{Params: cfg.Params, Until: cfg.Duration}}, faultyRun, nil)
 	res, err := r.run(context.Background())
 	if err != nil {
 		t.Fatal(err)

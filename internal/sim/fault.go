@@ -250,7 +250,7 @@ func RunFaultyContext(ctx context.Context, cfg Config, phases []PhaseConfig, reb
 	if err := validatePhases(cfg, phases); err != nil {
 		return nil, err
 	}
-	return newRunner(cfg, phases, faultRun, reb).run(ctx)
+	return newRunner(cfg, phases, faultyRun, reb).run(ctx)
 }
 
 // arrivalSchedule materializes one node's full arrival schedule. With a

@@ -239,10 +239,10 @@ const (
 	// built fails the run with its phase index, and a phase boundary
 	// retires every arrival of the closing epoch.
 	phasedRun
-	// faultRun serves RunFaultyContext: a vector that cannot be deployed
+	// faultyRun serves RunFaultyContext: a vector that cannot be deployed
 	// past the first epoch degrades to the last one that deployed, and
 	// the periodic generator is materialized so epochs can splice it.
-	faultRun
+	faultyRun
 )
 
 // runner executes one simulation as a sequence of epochs: one for a
@@ -308,7 +308,7 @@ func newRunner(cfg Config, phases []PhaseConfig, mode runMode, reb Rebargainer) 
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*1000003 + 1))
 		r.nodes[i] = newNode(r.eng, cfg.Network, r.med, id, parent(id), rng, r.metrics, cfg.Payload)
 	}
-	if cfg.Traffic != nil || mode == faultRun {
+	if cfg.Traffic != nil || mode == faultyRun {
 		// Deterministic in the seed: shared from the attached world when
 		// it matches, derived fresh otherwise. Runners only read it.
 		if r.arrivals = cfg.Shared.arrivalsFor(&cfg); r.arrivals == nil {
@@ -366,7 +366,7 @@ func (r *runner) run(ctx context.Context) (*Result, error) {
 func (r *runner) install(now float64) error {
 	macs, err := r.buildMACs(r.params)
 	if err != nil {
-		if r.mode != faultRun || r.good == nil {
+		if r.mode != faultyRun || r.good == nil {
 			return err
 		}
 		// An infeasible rebargained vector (e.g. an LMAC slot count the
@@ -423,7 +423,7 @@ func (r *runner) splice(mac macLayer, id topology.NodeID, now, end float64) {
 	// a fault-free phased run the arrivals at now belong to the closing
 	// epoch too: one whose chained instant rounded past the boundary was
 	// dropped with it (the fault runner re-fires it instead).
-	for c < len(times) && (times[c] < now || times[c] == now && r.phase > 0 && r.mode != faultRun) {
+	for c < len(times) && (times[c] < now || times[c] == now && r.phase > 0 && r.mode != faultyRun) {
 		c++
 	}
 	r.cursor[id] = c
