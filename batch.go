@@ -42,36 +42,10 @@ func (o BatchOutcome) MarshalJSON() ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// SimulateBatch executes independent simulation runs concurrently on a
-// worker pool (one worker per CPU when workers < 1) and returns one
-// outcome per run, in input order.
-//
-// Each run owns its entire simulation state, so the reports are
-// bit-identical to calling Simulate sequentially with the same inputs —
-// the batch only buys wall-clock time, scaling near-linearly with cores
-// until the runs outnumber them. Typical uses are Monte-Carlo
-// replication (same configuration, many seeds — see SimulateSeeds) and
-// configuration studies (different parameter vectors or protocols under
-// one scenario).
-//
-// Cancelling ctx abandons runs not yet started and aborts runs in
-// flight; their outcomes carry ctx.Err(). A nil ctx means
-// context.Background().
-//
-// Deprecated: use (*Client).Batch; this wrapper delegates to the
-// package-default client and behaves identically.
-func SimulateBatch(ctx context.Context, s Scenario, runs []BatchRun, workers int) []BatchOutcome {
-	rep, _ := defaultClient().Batch(ctx, BatchRequest{Scenario: &s, Runs: runs, Workers: workers})
-	return rep.Outcomes
-}
-
 // simulateBatch is the fan-out behind Client.Batch: every run's seed is
 // folded with the client's base seed, configs are validated up front,
 // and the independent runs execute on the shared worker pool.
 func simulateBatch(ctx context.Context, s Scenario, runs []BatchRun, workers int, baseSeed int64) []BatchOutcome {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	out := make([]BatchOutcome, len(runs))
 	cfgs := make([]sim.Config, 0, len(runs))
 	cfgIdx := make([]int, 0, len(runs)) // batch index of each config
@@ -121,20 +95,4 @@ func simulateBatch(ctx context.Context, s Scenario, runs []BatchRun, workers int
 			envs[i].Rings.Depth, envs[i].Window, nets[i], br.Result)
 	}
 	return out
-}
-
-// SimulateSeeds replays one configuration under every given seed
-// concurrently — the Monte-Carlo fan-out behind replicated validation.
-// It is SimulateBatch over runs that differ only in SimOptions.Seed.
-//
-// Deprecated: use (*Client).Batch with per-run seeds; this wrapper
-// delegates to the package-default client and behaves identically.
-func SimulateSeeds(ctx context.Context, p Protocol, s Scenario, params []float64, o SimOptions, seeds []int64, workers int) []BatchOutcome {
-	runs := make([]BatchRun, len(seeds))
-	for i, seed := range seeds {
-		opts := o
-		opts.Seed = seed
-		runs[i] = BatchRun{Protocol: p, Params: params, Options: opts}
-	}
-	return SimulateBatch(ctx, s, runs, workers)
 }

@@ -23,9 +23,11 @@ var simParams = map[edmac.Protocol][]float64{
 	edmac.LMAC: {15, 0.05},
 }
 
-// SimulateBatch must reproduce sequential Simulate calls byte for byte,
+// Client.Batch must reproduce sequential Simulate calls byte for byte,
 // across every simulable protocol and several seeds.
 func TestSimulateBatchMatchesSequential(t *testing.T) {
+	cli := newClient(t)
+	ctx := context.Background()
 	s := batchScenario()
 	var runs []edmac.BatchRun
 	for _, p := range []edmac.Protocol{edmac.XMAC, edmac.BMAC, edmac.DMAC, edmac.LMAC} {
@@ -37,21 +39,26 @@ func TestSimulateBatchMatchesSequential(t *testing.T) {
 			})
 		}
 	}
-	outcomes := edmac.SimulateBatch(context.Background(), s, runs, 4)
-	if len(outcomes) != len(runs) {
-		t.Fatalf("got %d outcomes, want %d", len(outcomes), len(runs))
+	rep, err := cli.Batch(ctx, edmac.BatchRequest{Scenario: &s, Runs: runs, Workers: 4})
+	if err != nil {
+		t.Fatalf("Batch: %v", err)
 	}
-	for i, out := range outcomes {
+	if len(rep.Outcomes) != len(runs) {
+		t.Fatalf("got %d outcomes, want %d", len(rep.Outcomes), len(runs))
+	}
+	for i, out := range rep.Outcomes {
 		if out.Err != nil {
 			t.Fatalf("run %d (%s): %v", i, runs[i].Protocol, out.Err)
 		}
-		want, err := edmac.Simulate(runs[i].Protocol, s, runs[i].Params, runs[i].Options)
+		want, err := cli.Simulate(ctx, edmac.SimulateRequest{
+			Protocol: runs[i].Protocol, Scenario: &s, Params: runs[i].Params, Options: runs[i].Options,
+		})
 		if err != nil {
 			t.Fatalf("sequential run %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(want, out.Report) {
+		if !reflect.DeepEqual(want.Sim, out.Report) {
 			t.Errorf("run %d (%s seed %d): batch report differs from sequential\nwant %+v\ngot  %+v",
-				i, runs[i].Protocol, runs[i].Options.Seed, want, out.Report)
+				i, runs[i].Protocol, runs[i].Options.Seed, want.Sim, out.Report)
 		}
 	}
 }
@@ -59,8 +66,16 @@ func TestSimulateBatchMatchesSequential(t *testing.T) {
 func TestSimulateSeeds(t *testing.T) {
 	s := batchScenario()
 	seeds := []int64{3, 5, 8}
-	outcomes := edmac.SimulateSeeds(context.Background(), edmac.XMAC, s, []float64{0.25},
-		edmac.SimOptions{Duration: 300}, seeds, 2)
+	runs := make([]edmac.BatchRun, len(seeds))
+	for i, seed := range seeds {
+		runs[i] = edmac.BatchRun{Protocol: edmac.XMAC, Params: []float64{0.25},
+			Options: edmac.SimOptions{Duration: 300, Seed: seed}}
+	}
+	rep, err := newClient(t).Batch(context.Background(), edmac.BatchRequest{Scenario: &s, Runs: runs, Workers: 2})
+	if err != nil {
+		t.Fatalf("Batch: %v", err)
+	}
+	outcomes := rep.Outcomes
 	if len(outcomes) != len(seeds) {
 		t.Fatalf("got %d outcomes, want %d", len(outcomes), len(seeds))
 	}
@@ -80,10 +95,14 @@ func TestSimulateSeeds(t *testing.T) {
 
 func TestSimulateBatchRejectsSCPMAC(t *testing.T) {
 	s := batchScenario()
-	outcomes := edmac.SimulateBatch(context.Background(), s, []edmac.BatchRun{
+	rep, err := newClient(t).Batch(context.Background(), edmac.BatchRequest{Scenario: &s, Workers: 2, Runs: []edmac.BatchRun{
 		{Protocol: edmac.SCPMAC, Params: []float64{1, 0.01}, Options: edmac.SimOptions{Duration: 60}},
 		{Protocol: edmac.XMAC, Params: []float64{0.25}, Options: edmac.SimOptions{Duration: 60}},
-	}, 2)
+	}})
+	if err != nil {
+		t.Fatalf("Batch: %v", err)
+	}
+	outcomes := rep.Outcomes
 	if outcomes[0].Err == nil {
 		t.Error("scpmac batch entry did not error")
 	}
@@ -92,39 +111,38 @@ func TestSimulateBatchRejectsSCPMAC(t *testing.T) {
 	}
 }
 
-// The public sweeps must agree cell-for-cell with OptimizeRelaxed.
+// Client.Sweep must agree cell-for-cell with relaxed Client.Optimize,
+// along both requirement axes.
 func TestSweepsMatchOptimizeRelaxed(t *testing.T) {
-	s := edmac.DefaultScenario()
-	for _, p := range edmac.PaperProtocols() {
-		pts, err := edmac.SweepMaxDelay(context.Background(), p, s, 0.06, edmac.PaperDelays())
+	cli := newClient(t)
+	ctx := context.Background()
+	check := func(p edmac.Protocol, axis edmac.SweepAxis, fixed float64, values []float64) {
+		t.Helper()
+		rep, err := cli.Sweep(ctx, edmac.SweepRequest{Protocol: p, Axis: axis, Fixed: fixed, Values: values})
 		if err != nil {
-			t.Fatalf("%s: %v", p, err)
+			t.Fatalf("%s %s: %v", p, axis, err)
 		}
-		if len(pts) != len(edmac.PaperDelays()) {
-			t.Fatalf("%s: %d cells, want %d", p, len(pts), len(edmac.PaperDelays()))
+		if len(rep.Points) != len(values) {
+			t.Fatalf("%s %s: %d cells, want %d", p, axis, len(rep.Points), len(values))
 		}
-		for i, pt := range pts {
-			want, wantErr := edmac.OptimizeRelaxed(p, s,
-				edmac.Requirements{EnergyBudget: 0.06, MaxDelay: edmac.PaperDelays()[i]})
+		for i, pt := range rep.Points {
+			req := edmac.Requirements{EnergyBudget: fixed, MaxDelay: values[i]}
+			if axis == edmac.SweepEnergy {
+				req = edmac.Requirements{EnergyBudget: values[i], MaxDelay: fixed}
+			}
+			want, wantErr := cli.Optimize(ctx, edmac.OptimizeRequest{Protocol: p, Requirements: req, Relaxed: true})
 			if (wantErr == nil) != (pt.Err == nil) {
-				t.Errorf("%s cell %d: err %v vs sequential %v", p, i, pt.Err, wantErr)
+				t.Errorf("%s %s cell %d: err %v vs sequential %v", p, axis, i, pt.Err, wantErr)
 				continue
 			}
-			if wantErr == nil && !reflect.DeepEqual(want, pt.Result) {
-				t.Errorf("%s cell %d: sweep result differs from OptimizeRelaxed", p, i)
+			if wantErr == nil && !reflect.DeepEqual(want.Result, pt.Result) {
+				t.Errorf("%s %s cell %d: sweep result differs from relaxed Optimize", p, axis, i)
 			}
 		}
 	}
+	for _, p := range edmac.PaperProtocols() {
+		check(p, edmac.SweepDelay, 0.06, edmac.PaperDelays())
+	}
 	// Figure 2 direction, one protocol suffices for the wiring.
-	pts, err := edmac.SweepEnergyBudget(context.Background(), edmac.XMAC, s, 6, edmac.PaperBudgets())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, pt := range pts {
-		want, _ := edmac.OptimizeRelaxed(edmac.XMAC, s,
-			edmac.Requirements{EnergyBudget: edmac.PaperBudgets()[i], MaxDelay: 6})
-		if pt.Err == nil && !reflect.DeepEqual(want, pt.Result) {
-			t.Errorf("budget cell %d differs from OptimizeRelaxed", i)
-		}
-	}
+	check(edmac.XMAC, edmac.SweepEnergy, 6, edmac.PaperBudgets())
 }

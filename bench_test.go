@@ -1,11 +1,12 @@
 // Benchmark harness: one benchmark per figure of the paper's evaluation
-// plus the ablations called out in DESIGN.md §4. Each benchmark prints
-// the regenerated series once (the rows the paper plots) and then times
-// the computation; run with
+// plus ablations of the bargaining concept, the threat point and the
+// protocol family. Each benchmark prints the regenerated series once
+// (the rows the paper plots) and then times the computation; run with
 //
 //	go test -bench=. -benchmem
 //
-// and compare the printed tables against EXPERIMENTS.md.
+// and compare the printed tables against the figure commands in the
+// README's "Reproducing Figures 1 and 2".
 package edmac_test
 
 import (
@@ -18,7 +19,6 @@ import (
 	"github.com/edmac-project/edmac/internal/core"
 	"github.com/edmac-project/edmac/internal/macmodel"
 	"github.com/edmac-project/edmac/internal/nbs"
-	"github.com/edmac-project/edmac/internal/topology"
 )
 
 // printOnce guards the one-time series dumps across benchmark reruns.
@@ -34,7 +34,8 @@ func once(key string, dump func()) {
 
 func benchFigure(b *testing.B, protocol edmac.Protocol, fig1 bool) {
 	b.Helper()
-	s := edmac.DefaultScenario()
+	c := newClient(b)
+	ctx := context.Background()
 	sweep := func() []edmac.Result {
 		var out []edmac.Result
 		values := []float64{1, 2, 3, 4, 5, 6}
@@ -46,11 +47,11 @@ func benchFigure(b *testing.B, protocol edmac.Protocol, fig1 bool) {
 			if !fig1 {
 				req = edmac.Requirements{EnergyBudget: v, MaxDelay: 6}
 			}
-			res, err := edmac.OptimizeRelaxed(protocol, s, req)
+			rep, err := c.Optimize(ctx, edmac.OptimizeRequest{Protocol: protocol, Requirements: req, Relaxed: true})
 			if err != nil {
 				b.Fatalf("%v: %v", req, err)
 			}
-			out = append(out, res)
+			out = append(out, rep.Result)
 		}
 		return out
 	}
@@ -93,21 +94,24 @@ func BenchmarkFigure2LMAC(b *testing.B) { benchFigure(b, edmac.LMAC, false) }
 
 func benchFrontier(b *testing.B, protocol edmac.Protocol) {
 	b.Helper()
-	s := edmac.DefaultScenario()
-	req := edmac.Requirements{EnergyBudget: 10, MaxDelay: 6}
-	pts, err := edmac.Frontier(protocol, s, req, 25)
+	c := newClient(b)
+	ctx := context.Background()
+	req := edmac.FrontierRequest{
+		Protocol: protocol, Requirements: edmac.Requirements{EnergyBudget: 10, MaxDelay: 6}, Points: 25,
+	}
+	rep, err := c.Frontier(ctx, req)
 	if err != nil {
 		b.Fatal(err)
 	}
 	once("frontier-"+string(protocol), func() {
 		fmt.Printf("\n# frontier-%s — Pareto curve (E [J], L [s])\n", protocol)
-		for _, p := range pts {
+		for _, p := range rep.Points {
 			fmt.Printf("%.5g,%.5g\n", p.Energy, p.Delay)
 		}
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := edmac.Frontier(protocol, s, req, 25); err != nil {
+		if _, err := c.Frontier(ctx, req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -156,15 +160,18 @@ func BenchmarkOptimizeCold(b *testing.B) {
 // --- Proportional fairness (the paper's closing identity) ------------
 
 func BenchmarkProportionalFairness(b *testing.B) {
-	s := edmac.DefaultScenario()
+	c := newClient(b)
+	ctx := context.Background()
 	compute := func() [][3]float64 {
 		var rows [][3]float64
 		for _, lmax := range []float64{1, 2, 3, 4, 5, 6} {
-			res, err := edmac.OptimizeRelaxed(edmac.XMAC, s,
-				edmac.Requirements{EnergyBudget: 0.06, MaxDelay: lmax})
+			rep, err := c.Optimize(ctx, edmac.OptimizeRequest{
+				Protocol: edmac.XMAC, Requirements: edmac.Requirements{EnergyBudget: 0.06, MaxDelay: lmax}, Relaxed: true,
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
+			res := rep.Result
 			rows = append(rows, [3]float64{lmax, res.FairnessEnergy, res.FairnessDelay})
 		}
 		return rows
@@ -185,38 +192,31 @@ func BenchmarkProportionalFairness(b *testing.B) {
 
 // --- Sweep execution: sequential vs worker-pool ------------------------
 //
-// The same paper grid (Figure 1, X-MAC) solved cell by cell on one
-// goroutine and fanned over the worker pool. On an N-core host the
+// The same paper grid (Figure 1, X-MAC) solved cell by cell by one
+// worker and fanned over one worker per CPU. On an N-core host the
 // parallel sweep approaches N× until cells outnumber cores; on one core
 // it degenerates to the sequential path (the pool runs inline).
 
-func BenchmarkSweepMaxDelaySequential(b *testing.B) {
-	env := macmodel.Default()
-	m, err := macmodel.NewXMAC(env)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		pts := core.SweepMaxDelay(m, core.PaperEnergyBudget, core.PaperDelays())
-		if len(pts) != len(core.PaperDelays()) {
-			b.Fatal("short sweep")
-		}
-	}
-}
+func BenchmarkSweepMaxDelaySequential(b *testing.B) { benchSweep(b, 1) }
+func BenchmarkSweepMaxDelayParallel(b *testing.B)   { benchSweep(b, 0) }
 
-func BenchmarkSweepMaxDelayParallel(b *testing.B) {
-	env := macmodel.Default()
-	m, err := macmodel.NewXMAC(env)
+func benchSweep(b *testing.B, workers int) {
+	b.Helper()
+	m, err := macmodel.NewXMAC(macmodel.Default())
 	if err != nil {
 		b.Fatal(err)
+	}
+	var reqs []core.Requirements
+	for _, lmax := range core.PaperDelays() {
+		reqs = append(reqs, core.Requirements{EnergyBudget: core.PaperEnergyBudget, MaxDelay: lmax})
 	}
 	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		pts, err := core.SweepMaxDelayParallel(ctx, m, core.PaperEnergyBudget, core.PaperDelays(), 0)
+		pts, err := core.Sweep(ctx, m, reqs, workers)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(pts) != len(core.PaperDelays()) {
+		if len(pts) != len(reqs) {
 			b.Fatal("short sweep")
 		}
 	}
@@ -237,13 +237,16 @@ func benchBatchRuns() []edmac.BatchRun {
 }
 
 func BenchmarkSimulateBatchSequential(b *testing.B) {
+	c := newClient(b)
 	s := edmac.Scenario{
 		Depth: 3, Density: 4, SampleInterval: 120, Window: 60, Payload: 32, Radio: "cc2420",
 	}
 	runs := benchBatchRuns()
+	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
 		for _, r := range runs {
-			if _, err := edmac.Simulate(r.Protocol, s, r.Params, r.Options); err != nil {
+			req := edmac.SimulateRequest{Protocol: r.Protocol, Scenario: &s, Params: r.Params, Options: r.Options}
+			if _, err := c.Simulate(ctx, req); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -251,13 +254,18 @@ func BenchmarkSimulateBatchSequential(b *testing.B) {
 }
 
 func BenchmarkSimulateBatchParallel(b *testing.B) {
+	c := newClient(b)
 	s := edmac.Scenario{
 		Depth: 3, Density: 4, SampleInterval: 120, Window: 60, Payload: 32, Radio: "cc2420",
 	}
-	runs := benchBatchRuns()
+	req := edmac.BatchRequest{Scenario: &s, Runs: benchBatchRuns()}
 	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		for _, out := range edmac.SimulateBatch(ctx, s, runs, 0) {
+		rep, err := c.Batch(ctx, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, out := range rep.Outcomes {
 			if out.Err != nil {
 				b.Fatal(out.Err)
 			}
@@ -268,14 +276,18 @@ func BenchmarkSimulateBatchParallel(b *testing.B) {
 // --- Scalability: cost independent of node count ----------------------
 
 func BenchmarkScalability(b *testing.B) {
+	c := newClient(b)
+	ctx := context.Background()
 	for _, depth := range []int{5, 10, 20, 40} {
 		s := edmac.DefaultScenario()
 		s.Depth = depth
 		nodes := (s.Density + 1) * depth * depth
 		b.Run(fmt.Sprintf("depth=%d/nodes=%d", depth, nodes), func(b *testing.B) {
-			req := edmac.Requirements{EnergyBudget: 0.5, MaxDelay: 30}
+			req := edmac.OptimizeRequest{
+				Protocol: edmac.XMAC, Scenario: &s, Requirements: edmac.Requirements{EnergyBudget: 0.5, MaxDelay: 30},
+			}
 			for i := 0; i < b.N; i++ {
-				if _, err := edmac.Optimize(edmac.XMAC, s, req); err != nil {
+				if _, err := c.Optimize(ctx, req); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -372,25 +384,33 @@ func BenchmarkThreatPointAblation(b *testing.B) {
 // --- Cross-validation (analytic vs packet-level simulator) ------------
 
 func BenchmarkSimValidation(b *testing.B) {
+	c := newClient(b)
 	s := edmac.Scenario{
 		Depth: 3, Density: 4, SampleInterval: 120, Window: 60, Payload: 32, Radio: "cc2420",
 	}
-	runOnce := func() edmac.ValidationReport {
-		rep, err := edmac.Validate(edmac.XMAC, s, []float64{0.25},
-			edmac.SimOptions{Duration: 600, Seed: 7})
+	req := edmac.SimulateRequest{
+		Protocol: edmac.XMAC, Scenario: &s, Params: []float64{0.25},
+		Options: edmac.SimOptions{Duration: 600, Seed: 7}, Validate: true,
+	}
+	runOnce := func() edmac.SimulateReport {
+		rep, err := c.Simulate(context.Background(), req)
 		if err != nil {
 			b.Fatal(err)
 		}
 		return rep
 	}
 	rep := runOnce()
+	if rep.Analytic.EnergyRatio == nil || rep.Analytic.DelayRatio == nil {
+		b.Fatalf("validation carries no ratios: %+v", rep.Analytic)
+	}
 	once("simval", func() {
+		m, a := rep.Sim, rep.Analytic
 		fmt.Printf("\n# simval — X-MAC Tw=0.25 s on a 37-node ring network, 600 s\n")
 		fmt.Printf("energy J/window: measured %.5g vs analytic %.5g (x%.2f)\n",
-			rep.BottleneckEnergy, rep.AnalyticEnergy, rep.EnergyRatio)
+			m.BottleneckEnergy, a.Energy, *a.EnergyRatio)
 		fmt.Printf("delay  s:        measured %.5g vs analytic %.5g (x%.2f)\n",
-			rep.OuterRingDelay, rep.AnalyticDelay, rep.DelayRatio)
-		fmt.Printf("delivery %.3f, collisions %d\n", rep.DeliveryRatio, rep.Collisions)
+			m.OuterRingDelay, a.Delay, *a.DelayRatio)
+		fmt.Printf("delivery %.3f, collisions %d\n", m.DeliveryRatio, m.Collisions)
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -401,17 +421,18 @@ func BenchmarkSimValidation(b *testing.B) {
 // --- Ablation: framework generality (B-MAC, SCP-MAC vs X-MAC) ---------
 
 func BenchmarkProtocolExtensions(b *testing.B) {
-	s := edmac.DefaultScenario()
+	c := newClient(b)
+	ctx := context.Background()
 	req := edmac.Requirements{EnergyBudget: 0.06, MaxDelay: 6}
 	protos := []edmac.Protocol{edmac.XMAC, edmac.BMAC, edmac.SCPMAC}
 	solve := func() []edmac.Result {
 		out := make([]edmac.Result, 0, len(protos))
 		for _, p := range protos {
-			r, err := edmac.Optimize(p, s, req)
+			rep, err := c.Optimize(ctx, edmac.OptimizeRequest{Protocol: p, Requirements: req})
 			if err != nil {
 				b.Fatal(err)
 			}
-			out = append(out, r)
+			out = append(out, rep.Result)
 		}
 		return out
 	}
@@ -440,22 +461,26 @@ func reportEventRate(b *testing.B, events uint64) {
 }
 
 func BenchmarkSimulatorEventRate(b *testing.B) {
-	net, err := topology.Rings(topology.RingModel{Depth: 3, Density: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = net
 	s := edmac.Scenario{
 		Depth: 3, Density: 4, SampleInterval: 120, Window: 60, Payload: 32, Radio: "cc2420",
 	}
+	benchEventRate(b, edmac.SimulateRequest{Protocol: edmac.XMAC, Scenario: &s, Params: []float64{0.5}})
+}
+
+// benchEventRate replays req for 300 simulated seconds per iteration,
+// each under a fresh seed, and reports the scheduler throughput.
+func benchEventRate(b *testing.B, req edmac.SimulateRequest) {
+	b.Helper()
+	c := newClient(b)
+	ctx := context.Background()
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		rep, err := edmac.Simulate(edmac.XMAC, s, []float64{0.5},
-			edmac.SimOptions{Duration: 300, Seed: int64(i + 1)})
+		req.Options = edmac.SimOptions{Duration: 300, Seed: int64(i + 1)}
+		rep, err := c.Simulate(ctx, req)
 		if err != nil {
 			b.Fatal(err)
 		}
-		events += rep.Events
+		events += rep.Sim.Events
 	}
 	reportEventRate(b, events)
 }
@@ -470,16 +495,7 @@ func BenchmarkSimulatorEventRateLossy(b *testing.B) {
 	if !ok {
 		b.Fatal("missing builtin ring-lossy")
 	}
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		rep, err := edmac.SimulateScenario(edmac.XMAC, sp, []float64{0.5},
-			edmac.SimOptions{Duration: 300, Seed: int64(i + 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += rep.Events
-	}
-	reportEventRate(b, events)
+	benchEventRate(b, edmac.SimulateRequest{Protocol: edmac.XMAC, Spec: &sp, Params: []float64{0.5}})
 }
 
 // The fault-injection hot path: churn plus finite batteries (the
@@ -492,14 +508,5 @@ func BenchmarkSimulatorEventRateFaulty(b *testing.B) {
 	if !ok {
 		b.Fatal("missing builtin ring-attrition")
 	}
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		rep, err := edmac.SimulateScenario(edmac.XMAC, sp, []float64{0.5},
-			edmac.SimOptions{Duration: 300, Seed: int64(i + 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += rep.Events
-	}
-	reportEventRate(b, events)
+	benchEventRate(b, edmac.SimulateRequest{Protocol: edmac.XMAC, Spec: &sp, Params: []float64{0.5}})
 }

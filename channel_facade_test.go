@@ -1,6 +1,7 @@
 package edmac_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestLossyScenarioShiftsBargain(t *testing.T) {
 		{"ring-baseline", "ring-lossy"},
 		{"disk-meadow", "meadow-shadowed"},
 	}
-	req := edmac.PaperRequirements()
+	cli := newClient(t)
 	for _, pair := range pairs {
 		perfectSpec, ok := edmac.BuiltinScenario(pair[0])
 		if !ok {
@@ -41,17 +42,21 @@ func TestLossyScenarioShiftsBargain(t *testing.T) {
 		if lossy.LinkPRR <= 0 || lossy.LinkPRR >= 1 {
 			t.Fatalf("%s: LinkPRR = %v, want inside (0, 1)", pair[1], lossy.LinkPRR)
 		}
-		a, err := edmac.OptimizeRelaxed(edmac.XMAC, perfect, req)
+		req := edmac.OptimizeRequest{
+			Protocol: edmac.XMAC, Scenario: &perfect, Requirements: edmac.PaperRequirements(), Relaxed: true,
+		}
+		a, err := cli.Optimize(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := edmac.OptimizeRelaxed(edmac.XMAC, lossy, req)
+		req.Scenario = &lossy
+		b, err := cli.Optimize(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Bargain.Params[0] == b.Bargain.Params[0] {
+		if a.Result.Bargain.Params[0] == b.Result.Bargain.Params[0] {
 			t.Errorf("%s vs %s: identical xmac bargain %v — the game ignored link quality",
-				pair[0], pair[1], a.Bargain.Params)
+				pair[0], pair[1], a.Result.Bargain.Params)
 		}
 	}
 }
@@ -71,15 +76,23 @@ func TestSimulateLossyScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := edmac.OptimizeRelaxed(edmac.XMAC, sc, edmac.PaperRequirements())
+	cli := newClient(t)
+	ctx := context.Background()
+	res, err := cli.Optimize(ctx, edmac.OptimizeRequest{
+		Protocol: edmac.XMAC, Scenario: &sc, Requirements: edmac.PaperRequirements(), Relaxed: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := edmac.SimulateScenario(edmac.XMAC, sp, res.Bargain.Params,
-		edmac.SimOptions{Duration: 400, Seed: 11})
+	req := edmac.SimulateRequest{
+		Protocol: edmac.XMAC, Spec: &sp, Params: res.Result.Bargain.Params,
+		Options: edmac.SimOptions{Duration: 400, Seed: 11},
+	}
+	sim, err := cli.Simulate(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := sim.Sim
 	if rep.Generated == 0 {
 		t.Fatal("nothing generated")
 	}
@@ -96,12 +109,11 @@ func TestSimulateLossyScenario(t *testing.T) {
 		t.Errorf("delivered %d > generated %d", rep.Delivered, rep.Generated)
 	}
 	// Byte-stable replay: the report is a pure function of its inputs.
-	again, err := edmac.SimulateScenario(edmac.XMAC, sp, res.Bargain.Params,
-		edmac.SimOptions{Duration: 400, Seed: 11})
+	again, err := cli.Simulate(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rep, again) {
-		t.Error("lossy SimulateScenario not reproducible")
+	if !reflect.DeepEqual(rep, again.Sim) {
+		t.Error("lossy scenario simulation not reproducible")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/edmac-project/edmac/internal/core"
 	"github.com/edmac-project/edmac/internal/jobs"
 	"github.com/edmac-project/edmac/internal/jsonwire"
 	"github.com/edmac-project/edmac/internal/lru"
@@ -21,9 +22,7 @@ import (
 // A Client is immutable after construction and safe for concurrent use
 // by any number of goroutines; one Client per process is the intended
 // shape (the edserve HTTP service runs exactly that). The zero Client
-// is invalid; use NewClient. Every legacy top-level function in this
-// package is a thin deprecated wrapper over the package-default
-// client, so the two API styles always agree.
+// is invalid; use NewClient.
 //
 // Determinism carries over from the underlying layers: equal requests
 // against equally-configured clients produce identical reports, which
@@ -90,9 +89,8 @@ func WithRadio(name string) Option {
 // into every simulation seed a request supplies, so one deployment's
 // runs decorrelate from another's while each request stays
 // reproducible from its own seed. The default base 0 folds to the
-// identity — seeds pass through untouched, matching the legacy
-// top-level functions bit for bit. Effective seeds are echoed in the
-// reports (SimReport.Seed, SuiteReport.Seed), so results remain
+// identity: seeds pass through untouched. Effective seeds are echoed
+// in the reports (SimReport.Seed, SuiteReport.Seed), so results remain
 // self-describing.
 func WithBaseSeed(seed int64) Option {
 	return func(c *Client) error {
@@ -110,9 +108,7 @@ func WithBaseSeed(seed int64) Option {
 // mutate reports freely. Simulation methods are never cached here (the
 // serve layer caches whole responses instead).
 //
-// The default is no cache, keeping the package-default client — and
-// therefore every legacy function and benchmark — allocation- and
-// behavior-identical to the pre-Client API.
+// The default is no cache: every request runs the solvers.
 func WithCache(capacity int) Option {
 	return func(c *Client) error {
 		if capacity < 1 {
@@ -134,16 +130,6 @@ func NewClient(opts ...Option) (*Client, error) {
 	}
 	return c, nil
 }
-
-// defaultClient is the cache-free client behind the deprecated
-// top-level functions. Construction cannot fail (no options).
-var defaultClient = sync.OnceValue(func() *Client {
-	c, err := NewClient()
-	if err != nil {
-		panic("edmac: default client: " + err.Error())
-	}
-	return c
-})
 
 // CacheStats describes the result cache's lifetime effectiveness.
 type CacheStats struct {
@@ -253,8 +239,8 @@ func (c *Client) Optimize(ctx context.Context, req OptimizeRequest) (OptimizeRep
 	return OptimizeReport{Result: res}, nil
 }
 
-// optimizeCached is the cache-aware core shared by Optimize, Compare
-// and the legacy wrappers.
+// optimizeCached is the cache-aware core shared by Optimize and
+// Compare.
 func (c *Client) optimizeCached(p Protocol, s Scenario, r Requirements, relaxed bool) (Result, error) {
 	key, cacheable := "", false
 	if c.cache != nil {
@@ -341,7 +327,7 @@ type CompareRequest struct {
 	Scenario     *Scenario    `json:"scenario,omitempty"`
 	Requirements Requirements `json:"requirements"`
 	// Protocols lists the contenders; empty selects the paper's three
-	// (XMAC, DMAC, LMAC), as Compare always has.
+	// (XMAC, DMAC, LMAC).
 	Protocols []Protocol `json:"protocols,omitempty"`
 }
 
@@ -446,15 +432,17 @@ func (c *Client) Sweep(ctx context.Context, req SweepRequest) (SweepReport, erro
 			}
 		}
 	}
-	var pts []SweepPoint
-	switch req.Axis {
-	case SweepDelay:
-		pts, err = sweepMaxDelay(ctx, req.Protocol, s, req.Fixed, req.Values, c.workersOrDefault(req.Workers))
-	case SweepEnergy:
-		pts, err = sweepEnergyBudget(ctx, req.Protocol, s, req.Fixed, req.Values, c.workersOrDefault(req.Workers))
-	default:
+	if req.Axis != SweepDelay && req.Axis != SweepEnergy {
 		return SweepReport{}, fmt.Errorf("edmac: unknown sweep axis %q (want %q or %q)", req.Axis, SweepDelay, SweepEnergy)
 	}
+	reqs := make([]core.Requirements, len(req.Values))
+	for i, v := range req.Values {
+		reqs[i] = core.Requirements{EnergyBudget: req.Fixed, MaxDelay: v}
+		if req.Axis == SweepEnergy {
+			reqs[i] = core.Requirements{EnergyBudget: v, MaxDelay: req.Fixed}
+		}
+	}
+	pts, err := sweep(ctx, req.Protocol, s, reqs, c.workersOrDefault(req.Workers))
 	if err != nil {
 		return SweepReport{}, err
 	}
@@ -539,13 +527,13 @@ func (c *Client) Params(ctx context.Context, req ParamsRequest) (ParamsReport, e
 type SimulateRequest struct {
 	Protocol Protocol `json:"protocol"`
 	// Scenario simulates the deterministic ring placement of the
-	// analytic scenario (the legacy Simulate behaviour).
+	// analytic scenario.
 	Scenario *Scenario `json:"scenario,omitempty"`
 	// ScenarioName selects a builtin declarative scenario by registry
 	// name (see BuiltinScenarios).
 	ScenarioName string `json:"scenario_name,omitempty"`
-	// Spec is a full declarative scenario (the legacy SimulateScenario
-	// behaviour).
+	// Spec is a full declarative scenario, simulated on its explicit
+	// network under its traffic model.
 	Spec *ScenarioSpec `json:"spec,omitempty"`
 	// Params is the protocol parameter vector (macmodel coordinates).
 	Params []float64 `json:"params"`
@@ -642,7 +630,7 @@ func (c *Client) Simulate(ctx context.Context, req SimulateRequest) (SimulateRep
 // analyticCheckOf evaluates the model at the simulated vector and
 // forms the measured/predicted ratios, falling back to raw model
 // evaluation for vectors outside the admissible box (a deliberately
-// extreme what-if), exactly as Validate always has.
+// extreme what-if).
 func analyticCheckOf(p Protocol, s Scenario, params []float64, rep SimReport) (AnalyticCheck, error) {
 	energy, delay, err := evaluate(p, s, params)
 	if err != nil {
@@ -714,9 +702,25 @@ type SuiteRequest struct {
 }
 
 // Suite plays the full evaluation matrix — every scenario × every
-// protocol — on the worker pool and returns the monolithic report; see
-// RunSuite for the cell-level contract (this is the same engine). Use
-// SuiteStream to consume cells as they finish.
+// protocol — in parallel on the worker pool and returns the monolithic
+// report; use SuiteStream to consume cells as they finish. Each cell
+// maps the scenario onto its equivalent analytic ring model, bargains
+// the protocol's parameters under the requirements, then replays the
+// bargain at packet level on the explicit network under the scenario's
+// traffic model (SCPMAC cells stay analytic-only). Cells are
+// independent, so the matrix fans out over the pool with the same
+// determinism contract as every parallel layer in this module: results
+// are bit-identical to the sequential run and ordered scenario-major.
+//
+// Phased (version-2) scenarios additionally play the adaptive runtime
+// when their spec says so or SuiteOptions.Adaptive forces it: the
+// bargain is re-played per traffic phase and deployed at the phase
+// boundaries by sim.RunPhasedContext, with the frozen static bargain
+// simulated alongside as the baseline (see SuiteCell).
+//
+// Cancelling ctx abandons the suite and returns ctx.Err(). Per-cell
+// failures (an unmeetable delay bound, an unschedulable LMAC frame) are
+// recorded in the cell's Err field and do not stop the run.
 func (c *Client) Suite(ctx context.Context, req SuiteRequest) (*SuiteReport, error) {
 	return c.runSuite(ctx, req, nil)
 }

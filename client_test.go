@@ -35,11 +35,13 @@ func TestClientDefaultScenario(t *testing.T) {
 	if err != nil {
 		t.Fatalf("implicit: %v", err)
 	}
-	explicit, err := edmac.OptimizeRelaxed(edmac.XMAC, s, req)
+	explicit, err := newClient(t).Optimize(context.Background(), edmac.OptimizeRequest{
+		Protocol: edmac.XMAC, Scenario: &s, Requirements: req, Relaxed: true,
+	})
 	if err != nil {
 		t.Fatalf("explicit: %v", err)
 	}
-	mustEqualJSON(t, explicit, implicit.Result, "default-scenario resolution")
+	mustEqualJSON(t, explicit, implicit, "default-scenario resolution")
 }
 
 func TestClientCacheHitsAndIsolation(t *testing.T) {
@@ -70,11 +72,11 @@ func TestClientCacheHitsAndIsolation(t *testing.T) {
 	if second.Result.Bargain.Params[0] == -1 {
 		t.Fatal("cache returned the caller-mutated slice")
 	}
-	baseline, err := edmac.OptimizeRelaxed(edmac.XMAC, edmac.DefaultScenario(), edmac.PaperRequirements())
+	baseline, err := newClient(t).Optimize(ctx, req)
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
-	mustEqualJSON(t, baseline, second.Result, "cached result")
+	mustEqualJSON(t, baseline, second, "cached result")
 }
 
 // TestClientCachesInfeasibility: an infeasible verdict is as expensive
@@ -168,8 +170,7 @@ func TestClientPreCancelledContext(t *testing.T) {
 // TestBatchPreCancelledKeepsOutcomeShape pins the batch-specific
 // contract: even an already-done context yields one outcome per run
 // (each carrying the context's error) — consumers index outcomes by
-// run, so the slice's shape must never depend on timing. The legacy
-// wrapper inherits the same shape.
+// run, so the slice's shape must never depend on timing.
 func TestBatchPreCancelledKeepsOutcomeShape(t *testing.T) {
 	cli := newClient(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -190,15 +191,6 @@ func TestBatchPreCancelledKeepsOutcomeShape(t *testing.T) {
 	for i, out := range rep.Outcomes {
 		if !errors.Is(out.Err, context.Canceled) {
 			t.Errorf("outcome %d: Err = %v, want context.Canceled", i, out.Err)
-		}
-	}
-	legacy := edmac.SimulateBatch(ctx, s, runs, 0)
-	if len(legacy) != len(runs) {
-		t.Fatalf("legacy wrapper returned %d outcomes for %d runs", len(legacy), len(runs))
-	}
-	for i, out := range legacy {
-		if !errors.Is(out.Err, context.Canceled) {
-			t.Errorf("legacy outcome %d: Err = %v, want context.Canceled", i, out.Err)
 		}
 	}
 }

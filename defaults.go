@@ -7,8 +7,8 @@ package edmac
 // one answer — pinned by TestEffectiveDefaults.
 
 const (
-	// DefaultSimDuration is the simulated seconds of a Simulate /
-	// Validate run whose SimOptions leave Duration unset.
+	// DefaultSimDuration is the simulated seconds of a Client.Simulate
+	// or Client.Batch run whose SimOptions leave Duration unset.
 	DefaultSimDuration = 1800.0
 	// DefaultSuiteDuration is the simulated seconds per suite cell when
 	// SuiteOptions leave Duration unset. Suites trade per-cell length

@@ -30,10 +30,7 @@
 //	if err != nil { ... }
 //	fmt.Println(rep.Result.Bargain.Params) // wakeup interval to deploy
 //
-// The original top-level functions (Optimize, Simulate, RunSuite, ...)
-// remain as deprecated wrappers over a package-default client and
-// behave exactly as they always have. cmd/edserve serves the same
-// Client API over HTTP/JSON.
+// cmd/edserve serves the same Client API over HTTP/JSON.
 package edmac
 
 import (
@@ -106,7 +103,7 @@ type Scenario struct {
 
 // DefaultScenario returns the calibrated scenario of the paper
 // reproduction: a depth-5, density-6 CC2420 network sampling once per
-// 10 hours, with energy accounted per minute (see DESIGN.md §3.1).
+// 10 hours, with energy accounted per minute.
 func DefaultScenario() Scenario {
 	env := macmodel.Default()
 	return Scenario{
@@ -177,17 +174,6 @@ type ParamSpec struct {
 	Max float64 `json:"max"`
 }
 
-// Params returns the tunable parameter table of a protocol under the
-// scenario, in the order used by every Params slice in this package.
-//
-// Deprecated: use (*Client).Params; this wrapper delegates to the
-// package-default client and behaves identically.
-func Params(p Protocol, s Scenario) ([]ParamSpec, error) {
-	rep, err := defaultClient().Params(context.Background(),
-		ParamsRequest{Protocol: p, Scenario: &s})
-	return rep.Params, err
-}
-
 // paramSpecs builds the parameter table behind Client.Params.
 func paramSpecs(p Protocol, s Scenario) ([]ParamSpec, error) {
 	m, err := s.model(p)
@@ -204,7 +190,8 @@ func paramSpecs(p Protocol, s Scenario) ([]ParamSpec, error) {
 
 // OperatingPoint is a concrete protocol configuration with its metrics.
 type OperatingPoint struct {
-	// Params is the protocol parameter vector (see Params for meaning).
+	// Params is the protocol parameter vector (see Client.Params for
+	// meaning).
 	Params []float64 `json:"params"`
 	// Energy is joules per window at the bottleneck node.
 	Energy float64 `json:"energy"`
@@ -241,31 +228,8 @@ type Result struct {
 	BudgetExceeded bool `json:"budget_exceeded,omitempty"`
 }
 
-// Optimize plays the full game for one protocol, failing with
-// ErrInfeasible when the requirements cannot be met.
-//
-// Deprecated: use (*Client).Optimize, which adds context cancellation
-// and result caching; this wrapper delegates to the package-default
-// client and behaves identically.
-func Optimize(p Protocol, s Scenario, r Requirements) (Result, error) {
-	rep, err := defaultClient().Optimize(context.Background(),
-		OptimizeRequest{Protocol: p, Scenario: &s, Requirements: r})
-	return rep.Result, err
-}
-
-// OptimizeRelaxed is Optimize with the paper's figure behaviour for
-// over-constrained requirements: instead of failing it returns the
-// best-effort point flagged via Result.BudgetExceeded.
-//
-// Deprecated: use (*Client).Optimize with OptimizeRequest.Relaxed;
-// this wrapper delegates to the package-default client and behaves
-// identically.
-func OptimizeRelaxed(p Protocol, s Scenario, r Requirements) (Result, error) {
-	rep, err := defaultClient().Optimize(context.Background(),
-		OptimizeRequest{Protocol: p, Scenario: &s, Requirements: r, Relaxed: true})
-	return rep.Result, err
-}
-
+// optimize plays the game once, without a cache: strict, or relaxed to
+// the figures' best-effort behaviour.
 func optimize(p Protocol, s Scenario, r Requirements, relaxed bool) (Result, error) {
 	m, err := s.model(p)
 	if err != nil {
@@ -309,17 +273,6 @@ type FrontierPoint struct {
 	Params []float64 `json:"params"`
 	Energy float64   `json:"energy"`
 	Delay  float64   `json:"delay"`
-}
-
-// Frontier traces a protocol's Pareto frontier up to the delay bound —
-// the continuous curves in the paper's figures — with n sweep points.
-//
-// Deprecated: use (*Client).Frontier; this wrapper delegates to the
-// package-default client and behaves identically.
-func Frontier(p Protocol, s Scenario, r Requirements, n int) ([]FrontierPoint, error) {
-	rep, err := defaultClient().Frontier(context.Background(),
-		FrontierRequest{Protocol: p, Scenario: &s, Requirements: r, Points: n})
-	return rep.Points, err
 }
 
 // frontier is the uncached frontier tracer behind Client.Frontier,
@@ -368,19 +321,6 @@ func (c Comparison) MarshalJSON() ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// Compare plays the game for every paper protocol under the same
-// requirements (relaxed mode, as in the figures) and returns one entry
-// per protocol in presentation order.
-//
-// Deprecated: use (*Client).Compare, which also surfaces the winner;
-// this wrapper delegates to the package-default client and behaves
-// identically.
-func Compare(s Scenario, r Requirements) []Comparison {
-	rep, _ := defaultClient().Compare(context.Background(),
-		CompareRequest{Scenario: &s, Requirements: r})
-	return rep.Comparisons
-}
-
 // Best returns the comparison entry whose bargain has the lowest energy
 // among those meeting the requirements outright, or false when none do.
 func Best(comparisons []Comparison) (Comparison, bool) {
@@ -406,17 +346,6 @@ func vec(m macmodel.Model, params []float64) (opt.Vector, error) {
 			m.Name(), len(m.Params()), len(params))
 	}
 	return opt.Vector(append([]float64(nil), params...)), nil
-}
-
-// Evaluate returns the analytic energy and delay of an explicit
-// parameter vector — useful for what-if exploration around an optimum.
-//
-// Deprecated: use (*Client).Evaluate; this wrapper delegates to the
-// package-default client and behaves identically.
-func Evaluate(p Protocol, s Scenario, params []float64) (energy, delay float64, err error) {
-	rep, err := defaultClient().Evaluate(context.Background(),
-		EvaluateRequest{Protocol: p, Scenario: &s, Params: params})
-	return rep.Energy, rep.Delay, err
 }
 
 // evaluate is the model evaluation behind Client.Evaluate.

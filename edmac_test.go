@@ -1,18 +1,21 @@
 package edmac_test
 
 import (
+	"context"
 	"errors"
-	"math"
 	"testing"
 
 	edmac "github.com/edmac-project/edmac"
 )
 
 func TestOptimizeXMACPaperRequirements(t *testing.T) {
-	res, err := edmac.Optimize(edmac.XMAC, edmac.DefaultScenario(), edmac.PaperRequirements())
+	rep, err := newClient(t).Optimize(context.Background(), edmac.OptimizeRequest{
+		Protocol: edmac.XMAC, Requirements: edmac.PaperRequirements(),
+	})
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
+	res := rep.Result
 	if res.Protocol != edmac.XMAC {
 		t.Errorf("protocol = %v", res.Protocol)
 	}
@@ -35,8 +38,9 @@ func TestOptimizeXMACPaperRequirements(t *testing.T) {
 }
 
 func TestOptimizeInfeasible(t *testing.T) {
-	_, err := edmac.Optimize(edmac.XMAC, edmac.DefaultScenario(),
-		edmac.Requirements{EnergyBudget: 1e-9, MaxDelay: 1e-3})
+	_, err := newClient(t).Optimize(context.Background(), edmac.OptimizeRequest{
+		Protocol: edmac.XMAC, Requirements: edmac.Requirements{EnergyBudget: 1e-9, MaxDelay: 1e-3},
+	})
 	if !errors.Is(err, edmac.ErrInfeasible) {
 		t.Errorf("error = %v, want ErrInfeasible", err)
 	}
@@ -45,25 +49,31 @@ func TestOptimizeInfeasible(t *testing.T) {
 // TestProtocolRegistryInSync guards against drift between the facade's
 // protocol list and the internal model registry.
 func TestProtocolRegistryInSync(t *testing.T) {
+	cli := newClient(t)
 	for _, p := range edmac.Protocols() {
-		if _, err := edmac.Params(p, edmac.DefaultScenario()); err != nil {
+		if _, err := cli.Params(context.Background(), edmac.ParamsRequest{Protocol: p}); err != nil {
 			t.Errorf("protocol %s not constructible: %v", p, err)
 		}
 	}
 }
 
 func TestOptimizeAllProtocols(t *testing.T) {
+	cli := newClient(t)
+	ctx := context.Background()
 	for _, p := range edmac.Protocols() {
-		res, err := edmac.Optimize(p, edmac.DefaultScenario(),
-			edmac.Requirements{EnergyBudget: 2, MaxDelay: 6})
+		rep, err := cli.Optimize(ctx, edmac.OptimizeRequest{
+			Protocol: p, Requirements: edmac.Requirements{EnergyBudget: 2, MaxDelay: 6},
+		})
 		if err != nil {
 			t.Errorf("%s: %v", p, err)
 			continue
 		}
-		specs, err := edmac.Params(p, edmac.DefaultScenario())
+		res := rep.Result
+		prep, err := cli.Params(ctx, edmac.ParamsRequest{Protocol: p})
 		if err != nil {
 			t.Fatalf("%s: Params: %v", p, err)
 		}
+		specs := prep.Params
 		if len(res.Bargain.Params) != len(specs) {
 			t.Errorf("%s: %d params vs %d specs", p, len(res.Bargain.Params), len(specs))
 		}
@@ -77,28 +87,30 @@ func TestOptimizeAllProtocols(t *testing.T) {
 }
 
 func TestScenarioValidation(t *testing.T) {
-	bad := edmac.DefaultScenario()
-	bad.Radio = "nrf24"
-	if _, err := edmac.Optimize(edmac.XMAC, bad, edmac.PaperRequirements()); err == nil {
-		t.Error("unknown radio accepted")
-	}
-	bad = edmac.DefaultScenario()
-	bad.SampleInterval = 0
-	if _, err := edmac.Optimize(edmac.XMAC, bad, edmac.PaperRequirements()); err == nil {
-		t.Error("zero sample interval accepted")
-	}
-	bad = edmac.DefaultScenario()
-	bad.Depth = 0
-	if _, err := edmac.Optimize(edmac.XMAC, bad, edmac.PaperRequirements()); err == nil {
-		t.Error("zero depth accepted")
+	cli := newClient(t)
+	for what, breakIt := range map[string]func(*edmac.Scenario){
+		"unknown radio":        func(s *edmac.Scenario) { s.Radio = "nrf24" },
+		"zero sample interval": func(s *edmac.Scenario) { s.SampleInterval = 0 },
+		"zero depth":           func(s *edmac.Scenario) { s.Depth = 0 },
+	} {
+		bad := edmac.DefaultScenario()
+		breakIt(&bad)
+		if _, err := cli.Optimize(context.Background(), edmac.OptimizeRequest{
+			Protocol: edmac.XMAC, Scenario: &bad, Requirements: edmac.PaperRequirements(),
+		}); err == nil {
+			t.Errorf("%s accepted", what)
+		}
 	}
 }
 
 func TestFrontierMonotone(t *testing.T) {
-	pts, err := edmac.Frontier(edmac.XMAC, edmac.DefaultScenario(), edmac.PaperRequirements(), 10)
+	rep, err := newClient(t).Frontier(context.Background(), edmac.FrontierRequest{
+		Protocol: edmac.XMAC, Requirements: edmac.PaperRequirements(), Points: 10,
+	})
 	if err != nil {
 		t.Fatalf("Frontier: %v", err)
 	}
+	pts := rep.Points
 	if len(pts) < 5 {
 		t.Fatalf("frontier too sparse: %d", len(pts))
 	}
@@ -113,11 +125,16 @@ func TestFrontierMonotone(t *testing.T) {
 }
 
 func TestCompareAndBest(t *testing.T) {
-	comps := edmac.Compare(edmac.DefaultScenario(), edmac.PaperRequirements())
-	if len(comps) != 3 {
-		t.Fatalf("Compare returned %d entries", len(comps))
+	rep, err := newClient(t).Compare(context.Background(), edmac.CompareRequest{
+		Requirements: edmac.PaperRequirements(),
+	})
+	if err != nil {
+		t.Fatalf("Compare: %v", err)
 	}
-	best, ok := edmac.Best(comps)
+	if len(rep.Comparisons) != 3 {
+		t.Fatalf("Compare returned %d entries", len(rep.Comparisons))
+	}
+	best, ok := edmac.Best(rep.Comparisons)
 	if !ok {
 		t.Fatal("no feasible protocol under the paper requirements")
 	}
@@ -127,18 +144,19 @@ func TestCompareAndBest(t *testing.T) {
 }
 
 func TestEvaluate(t *testing.T) {
-	s := edmac.DefaultScenario()
-	e, l, err := edmac.Evaluate(edmac.XMAC, s, []float64{0.5})
+	cli := newClient(t)
+	ctx := context.Background()
+	rep, err := cli.Evaluate(ctx, edmac.EvaluateRequest{Protocol: edmac.XMAC, Params: []float64{0.5}})
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
-	if e <= 0 || l <= 0 {
-		t.Errorf("Evaluate = (%v, %v), want positive metrics", e, l)
+	if rep.Energy <= 0 || rep.Delay <= 0 {
+		t.Errorf("Evaluate = (%v, %v), want positive metrics", rep.Energy, rep.Delay)
 	}
-	if _, _, err := edmac.Evaluate(edmac.XMAC, s, []float64{0.5, 1}); err == nil {
+	if _, err := cli.Evaluate(ctx, edmac.EvaluateRequest{Protocol: edmac.XMAC, Params: []float64{0.5, 1}}); err == nil {
 		t.Error("wrong arity accepted")
 	}
-	if _, _, err := edmac.Evaluate(edmac.XMAC, s, []float64{99}); err == nil {
+	if _, err := cli.Evaluate(ctx, edmac.EvaluateRequest{Protocol: edmac.XMAC, Params: []float64{99}}); err == nil {
 		t.Error("out-of-box parameters accepted")
 	}
 }
@@ -146,15 +164,17 @@ func TestEvaluate(t *testing.T) {
 func TestOptimizeRelaxedFlagsBestEffort(t *testing.T) {
 	// LMAC at (0.01 J, 6 s) is jointly unattainable; the relaxed call
 	// must return a flagged best-effort point, the strict call must fail.
-	s := edmac.DefaultScenario()
-	r := edmac.Requirements{EnergyBudget: 0.01, MaxDelay: 6}
-	if _, err := edmac.Optimize(edmac.LMAC, s, r); !errors.Is(err, edmac.ErrInfeasible) {
+	cli := newClient(t)
+	req := edmac.OptimizeRequest{Protocol: edmac.LMAC, Requirements: edmac.Requirements{EnergyBudget: 0.01, MaxDelay: 6}}
+	if _, err := cli.Optimize(context.Background(), req); !errors.Is(err, edmac.ErrInfeasible) {
 		t.Fatalf("strict error = %v, want ErrInfeasible", err)
 	}
-	res, err := edmac.OptimizeRelaxed(edmac.LMAC, s, r)
+	req.Relaxed = true
+	rep, err := cli.Optimize(context.Background(), req)
 	if err != nil {
 		t.Fatalf("relaxed: %v", err)
 	}
+	res := rep.Result
 	if !res.BudgetExceeded {
 		t.Error("BudgetExceeded not set")
 	}
@@ -171,10 +191,14 @@ func TestSimulateQuick(t *testing.T) {
 	s.Depth = 3
 	s.Density = 3
 	s.SampleInterval = 120
-	rep, err := edmac.Simulate(edmac.XMAC, s, []float64{0.25}, edmac.SimOptions{Duration: 600, Seed: 1})
+	sim, err := newClient(t).Simulate(context.Background(), edmac.SimulateRequest{
+		Protocol: edmac.XMAC, Scenario: &s, Params: []float64{0.25},
+		Options: edmac.SimOptions{Duration: 600, Seed: 1},
+	})
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
+	rep := sim.Sim
 	if rep.Generated == 0 || rep.DeliveryRatio < 0.8 {
 		t.Errorf("delivery %v of %d packets", rep.DeliveryRatio, rep.Generated)
 	}
@@ -184,7 +208,9 @@ func TestSimulateQuick(t *testing.T) {
 }
 
 func TestSimulateRejectsSCPMAC(t *testing.T) {
-	if _, err := edmac.Simulate(edmac.SCPMAC, edmac.DefaultScenario(), []float64{0.5}, edmac.SimOptions{}); err == nil {
+	if _, err := newClient(t).Simulate(context.Background(), edmac.SimulateRequest{
+		Protocol: edmac.SCPMAC, Params: []float64{0.5},
+	}); err == nil {
 		t.Error("scpmac simulation accepted")
 	}
 }
@@ -197,14 +223,21 @@ func TestValidateFacade(t *testing.T) {
 	s.Depth = 3
 	s.Density = 3
 	s.SampleInterval = 120
-	rep, err := edmac.Validate(edmac.XMAC, s, []float64{0.25}, edmac.SimOptions{Duration: 900, Seed: 2})
+	rep, err := newClient(t).Simulate(context.Background(), edmac.SimulateRequest{
+		Protocol: edmac.XMAC, Scenario: &s, Params: []float64{0.25},
+		Options: edmac.SimOptions{Duration: 900, Seed: 2}, Validate: true,
+	})
 	if err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if math.IsNaN(rep.EnergyRatio) || rep.EnergyRatio < 0.3 || rep.EnergyRatio > 3 {
-		t.Errorf("energy ratio %v implausible", rep.EnergyRatio)
+	a := rep.Analytic
+	if a.EnergyRatio == nil || a.DelayRatio == nil {
+		t.Fatalf("validation carries no ratios: %+v", a)
 	}
-	if math.IsNaN(rep.DelayRatio) || rep.DelayRatio < 0.3 || rep.DelayRatio > 3 {
-		t.Errorf("delay ratio %v implausible", rep.DelayRatio)
+	if r := *a.EnergyRatio; r < 0.3 || r > 3 {
+		t.Errorf("energy ratio %v implausible", r)
+	}
+	if r := *a.DelayRatio; r < 0.3 || r > 3 {
+		t.Errorf("delay ratio %v implausible", r)
 	}
 }

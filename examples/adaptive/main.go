@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,6 +18,11 @@ import (
 )
 
 func main() {
+	cli, err := edmac.NewClient()
+	if err != nil {
+		log.Fatal(err)
+	}
+	ctx := context.Background()
 	req := edmac.Requirements{EnergyBudget: 0.03, MaxDelay: 4}
 	// A week of operation with drifting traffic: sample intervals in
 	// seconds per epoch (shorter = busier network).
@@ -43,10 +49,13 @@ func main() {
 		// Relaxed mode: when a storm pushes the load beyond what the
 		// budget can cover, deploy the best-effort point and say so
 		// instead of dying.
-		res, err := edmac.OptimizeRelaxed(edmac.XMAC, scenario, req)
+		rep, err := cli.Optimize(ctx, edmac.OptimizeRequest{
+			Protocol: edmac.XMAC, Scenario: &scenario, Requirements: req, Relaxed: true,
+		})
 		if err != nil {
 			log.Fatalf("%s: %v", ep.label, err)
 		}
+		res := rep.Result
 		note := ""
 		if res.BudgetExceeded {
 			note = "budget unattainable at this load"
@@ -62,18 +71,21 @@ func main() {
 	// configuration under the storm-peak load.
 	storm := edmac.DefaultScenario()
 	storm.SampleInterval = 300
-	staleE, staleL, err := edmac.Evaluate(edmac.XMAC, storm, frozen)
+	stale, err := cli.Evaluate(ctx, edmac.EvaluateRequest{Protocol: edmac.XMAC, Scenario: &storm, Params: frozen})
 	if err != nil {
 		log.Fatal(err)
 	}
-	adapted, err := edmac.OptimizeRelaxed(edmac.XMAC, storm, req)
+	rep, err := cli.Optimize(ctx, edmac.OptimizeRequest{
+		Protocol: edmac.XMAC, Scenario: &storm, Requirements: req, Relaxed: true,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	adapted := rep.Result.Bargain
 	fmt.Printf("\nStorm peak with frozen calm-epoch parameters: E=%.4g J/min (budget %.3g!), L=%.3g s\n",
-		staleE, req.EnergyBudget, staleL)
+		stale.Energy, req.EnergyBudget, stale.Delay)
 	fmt.Printf("Storm peak after re-playing the game:         E=%.4g J/min, L=%.3g s\n",
-		adapted.Bargain.Energy, adapted.Bargain.Delay)
+		adapted.Energy, adapted.Delay)
 	fmt.Printf("Adaptation recovers %.0f%% of the energy overshoot.\n",
-		100*(staleE-adapted.Bargain.Energy)/staleE)
+		100*(stale.Energy-adapted.Energy)/stale.Energy)
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,15 +22,21 @@ func main() {
 	scenario := edmac.DefaultScenario()
 	scenario.SampleInterval = 3600 // one sample per node per hour
 	budget := 0.015                // 15 mJ per minute -> years of lifetime
+	cli, err := edmac.NewClient(edmac.WithScenario(scenario))
+	if err != nil {
+		log.Fatal(err)
+	}
+	ctx := context.Background()
 
 	fmt.Println("Environmental monitoring: Ebudget = 15 mJ/min, one sample/h")
 	fmt.Printf("%-12s %-12s %-10s %-12s %s\n", "deadline", "E* [J/min]", "L* [s]", "lifetime", "note")
 	for _, deadline := range []float64{1, 5, 15, 60} {
 		req := edmac.Requirements{EnergyBudget: budget, MaxDelay: deadline}
-		res, err := edmac.OptimizeRelaxed(edmac.XMAC, scenario, req)
+		rep, err := cli.Optimize(ctx, edmac.OptimizeRequest{Protocol: edmac.XMAC, Requirements: req, Relaxed: true})
 		if err != nil {
 			log.Fatalf("deadline %g: %v", deadline, err)
 		}
+		res := rep.Result
 		note := ""
 		if res.BudgetExceeded {
 			note = "budget exceeded (best effort)"
@@ -43,8 +50,11 @@ func main() {
 	// one-minute deadline. X-MAC's traffic-proportional cost wins when
 	// samples are this rare; LMAC's control tracking never amortizes.
 	fmt.Println("\nProtocol comparison at a 60 s deadline:")
-	req := edmac.Requirements{EnergyBudget: budget, MaxDelay: 60}
-	for _, c := range edmac.Compare(scenario, req) {
+	rep, err := cli.Compare(ctx, edmac.CompareRequest{Requirements: edmac.Requirements{EnergyBudget: budget, MaxDelay: 60}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, c := range rep.Comparisons {
 		if c.Err != nil {
 			fmt.Printf("  %-5s infeasible\n", c.Protocol)
 			continue

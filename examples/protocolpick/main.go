@@ -7,13 +7,19 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	edmac "github.com/edmac-project/edmac"
 )
 
 func main() {
-	scenario := edmac.DefaultScenario()
+	cli, err := edmac.NewClient()
+	if err != nil {
+		log.Fatal(err)
+	}
+	ctx := context.Background()
 	budgets := []float64{0.005, 0.01, 0.02, 0.04, 0.08}
 	deadlines := []float64{0.5, 1, 2, 4, 8}
 
@@ -27,9 +33,12 @@ func main() {
 		fmt.Printf("%-10s", fmt.Sprintf("%gJ", b))
 		for _, d := range deadlines {
 			req := edmac.Requirements{EnergyBudget: b, MaxDelay: d}
-			comps := edmac.Compare(scenario, req)
-			if best, ok := edmac.Best(comps); ok {
-				fmt.Printf("%-10s", best.Protocol)
+			rep, err := cli.Compare(ctx, edmac.CompareRequest{Requirements: req})
+			if err != nil {
+				log.Fatal(err)
+			}
+			if rep.Best >= 0 {
+				fmt.Printf("%-10s", rep.Comparisons[rep.Best].Protocol)
 			} else {
 				fmt.Printf("%-10s", "-")
 			}
@@ -41,7 +50,11 @@ func main() {
 	// Zoom into one contested cell and show the numbers behind the pick.
 	req := edmac.Requirements{EnergyBudget: 0.02, MaxDelay: 1}
 	fmt.Printf("\nDetail for (%.3g J, %g s):\n", req.EnergyBudget, req.MaxDelay)
-	for _, c := range edmac.Compare(scenario, req) {
+	rep, err := cli.Compare(ctx, edmac.CompareRequest{Requirements: req})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, c := range rep.Comparisons {
 		if c.Err != nil {
 			fmt.Printf("  %-5s infeasible\n", c.Protocol)
 			continue

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,20 +14,26 @@ import (
 
 func main() {
 	// The deployment: a depth-5 CC2420 sensor network sampling once per
-	// 10 hours (the calibrated default of the paper reproduction).
-	scenario := edmac.DefaultScenario()
+	// 10 hours (the calibrated default of the paper reproduction, and the
+	// client's default scenario).
+	cli, err := edmac.NewClient()
+	if err != nil {
+		log.Fatalf("client: %v", err)
+	}
+	ctx := context.Background()
 
 	// The application requires at most 0.06 J per minute at the
 	// bottleneck node and end-to-end delivery within 6 seconds — the
 	// paper's headline requirement pair.
 	req := edmac.PaperRequirements()
 
-	res, err := edmac.Optimize(edmac.XMAC, scenario, req)
+	rep, err := cli.Optimize(ctx, edmac.OptimizeRequest{Protocol: edmac.XMAC, Requirements: req})
 	if err != nil {
 		log.Fatalf("optimize: %v", err)
 	}
+	res := rep.Result
 
-	specs, err := edmac.Params(edmac.XMAC, scenario)
+	specs, err := cli.Params(ctx, edmac.ParamsRequest{Protocol: edmac.XMAC})
 	if err != nil {
 		log.Fatalf("params: %v", err)
 	}
@@ -40,7 +47,7 @@ func main() {
 		res.WorstEnergy, res.WorstDelay)
 	fmt.Printf("  Nash bargain (deploy!)  : E=%.4g J  L=%.3g s\n",
 		res.Bargain.Energy, res.Bargain.Delay)
-	for i, sp := range specs {
+	for i, sp := range specs.Params {
 		fmt.Printf("      %s = %.4g %s\n", sp.Name, res.Bargain.Params[i], sp.Unit)
 	}
 	fmt.Printf("  proportional fairness   : energy %.2f, delay %.2f\n",
@@ -49,10 +56,11 @@ func main() {
 	// What-if: how much energy does halving the bargained wakeup
 	// interval cost, and what does it buy in latency?
 	half := []float64{res.Bargain.Params[0] / 2}
-	e, l, err := edmac.Evaluate(edmac.XMAC, scenario, half)
+	what, err := cli.Evaluate(ctx, edmac.EvaluateRequest{Protocol: edmac.XMAC, Params: half})
 	if err != nil {
 		log.Fatalf("evaluate: %v", err)
 	}
+	e, l := what.Energy, what.Delay
 	fmt.Printf("\nWhat-if (half the wakeup interval): E=%.4g J (+%.0f%%), L=%.3g s (%.0f%%)\n",
 		e, 100*(e/res.Bargain.Energy-1), l, 100*l/res.Bargain.Delay)
 }

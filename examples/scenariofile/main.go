@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -41,21 +42,32 @@ func main() {
 
 	// Play the energy-delay game on it. The delay bound scales with the
 	// network's depth, as a deeper network cannot beat its hop count.
-	req := edmac.Requirements{EnergyBudget: 0.06, MaxDelay: 3 + 1.2*float64(s.Depth)}
-	res, err := edmac.OptimizeRelaxed(edmac.XMAC, s, req)
+	cli, err := edmac.NewClient()
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
+	req := edmac.Requirements{EnergyBudget: 0.06, MaxDelay: 3 + 1.2*float64(s.Depth)}
+	opt, err := cli.Optimize(ctx, edmac.OptimizeRequest{
+		Protocol: edmac.XMAC, Scenario: &s, Requirements: req, Relaxed: true,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res := opt.Result
 	fmt.Printf("X-MAC bargain: params %v -> %.4g J/window, %.3g s end-to-end\n",
 		res.Bargain.Params, res.Bargain.Energy, res.Bargain.Delay)
 
 	// Replay the bargain on the real shape: packets now rise through the
 	// actual cluster tiers under the actual bursty workload.
-	rep, err := edmac.SimulateScenario(edmac.XMAC, sp, res.Bargain.Params,
-		edmac.SimOptions{Duration: 900, Seed: 1})
+	simRep, err := cli.Simulate(ctx, edmac.SimulateRequest{
+		Protocol: edmac.XMAC, Spec: &sp, Params: res.Bargain.Params,
+		Options: edmac.SimOptions{Duration: 900, Seed: 1},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	rep := simRep.Sim
 	fmt.Printf("\nsimulated %.0f s (seed %d): %d nodes, %d packets, delivery %.3f\n",
 		rep.Duration, rep.Seed, rep.Nodes, rep.Generated, rep.DeliveryRatio)
 	fmt.Printf("measured: mean delay %.3g s, outer-ring delay %.3g s, bottleneck energy %.4g J/window\n",

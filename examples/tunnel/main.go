@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -31,6 +32,11 @@ func main() {
 		Radio:          "cc2420",
 	}
 	budget := 0.05 // J per minute at the first-hop relays
+	cli, err := edmac.NewClient(edmac.WithScenario(scenario))
+	if err != nil {
+		log.Fatal(err)
+	}
+	ctx := context.Background()
 
 	fmt.Println("Road-tunnel lighting: 25 hops, Ebudget = 0.05 J/min")
 	fmt.Printf("%-12s %-28s %-28s %-28s\n", "deadline", "xmac", "dmac", "lmac")
@@ -38,7 +44,8 @@ func main() {
 		req := edmac.Requirements{EnergyBudget: budget, MaxDelay: deadline}
 		fmt.Printf("%-12s", fmt.Sprintf("%g s", deadline))
 		for _, p := range edmac.PaperProtocols() {
-			res, err := edmac.Optimize(p, scenario, req)
+			rep, err := cli.Optimize(ctx, edmac.OptimizeRequest{Protocol: p, Requirements: req})
+			res := rep.Result
 			switch {
 			case errors.Is(err, edmac.ErrInfeasible):
 				fmt.Printf(" %-27s", "infeasible")
@@ -52,17 +59,20 @@ func main() {
 	}
 
 	// Pick the best protocol for the 10-second control loop.
-	req := edmac.Requirements{EnergyBudget: budget, MaxDelay: 10}
-	best, ok := edmac.Best(edmac.Compare(scenario, req))
-	if !ok {
+	cmp, err := cli.Compare(ctx, edmac.CompareRequest{Requirements: edmac.Requirements{EnergyBudget: budget, MaxDelay: 10}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if cmp.Best < 0 {
 		log.Fatal("no protocol satisfies the tunnel requirements")
 	}
-	specs, err := edmac.Params(best.Protocol, scenario)
+	best := cmp.Comparisons[cmp.Best]
+	specs, err := cli.Params(ctx, edmac.ParamsRequest{Protocol: best.Protocol})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nRecommendation for a 10 s control loop: %s\n", best.Protocol)
-	for i, sp := range specs {
+	for i, sp := range specs.Params {
 		fmt.Printf("  %s = %.4g %s\n", sp.Name, best.Result.Bargain.Params[i], sp.Unit)
 	}
 	fmt.Printf("  bottleneck energy %.4g J/min (budget %.3g), control latency %.3g s\n",

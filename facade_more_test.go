@@ -1,6 +1,7 @@
 package edmac_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,25 +9,26 @@ import (
 )
 
 func TestFrontierErrorPaths(t *testing.T) {
-	s := edmac.DefaultScenario()
-	if _, err := edmac.Frontier(edmac.Protocol("smac"), s, edmac.PaperRequirements(), 10); err == nil {
-		t.Error("unknown protocol accepted")
-	}
-	if _, err := edmac.Frontier(edmac.XMAC, s, edmac.Requirements{}, 10); err == nil {
-		t.Error("zero requirements accepted")
-	}
-	if _, err := edmac.Frontier(edmac.XMAC, s, edmac.PaperRequirements(), 1); err == nil {
-		t.Error("single-point frontier accepted")
+	cli := newClient(t)
+	for what, req := range map[string]edmac.FrontierRequest{
+		"unknown protocol":      {Protocol: "smac", Requirements: edmac.PaperRequirements(), Points: 10},
+		"zero requirements":     {Protocol: edmac.XMAC, Points: 10},
+		"single-point frontier": {Protocol: edmac.XMAC, Requirements: edmac.PaperRequirements(), Points: 1},
+	} {
+		if _, err := cli.Frontier(context.Background(), req); err == nil {
+			t.Errorf("%s accepted", what)
+		}
 	}
 }
 
 func TestParamsErrorPaths(t *testing.T) {
-	if _, err := edmac.Params(edmac.Protocol("smac"), edmac.DefaultScenario()); err == nil {
+	cli := newClient(t)
+	if _, err := cli.Params(context.Background(), edmac.ParamsRequest{Protocol: "smac"}); err == nil {
 		t.Error("unknown protocol accepted")
 	}
 	bad := edmac.DefaultScenario()
 	bad.Payload = 0
-	if _, err := edmac.Params(edmac.XMAC, bad); err == nil {
+	if _, err := cli.Params(context.Background(), edmac.ParamsRequest{Protocol: edmac.XMAC, Scenario: &bad}); err == nil {
 		t.Error("zero payload accepted")
 	}
 }
@@ -34,42 +36,51 @@ func TestParamsErrorPaths(t *testing.T) {
 func TestCompareWithBrokenScenario(t *testing.T) {
 	bad := edmac.DefaultScenario()
 	bad.Radio = "nope"
-	comps := edmac.Compare(bad, edmac.PaperRequirements())
-	if len(comps) != 3 {
-		t.Fatalf("Compare returned %d entries", len(comps))
+	rep, err := newClient(t).Compare(context.Background(), edmac.CompareRequest{
+		Scenario: &bad, Requirements: edmac.PaperRequirements(),
+	})
+	if err != nil {
+		t.Fatalf("Compare: %v", err)
 	}
-	for _, c := range comps {
+	if len(rep.Comparisons) != 3 {
+		t.Fatalf("Compare returned %d entries", len(rep.Comparisons))
+	}
+	for _, c := range rep.Comparisons {
 		if c.Err == nil {
 			t.Errorf("%s: broken scenario produced no error", c.Protocol)
 		}
 	}
-	if _, ok := edmac.Best(comps); ok {
-		t.Error("Best found a winner among all-failed comparisons")
+	if _, ok := edmac.Best(rep.Comparisons); ok || rep.Best != -1 {
+		t.Errorf("a winner (index %d) among all-failed comparisons", rep.Best)
 	}
 }
 
 func TestResultParamsAreCopies(t *testing.T) {
-	res, err := edmac.Optimize(edmac.XMAC, edmac.DefaultScenario(), edmac.PaperRequirements())
+	cli := newClient(t)
+	req := edmac.OptimizeRequest{Protocol: edmac.XMAC, Requirements: edmac.PaperRequirements()}
+	rep, err := cli.Optimize(context.Background(), req)
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
-	orig := res.Bargain.Params[0]
-	res.Bargain.Params[0] = 999
-	res2, err := edmac.Optimize(edmac.XMAC, edmac.DefaultScenario(), edmac.PaperRequirements())
+	orig := rep.Result.Bargain.Params[0]
+	rep.Result.Bargain.Params[0] = 999
+	rep2, err := cli.Optimize(context.Background(), req)
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
-	if res2.Bargain.Params[0] != orig {
+	if rep2.Result.Bargain.Params[0] != orig {
 		t.Error("mutating a result leaked into a later optimization")
 	}
 }
 
 func TestEvaluateSCPMAC(t *testing.T) {
-	s := edmac.DefaultScenario()
-	e, l, err := edmac.Evaluate(edmac.SCPMAC, s, []float64{1.0})
+	rep, err := newClient(t).Evaluate(context.Background(), edmac.EvaluateRequest{
+		Protocol: edmac.SCPMAC, Params: []float64{1.0},
+	})
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
+	e, l := rep.Energy, rep.Delay
 	// Synchronized polling at a 1 s period: sub-millijoule-per-second
 	// power and a few seconds of delay.
 	if e <= 0 || e > 0.1 {
@@ -81,17 +92,18 @@ func TestEvaluateSCPMAC(t *testing.T) {
 }
 
 func TestSimulateErrorPaths(t *testing.T) {
-	s := edmac.DefaultScenario()
-	if _, err := edmac.Simulate(edmac.XMAC, s, []float64{0.2, 0.3}, edmac.SimOptions{Duration: 10}); err == nil {
-		t.Error("wrong arity accepted")
-	}
-	bad := s
+	cli := newClient(t)
+	bad := edmac.DefaultScenario()
 	bad.Depth = 0
-	if _, err := edmac.Simulate(edmac.XMAC, bad, []float64{0.2}, edmac.SimOptions{Duration: 10}); err == nil {
-		t.Error("broken scenario accepted")
-	}
-	if _, err := edmac.Simulate(edmac.Protocol("smac"), s, []float64{0.2}, edmac.SimOptions{Duration: 10}); err == nil {
-		t.Error("unknown protocol accepted")
+	o := edmac.SimOptions{Duration: 10}
+	for what, req := range map[string]edmac.SimulateRequest{
+		"wrong arity":      {Protocol: edmac.XMAC, Params: []float64{0.2, 0.3}, Options: o},
+		"broken scenario":  {Protocol: edmac.XMAC, Scenario: &bad, Params: []float64{0.2}, Options: o},
+		"unknown protocol": {Protocol: "smac", Params: []float64{0.2}, Options: o},
+	} {
+		if _, err := cli.Simulate(context.Background(), req); err == nil {
+			t.Errorf("%s accepted", what)
+		}
 	}
 }
 
@@ -105,12 +117,15 @@ func TestValidateOutOfBoxParamsFallBack(t *testing.T) {
 	s.SampleInterval = 300
 	// Tw = 8 s sits outside the model's admissible box [0.064, 5]; the
 	// validation must still evaluate the raw model rather than fail.
-	rep, err := edmac.Validate(edmac.XMAC, s, []float64{8}, edmac.SimOptions{Duration: 300, Seed: 3})
+	rep, err := newClient(t).Simulate(context.Background(), edmac.SimulateRequest{
+		Protocol: edmac.XMAC, Scenario: &s, Params: []float64{8},
+		Options: edmac.SimOptions{Duration: 300, Seed: 3}, Validate: true,
+	})
 	if err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if rep.AnalyticEnergy <= 0 || math.IsNaN(rep.AnalyticEnergy) {
-		t.Errorf("analytic energy %v unusable", rep.AnalyticEnergy)
+	if e := rep.Analytic.Energy; e <= 0 || math.IsNaN(e) {
+		t.Errorf("analytic energy %v unusable", e)
 	}
 }
 
@@ -122,10 +137,14 @@ func TestBMACSimulatesViaFacade(t *testing.T) {
 	s.Depth = 2
 	s.Density = 2
 	s.SampleInterval = 60
-	rep, err := edmac.Simulate(edmac.BMAC, s, []float64{0.2}, edmac.SimOptions{Duration: 600, Seed: 4})
+	sim, err := newClient(t).Simulate(context.Background(), edmac.SimulateRequest{
+		Protocol: edmac.BMAC, Scenario: &s, Params: []float64{0.2},
+		Options: edmac.SimOptions{Duration: 600, Seed: 4},
+	})
 	if err != nil {
 		t.Fatalf("Simulate(bmac): %v", err)
 	}
+	rep := sim.Sim
 	if rep.DeliveryRatio < 0.8 {
 		t.Errorf("bmac delivery %v below 0.8 (collisions %d)", rep.DeliveryRatio, rep.Collisions)
 	}

@@ -9,8 +9,9 @@ import (
 	"github.com/edmac-project/edmac/internal/macmodel"
 )
 
-// The parallel sweeps must be bit-identical to their sequential
-// counterparts for every protocol: same cells, same order, same floats.
+// A pooled sweep must be bit-identical to the one-worker sweep for every
+// protocol, along both requirement axes: same cells, same order, same
+// floats.
 func TestParallelSweepsMatchSequential(t *testing.T) {
 	env := macmodel.Default()
 	for _, name := range []string{"xmac", "dmac", "lmac", "bmac", "scpmac"} {
@@ -19,19 +20,10 @@ func TestParallelSweepsMatchSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("model: %v", err)
 			}
-			seq := SweepMaxDelay(m, PaperEnergyBudget, PaperDelays())
-			par, err := SweepMaxDelayParallel(context.Background(), m, PaperEnergyBudget, PaperDelays(), 4)
-			if err != nil {
-				t.Fatalf("parallel sweep: %v", err)
-			}
-			comparePoints(t, "SweepMaxDelay", seq, par)
-
-			seq = SweepEnergyBudget(m, PaperMaxDelay, PaperBudgets())
-			par, err = SweepEnergyBudgetParallel(context.Background(), m, PaperMaxDelay, PaperBudgets(), 4)
-			if err != nil {
-				t.Fatalf("parallel sweep: %v", err)
-			}
-			comparePoints(t, "SweepEnergyBudget", seq, par)
+			delays := grid([]float64{PaperEnergyBudget}, PaperDelays())
+			comparePoints(t, "max-delay", mustSweep(t, m, delays, 1), mustSweep(t, m, delays, 4))
+			budgets := grid(PaperBudgets(), []float64{PaperMaxDelay})
+			comparePoints(t, "energy-budget", mustSweep(t, m, budgets, 1), mustSweep(t, m, budgets, 4))
 		})
 	}
 }
@@ -69,7 +61,10 @@ func TestParallelSweepCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SweepMaxDelayParallel(ctx, m, PaperEnergyBudget, PaperDelays(), 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
+	reqs := grid([]float64{PaperEnergyBudget}, PaperDelays())
+	for _, workers := range []int{1, 2} {
+		if _, err := Sweep(ctx, m, reqs, workers); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled %d-worker sweep returned %v, want context.Canceled", workers, err)
+		}
 	}
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"errors"
 
 	"github.com/edmac-project/edmac/internal/macmodel"
 	"github.com/edmac-project/edmac/internal/nbs"
+	"github.com/edmac-project/edmac/internal/par"
 )
 
 // SweepPoint is one cell of a requirement sweep. Err is non-nil (wrapping
@@ -23,33 +25,30 @@ func (s SweepPoint) Infeasible() bool {
 	return s.Err != nil && errors.Is(s.Err, nbs.ErrInfeasible)
 }
 
-// SweepMaxDelay reproduces the paper's Figure 1 series for one protocol:
-// the energy budget is fixed and the delay bound Lmax takes each value in
-// delays, yielding one bargained trade-off point per bound. Cells whose
-// joint requirements are unattainable carry the best-effort point with
-// Tradeoff.BudgetExceeded set (relaxed mode), matching the over-budget
+// Sweep plays the game in relaxed mode at every requirement pair of
+// reqs, fanning the independent cells over a worker pool. Holding the
+// energy budget and varying Lmax reproduces the paper's Figure 1 series
+// for one protocol; holding Lmax and varying the budget, its Figure 2.
+// Cells whose joint requirements are unattainable carry the best-effort
+// point with Tradeoff.BudgetExceeded set, matching the over-budget
 // points visible in the paper's LMAC subplots.
-func SweepMaxDelay(m macmodel.Model, energyBudget float64, delays []float64) []SweepPoint {
-	points := make([]SweepPoint, 0, len(delays))
-	for _, lmax := range delays {
-		req := Requirements{EnergyBudget: energyBudget, MaxDelay: lmax}
-		tr, err := OptimizeRelaxed(m, req)
-		points = append(points, SweepPoint{Requirements: req, Tradeoff: tr, Err: err})
+//
+// Element i of the result is always the solve for reqs[i], whatever
+// the worker count: macmodel.Model implementations are immutable and
+// the solvers deterministic, so concurrency changes only the wall
+// clock. workers < 1 uses one worker per CPU. Cancelling ctx abandons
+// cells not yet started and returns ctx.Err(); already-solved cells
+// are lost.
+func Sweep(ctx context.Context, m macmodel.Model, reqs []Requirements, workers int) ([]SweepPoint, error) {
+	points := make([]SweepPoint, len(reqs))
+	err := par.ForEach(ctx, len(reqs), workers, func(i int) {
+		tr, err := OptimizeRelaxed(m, reqs[i])
+		points[i] = SweepPoint{Requirements: reqs[i], Tradeoff: tr, Err: err}
+	})
+	if err != nil {
+		return nil, err
 	}
-	return points
-}
-
-// SweepEnergyBudget reproduces the paper's Figure 2 series for one
-// protocol: the delay bound is fixed and the energy budget takes each
-// value in budgets. Unattainable cells behave as in SweepMaxDelay.
-func SweepEnergyBudget(m macmodel.Model, maxDelay float64, budgets []float64) []SweepPoint {
-	points := make([]SweepPoint, 0, len(budgets))
-	for _, budget := range budgets {
-		req := Requirements{EnergyBudget: budget, MaxDelay: maxDelay}
-		tr, err := OptimizeRelaxed(m, req)
-		points = append(points, SweepPoint{Requirements: req, Tradeoff: tr, Err: err})
-	}
-	return points
+	return points, nil
 }
 
 // PaperDelays returns the Lmax sweep of the paper's Figure 1: 1..6 s.

@@ -1,11 +1,35 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"github.com/edmac-project/edmac/internal/macmodel"
 )
+
+// grid lists the requirement pairs of budgets × delays, budget-major: a
+// single budget gives the paper's Figure 1 series, a single delay bound
+// its Figure 2 series.
+func grid(budgets, delays []float64) []Requirements {
+	reqs := make([]Requirements, 0, len(budgets)*len(delays))
+	for _, b := range budgets {
+		for _, d := range delays {
+			reqs = append(reqs, Requirements{EnergyBudget: b, MaxDelay: d})
+		}
+	}
+	return reqs
+}
+
+// mustSweep runs Sweep on an uncancellable context, which never fails.
+func mustSweep(t *testing.T, m macmodel.Model, reqs []Requirements, workers int) []SweepPoint {
+	t.Helper()
+	pts, err := Sweep(context.Background(), m, reqs, workers)
+	if err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
+	return pts
+}
 
 // TestSweepMaxDelayFavorsEnergyPlayer reproduces the paper's Figure 1
 // claim: relaxing the delay bound moves the agreement in favour of the
@@ -13,7 +37,7 @@ import (
 func TestSweepMaxDelayFavorsEnergyPlayer(t *testing.T) {
 	for _, name := range []string{"xmac", "dmac", "lmac"} {
 		m := model(t, name)
-		pts := SweepMaxDelay(m, PaperEnergyBudget, PaperDelays())
+		pts := mustSweep(t, m, grid([]float64{PaperEnergyBudget}, PaperDelays()), 0)
 		if len(pts) != 6 {
 			t.Fatalf("%s: %d sweep points", name, len(pts))
 		}
@@ -38,7 +62,7 @@ func TestSweepMaxDelayFavorsEnergyPlayer(t *testing.T) {
 func TestSweepEnergyBudgetFavorsDelayPlayer(t *testing.T) {
 	for _, name := range []string{"xmac", "dmac"} {
 		m := model(t, name)
-		pts := SweepEnergyBudget(m, PaperMaxDelay, PaperBudgets())
+		pts := mustSweep(t, m, grid(PaperBudgets(), []float64{PaperMaxDelay}), 0)
 		prevL := math.Inf(1)
 		for _, p := range pts {
 			if p.Err != nil {
@@ -60,7 +84,7 @@ func TestSweepEnergyBudgetFavorsDelayPlayer(t *testing.T) {
 // protocol's unconstrained optimum.
 func TestXMACSaturatesWithLooseDeadlines(t *testing.T) {
 	m := model(t, "xmac")
-	pts := SweepMaxDelay(m, PaperEnergyBudget, []float64{4, 5, 6})
+	pts := mustSweep(t, m, grid([]float64{PaperEnergyBudget}, []float64{4, 5, 6}), 0)
 	ref := pts[0].Tradeoff.Bargain
 	for _, p := range pts[1:] {
 		if p.Err != nil {
@@ -79,7 +103,7 @@ func TestXMACSaturatesWithLooseDeadlines(t *testing.T) {
 // the delay-optimal configuration hits the wakeup-interval floor.
 func TestXMACSaturatesWithLargeBudgets(t *testing.T) {
 	m := model(t, "xmac")
-	pts := SweepEnergyBudget(m, PaperMaxDelay, []float64{0.045, 0.05, 0.06})
+	pts := mustSweep(t, m, grid([]float64{0.045, 0.05, 0.06}, []float64{PaperMaxDelay}), 0)
 	ref := pts[0].Tradeoff.Bargain
 	for _, p := range pts[1:] {
 		if p.Err != nil {
@@ -111,15 +135,15 @@ func TestProtocolOrderingAtTightDeadline(t *testing.T) {
 	}
 }
 
-// TestLMACTightestBudgetBestEffort documents a divergence from the paper
-// recorded in EXPERIMENTS.md: our reconstructed LMAC cannot meet
-// Ebudget=0.01 J within Lmax=6 s (its control-tracking floor is higher
-// than the original model's). In the figure sweep the cell must carry
-// the best-effort point — delay bound honoured, budget exceeded —
-// exactly how the paper's own over-budget LMAC points behave.
+// TestLMACTightestBudgetBestEffort documents a divergence from the
+// paper: our reconstructed LMAC cannot meet Ebudget=0.01 J within
+// Lmax=6 s (its control-tracking floor is higher than the original
+// model's). In the figure sweep the cell must carry the best-effort
+// point — delay bound honoured, budget exceeded — exactly how the
+// paper's own over-budget LMAC points behave.
 func TestLMACTightestBudgetBestEffort(t *testing.T) {
 	m := model(t, "lmac")
-	pts := SweepEnergyBudget(m, PaperMaxDelay, PaperBudgets())
+	pts := mustSweep(t, m, grid(PaperBudgets(), []float64{PaperMaxDelay}), 0)
 	first := pts[0]
 	if first.Err != nil {
 		t.Fatalf("Ebudget=0.01: relaxed sweep errored: %v", first.Err)
@@ -151,11 +175,11 @@ func TestLMACTightestBudgetBestEffort(t *testing.T) {
 
 func TestSweepPointInfeasibleHelper(t *testing.T) {
 	m := model(t, "xmac")
-	pts := SweepEnergyBudget(m, 0.001, []float64{1e-9})
+	pts := mustSweep(t, m, []Requirements{{EnergyBudget: 1e-9, MaxDelay: 0.001}}, 1)
 	if len(pts) != 1 || !pts[0].Infeasible() {
 		t.Error("hopeless cell not reported as infeasible")
 	}
-	ok := SweepMaxDelay(m, PaperEnergyBudget, []float64{3})
+	ok := mustSweep(t, m, []Requirements{{EnergyBudget: PaperEnergyBudget, MaxDelay: 3}}, 1)
 	if ok[0].Infeasible() {
 		t.Errorf("feasible cell flagged infeasible: %v", ok[0].Err)
 	}

@@ -11,13 +11,12 @@ import (
 )
 
 // Apisurface freezes the exported surface of the root edmac package —
-// the Client facade, its options, and the deprecated wrappers PR 5
-// promised byte-compatibility for. Every exported identifier is
-// rendered to one canonical line (sorted, package-qualified types) and
-// diffed against a committed golden: an accidental signature change,
-// removed symbol, or new export fails `make lint` here instead of
-// surfacing in a consumer's build. Intentional changes regenerate with
-// `make api-golden`.
+// the Client facade, its options, and the request and report types it
+// speaks. Every exported identifier is rendered to one canonical line
+// (sorted, package-qualified types) and diffed against a committed
+// golden: an accidental signature change, removed symbol, or new export
+// fails `make lint` here instead of surfacing in a consumer's build.
+// Intentional changes regenerate with `make api-golden`.
 var Apisurface = &Analyzer{
 	Name: "apisurface",
 	Doc:  "the root package's exported API matches the committed surface golden",

@@ -113,8 +113,8 @@ func checkWireStruct(p *Package, st *ast.StructType) []Diagnostic {
 		names := field.Names
 		if len(names) == 0 {
 			// An untagged embedded struct inlines its (tagged) fields —
-			// the deliberate composition idiom (e.g. ValidationReport
-			// embedding SimReport). Any other embedded kind would
+			// the deliberate composition idiom (a report extending
+			// another by embedding it). Any other embedded kind would
 			// serialize under its Go type name, so it must be tagged.
 			if id := embeddedName(field.Type); id != nil && id.IsExported() {
 				if _, ok := jsonTag(field); !ok && !isStructType(p, field.Type) {

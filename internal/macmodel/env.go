@@ -12,8 +12,8 @@
 //     ring-D node to the sink.
 //
 // The exact constants of the original MATLAB models are not public; these
-// reconstructions keep their structure (see DESIGN.md §3 and §5) so the
-// bargaining game sees the same qualitative geometry.
+// reconstructions keep their structure so the bargaining game sees the
+// same qualitative geometry.
 package macmodel
 
 import (

@@ -1,9 +1,9 @@
 // Package sim is a packet-level discrete-event simulator for duty-cycled
 // wireless sensor networks. It provides the experimental substrate the
 // original protocol models were validated against (testbeds and ns-2
-// class simulators we do not have — see DESIGN.md §5): a virtual-time
-// event engine, a unit-disk radio medium with collision handling, a
-// per-node transceiver state machine with energy metering, and faithful
+// class simulators we do not have): a virtual-time event engine, a
+// unit-disk radio medium with collision handling, a per-node
+// transceiver state machine with energy metering, and faithful
 // packet-level implementations of X-MAC, B-MAC, DMAC and LMAC.
 //
 // The simulator measures what the analytic models of internal/macmodel

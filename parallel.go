@@ -34,62 +34,26 @@ func (p SweepPoint) MarshalJSON() ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// SweepMaxDelay solves the paper's Figure 1 series for one protocol —
-// the energy budget fixed, the delay bound taking each value in delays —
-// fanning the independent cells over a worker pool (one worker per CPU).
-// The returned slice is ordered like delays, and every cell is identical
-// to what OptimizeRelaxed returns for that requirement pair: the solvers
-// are deterministic and the models immutable, so parallelism changes
-// only the wall clock. Cancelling ctx abandons unsolved cells and
-// returns ctx.Err(). A nil ctx means context.Background().
-//
-// Deprecated: use (*Client).Sweep with SweepDelay; this wrapper
-// delegates to the package-default client and behaves identically.
-func SweepMaxDelay(ctx context.Context, p Protocol, s Scenario, energyBudget float64, delays []float64) ([]SweepPoint, error) {
-	rep, err := defaultClient().Sweep(ctx, SweepRequest{
-		Protocol: p, Scenario: &s, Axis: SweepDelay, Fixed: energyBudget, Values: delays,
-	})
-	return rep.Points, err
-}
-
-// SweepEnergyBudget solves the paper's Figure 2 series for one protocol —
-// the delay bound fixed, the energy budget taking each value in budgets —
-// with the same ordering, determinism and cancellation contract as
-// SweepMaxDelay.
-//
-// Deprecated: use (*Client).Sweep with SweepEnergy; this wrapper
-// delegates to the package-default client and behaves identically.
-func SweepEnergyBudget(ctx context.Context, p Protocol, s Scenario, maxDelay float64, budgets []float64) ([]SweepPoint, error) {
-	rep, err := defaultClient().Sweep(ctx, SweepRequest{
-		Protocol: p, Scenario: &s, Axis: SweepEnergy, Fixed: maxDelay, Values: budgets,
-	})
-	return rep.Points, err
-}
-
-// sweepMaxDelay is the varying-Lmax series behind Client.Sweep.
-func sweepMaxDelay(ctx context.Context, p Protocol, s Scenario, energyBudget float64, delays []float64, workers int) ([]SweepPoint, error) {
+// sweep plays the relaxed game at every requirement pair on the worker
+// pool: the series behind Client.Sweep, ordered like reqs.
+func sweep(ctx context.Context, p Protocol, s Scenario, reqs []core.Requirements, workers int) ([]SweepPoint, error) {
 	m, err := s.model(p)
 	if err != nil {
 		return nil, err
 	}
-	pts, err := core.SweepMaxDelayParallel(ctx, m, energyBudget, delays, workers)
+	pts, err := core.Sweep(ctx, m, reqs, workers)
 	if err != nil {
 		return nil, err
 	}
-	return sweepPointsOf(p, pts), nil
-}
-
-// sweepEnergyBudget is the varying-Ebudget series behind Client.Sweep.
-func sweepEnergyBudget(ctx context.Context, p Protocol, s Scenario, maxDelay float64, budgets []float64, workers int) ([]SweepPoint, error) {
-	m, err := s.model(p)
-	if err != nil {
-		return nil, err
+	out := make([]SweepPoint, len(pts))
+	for i, pt := range pts {
+		req := Requirements{EnergyBudget: pt.Requirements.EnergyBudget, MaxDelay: pt.Requirements.MaxDelay}
+		out[i] = SweepPoint{Requirements: req, Err: pt.Err}
+		if pt.Err == nil {
+			out[i].Result = resultOf(p, req, pt.Tradeoff)
+		}
 	}
-	pts, err := core.SweepEnergyBudgetParallel(ctx, m, maxDelay, budgets, workers)
-	if err != nil {
-		return nil, err
-	}
-	return sweepPointsOf(p, pts), nil
+	return out, nil
 }
 
 // PaperDelays returns the Lmax sweep of the paper's Figure 1 (1..6 s).
@@ -98,16 +62,3 @@ func PaperDelays() []float64 { return core.PaperDelays() }
 // PaperBudgets returns the Ebudget sweep of the paper's Figure 2
 // (0.01..0.06 J).
 func PaperBudgets() []float64 { return core.PaperBudgets() }
-
-func sweepPointsOf(p Protocol, pts []core.SweepPoint) []SweepPoint {
-	out := make([]SweepPoint, len(pts))
-	for i, pt := range pts {
-		req := Requirements{EnergyBudget: pt.Requirements.EnergyBudget, MaxDelay: pt.Requirements.MaxDelay}
-		sp := SweepPoint{Requirements: req, Err: pt.Err}
-		if pt.Err == nil {
-			sp.Result = resultOf(p, req, pt.Tradeoff)
-		}
-		out[i] = sp
-	}
-	return out
-}

@@ -16,8 +16,8 @@ import (
 // traffic model (periodic, bursty on-off, spatially-correlated events,
 // heterogeneous per-node rates), parsed from versioned JSON. One spec
 // drives both sides of the framework — the analytic game via Scenario()
-// and the packet-level simulator via SimulateScenario — so the two views
-// always describe the same deployment.
+// and the packet-level simulator via SimulateRequest.Spec — so the two
+// views always describe the same deployment.
 //
 // Specs are immutable values; the zero ScenarioSpec is invalid and every
 // constructor validates before returning.
@@ -167,22 +167,6 @@ func analyticScenarioOf(m *scenario.Materialized) Scenario {
 		s.LinkPRR = prr
 	}
 	return s
-}
-
-// SimulateScenario replays a protocol configuration at packet level on
-// the spec's explicit network under its traffic model. Params use the
-// same coordinates as the analytic model (see Params); SCPMAC is
-// analytic-only and rejected, as in Simulate.
-//
-// Deprecated: use (*Client).Simulate with SimulateRequest.Spec (or
-// ScenarioName for builtins), whose context can abort the run; this
-// wrapper delegates to the package-default client and behaves
-// identically.
-func SimulateScenario(p Protocol, sp ScenarioSpec, params []float64, o SimOptions) (SimReport, error) {
-	rep, err := defaultClient().Simulate(context.Background(), SimulateRequest{
-		Protocol: p, Spec: &sp, Params: params, Options: o,
-	})
-	return rep.Sim, err
 }
 
 // simulateScenario is the context-aware run behind Client.Simulate's

@@ -79,7 +79,8 @@ func TestScenarioEquivalentRing(t *testing.T) {
 	if s.Depth < 1 || s.Density < 1 || s.SampleInterval <= 0 {
 		t.Fatalf("degenerate analytic scenario %+v", s)
 	}
-	if _, err := edmac.Params(edmac.XMAC, s); err != nil {
+	req := edmac.ParamsRequest{Protocol: edmac.XMAC, Scenario: &s}
+	if _, err := newClient(t).Params(context.Background(), req); err != nil {
 		t.Fatalf("analytic model rejects the mapped scenario: %v", err)
 	}
 }
@@ -87,42 +88,47 @@ func TestScenarioEquivalentRing(t *testing.T) {
 // TestSimulateScenario asserts scenario simulation reproducibility and
 // its rejection cases.
 func TestSimulateScenario(t *testing.T) {
+	cli := newClient(t)
+	ctx := context.Background()
 	sp, _ := edmac.BuiltinScenario("disk-bursty")
-	opts := edmac.SimOptions{Duration: 250, Seed: 9}
-	a, err := edmac.SimulateScenario(edmac.XMAC, sp, []float64{0.3}, opts)
+	req := edmac.SimulateRequest{
+		Protocol: edmac.XMAC, Spec: &sp, Params: []float64{0.3},
+		Options: edmac.SimOptions{Duration: 250, Seed: 9},
+	}
+	a, err := cli.Simulate(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Seed != 9 {
-		t.Errorf("report seed %d, want 9", a.Seed)
+	if a.Sim.Seed != 9 {
+		t.Errorf("report seed %d, want 9", a.Sim.Seed)
 	}
-	if a.Generated == 0 {
+	if a.Sim.Generated == 0 {
 		t.Error("bursty scenario generated nothing")
 	}
-	b, err := edmac.SimulateScenario(edmac.XMAC, sp, []float64{0.3}, opts)
+	b, err := cli.Simulate(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Errorf("equal seeds diverged:\n%+v\n%+v", a, b)
+		t.Errorf("equal seeds diverged:\n%+v\n%+v", a.Sim, b.Sim)
 	}
-	opts.Seed = 10
-	c, err := edmac.SimulateScenario(edmac.XMAC, sp, []float64{0.3}, opts)
+	req.Options.Seed = 10
+	c, err := cli.Simulate(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reflect.DeepEqual(a.Collisions, c.Collisions) && a.Generated == c.Generated && a.MeanDelay == c.MeanDelay {
+	if a.Sim.Collisions == c.Sim.Collisions && a.Sim.Generated == c.Sim.Generated && a.Sim.MeanDelay == c.Sim.MeanDelay {
 		t.Error("different seeds produced an identical run")
 	}
 
-	if _, err := edmac.SimulateScenario(edmac.SCPMAC, sp, []float64{0.3}, opts); err == nil {
-		t.Error("scpmac simulated")
-	}
-	if _, err := edmac.SimulateScenario(edmac.XMAC, edmac.ScenarioSpec{}, []float64{0.3}, opts); err == nil {
-		t.Error("zero spec simulated")
-	}
-	if _, err := edmac.SimulateScenario(edmac.DMAC, sp, []float64{0.3}, opts); err == nil {
-		t.Error("wrong arity accepted")
+	for what, bad := range map[string]edmac.SimulateRequest{
+		"scpmac simulated":     {Protocol: edmac.SCPMAC, Spec: &sp, Params: []float64{0.3}, Options: req.Options},
+		"zero spec simulated":  {Protocol: edmac.XMAC, Spec: &edmac.ScenarioSpec{}, Params: []float64{0.3}, Options: req.Options},
+		"wrong arity accepted": {Protocol: edmac.DMAC, Spec: &sp, Params: []float64{0.3}, Options: req.Options},
+	} {
+		if _, err := cli.Simulate(ctx, bad); err == nil {
+			t.Error(what)
+		}
 	}
 }
 
@@ -140,13 +146,14 @@ func TestRunSuiteDeterminism(t *testing.T) {
 	protocols := []edmac.Protocol{edmac.XMAC, edmac.LMAC, edmac.SCPMAC}
 	opts := edmac.SuiteOptions{Duration: 200, Seed: 3}
 
-	parallel, err := edmac.RunSuite(context.Background(), specs, protocols, opts)
+	cli := newClient(t)
+	req := edmac.SuiteRequest{Scenarios: specs, Protocols: protocols, Options: opts}
+	parallel, err := cli.Suite(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	optsSeq := opts
-	optsSeq.Workers = 1
-	sequential, err := edmac.RunSuite(context.Background(), specs, protocols, optsSeq)
+	req.Options.Workers = 1
+	sequential, err := cli.Suite(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,19 +186,22 @@ func TestRunSuiteDeterminism(t *testing.T) {
 
 // TestRunSuiteInputs asserts input validation and cancellation.
 func TestRunSuiteInputs(t *testing.T) {
+	cli := newClient(t)
 	sp, _ := edmac.BuiltinScenario("ring-baseline")
-	if _, err := edmac.RunSuite(context.Background(), nil, edmac.Protocols(), edmac.SuiteOptions{}); err == nil {
-		t.Error("empty scenario list accepted")
-	}
-	if _, err := edmac.RunSuite(context.Background(), []edmac.ScenarioSpec{sp}, nil, edmac.SuiteOptions{}); err == nil {
-		t.Error("empty protocol list accepted")
-	}
-	if _, err := edmac.RunSuite(context.Background(), []edmac.ScenarioSpec{{}}, edmac.Protocols(), edmac.SuiteOptions{}); err == nil {
-		t.Error("zero spec accepted")
+	for what, req := range map[string]edmac.SuiteRequest{
+		"empty scenario list": {Protocols: edmac.Protocols()},
+		"empty protocol list": {Scenarios: []edmac.ScenarioSpec{sp}},
+		"zero spec":           {Scenarios: []edmac.ScenarioSpec{{}}, Protocols: edmac.Protocols()},
+	} {
+		if _, err := cli.Suite(context.Background(), req); err == nil {
+			t.Errorf("%s accepted", what)
+		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := edmac.RunSuite(ctx, []edmac.ScenarioSpec{sp}, edmac.Protocols(), edmac.SuiteOptions{Duration: 60}); err == nil {
+	if _, err := cli.Suite(ctx, edmac.SuiteRequest{
+		Scenarios: []edmac.ScenarioSpec{sp}, Protocols: edmac.Protocols(), Options: edmac.SuiteOptions{Duration: 60},
+	}); err == nil {
 		t.Error("cancelled suite returned a report")
 	}
 }

@@ -3,7 +3,6 @@ package edmac
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"github.com/edmac-project/edmac/internal/macmodel"
 	"github.com/edmac-project/edmac/internal/sim"
@@ -20,9 +19,9 @@ type SimOptions struct {
 	// Seed convention: the zero value is a real seed, not "randomize" —
 	// two runs that both leave Seed unset are intentionally identical.
 	// Callers wanting statistically independent replications must supply
-	// distinct seeds (SimulateSeeds does this for a whole batch). The
-	// seed a run actually used is echoed in SimReport.Seed, so reports
-	// are self-describing and reproducible from their own content.
+	// distinct seeds, e.g. one per BatchRun of a Client.Batch. The seed a
+	// run actually used is echoed in SimReport.Seed, so reports are
+	// self-describing and reproducible from their own content.
 	Seed int64 `json:"seed,omitempty"`
 }
 
@@ -106,22 +105,6 @@ type SimReport struct {
 	PartitionFraction  float64 `json:"partition_fraction,omitempty"`
 	Rebargains         int     `json:"rebargains,omitempty"`
 	DegradedRebargains int     `json:"degraded_rebargains,omitempty"`
-}
-
-// Simulate replays a protocol configuration at packet level on the
-// deterministic ring placement of the scenario and reports measured
-// delivery, delay and energy. SCPMAC has no simulator implementation
-// (its clock-drift machinery is modelled analytically only) and is
-// rejected.
-//
-// Deprecated: use (*Client).Simulate, whose context can abort a
-// long-running simulation; this wrapper delegates to the
-// package-default client and behaves identically.
-func Simulate(p Protocol, s Scenario, params []float64, o SimOptions) (SimReport, error) {
-	rep, err := defaultClient().Simulate(context.Background(), SimulateRequest{
-		Protocol: p, Scenario: &s, Params: params, Options: o,
-	})
-	return rep.Sim, err
 }
 
 // simulate is the context-aware run behind Client.Simulate's
@@ -215,46 +198,4 @@ func simReportOf(p Protocol, params []float64, seed int64, outer int, window flo
 	rep.Rebargains = res.Rebargains
 	rep.DegradedRebargains = res.DegradedRebargains
 	return rep
-}
-
-// ValidationReport contrasts the analytic model with the simulator at
-// one parameter vector.
-type ValidationReport struct {
-	SimReport
-	// AnalyticEnergy and AnalyticDelay are the model's predictions.
-	AnalyticEnergy float64 `json:"analytic_energy"`
-	AnalyticDelay  float64 `json:"analytic_delay"`
-	// EnergyRatio and DelayRatio are measured/predicted (NaN when the
-	// measurement is unusable, e.g. nothing was delivered).
-	EnergyRatio float64 `json:"energy_ratio"`
-	DelayRatio  float64 `json:"delay_ratio"`
-}
-
-// Validate simulates a configuration and reports measured-vs-analytic
-// energy and delay — the per-experiment evidence of EXPERIMENTS.md.
-//
-// Deprecated: use (*Client).Simulate with SimulateRequest.Validate,
-// whose context can abort the run; this wrapper delegates to the
-// package-default client and behaves identically.
-func Validate(p Protocol, s Scenario, params []float64, o SimOptions) (ValidationReport, error) {
-	rep, err := defaultClient().Simulate(context.Background(), SimulateRequest{
-		Protocol: p, Scenario: &s, Params: params, Options: o, Validate: true,
-	})
-	if err != nil {
-		return ValidationReport{}, err
-	}
-	out := ValidationReport{
-		SimReport:      rep.Sim,
-		AnalyticEnergy: rep.Analytic.Energy,
-		AnalyticDelay:  rep.Analytic.Delay,
-		EnergyRatio:    math.NaN(),
-		DelayRatio:     math.NaN(),
-	}
-	if rep.Analytic.EnergyRatio != nil {
-		out.EnergyRatio = *rep.Analytic.EnergyRatio
-	}
-	if rep.Analytic.DelayRatio != nil {
-		out.DelayRatio = *rep.Analytic.DelayRatio
-	}
-	return out, nil
 }

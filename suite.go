@@ -20,7 +20,7 @@ import (
 	"github.com/edmac-project/edmac/internal/traffic"
 )
 
-// SuiteOptions configure a RunSuite matrix run.
+// SuiteOptions configure a Client.Suite matrix run.
 type SuiteOptions struct {
 	// Duration is the simulated seconds per cell (default
 	// DefaultSuiteDuration).
@@ -30,8 +30,8 @@ type SuiteOptions struct {
 	// but the whole suite is reproducible from one number. The zero
 	// value is a real seed (see SimOptions.Seed).
 	Seed int64 `json:"seed,omitempty"`
-	// Workers bounds the worker pool (one per CPU when < 1, or the
-	// Client's WithWorkers default on the client path).
+	// Workers bounds the worker pool; values below 1 select the
+	// Client's WithWorkers default (one worker per CPU unless set).
 	Workers int `json:"workers,omitempty"`
 	// EnergyBudget is the per-cell requirement Ebudget in joules per
 	// window (default: the paper's 0.06 J).
@@ -195,33 +195,6 @@ func (r *SuiteReport) JSON() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// RunSuite plays the full evaluation matrix — every scenario × every
-// protocol — in parallel on a worker pool. Each cell maps the scenario
-// onto its equivalent analytic ring model, bargains the protocol's
-// parameters under the requirements, then replays the bargain at packet
-// level on the explicit network under the scenario's traffic model
-// (SCPMAC cells stay analytic-only). Cells are independent, so the
-// matrix fans out over the pool with the same determinism contract as
-// every parallel layer in this module: results are bit-identical to the
-// sequential run and ordered scenario-major.
-//
-// Phased (version-2) scenarios additionally play the adaptive runtime
-// when their spec says so or SuiteOptions.Adaptive forces it: the
-// bargain is re-played per traffic phase and deployed at the phase
-// boundaries by sim.RunPhasedContext, with the frozen static bargain
-// simulated alongside as the baseline (see SuiteCell).
-//
-// Cancelling ctx abandons the suite and returns ctx.Err(). Per-cell
-// failures (an unmeetable delay bound, an unschedulable LMAC frame) are
-// recorded in the cell's Err field and do not stop the run.
-//
-// Deprecated: use (*Client).Suite (or SuiteStream for incremental
-// delivery); this wrapper delegates to the package-default client and
-// behaves identically.
-func RunSuite(ctx context.Context, specs []ScenarioSpec, protocols []Protocol, o SuiteOptions) (*SuiteReport, error) {
-	return defaultClient().Suite(ctx, SuiteRequest{Scenarios: specs, Protocols: protocols, Options: o})
-}
-
 // runSuite is the matrix engine behind Suite and SuiteStream. onCell,
 // when non-nil, observes every finished cell exactly once (serialized,
 // completion order); a non-nil return cancels the remaining cells.
@@ -378,7 +351,7 @@ func runSuiteCell(ctx context.Context, spec scenario.Spec, mat *scenario.Materia
 		MaxDelay:     maxDelay,
 	}
 	req := Requirements{EnergyBudget: o.EnergyBudget, MaxDelay: maxDelay}
-	res, err := OptimizeRelaxed(p, analytic, req)
+	res, err := optimize(p, analytic, req, true)
 	if err != nil {
 		cell.Err = err.Error()
 		return cell

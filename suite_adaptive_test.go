@@ -29,9 +29,11 @@ func phasedBuiltins(t *testing.T) []edmac.ScenarioSpec {
 // equal-or-better delivery ratio and p95 delay. The suite golden runs
 // the same cells, so the win is committed evidence, not a flake.
 func TestAdaptiveBeatsStatic(t *testing.T) {
-	report, err := edmac.RunSuite(context.Background(), phasedBuiltins(t),
-		[]edmac.Protocol{edmac.XMAC, edmac.BMAC, edmac.DMAC, edmac.LMAC},
-		edmac.SuiteOptions{Seed: 1})
+	report, err := newClient(t).Suite(context.Background(), edmac.SuiteRequest{
+		Scenarios: phasedBuiltins(t),
+		Protocols: []edmac.Protocol{edmac.XMAC, edmac.BMAC, edmac.DMAC, edmac.LMAC},
+		Options:   edmac.SuiteOptions{Seed: 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,17 +76,18 @@ func TestAdaptiveBeatsStatic(t *testing.T) {
 // TestRunSuiteAdaptiveDeterminism asserts the adaptive path keeps the
 // suite's byte-identical determinism contract across worker counts.
 func TestRunSuiteAdaptiveDeterminism(t *testing.T) {
-	specs := phasedBuiltins(t)[:1]
-	protocols := []edmac.Protocol{edmac.XMAC, edmac.LMAC}
-	opts := edmac.SuiteOptions{Duration: 200, Seed: 3, Adaptive: true}
-
-	parallel, err := edmac.RunSuite(context.Background(), specs, protocols, opts)
+	cli := newClient(t)
+	req := edmac.SuiteRequest{
+		Scenarios: phasedBuiltins(t)[:1],
+		Protocols: []edmac.Protocol{edmac.XMAC, edmac.LMAC},
+		Options:   edmac.SuiteOptions{Duration: 200, Seed: 3, Adaptive: true},
+	}
+	parallel, err := cli.Suite(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	optsSeq := opts
-	optsSeq.Workers = 1
-	sequential, err := edmac.RunSuite(context.Background(), specs, protocols, optsSeq)
+	req.Options.Workers = 1
+	sequential, err := cli.Suite(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,14 +129,17 @@ func TestRunSuiteAdaptiveFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	phased := phasedBuiltins(t)[0]
+	cli := newClient(t)
+	ctx := context.Background()
 
 	// Without the flag: the spec's own mode decides. The static-mode
 	// spec plays the classic one-bargain pipeline; the per-phase
 	// builtin adapts anyway.
-	report, err := edmac.RunSuite(context.Background(),
-		[]edmac.ScenarioSpec{staticMode, phased},
-		[]edmac.Protocol{edmac.XMAC},
-		edmac.SuiteOptions{Duration: 150, Seed: 2})
+	report, err := cli.Suite(ctx, edmac.SuiteRequest{
+		Scenarios: []edmac.ScenarioSpec{staticMode, phased},
+		Protocols: []edmac.Protocol{edmac.XMAC},
+		Options:   edmac.SuiteOptions{Duration: 150, Seed: 2},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,10 +161,11 @@ func TestRunSuiteAdaptiveFlag(t *testing.T) {
 
 	// With the flag: every phased scenario adapts, stationary ones are
 	// untouched.
-	report, err = edmac.RunSuite(context.Background(),
-		[]edmac.ScenarioSpec{stationary, staticMode},
-		[]edmac.Protocol{edmac.XMAC},
-		edmac.SuiteOptions{Duration: 150, Seed: 2, Adaptive: true})
+	report, err = cli.Suite(ctx, edmac.SuiteRequest{
+		Scenarios: []edmac.ScenarioSpec{stationary, staticMode},
+		Protocols: []edmac.Protocol{edmac.XMAC},
+		Options:   edmac.SuiteOptions{Duration: 150, Seed: 2, Adaptive: true},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +186,11 @@ func TestRunSuiteAdaptiveFlag(t *testing.T) {
 	}
 
 	// SCPMAC stays analytic-only but still reports per-phase bargains.
-	report, err = edmac.RunSuite(context.Background(), []edmac.ScenarioSpec{phased},
-		[]edmac.Protocol{edmac.SCPMAC}, edmac.SuiteOptions{Duration: 150, Seed: 2, Adaptive: true})
+	report, err = cli.Suite(ctx, edmac.SuiteRequest{
+		Scenarios: []edmac.ScenarioSpec{phased},
+		Protocols: []edmac.Protocol{edmac.SCPMAC},
+		Options:   edmac.SuiteOptions{Duration: 150, Seed: 2, Adaptive: true},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,10 +230,15 @@ func TestSimulateScenarioZeroGenerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := edmac.SimulateScenario(edmac.XMAC, sp, []float64{0.3}, edmac.SimOptions{Duration: 5, Seed: 1})
+	cli := newClient(t)
+	ctx := context.Background()
+	sim, err := cli.Simulate(ctx, edmac.SimulateRequest{
+		Protocol: edmac.XMAC, Spec: &sp, Params: []float64{0.3}, Options: edmac.SimOptions{Duration: 5, Seed: 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := sim.Sim
 	if rep.Generated != 0 {
 		t.Fatalf("near-silent run generated %d packets; tighten the rate", rep.Generated)
 	}
@@ -231,8 +246,11 @@ func TestSimulateScenarioZeroGenerated(t *testing.T) {
 		t.Errorf("DeliveryRatio %v for a zero-generated run, want 0", rep.DeliveryRatio)
 	}
 
-	report, err := edmac.RunSuite(context.Background(), []edmac.ScenarioSpec{sp},
-		[]edmac.Protocol{edmac.XMAC}, edmac.SuiteOptions{Duration: 5, Seed: 1})
+	report, err := cli.Suite(ctx, edmac.SuiteRequest{
+		Scenarios: []edmac.ScenarioSpec{sp},
+		Protocols: []edmac.Protocol{edmac.XMAC},
+		Options:   edmac.SuiteOptions{Duration: 5, Seed: 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
