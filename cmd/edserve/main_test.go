@@ -53,11 +53,12 @@ func TestShutdownBoundedByDrainTimeout(t *testing.T) {
 	// is committed to the stream) but no cell will arrive before the
 	// drain deadline.
 	body := `{"scenarios":["ring-baseline"],"protocols":["xmac"],"options":{"duration":1000000,"seed":1}}`
-	req, err := http.NewRequest(http.MethodPost, "http://"+addr+"/v1/suite?stream=ndjson", strings.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, "http://"+addr+"/v1/suite", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Accept", "application/x-ndjson")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("POST stream: %v", err)

@@ -14,8 +14,7 @@
 //	POST   /v1/optimize         play the game for one protocol
 //	POST   /v1/simulate         replay a configuration at packet level
 //	POST   /v1/suite            the scenario×protocol matrix (NDJSON
-//	                            streaming via Accept: application/x-ndjson
-//	                            or the deprecated ?stream=ndjson)
+//	                            streaming via Accept: application/x-ndjson)
 //	POST   /v1/jobs             submit an async job (202 + ID; 429 when
 //	                            the queue refuses admission)
 //	GET    /v1/jobs             list known jobs
@@ -446,13 +445,8 @@ func decodeStrict(r *http.Request, req any) error {
 }
 
 // wantsNDJSON is the suite-streaming content negotiation: the Accept
-// header naming application/x-ndjson is the canonical spelling, with
-// the historical ?stream=ndjson query parameter kept as a deprecated
-// alias.
+// header names application/x-ndjson.
 func wantsNDJSON(r *http.Request) bool {
-	if r.URL.Query().Get("stream") != "" {
-		return true
-	}
 	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
 		mediatype, _, _ := strings.Cut(part, ";")
 		if strings.TrimSpace(mediatype) == "application/x-ndjson" {

@@ -280,7 +280,13 @@ func TestSuiteEndpoint(t *testing.T) {
 func TestSuiteStreamNDJSON(t *testing.T) {
 	ts, _ := newTestServer(t)
 	body := `{"scenarios":["ring-baseline"],"protocols":["xmac","lmac"],"options":{"duration":40,"seed":1}}`
-	resp, err := http.Post(ts.URL+"/v1/suite?stream=ndjson", "application/json", strings.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/suite", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Accept", "application/x-ndjson")
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("POST: %v", err)
 	}
