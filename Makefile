@@ -18,7 +18,7 @@ GATE_TOL   ?= 0.15
 
 FUZZTIME ?= 30s
 
-.PHONY: build test race vet fmt lint lint-escape escape-golden api-golden gate-coverage print-gate-bench perfbench-check fuzz bench bench-gate bench-baseline suite golden suite-golden check fix-check
+.PHONY: build test race vet fmt lint lint-escape escape-golden api-golden gate-coverage print-gate-bench perfbench-check examples fuzz bench bench-gate bench-baseline suite golden suite-golden check fix-check
 
 build:
 	$(GO) build ./...
@@ -77,10 +77,20 @@ print-gate-bench:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-check: fmt lint build test perfbench-check
+# Run every program under examples/ from the repo root (scenariofile
+# reads its bundled spec by a root-relative path); a non-zero exit from
+# any of them fails the target.
+examples:
+	@for d in examples/*/; do \
+	  echo "go run ./$${d%/}"; \
+	  $(GO) run ./$${d%/} > /dev/null || exit 1; \
+	done
+
+check: fmt lint build test examples perfbench-check
 
 # What to run before pushing a fix: format gate, vet + edvet, build,
-# tests, the benchmark module. Alias of check, named for intent.
+# tests, the examples, the benchmark module. Alias of check, named for
+# intent.
 fix-check: check
 
 # Fuzz the strict scenario parser (bump FUZZTIME for longer local
