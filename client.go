@@ -105,8 +105,9 @@ func WithBaseSeed(seed int64) Option {
 // requests are served from memory instead of re-running the
 // Nelder-Mead solvers. Capacities below 1 select DefaultCacheSize.
 // Cached values are deep-copied on both insert and hit, so callers may
-// mutate reports freely. Simulation methods are never cached here (the
-// serve layer caches whole responses instead).
+// mutate reports freely. Simulation methods are never cached here. The
+// cache serves in-process callers that repeat requests; cmd/edserve
+// does not enable it, since its response cache holds whole answers.
 //
 // The default is no cache: every request runs the solvers.
 func WithCache(capacity int) Option {
@@ -178,10 +179,9 @@ func (c *Client) workersOrDefault(n int) int {
 	return c.workers
 }
 
-// cacheKey is the shared request-canonicalization rule (operation name
-// + canonical JSON); the serve layer keys its response cache with the
-// same one, so the two caches can never disagree on which requests are
-// identical.
+// cacheKey is the module's request-canonicalization rule (operation
+// name + canonical JSON); the serve layer keys its response cache with
+// it too.
 var cacheKey = jsonwire.CacheKey
 
 // clone deep-copies a Result so cached values never alias caller-held

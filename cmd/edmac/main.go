@@ -43,7 +43,7 @@ func run(ctx context.Context, args []string) error {
 	if len(args) == 0 {
 		return fmt.Errorf("missing subcommand (optimize, compare, frontier, fig1, fig2, params)")
 	}
-	cli, err := edmac.NewClient(edmac.WithCache(edmac.DefaultCacheSize))
+	cli, err := edmac.NewClient()
 	if err != nil {
 		return err
 	}

@@ -2,12 +2,12 @@
 // HTTP/JSON: POST a (scenario, requirements) pair to /v1/optimize and
 // get the Nash-bargained operating point back, replay configurations
 // via /v1/simulate, and run scenario×protocol matrices via /v1/suite —
-// with a bounded LRU response cache in front of the solvers and
-// per-request cancellation threaded into the worker pools.
+// with one bounded LRU response cache (-cache entries) in front of the
+// solvers and per-request cancellation threaded into the worker pools.
 //
 // Usage:
 //
-//	edserve [-addr :8080] [-cache 256] [-result-cache 256] [-workers 0]
+//	edserve [-addr :8080] [-cache 256] [-workers 0]
 //	        [-request-timeout 0] [-drain-timeout 15s]
 //	        [-jobs-queue 64] [-jobs-workers 2] [-jobs-ttl 15m]
 //	        [-spill-dir ""] [-rate 0] [-burst 5] [-pprof]
@@ -63,7 +63,6 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 	fs := flag.NewFlagSet("edserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	cacheSize := fs.Int("cache", edmac.DefaultCacheSize, "response cache entries")
-	resultCache := fs.Int("result-cache", edmac.DefaultCacheSize, "client-side analytic result cache entries")
 	workers := fs.Int("workers", 0, "worker pool size for sweeps, batches and suites (0: one per CPU)")
 	reqTimeout := fs.Duration("request-timeout", 0, "per-request deadline threaded into each request's context (0: none)")
 	drain := fs.Duration("drain-timeout", 15*time.Second, "graceful shutdown grace period")
@@ -78,10 +77,7 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 		return err
 	}
 
-	cli, err := edmac.NewClient(
-		edmac.WithWorkers(*workers),
-		edmac.WithCache(*resultCache),
-	)
+	cli, err := edmac.NewClient(edmac.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}

@@ -14,8 +14,9 @@ const (
 	// SuiteOptions leave Duration unset. Suites trade per-cell length
 	// for matrix breadth, hence the shorter window.
 	DefaultSuiteDuration = 400.0
-	// DefaultCacheSize is the result-cache capacity (entries) the serve
-	// layer and WithCache-enabled clients use unless told otherwise.
+	// DefaultCacheSize is the capacity (entries) of the serve layer's
+	// response cache and of a WithCache client's result cache unless
+	// told otherwise.
 	DefaultCacheSize = 256
 )
 

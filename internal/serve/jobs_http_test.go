@@ -474,12 +474,15 @@ func TestMetricsEndpoint(t *testing.T) {
 		`edserve_response_cache_hits_total 1`,
 		`edserve_response_cache_misses_total`,
 		`edserve_response_cache_coalesced_total 0`,
-		`edserve_result_cache_hits_total`,
 		`edserve_panics_recovered_total 0`,
 	} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("metrics missing %q:\n%s", want, data)
 		}
+	}
+	// The response cache is the only cache on the request path.
+	if strings.Contains(string(data), "edserve_result_cache") {
+		t.Errorf("metrics still export the client result cache:\n%s", data)
 	}
 }
 

@@ -116,14 +116,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "# TYPE edserve_response_cache_coalesced_total counter")
 	fmt.Fprintf(w, "edserve_response_cache_coalesced_total %d\n", s.coalesced.Load())
 
-	rc := s.cli.CacheStats()
-	fmt.Fprintln(w, "# HELP edserve_result_cache_hits_total Client result-cache hits.")
-	fmt.Fprintln(w, "# TYPE edserve_result_cache_hits_total counter")
-	fmt.Fprintf(w, "edserve_result_cache_hits_total %d\n", rc.Hits)
-	fmt.Fprintln(w, "# HELP edserve_result_cache_misses_total Client result-cache misses.")
-	fmt.Fprintln(w, "# TYPE edserve_result_cache_misses_total counter")
-	fmt.Fprintf(w, "edserve_result_cache_misses_total %d\n", rc.Misses)
-
 	fmt.Fprintln(w, "# HELP edserve_panics_recovered_total Handler panics absorbed into 500 responses.")
 	fmt.Fprintln(w, "# TYPE edserve_panics_recovered_total counter")
 	fmt.Fprintf(w, "edserve_panics_recovered_total %d\n", s.panics.Load())

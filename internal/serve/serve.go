@@ -70,8 +70,8 @@ const DefaultRateBurst = 5
 
 // Options configure a Server.
 type Options struct {
-	// Client executes the requests; nil builds a default client with a
-	// result cache of DefaultCacheSize entries.
+	// Client executes the requests; nil builds a default client. It
+	// should not enable WithCache: the response cache is the only cache.
 	Client *edmac.Client
 	// CacheSize bounds the response cache (entries); values below 1
 	// select edmac.DefaultCacheSize.
@@ -150,7 +150,7 @@ func New(o Options) (*Server, error) {
 	cli := o.Client
 	if cli == nil {
 		var err error
-		cli, err = edmac.NewClient(edmac.WithCache(edmac.DefaultCacheSize))
+		cli, err = edmac.NewClient()
 		if err != nil {
 			return nil, err
 		}
@@ -470,10 +470,9 @@ func tenantKey(r *http.Request) string {
 	return "addr:" + host
 }
 
-// cacheKey canonicalizes a decoded request — the same rule the
-// Client's result cache keys with (re-marshalling the typed struct
-// erases field order, whitespace and null-vs-absent differences), so
-// the two caching layers always agree on which requests are equal.
+// cacheKey canonicalizes a decoded request: re-marshalling the typed
+// struct erases field order, whitespace and null-vs-absent differences,
+// so spellings of one request share one response-cache entry.
 var cacheKey = jsonwire.CacheKey
 
 // serveCached answers from the response cache or computes, caches and
@@ -653,11 +652,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Status          string             `json:"status"`
 		ResponseCache   edmac.CacheStats   `json:"response_cache"`
-		ResultCache     edmac.CacheStats   `json:"result_cache"`
 		PanicsRecovered int64              `json:"panics_recovered"`
 		JobsQueueDepth  int                `json:"jobs_queue_depth"`
 		Jobs            map[jobs.State]int `json:"jobs"`
-	}{"ok", s.CacheStats(), s.cli.CacheStats(), s.PanicsRecovered(), s.jobs.Depth(), s.jobs.Counts()})
+	}{"ok", s.CacheStats(), s.PanicsRecovered(), s.jobs.Depth(), s.jobs.Counts()})
 }
 
 // scenarioInfo is one registry row of GET /v1/scenarios.
