@@ -140,8 +140,8 @@ type Server struct {
 
 // flight is one in-progress computation other requests can wait on.
 type flight struct {
-	done chan struct{} // closed when data/err are set
-	data []byte
+	done chan struct{} // closed when the leader returns, even by panicking
+	data []byte        // the response; nil unless the leader succeeded
 	err  error
 }
 
@@ -504,12 +504,12 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 				writeError(w, r.Context().Err())
 				return
 			}
-			if f.err != nil {
-				// The leader may have failed for its own reasons (its
-				// client disconnected mid-solve); retry the loop — the
-				// next round finds the cache, a new flight, or makes
-				// this request the leader.
-				if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
+			if f.data == nil {
+				// The leader may have left no outcome of its own (it
+				// panicked, or its client disconnected mid-solve); retry
+				// the loop — the next round finds the cache, a new
+				// flight, or makes this request the leader.
+				if f.err == nil || errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
 					continue
 				}
 				writeError(w, f.err)
@@ -523,13 +523,17 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 		f := &flight{done: make(chan struct{})}
 		s.flights[key] = f
 		s.flightMu.Unlock()
+		// Released even if compute panics (the root handler recovers
+		// it), so later requests for key never wait on a dead leader.
+		defer func() {
+			s.flightMu.Lock()
+			delete(s.flights, key)
+			s.flightMu.Unlock()
+			close(f.done)
+		}()
 
 		w.Header().Set("X-Cache", "MISS")
 		f.data, f.err = s.computeAndWrite(w, key, compute)
-		s.flightMu.Lock()
-		delete(s.flights, key)
-		s.flightMu.Unlock()
-		close(f.done)
 		return
 	}
 }

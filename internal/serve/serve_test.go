@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -423,6 +424,78 @@ func TestPanicRecovery(t *testing.T) {
 	resp2.Body.Close()
 	if err != nil || health.Status != "ok" || health.PanicsRecovered != 1 {
 		t.Fatalf("healthz after panic = %+v, err %v", health, err)
+	}
+}
+
+// TestPanickingLeaderReleasesFlight: a cached computation that panics
+// must release its flight. A request waiting on it computes afresh
+// instead of waiting forever on the dead leader, and its answer is
+// cached for the next one.
+func TestPanickingLeaderReleasesFlight(t *testing.T) {
+	s, err := New(Options{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	var calls atomic.Int32
+	leading := make(chan struct{})
+	arrived := make(chan struct{})
+	release := make(chan struct{})
+	s.mux.HandleFunc("GET /flaky", func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("X-Role") == "waiter" {
+			close(arrived)
+		}
+		s.serveCached(w, r, "flaky", func() (any, error) {
+			if calls.Add(1) == 1 {
+				close(leading)
+				<-release
+				panic("injected compute bug")
+			}
+			return map[string]string{"answer": "ok"}, nil
+		})
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Close()
+
+	// Bounded, so a request stuck behind a leaked flight fails the test
+	// instead of hanging it.
+	client := &http.Client{Timeout: 10 * time.Second}
+	type answer struct {
+		status int
+		cache  string
+		body   []byte
+		err    error
+	}
+	get := func(role string) answer {
+		req, _ := http.NewRequest("GET", ts.URL+"/flaky", nil)
+		req.Header.Set("X-Role", role)
+		resp, err := client.Do(req)
+		if err != nil {
+			return answer{err: err}
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		return answer{resp.StatusCode, resp.Header.Get("X-Cache"), body, err}
+	}
+	leader, waiter := make(chan answer, 1), make(chan answer, 1)
+	go func() { leader <- get("leader") }()
+	<-leading
+	go func() { waiter <- get("waiter") }()
+	<-arrived
+	close(release)
+
+	if a := <-leader; a.err != nil || a.status != http.StatusInternalServerError {
+		t.Fatalf("panicking leader: status %d, err %v (%s), want 500", a.status, a.err, a.body)
+	}
+	w := <-waiter
+	if w.err != nil || w.status != http.StatusOK || w.cache != "MISS" {
+		t.Fatalf("request after the panic: status %d, X-Cache %q, err %v (%s), want 200 MISS", w.status, w.cache, w.err, w.body)
+	}
+	if h := get("later"); h.err != nil || h.status != http.StatusOK || h.cache != "HIT" || !bytes.Equal(h.body, w.body) {
+		t.Fatalf("later request: status %d, X-Cache %q, err %v (%s), want the cached answer", h.status, h.cache, h.err, h.body)
+	}
+	if got := s.PanicsRecovered(); got != 1 {
+		t.Fatalf("PanicsRecovered = %d, want 1", got)
 	}
 }
 
