@@ -721,7 +721,8 @@ func writeAtomic(path string, data []byte) error {
 
 // reload restores spilled jobs. Only successfully finished jobs are
 // ever spilled, so everything that loads is Done; its result is the
-// raw encoded bytes.
+// raw encoded bytes. A metadata file loads only under its own job's
+// name, so a copied or renamed file cannot register a job twice.
 func (s *Store) reload() error {
 	entries, err := os.ReadDir(s.opts.SpillDir)
 	if errors.Is(err, os.ErrNotExist) {
@@ -740,7 +741,7 @@ func (s *Store) reload() error {
 			continue
 		}
 		var snap Snapshot
-		if err := json.Unmarshal(meta, &snap); err != nil || snap.ID == "" || snap.State != Done {
+		if err := json.Unmarshal(meta, &snap); err != nil || snap.ID == "" || snap.ID+".job.json" != name || snap.State != Done {
 			continue
 		}
 		result, err := os.ReadFile(s.resultPath(snap.ID))

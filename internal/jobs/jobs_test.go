@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -368,6 +370,72 @@ func TestSpillReload(t *testing.T) {
 	}
 	if st := j2.Snapshot(); st.State != Done || st.Done != 1 {
 		t.Fatalf("restored snapshot = %+v", st)
+	}
+}
+
+// TestReloadChecksIDAgainstName: a spilled metadata file loads only
+// under its own job's name. A copied file, or one naming another job's
+// ID, must not register a job twice, so List and Counts agree before
+// and after GC.
+func TestReloadChecksIDAgainstName(t *testing.T) {
+	const unused = "0123456789abcdef" // a valid job ID no job has
+	copyMeta := func(t *testing.T, dir, from, to string) {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(dir, from+".job.json"))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, to+".job.json"), data, 0o644)
+		}
+		if err != nil {
+			t.Fatalf("copy metadata: %v", err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		// tamper edits a spill directory holding jobs a and b and
+		// returns the IDs a reload must list.
+		tamper func(t *testing.T, dir, a, b string) []string
+	}{
+		{"copied file", func(t *testing.T, dir, a, b string) []string {
+			copyMeta(t, dir, a, unused)
+			return []string{a, b}
+		}},
+		{"names another job", func(t *testing.T, dir, a, b string) []string {
+			copyMeta(t, dir, a, b)
+			return []string{a}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := newStore(t, Options{Workers: 1, SpillDir: dir})
+			var ids []string
+			for _, kind := range []string{"a", "b"} {
+				j, err := s.Complete(kind, 1, []byte(kind))
+				if err != nil {
+					t.Fatalf("Complete: %v", err)
+				}
+				ids = append(ids, j.ID())
+			}
+			s.Close()
+			want := tc.tamper(t, dir, ids[0], ids[1])
+			sort.Strings(want)
+
+			s2 := newStore(t, Options{Workers: 1, SpillDir: dir})
+			var got []string
+			for _, snap := range s2.List() {
+				got = append(got, snap.ID)
+			}
+			sort.Strings(got)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("reloaded jobs = %v, want %v", got, want)
+			}
+			if n := s2.Counts()[Done]; n != len(want) {
+				t.Fatalf("Counts()[Done] = %d with %d jobs listed", n, len(want))
+			}
+			s2.GC(time.Now().Add(DefaultTTL + time.Hour))
+			if n, listed := s2.Counts()[Done], len(s2.List()); n != 0 || listed != 0 {
+				t.Fatalf("after GC: Counts()[Done] = %d with %d jobs listed, want 0 and 0", n, listed)
+			}
+		})
 	}
 }
 
