@@ -83,8 +83,6 @@ type Options struct {
 	// retained before the garbage collector drops them. Values <= 0
 	// select DefaultTTL.
 	TTL time.Duration
-	// GCInterval is the janitor's tick; <= 0 derives it from TTL.
-	GCInterval time.Duration
 	// SpillDir, when non-empty, persists every successfully finished
 	// job to disk (metadata plus encoded result) and reloads them on
 	// New — a restart keeps serving results for jobs that completed
@@ -111,15 +109,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TTL <= 0 {
 		o.TTL = DefaultTTL
-	}
-	if o.GCInterval <= 0 {
-		o.GCInterval = o.TTL / 8
-		if o.GCInterval < time.Second {
-			o.GCInterval = time.Second
-		}
-		if o.GCInterval > time.Minute {
-			o.GCInterval = time.Minute
-		}
 	}
 	if o.Encode == nil {
 		o.Encode = func(_ string, result any) ([]byte, error) { return json.Marshal(result) }
@@ -621,10 +610,11 @@ func (s *Store) transition(from, to State) {
 	s.mu.Unlock()
 }
 
-// janitor drops finished jobs older than the TTL.
+// janitor drops finished jobs older than the TTL, ticking every
+// eighth of it, clamped to 1 s–1 min.
 func (s *Store) janitor() {
 	defer s.wg.Done()
-	t := time.NewTicker(s.opts.GCInterval)
+	t := time.NewTicker(min(max(s.opts.TTL/8, time.Second), time.Minute))
 	defer t.Stop()
 	for {
 		select {
