@@ -93,11 +93,13 @@ check: fmt lint build test examples perfbench-check
 # intent.
 fix-check: check
 
-# Fuzz the strict scenario parser (bump FUZZTIME for longer local
-# campaigns; CI runs the default as a smoke job). Crashers land in
-# internal/scenario/testdata/fuzz/ — commit them as regression inputs.
+# Fuzz the strict scenario parser, then the job store's reload of spill
+# files, FUZZTIME each (bump it for longer local campaigns; CI runs the
+# default as a smoke job). Crashers land in the package's testdata/fuzz/
+# — commit them as regression inputs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/scenario
+	$(GO) test -run '^$$' -fuzz FuzzReload -fuzztime $(FUZZTIME) ./internal/jobs
 
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -benchtime $(BENCHTIME) . \
