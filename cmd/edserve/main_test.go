@@ -21,6 +21,13 @@ func TestBadFlags(t *testing.T) {
 	if err := run(ctx, []string{"-request-timeout", "nonsense"}, nil); err == nil {
 		t.Fatal("bad request timeout accepted")
 	}
+	// -cache sizes the only cache; the client result-cache flag is gone.
+	// The cancelled context stops a server that would accept it.
+	stopped, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := run(stopped, []string{"-addr", "127.0.0.1:0", "-result-cache", "256"}, nil); err == nil {
+		t.Fatal("-result-cache accepted")
+	}
 }
 
 // TestShutdownBoundedByDrainTimeout is the stuck-consumer regression

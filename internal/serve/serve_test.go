@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -69,11 +70,18 @@ func TestHealthz(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	var body struct {
-		Status string `json:"status"`
+	var body map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || string(body["status"]) != `"ok"` {
+		t.Fatalf("body = %s, err %v", body, err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body.Status != "ok" {
-		t.Fatalf("body = %+v, err %v", body, err)
+	// The response cache is the only cache the body reports.
+	keys := make([]string, 0, len(body))
+	for k := range body {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if got, want := strings.Join(keys, " "), "jobs jobs_queue_depth panics_recovered response_cache status"; got != want {
+		t.Fatalf("healthz fields = %s, want %s", got, want)
 	}
 }
 
@@ -151,6 +159,11 @@ func TestOptimizeCached(t *testing.T) {
 	stats := s.CacheStats()
 	if stats.Hits != 1 || stats.Misses != 1 {
 		t.Fatalf("cache stats = %+v, want 1 hit / 1 miss", stats)
+	}
+	// The response cache is the only cache on the request path: the
+	// server's client keeps no result cache behind it.
+	if got := s.cli.CacheStats(); got != (edmac.CacheStats{}) {
+		t.Fatalf("client result cache stats = %+v, want none", got)
 	}
 }
 
