@@ -39,6 +39,7 @@ func FuzzReload(f *testing.F) {
 	}
 	meta = bytes.ReplaceAll(meta, []byte(j.ID()), []byte(idA))
 	f.Add(meta, result)
+	// Truncated metadata, and an ID that points outside the directory.
 	f.Add(meta[:len(meta)/2], result)
 	f.Add(bytes.ReplaceAll(meta, []byte(idA), []byte("../"+idA)), result[:0])
 

@@ -1,8 +1,8 @@
 // Package jsonwire holds the two JSON-wire conventions shared by the
-// edmac facade and the serve layer, so the Client's result cache and
-// the HTTP response cache can never disagree on what "identical
-// request" means, and every encoder scrubs non-finite floats the same
-// way.
+// edmac facade and the serve layer: one canonical key for what
+// "identical request" means to the Client's result cache and the HTTP
+// response cache, and one rule every encoder scrubs non-finite floats
+// with.
 package jsonwire
 
 import (
