@@ -510,3 +510,16 @@ func BenchmarkSimulatorEventRateFaulty(b *testing.B) {
 	}
 	benchEventRate(b, edmac.SimulateRequest{Protocol: edmac.XMAC, Spec: &sp, Params: []float64{0.5}})
 }
+
+// The suite's low-power-listening regime: B-MAC on the ring-baseline
+// builtin at the golden's bargain (Tw = 0.0507 s), where a 300 s run
+// carries a few dozen packets and almost every poll finds an idle
+// channel and an empty queue. The other three variants run X-MAC at
+// Tw = 0.5 s, strobe-heavy; this one gates the idle poll path.
+func BenchmarkSimulatorEventRateLPL(b *testing.B) {
+	sp, ok := edmac.BuiltinScenario("ring-baseline")
+	if !ok {
+		b.Fatal("missing builtin ring-baseline")
+	}
+	benchEventRate(b, edmac.SimulateRequest{Protocol: edmac.BMAC, Spec: &sp, Params: []float64{0.0507}})
+}
