@@ -8,7 +8,7 @@ import (
 )
 
 // TestDebugXMACTrace is a development aid: run with -run DebugXMAC -v to
-// watch a single packet's handshake on a 1-hop network.
+// log the packet and collision counts of a short 1-hop X-MAC run.
 func TestDebugXMACTrace(t *testing.T) {
 	if !testing.Verbose() {
 		t.Skip("trace only under -v")

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"github.com/edmac-project/edmac/internal/topology"
-)
+import "github.com/edmac-project/edmac/internal/topology"
 
 // dmacPhase is the protocol state of one DMAC node.
 type dmacPhase int
@@ -18,16 +14,6 @@ const (
 
 // dmacMaxRetries bounds per-packet attempts (one per frame).
 const dmacMaxRetries = 8
-
-// dmacTrace enables developer tracing in tests.
-var dmacTrace = false
-
-func (m *dmacNode) tracef(format string, args ...interface{}) {
-	if dmacTrace {
-		fmt.Printf("%.6f dmac[%d] phase=%d "+format+"\n",
-			append([]interface{}{m.eng.Now(), int(m.id), int(m.phase)}, args...)...)
-	}
-}
 
 // dmacNode is the packet-level DMAC implementation: a staggered wakeup
 // ladder where a node at depth d opens a receive slot aligned with its
@@ -129,7 +115,6 @@ func (m *dmacNode) sampled(p *Packet) { m.push(p) }
 
 // openRxSlot turns the receiver on for one slot.
 func (m *dmacNode) openRxSlot() {
-	m.tracef("openRxSlot")
 	if m.phase != dSleep {
 		return
 	}
@@ -139,7 +124,6 @@ func (m *dmacNode) openRxSlot() {
 
 // closeRxSlot returns to sleep unless a handshake is still running.
 func (m *dmacNode) closeRxSlot() {
-	m.tracef("closeRxSlot")
 	if m.phase == dRxSlot {
 		m.phase = dSleep
 		m.x.Sleep()
@@ -148,7 +132,6 @@ func (m *dmacNode) closeRxSlot() {
 
 // openTxSlot contends for the channel when traffic is pending.
 func (m *dmacNode) openTxSlot() {
-	m.tracef("openTxSlot qlen=%d", m.queueLen())
 	if m.phase != dSleep || m.head() == nil {
 		return
 	}
@@ -164,7 +147,6 @@ func (m *dmacNode) openTxSlot() {
 
 // contentionDone performs the CCA and transmits on a clear channel.
 func (m *dmacNode) contentionDone() {
-	m.tracef("contentionDone busy=%v", m.x.CarrierBusy())
 	if m.phase != dContend {
 		return
 	}
@@ -179,7 +161,6 @@ func (m *dmacNode) contentionDone() {
 
 // OnTxDone implements FrameHandler.
 func (m *dmacNode) OnTxDone(f *Frame) {
-	m.tracef("OnTxDone %v", f.Kind)
 	switch f.Kind {
 	case FrameData:
 		m.phase = dWaitAck
@@ -195,7 +176,6 @@ func (m *dmacNode) OnTxDone(f *Frame) {
 // ackExpired gives up on this frame's attempt and backs off a random
 // number of frames that doubles with every consecutive failure.
 func (m *dmacNode) ackExpired() {
-	m.tracef("ackExpired")
 	if m.phase != dWaitAck {
 		return
 	}
@@ -217,7 +197,6 @@ func (m *dmacNode) ackExpired() {
 
 // OnFrame implements FrameHandler.
 func (m *dmacNode) OnFrame(f *Frame) {
-	m.tracef("OnFrame %v src=%d dst=%d", f.Kind, int(f.Src), int(f.Dst))
 	switch m.phase {
 	case dRxSlot:
 		if f.Kind == FrameData && f.Dst == m.id {

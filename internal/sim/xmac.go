@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"github.com/edmac-project/edmac/internal/radio"
 	"github.com/edmac-project/edmac/internal/topology"
 )
@@ -20,16 +18,6 @@ const (
 
 // xmacMaxRetries bounds per-packet transmission attempts.
 const xmacMaxRetries = 5
-
-// xmacTrace enables developer tracing in tests.
-var xmacTrace = false
-
-func (m *xmacNode) tracef(format string, args ...interface{}) {
-	if xmacTrace {
-		fmt.Printf("%.6f xmac[%d] phase=%d "+format+"\n",
-			append([]interface{}{m.eng.Now(), int(m.id), int(m.phase)}, args...)...)
-	}
-}
 
 // xmacNode is the packet-level X-MAC implementation: low-power listening
 // with strobed preambles and early ACK, mirroring the analytic model in
@@ -109,7 +97,6 @@ func (m *xmacNode) sampled(p *Packet) {
 // poll is the periodic channel check.
 func (m *xmacNode) poll() {
 	m.eng.After(m.tw, m.pollFn)
-	m.tracef("poll busy=%v", m.busy)
 	if m.busy {
 		return
 	}
@@ -121,7 +108,6 @@ func (m *xmacNode) poll() {
 
 // pollExpired closes the poll unless a reception is still in flight.
 func (m *xmacNode) pollExpired() {
-	m.tracef("pollExpired state=%v", m.x.State())
 	if m.phase != xPolling {
 		return
 	}
@@ -155,7 +141,6 @@ func (m *xmacNode) maybeSend() {
 
 // attemptSend begins the strobe procedure for the head-of-queue packet.
 func (m *xmacNode) attemptSend() {
-	m.tracef("attemptSend busy=%v qlen=%d", m.busy, m.queueLen())
 	if m.busy || m.head() == nil || m.isSink() {
 		return
 	}
@@ -174,14 +159,12 @@ func (m *xmacNode) attemptSend() {
 }
 
 func (m *xmacNode) sendStrobe() {
-	m.tracef("sendStrobe")
 	m.phase = xGap // the gap follows the strobe's OnTxDone
 	m.x.Send(m.newFrame(FrameStrobe, m.peer, m.strobeBytes, nil))
 }
 
 // gapExpired fires when no early ACK arrived within the inter-strobe gap.
 func (m *xmacNode) gapExpired() {
-	m.tracef("gapExpired")
 	if m.phase != xGap {
 		return
 	}
@@ -194,7 +177,6 @@ func (m *xmacNode) gapExpired() {
 }
 
 func (m *xmacNode) sendData() {
-	m.tracef("sendData")
 	m.gapTimer.Cancel()
 	m.phase = xWaitAck
 	m.x.Send(m.newFrame(FrameData, m.peer, m.dataBytes, m.head()))
@@ -202,7 +184,6 @@ func (m *xmacNode) sendData() {
 
 // ackExpired fires when the data ACK never came.
 func (m *xmacNode) ackExpired() {
-	m.tracef("ackExpired retries=%d", m.retries)
 	if m.phase != xWaitAck {
 		return
 	}
@@ -218,7 +199,6 @@ func (m *xmacNode) ackExpired() {
 
 // OnTxDone implements FrameHandler.
 func (m *xmacNode) OnTxDone(f *Frame) {
-	m.tracef("OnTxDone %v", f.Kind)
 	switch f.Kind {
 	case FrameStrobe:
 		m.gapTimer = m.eng.After(m.gap, m.gapExpiredFn)
@@ -248,7 +228,6 @@ func (m *xmacNode) dataExpired() {
 
 // OnFrame implements FrameHandler.
 func (m *xmacNode) OnFrame(f *Frame) {
-	m.tracef("OnFrame %v src=%d dst=%d", f.Kind, int(f.Src), int(f.Dst))
 	switch m.phase {
 	case xPolling:
 		if f.Kind == FrameStrobe && f.Dst == m.id {
