@@ -253,24 +253,39 @@ func RunFaultyContext(ctx context.Context, cfg Config, phases []PhaseConfig, reb
 	return newRunner(cfg, phases, faultyRun, reb).run(ctx)
 }
 
-// arrivalSchedule materializes one node's full arrival schedule. With a
-// traffic model it is the model's own schedule; the legacy periodic
-// generator is materialized with the same phase draw and the same
-// accumulated-period arithmetic its chained callbacks would produce.
-func arrivalSchedule(cfg Config, id topology.NodeID) []float64 {
+// arrivalSchedules materializes every node's full arrival schedule,
+// indexed by node (the sink's is nil). With a traffic model each is the
+// model's own schedule; otherwise it is the phase-shifted periodic
+// generator at SampleRate: a uniform phase in [0, period) drawn from the
+// node's generator stream, then the period accumulated in float
+// arithmetic up to the run length. The periodic schedules share one
+// backing array sized up front (the phase is below one period, so a
+// node has at most Duration/period + 1 instants, plus one for rounding)
+// and one reseeded generator, so the whole set costs a few allocations.
+func arrivalSchedules(cfg Config) [][]float64 {
+	n := cfg.Network.N()
+	all := make([][]float64, n)
 	if cfg.Traffic != nil {
-		return cfg.Traffic.Arrivals(cfg.Network, id, cfg.Seed, cfg.Duration)
+		for i := 1; i < n; i++ {
+			all[i] = cfg.Traffic.Arrivals(cfg.Network, topology.NodeID(i), cfg.Seed, cfg.Duration)
+		}
+		return all
 	}
-	if cfg.SampleRate <= 0 {
-		return nil
+	if cfg.SampleRate <= 0 || n < 2 {
+		return all
 	}
 	period := 1 / cfg.SampleRate
-	genRng := rand.New(rand.NewSource(cfg.Seed ^ (int64(id)*2654435761 + 7)))
-	var times []float64
-	for t := genRng.Float64() * period; t <= cfg.Duration; t += period {
-		times = append(times, t)
+	buf := make([]float64, 0, (n-1)*(int(cfg.Duration/period)+2))
+	genRng := rand.New(rand.NewSource(0))
+	for i := 1; i < n; i++ {
+		genRng.Seed(cfg.Seed ^ (int64(i)*2654435761 + 7))
+		start := len(buf)
+		for t := genRng.Float64() * period; t <= cfg.Duration; t += period {
+			buf = append(buf, t)
+		}
+		all[i] = buf[start:len(buf):len(buf)]
 	}
-	return times
+	return all
 }
 
 // settle closes the survivability integrals up to now.

@@ -73,7 +73,7 @@ func Materialize(cfg Config) (*Materialized, error) {
 		nbrs:       make([][]topology.NodeID, n),
 		parents:    make([]topology.NodeID, n),
 		depth:      cfg.Network.Depth(),
-		arrivals:   make([][]float64, n),
+		arrivals:   arrivalSchedules(cfg),
 	}
 	for i := 0; i < n; i++ {
 		id := topology.NodeID(i)
@@ -92,9 +92,6 @@ func Materialize(cfg Config) (*Materialized, error) {
 				m.linkGain[i][k] = cfg.Network.LinkGainDB(from, nb)
 			}
 		}
-	}
-	for i := 1; i < n; i++ {
-		m.arrivals[i] = arrivalSchedule(cfg, topology.NodeID(i))
 	}
 	if cfg.Protocol == "lmac" {
 		m.slotsFor = int(math.Round(cfg.Params[0]))

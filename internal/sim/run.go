@@ -228,20 +228,18 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 // runMode is the contract of the entry point a runner serves. The modes
 // differ only in what a MAC layer that cannot be built does to the run
-// and in how arrivals are generated.
+// and in which epoch an arrival exactly on a boundary belongs to.
 type runMode uint8
 
 const (
-	// fixedRun serves RunContext: one epoch; without a traffic model the
-	// chained periodic generator samples.
+	// fixedRun serves RunContext: one epoch.
 	fixedRun runMode = iota
 	// phasedRun serves RunPhasedContext: a MAC layer that cannot be
 	// built fails the run with its phase index, and a phase boundary
 	// retires every arrival of the closing epoch.
 	phasedRun
 	// faultyRun serves RunFaultyContext: a vector that cannot be deployed
-	// past the first epoch degrades to the last one that deployed, and
-	// the periodic generator is materialized so epochs can splice it.
+	// past the first epoch degrades to the last one that deployed.
 	faultyRun
 )
 
@@ -267,9 +265,8 @@ type runner struct {
 	params opt.Vector // the vector the next install deploys
 	good   opt.Vector // the last vector that deployed
 
-	// arrivals[i] is node i's full arrival schedule, nil when the
-	// chained periodic generator samples instead; cursor[i] indexes its
-	// next arrival.
+	// arrivals[i] is node i's full arrival schedule; cursor[i] indexes
+	// its next arrival.
 	arrivals [][]float64
 	cursor   []int
 	nextID   int64
@@ -308,17 +305,12 @@ func newRunner(cfg Config, phases []PhaseConfig, mode runMode, reb Rebargainer) 
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*1000003 + 1))
 		r.nodes[i] = newNode(r.eng, cfg.Network, r.med, id, parent(id), rng, r.metrics, cfg.Payload)
 	}
-	if cfg.Traffic != nil || mode == faultyRun {
-		// Deterministic in the seed: shared from the attached world when
-		// it matches, derived fresh otherwise. Runners only read it.
-		if r.arrivals = cfg.Shared.arrivalsFor(&cfg); r.arrivals == nil {
-			r.arrivals = make([][]float64, n)
-			for i := 1; i < n; i++ {
-				r.arrivals[i] = arrivalSchedule(cfg, topology.NodeID(i))
-			}
-		}
-		r.cursor = make([]int, n)
+	// Deterministic in the seed: shared from the attached world when it
+	// matches, derived fresh otherwise. Runners only read it.
+	if r.arrivals = cfg.Shared.arrivalsFor(&cfg); r.arrivals == nil {
+		r.arrivals = arrivalSchedules(cfg)
 	}
+	r.cursor = make([]int, n)
 	if cfg.faulty() {
 		r.fs = newFaultState(r)
 		r.med.fault = r.fs
@@ -395,11 +387,7 @@ func (r *runner) install(now float64) error {
 		if i == 0 {
 			continue
 		}
-		if r.arrivals == nil {
-			r.periodic(mac, topology.NodeID(i))
-		} else {
-			r.splice(mac, topology.NodeID(i), now, end)
-		}
+		r.splice(mac, topology.NodeID(i), now, end)
 	}
 	if r.fs != nil {
 		r.fs.rearm()
@@ -444,26 +432,6 @@ func (r *runner) splice(mac macLayer, id topology.NodeID, now, end float64) {
 		}
 	}
 	r.eng.After(times[c]-now, tick)
-}
-
-// periodic wires the legacy phase-shifted periodic sampling of one node
-// as a self-rearming callback. Only fixed runs without a traffic model
-// use it; the fault runner splices the same process materialized by
-// arrivalSchedule. The two are not interchangeable bit for bit: the
-// chain leaves one tick pending past the horizon, which shows in
-// WheelPromotions and PeakPending.
-func (r *runner) periodic(mac macLayer, id topology.NodeID) {
-	if r.cfg.SampleRate <= 0 {
-		return
-	}
-	period := 1 / r.cfg.SampleRate
-	genRng := rand.New(rand.NewSource(r.cfg.Seed ^ (int64(id)*2654435761 + 7)))
-	var tick func()
-	tick = func() {
-		r.sample(mac, id)
-		r.eng.After(period, tick)
-	}
-	r.eng.After(genRng.Float64()*period, tick)
 }
 
 // sample generates one application packet at node id. Packets come from
