@@ -722,7 +722,9 @@ type wireSimReport struct {
 	P95Delay         *float64       `json:"p95_delay,omitempty"`
 	OuterRingDelay   *float64       `json:"outer_ring_delay,omitempty"`
 	BottleneckEnergy float64        `json:"bottleneck_energy"`
-	// Scheduler observability counters (see edmac.SimReport).
+	// Scheduler observability counters (see edmac.SimReport): Events
+	// counts folded idle poll steps too, PeakPending and
+	// WheelPromotions only the events actually queued.
 	Events          uint64 `json:"events,omitempty"`
 	PeakPending     int    `json:"peak_pending,omitempty"`
 	WheelPromotions uint64 `json:"wheel_promotions,omitempty"`

@@ -1,169 +1,44 @@
 package sim
 
-import (
-	"github.com/edmac-project/edmac/internal/radio"
-	"github.com/edmac-project/edmac/internal/topology"
-)
-
-// bmacPhase is the protocol state of one B-MAC node.
-type bmacPhase int
-
-const (
-	bIdle     bmacPhase = iota // asleep between polls
-	bPolling                   // channel check in progress
-	bWaitData                  // preamble heard; data follows
-	bWaitAck                   // sender: data sent, awaiting the ACK
-)
-
-// bmacMaxRetries bounds per-packet transmission attempts.
-const bmacMaxRetries = 5
+import "github.com/edmac-project/edmac/internal/topology"
 
 // bmacNode is the packet-level B-MAC implementation: classic low-power
 // listening with a full-length, address-free wakeup preamble spanning
 // one check interval. Everyone in range of the preamble — not just the
 // target — stays awake through the data frame, which is the overhearing
-// cost X-MAC's strobes were invented to remove. Recurring callbacks are
-// allocated once at construction.
+// cost X-MAC's strobes were invented to remove. The poll chain, the
+// send kick and the timeouts are the low-power-listening core it shares
+// with X-MAC (lpl). Recurring callbacks are allocated once at
+// construction.
 type bmacNode struct {
-	*node
-	tw float64
-
-	phase   bmacPhase
-	busy    bool
-	retries int
+	lpl
 
 	preambleBytes int
+	ackDst        topology.NodeID // destination of the pending ACK reply
 
-	pollTimer Timer
-	dataTimer Timer
-	ackTimer  Timer
-
-	pollWindow float64
-	turn       float64
-
-	ackDst topology.NodeID // destination of the pending ACK reply
-
-	pollFn        func()
-	pollExpiredFn func()
-	dataExpiredFn func()
-	ackExpiredFn  func()
-	attemptSendFn func()
-	maybeSendFn   func()
-	sendAckFn     func()
+	sendAckFn func()
 }
 
-func newBMACNode(n *node, tw float64) *bmacNode {
-	m := &bmacNode{node: n, tw: tw, turn: n.x.prof.Turnaround}
+func newBMACNode(n *node, tw, horizon float64) *bmacNode {
+	m := &bmacNode{}
 	// The preamble must span a full check interval on the air.
 	bytes := int(tw/n.x.prof.ByteTime()) - n.x.prof.PHYOverhead
 	if bytes < 1 {
 		bytes = 1
 	}
 	m.preambleBytes = bytes
-	m.pollWindow = 2*n.x.prof.CCA + 2*interFrameSpacing
-	m.pollFn = m.poll
-	m.pollExpiredFn = m.pollExpired
-	m.dataExpiredFn = m.dataExpired
-	m.ackExpiredFn = m.ackExpired
-	m.attemptSendFn = m.attemptSend
-	m.maybeSendFn = m.maybeSend
+	m.init(m, n, tw, 2*n.x.prof.CCA+2*interFrameSpacing, horizon)
 	m.sendAckFn = func() {
 		m.x.Send(m.newFrame(FrameAck, m.ackDst, m.ackBytes, nil))
 	}
 	return m
 }
 
-// start implements macLayer.
-func (m *bmacNode) start() {
-	m.x.Sleep()
-	m.eng.After(m.rng.Float64()*m.tw, m.pollFn)
-}
-
-// sampled implements macLayer.
-func (m *bmacNode) sampled(p *Packet) {
-	m.push(p)
-	if !m.busy {
-		m.attemptSend()
-	}
-}
-
-func (m *bmacNode) poll() {
-	m.eng.After(m.tw, m.pollFn)
-	if m.busy {
-		return
-	}
-	m.x.Listen() // midLock may land us straight in Rx on a preamble
-	m.phase = bPolling
-	m.busy = true
-	m.pollTimer = m.eng.After(m.pollWindow, m.pollExpiredFn)
-}
-
-func (m *bmacNode) pollExpired() {
-	if m.phase != bPolling {
-		return
-	}
-	if m.x.State() == radio.Rx || m.x.CarrierBusy() {
-		// Preamble (or other frame) in flight: hold on until it resolves.
-		m.pollTimer = m.eng.After(m.x.Airtime(m.dataBytes), m.pollExpiredFn)
-		return
-	}
-	m.finish()
-	m.maybeSend()
-}
-
-func (m *bmacNode) finish() {
-	m.pollTimer.Cancel()
-	m.dataTimer.Cancel()
-	m.ackTimer.Cancel()
-	m.phase = bIdle
-	m.busy = false
-	m.x.Sleep()
-}
-
-func (m *bmacNode) maybeSend() {
-	if !m.busy && m.head() != nil {
-		m.attemptSend()
-	}
-}
-
-func (m *bmacNode) attemptSend() {
-	if m.busy || m.head() == nil || m.isSink() {
-		return
-	}
-	m.busy = true
-	m.x.Listen()
-	if m.x.CarrierBusy() {
-		m.busy = false
-		m.x.Sleep()
-		m.eng.After(m.rng.Float64()*m.tw/2, m.attemptSendFn)
-		return
-	}
-	m.phase = bWaitAck // set early; the preamble+data run back to back
+// startSend implements lplProtocol: the preamble and the data frame run
+// back to back.
+func (m *bmacNode) startSend() {
+	m.phase = lplWaitAck // set early; the data follows the preamble's OnTxDone
 	m.x.Send(m.newFrame(FramePreamble, Broadcast, m.preambleBytes, nil))
-}
-
-// dataExpired fires when no data frame followed a heard preamble (the
-// exchange collided or the sender died mid-handshake).
-func (m *bmacNode) dataExpired() {
-	if m.phase != bWaitData {
-		return
-	}
-	m.finish()
-	m.maybeSend()
-}
-
-func (m *bmacNode) ackExpired() {
-	if m.phase != bWaitAck {
-		return
-	}
-	m.retries++
-	if m.retries > bmacMaxRetries {
-		m.pop()
-		m.metrics.recordDropped()
-		m.retries = 0
-	}
-	m.finish()
-	m.eng.After(m.rng.Float64()*m.tw, m.maybeSendFn)
 }
 
 // OnTxDone implements FrameHandler.
@@ -183,11 +58,11 @@ func (m *bmacNode) OnTxDone(f *Frame) {
 // OnFrame implements FrameHandler.
 func (m *bmacNode) OnFrame(f *Frame) {
 	switch m.phase {
-	case bPolling:
+	case lplPolling:
 		if f.Kind == FramePreamble {
 			// Address-free: every hearer must stay for the data.
 			m.pollTimer.Cancel()
-			m.phase = bWaitData
+			m.phase = lplWaitData
 			wait := interFrameSpacing + m.x.Airtime(m.dataBytes) + 2*m.turn
 			m.dataTimer = m.eng.After(wait, m.dataExpiredFn)
 			return
@@ -195,7 +70,7 @@ func (m *bmacNode) OnFrame(f *Frame) {
 		// Any other frame mid-poll: not ours to handle.
 		m.pollTimer.Cancel()
 		m.finish()
-	case bWaitData:
+	case lplWaitData:
 		if f.Kind != FrameData {
 			return
 		}
@@ -210,7 +85,7 @@ func (m *bmacNode) OnFrame(f *Frame) {
 		// preambles, paid in full before sleeping again.
 		m.finish()
 		m.maybeSend()
-	case bWaitAck:
+	case lplWaitAck:
 		if f.Kind == FrameAck && f.Dst == m.id {
 			m.ackTimer.Cancel()
 			m.pop()

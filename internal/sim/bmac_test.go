@@ -99,7 +99,7 @@ func TestBMACCostlierThanXMACSimulated(t *testing.T) {
 func TestBMACPreambleSpansWakeup(t *testing.T) {
 	prof := radio.CC2420()
 	n := &node{x: &Transceiver{prof: prof}}
-	m := newBMACNode(n, 0.5)
+	m := newBMACNode(n, 0.5, 300)
 	air := prof.FrameAirtime(m.preambleBytes)
 	if air < 0.5*0.99 || air > 0.5*1.01 {
 		t.Errorf("preamble airtime %v, want ≈ 0.5 s", air)

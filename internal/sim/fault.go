@@ -452,7 +452,8 @@ func (fs *faultState) onState(x *Transceiver) {
 	fs.armDeathTimer(x)
 }
 
-// armDeathTimer (re)schedules node x's battery death from its residual.
+// armDeathTimer (re)schedules node x's battery death from its residual
+// at its last transition, which is now except after an idle fold.
 func (fs *faultState) armDeathTimer(x *Transceiver) {
 	id := x.id
 	eng := fs.run.eng
@@ -466,5 +467,35 @@ func (fs *faultState) armDeathTimer(x *Transceiver) {
 	if draw <= 0 {
 		return // this state is free; depletion postponed until the next transition
 	}
-	fs.deathTimer[id] = eng.AtCall(eng.Now()+residual/draw, fs.deathCb, fs.nodeArg[id])
+	fs.deathTimer[id] = eng.AtCall(x.med.since[id]+residual/draw, fs.deathCb, fs.nodeArg[id])
+}
+
+// Battery stretch of the idle fold (see lpl.doze): a dozing battery
+// node's chain folds for at most maxStretch poll cycles, and keeps
+// stretchMargin cycles of worst-case draw in hand.
+const (
+	maxStretch    = 256
+	stretchMargin = 2
+)
+
+// stretch returns how many poll cycles a battery node may fold from
+// now: the whole cycles of worst-case draw (cycle joules each) its
+// residual provably survives, less stretchMargin, at most maxStretch.
+// Over that span no depletion instant can fall, so the death timer need
+// not follow each folded transition. -1 means no limit: the node is
+// mains-powered or the run has no batteries (nil-receiver safe).
+func (fs *faultState) stretch(x *Transceiver, cycle float64) int {
+	if fs == nil || fs.capacity == nil || fs.capacity[x.id] <= 0 {
+		return -1
+	}
+	m := x.med
+	residual := fs.capacity[x.id] - x.Energy() - (m.eng.Now()-m.since[x.id])*x.prof.Power(m.states[x.id])
+	k := math.Floor(residual/cycle) - stretchMargin
+	switch {
+	case k >= maxStretch:
+		return maxStretch
+	case k > 0:
+		return int(k)
+	}
+	return 0
 }

@@ -92,6 +92,12 @@ type Medium struct {
 	// every radio-state change so battery-depletion instants stay exact.
 	fault *faultState
 
+	// dozing[i] is node i's low-power-listening core while its idle
+	// poll chain is folded out of the engine (see lpl), nil otherwise.
+	// The table stays nil until the first doze, so runs of the
+	// scheduled protocols never scan it.
+	dozing []*lpl
+
 	startTxCb  func(any) // cached: schedule startTx without a new closure
 	finishTxCb func(any) // cached: schedule txDone+endTx without a new closure
 
@@ -421,6 +427,7 @@ func (m *Medium) endTx(tx *transmission) {
 // carried remain in their senders' queues wherever the protocol
 // confirms before popping, so the next regime retries them.
 func (m *Medium) quiesce() {
+	m.foldDozers()
 	for _, tx := range m.inflight {
 		m.freeFrame(tx.frame)
 		tx.frame = nil
@@ -448,6 +455,27 @@ func (m *Medium) quiesce() {
 		// Bypass Sleep()'s in-transmission guard: the transmission this
 		// radio was making no longer exists.
 		m.setState(topology.NodeID(i), radio.Sleep)
+	}
+}
+
+// doze lists a node whose idle poll chain leaves the engine.
+func (m *Medium) doze(c *lpl) {
+	if m.dozing == nil {
+		m.dozing = make([]*lpl, len(m.states))
+	}
+	m.dozing[c.id] = c
+}
+
+// foldDozers folds every dozing node's chain up to now and ends its
+// doze without re-scheduling anything: the engine's queue has just been
+// dropped (an epoch boundary) or the run is over.
+func (m *Medium) foldDozers() {
+	now := m.eng.Now()
+	for _, c := range m.dozing {
+		if c != nil {
+			c.fold(now)
+			c.undoze()
+		}
 	}
 }
 
@@ -594,6 +622,15 @@ func (x *Transceiver) Send(f *Frame) {
 		panic("Send of pooled frame")
 	}
 	m := x.med
+	if m.dozing != nil {
+		// The frame may reach every neighbour: a dozing one folds its
+		// chain up to now and resumes real polls before it can matter.
+		for _, nb := range m.nbrs[x.id] {
+			if c := m.dozing[nb]; c != nil {
+				c.wake()
+			}
+		}
+	}
 	m.lock[x.id] = nil
 	m.lockBad[x.id] = false
 	m.setState(x.id, radio.Tx)

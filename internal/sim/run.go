@@ -124,14 +124,20 @@ type Result struct {
 	// Captures counts overlaps a frame survived via the capture effect
 	// (0 when capture is disabled).
 	Captures int
-	// Events is the number of simulator events processed.
+	// Events is the number of simulator events processed, counting
+	// each idle X-MAC or B-MAC poll step the engine never queued (a
+	// window close or a poll of a dozing node, folded in later) as the
+	// event it stands for: it does not depend on the fold.
 	Events uint64
 	// PeakPending is the high-water mark of the scheduler's pending
-	// event count — how deep the event queue ever got.
+	// event count — how deep the event queue ever got. Folded poll
+	// steps were never queued, so they do not count.
 	PeakPending int
 	// WheelPromotions counts events that landed beyond the timing
 	// wheel's one-second horizon and were later promoted into the
-	// wheel in bulk; near 0 on healthy duty-cycle workloads.
+	// wheel in bulk: arrival and fault instants, and the real poll that
+	// ends a dozing battery node's fold. Folded poll steps never enter
+	// the wheel.
 	WheelPromotions uint64
 	// Energy[i] is node i's consumption over the whole run, in joules.
 	Energy []float64
@@ -468,9 +474,9 @@ func (r *runner) buildMACs(params opt.Vector) ([]macLayer, error) {
 	for i, nd := range r.nodes {
 		switch r.cfg.Protocol {
 		case "xmac":
-			macs[i] = newXMACNode(nd, params[0])
+			macs[i] = newXMACNode(nd, params[0], r.cfg.Duration)
 		case "bmac":
-			macs[i] = newBMACNode(nd, params[0])
+			macs[i] = newBMACNode(nd, params[0], r.cfg.Duration)
 		case "dmac":
 			macs[i] = newDMACNode(nd, params[0], params[1], net.Depth())
 		case "lmac":
@@ -480,8 +486,11 @@ func (r *runner) buildMACs(params opt.Vector) ([]macLayer, error) {
 	return macs, nil
 }
 
-// result assembles the public result after the last epoch.
+// result assembles the public result after the last epoch. Dozing
+// nodes fold their chains up to the horizon first, so Events and the
+// energy meters count every step.
 func (r *runner) result() *Result {
+	r.med.foldDozers()
 	n := len(r.nodes)
 	res := &Result{
 		Duration:           r.cfg.Duration,

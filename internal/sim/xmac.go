@@ -1,76 +1,35 @@
 package sim
 
-import (
-	"github.com/edmac-project/edmac/internal/radio"
-	"github.com/edmac-project/edmac/internal/topology"
-)
-
-// xmacPhase is the protocol state of one X-MAC node.
-type xmacPhase int
-
-const (
-	xIdle     xmacPhase = iota // radio asleep between polls
-	xPolling                   // periodic channel check in progress
-	xGap                       // sender: listening for the early ACK between strobes
-	xWaitAck                   // sender: data sent, waiting for the ACK
-	xWaitData                  // receiver: early ACK sent, waiting for the data
-)
-
-// xmacMaxRetries bounds per-packet transmission attempts.
-const xmacMaxRetries = 5
+import "github.com/edmac-project/edmac/internal/topology"
 
 // xmacNode is the packet-level X-MAC implementation: low-power listening
 // with strobed preambles and early ACK, mirroring the analytic model in
-// internal/macmodel. Every recurring callback is allocated once at
-// construction (method values allocate per evaluation), so the steady
-// state schedules without heap work.
+// internal/macmodel. The poll chain, the send kick and the timeouts are
+// the low-power-listening core it shares with B-MAC (lpl). Every
+// recurring callback is allocated once at construction (method values
+// allocate per evaluation), so the steady state schedules without heap
+// work.
 type xmacNode struct {
-	*node
-	tw float64 // wakeup interval (the model's decision variable)
-
-	phase   xmacPhase
-	busy    bool // a send or receive procedure is running
-	retries int
+	lpl
 
 	strobeUntil Time
 	peer        topology.NodeID // handshake counterpart
+	gap         float64
 
-	pollTimer Timer
-	gapTimer  Timer
-	dataTimer Timer
-	ackTimer  Timer
-
-	pollWindow float64
-	gap        float64
-	turn       float64
-
-	pollFn          func()
-	pollExpiredFn   func()
 	gapExpiredFn    func()
-	ackExpiredFn    func()
-	dataExpiredFn   func()
-	attemptSendFn   func()
-	maybeSendFn     func()
 	sendStrobeAckFn func()
 	sendAckFn       func()
 }
 
-func newXMACNode(n *node, tw float64) *xmacNode {
-	x := &xmacNode{node: n, tw: tw}
-	x.turn = n.x.prof.Turnaround
+func newXMACNode(n *node, tw, horizon float64) *xmacNode {
+	x := &xmacNode{}
 	// The poll must straddle one full strobe period so a strobe start
 	// always lands inside it.
 	strobe := n.x.Airtime(n.strobeBytes)
 	ackAir := n.x.Airtime(n.ackBytes)
-	x.gap = ackAir + 2*x.turn + n.x.prof.CCA
-	x.pollWindow = strobe + x.gap + 2*n.x.prof.CCA
-	x.pollFn = x.poll
-	x.pollExpiredFn = x.pollExpired
+	x.gap = ackAir + 2*n.x.prof.Turnaround + n.x.prof.CCA
+	x.init(x, n, tw, strobe+x.gap+2*n.x.prof.CCA, horizon)
 	x.gapExpiredFn = x.gapExpired
-	x.ackExpiredFn = x.ackExpired
-	x.dataExpiredFn = x.dataExpired
-	x.attemptSendFn = x.attemptSend
-	x.maybeSendFn = x.maybeSend
 	x.sendStrobeAckFn = func() {
 		x.x.Send(x.newFrame(FrameStrobeAck, x.peer, x.ackBytes, nil))
 	}
@@ -80,92 +39,22 @@ func newXMACNode(n *node, tw float64) *xmacNode {
 	return x
 }
 
-// start implements macLayer.
-func (m *xmacNode) start() {
-	m.x.Sleep()
-	m.eng.After(m.rng.Float64()*m.tw, m.pollFn)
-}
-
-// sampled implements macLayer.
-func (m *xmacNode) sampled(p *Packet) {
-	m.push(p)
-	if !m.busy {
-		m.attemptSend()
-	}
-}
-
-// poll is the periodic channel check.
-func (m *xmacNode) poll() {
-	m.eng.After(m.tw, m.pollFn)
-	if m.busy {
-		return
-	}
-	m.x.Listen()
-	m.phase = xPolling
-	m.busy = true
-	m.pollTimer = m.eng.After(m.pollWindow, m.pollExpiredFn)
-}
-
-// pollExpired closes the poll unless a reception is still in flight.
-func (m *xmacNode) pollExpired() {
-	if m.phase != xPolling {
-		return
-	}
-	if m.x.State() == radio.Rx || m.x.CarrierBusy() {
-		// Mid-frame: extend until the frame resolves.
-		m.pollTimer = m.eng.After(m.x.Airtime(m.dataBytes), m.pollExpiredFn)
-		return
-	}
-	m.finishProcedure()
-	m.maybeSend()
-}
-
-// finishProcedure cancels every pending protocol timer and returns the
-// node to its idle sleeping state.
-func (m *xmacNode) finishProcedure() {
-	m.pollTimer.Cancel()
-	m.gapTimer.Cancel()
-	m.dataTimer.Cancel()
-	m.ackTimer.Cancel()
-	m.phase = xIdle
-	m.busy = false
-	m.x.Sleep()
-}
-
-// maybeSend kicks the sender when traffic is pending.
-func (m *xmacNode) maybeSend() {
-	if !m.busy && m.head() != nil {
-		m.attemptSend()
-	}
-}
-
-// attemptSend begins the strobe procedure for the head-of-queue packet.
-func (m *xmacNode) attemptSend() {
-	if m.busy || m.head() == nil || m.isSink() {
-		return
-	}
-	m.busy = true
-	m.x.Listen()
-	if m.x.CarrierBusy() {
-		// Channel occupied: back off within half a wakeup interval.
-		m.busy = false
-		m.x.Sleep()
-		m.eng.After(m.rng.Float64()*m.tw/2, m.attemptSendFn)
-		return
-	}
+// startSend implements lplProtocol: strobes addressed to the parent for
+// a full wakeup interval, or until it answers early.
+func (m *xmacNode) startSend() {
 	m.peer = m.parent
 	m.strobeUntil = m.eng.Now() + m.tw + 2*(m.x.Airtime(m.strobeBytes)+m.gap)
 	m.sendStrobe()
 }
 
 func (m *xmacNode) sendStrobe() {
-	m.phase = xGap // the gap follows the strobe's OnTxDone
+	m.phase = lplGap // the gap follows the strobe's OnTxDone
 	m.x.Send(m.newFrame(FrameStrobe, m.peer, m.strobeBytes, nil))
 }
 
 // gapExpired fires when no early ACK arrived within the inter-strobe gap.
 func (m *xmacNode) gapExpired() {
-	if m.phase != xGap {
+	if m.phase != lplGap {
 		return
 	}
 	if m.eng.Now() < m.strobeUntil {
@@ -178,23 +67,8 @@ func (m *xmacNode) gapExpired() {
 
 func (m *xmacNode) sendData() {
 	m.gapTimer.Cancel()
-	m.phase = xWaitAck
+	m.phase = lplWaitAck
 	m.x.Send(m.newFrame(FrameData, m.peer, m.dataBytes, m.head()))
-}
-
-// ackExpired fires when the data ACK never came.
-func (m *xmacNode) ackExpired() {
-	if m.phase != xWaitAck {
-		return
-	}
-	m.retries++
-	if m.retries > xmacMaxRetries {
-		m.pop()
-		m.metrics.recordDropped()
-		m.retries = 0
-	}
-	m.finishProcedure()
-	m.eng.After(m.rng.Float64()*m.tw, m.maybeSendFn)
 }
 
 // OnTxDone implements FrameHandler.
@@ -207,58 +81,49 @@ func (m *xmacNode) OnTxDone(f *Frame) {
 		m.ackTimer = m.eng.After(ackWait, m.ackExpiredFn)
 	case FrameStrobeAck:
 		// Receiver: now expect the data frame.
-		m.phase = xWaitData
+		m.phase = lplWaitData
 		wait := m.x.Airtime(m.strobeBytes) + m.gap + m.x.Airtime(m.dataBytes) + 4*m.turn
 		m.dataTimer = m.eng.After(wait, m.dataExpiredFn)
 	case FrameAck:
 		// Receiver handshake complete.
-		m.finishProcedure()
+		m.finish()
 		m.maybeSend()
 	}
-}
-
-// dataExpired fires when the announced data frame never arrived.
-func (m *xmacNode) dataExpired() {
-	if m.phase != xWaitData {
-		return
-	}
-	m.finishProcedure()
-	m.maybeSend()
 }
 
 // OnFrame implements FrameHandler.
 func (m *xmacNode) OnFrame(f *Frame) {
 	switch m.phase {
-	case xPolling:
+	case lplPolling:
 		if f.Kind == FrameStrobe && f.Dst == m.id {
 			// Addressed strobe: become the receiver, send the early ACK.
 			m.pollTimer.Cancel()
 			m.peer = f.Src
-			m.phase = xWaitData // refined after the strobe-ACK's OnTxDone
+			m.phase = lplWaitData // refined after the strobe-ACK's OnTxDone
 			m.eng.After(m.turn, m.sendStrobeAckFn)
 			return
 		}
 		// Foreign traffic: the address in the strobe lets us sleep at
 		// once — X-MAC's cheap overhearing.
 		m.pollTimer.Cancel()
-		m.finishProcedure()
-	case xGap:
+		m.finish()
+	case lplGap:
 		if f.Kind == FrameStrobeAck && f.Dst == m.id {
 			m.sendData()
 		}
-	case xWaitData:
+	case lplWaitData:
 		if f.Kind == FrameData && f.Dst == m.id {
 			m.dataTimer.Cancel()
 			m.peer = f.Src
 			m.eng.After(m.turn, m.sendAckFn)
 			m.accept(f.Packet)
 		}
-	case xWaitAck:
+	case lplWaitAck:
 		if f.Kind == FrameAck && f.Dst == m.id {
 			m.ackTimer.Cancel()
 			m.pop()
 			m.retries = 0
-			m.finishProcedure()
+			m.finish()
 			m.maybeSend()
 		}
 	}
