@@ -7,6 +7,7 @@ import (
 
 	"github.com/edmac-project/edmac/internal/opt"
 	"github.com/edmac-project/edmac/internal/radio"
+	"github.com/edmac-project/edmac/internal/topology"
 	"github.com/edmac-project/edmac/internal/traffic"
 )
 
@@ -90,4 +91,80 @@ func TestMaterializedEquivalence(t *testing.T) {
 			}
 		})
 	}
+
+	// Worlds materialized from a config other than the run's: the fit
+	// rule must ignore the ones that cannot serve the run and answer the
+	// lookups the others cannot (a re-bargained LMAC frame size).
+	gains := gainLine(t)
+	capture := Config{
+		Protocol: "xmac", Network: gains, Radio: radio.CC2420(),
+		Params: opt.Vector{0.2}, SampleRate: 0.5, Payload: 32,
+		Duration: 120, Seed: 13, Capture: true,
+	}
+	noCapture := capture
+	noCapture.Capture = false
+	twin := lossyLine(t, 4, 0.8)
+	onTwin := Config{
+		Protocol: "bmac", Network: lossyLine(t, 4, 0.8), Radio: radio.CC2420(),
+		Params: opt.Vector{0.2}, SampleRate: 0.05, Payload: 32,
+		Duration: 120, Seed: 17,
+	}
+	twinWorld := onTwin
+	twinWorld.Network = twin
+	lmacPhased := Config{
+		Protocol: "lmac", Network: phasedSimNetwork(t), Radio: radio.CC2420(),
+		Params: opt.Vector{8, 0.05}, Traffic: traffic.Periodic{Rate: 0.05},
+		Payload: 32, Duration: 120, Seed: 19,
+	}
+	fits := []struct {
+		name   string
+		cfg    Config
+		phases []PhaseConfig
+		world  Config // the config the attached world is built from
+	}{
+		{"capture, world without capture", capture, nil, noCapture},
+		{"capture, matching world", capture, nil, capture},
+		{"identical network, other object", onTwin, nil, twinWorld},
+		{"lmac phased, frame size changes", lmacPhased, []PhaseConfig{
+			{Params: opt.Vector{8, 0.05}, Until: 60},
+			{Params: opt.Vector{12, 0.05}, Until: 120},
+		}, lmacPhased},
+	}
+	for _, tc := range fits {
+		t.Run(tc.name, func(t *testing.T) {
+			base := run(tc.cfg, tc.phases)
+			if tc.cfg.Capture && base.Captures == 0 {
+				t.Fatal("capture run captured nothing: the case pins nothing")
+			}
+			world, err := Materialize(tc.world)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := tc.cfg
+			cfg.Shared = world
+			if got := run(cfg, tc.phases); !reflect.DeepEqual(base, got) {
+				t.Errorf("world changed the run:\nbase %+v\ngot  %+v", base, got)
+			}
+		})
+	}
+}
+
+// gainLine is a five-node line (spacing 0.5, so every node hears two
+// hops each way) whose links are all stamped at PRR 1 with unequal
+// gains: the network is not lossy, yet capture has powers to compare.
+func gainLine(t *testing.T) *topology.Network {
+	t.Helper()
+	net, err := topology.Line(4, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a := 0; a < net.N(); a++ {
+		for _, b := range net.Neighbors(topology.NodeID(a)) {
+			net.SetLink(topology.NodeID(a), b, 1, float64((a*7+int(b)*3)%11))
+		}
+	}
+	if net.Lossy() {
+		t.Fatal("PRR-1 stamping made the line lossy")
+	}
+	return net
 }
