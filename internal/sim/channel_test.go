@@ -32,7 +32,7 @@ func TestMediumReceptionDraw(t *testing.T) {
 	run := func(prr float64) (*recorder, *Medium) {
 		net := lossyLine(t, 2, prr)
 		eng := NewEngine()
-		med := newMedium(eng, net, radio.CC2420(), nil)
+		med := newMedium(eng, newWorld(&Config{Network: net}), radio.CC2420())
 		med.enableLoss(7)
 		rx := &recorder{}
 		med.Transceiver(1).SetHandler(rx)
@@ -55,7 +55,7 @@ func TestMediumReceptionDraw(t *testing.T) {
 	}
 	net.SetLink(0, 1, 0, 0)
 	eng := NewEngine()
-	med := newMedium(eng, net, radio.CC2420(), nil)
+	med := newMedium(eng, newWorld(&Config{Network: net}), radio.CC2420())
 	med.enableLoss(7)
 	rx := &recorder{}
 	med.Transceiver(1).SetHandler(rx)
@@ -110,7 +110,7 @@ func TestMediumCapture(t *testing.T) {
 			net.SetLink(0, 1, 1, tc.gain0)
 			net.SetLink(2, 1, 1, tc.gain2)
 			eng := NewEngine()
-			med := newMedium(eng, net, radio.CC2420(), nil)
+			med := newMedium(eng, newWorld(&Config{Network: net, Capture: true}), radio.CC2420())
 			med.enableCapture(3)
 			rx := &recorder{}
 			med.Transceiver(1).SetHandler(rx)
@@ -155,7 +155,7 @@ func TestMediumCapturePileUp(t *testing.T) {
 	net.SetLink(2, 1, 1, 2)
 	net.SetLink(3, 1, 1, 4)
 	eng := NewEngine()
-	med := newMedium(eng, net, radio.CC2420(), nil)
+	med := newMedium(eng, newWorld(&Config{Network: net, Capture: true}), radio.CC2420())
 	med.enableCapture(3)
 	rx := &recorder{}
 	med.Transceiver(1).SetHandler(rx)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"github.com/edmac-project/edmac/internal/channel"
@@ -253,41 +252,6 @@ func RunFaultyContext(ctx context.Context, cfg Config, phases []PhaseConfig, reb
 	return newRunner(cfg, phases, faultyRun, reb).run(ctx)
 }
 
-// arrivalSchedules materializes every node's full arrival schedule,
-// indexed by node (the sink's is nil). With a traffic model each is the
-// model's own schedule; otherwise it is the phase-shifted periodic
-// generator at SampleRate: a uniform phase in [0, period) drawn from the
-// node's generator stream, then the period accumulated in float
-// arithmetic up to the run length. The periodic schedules share one
-// backing array sized up front (the phase is below one period, so a
-// node has at most Duration/period + 1 instants, plus one for rounding)
-// and one reseeded generator, so the whole set costs a few allocations.
-func arrivalSchedules(cfg Config) [][]float64 {
-	n := cfg.Network.N()
-	all := make([][]float64, n)
-	if cfg.Traffic != nil {
-		for i := 1; i < n; i++ {
-			all[i] = cfg.Traffic.Arrivals(cfg.Network, topology.NodeID(i), cfg.Seed, cfg.Duration)
-		}
-		return all
-	}
-	if cfg.SampleRate <= 0 || n < 2 {
-		return all
-	}
-	period := 1 / cfg.SampleRate
-	buf := make([]float64, 0, (n-1)*(int(cfg.Duration/period)+2))
-	genRng := rand.New(rand.NewSource(0))
-	for i := 1; i < n; i++ {
-		genRng.Seed(cfg.Seed ^ (int64(i)*2654435761 + 7))
-		start := len(buf)
-		for t := genRng.Float64() * period; t <= cfg.Duration; t += period {
-			buf = append(buf, t)
-		}
-		all[i] = buf[start:len(buf):len(buf)]
-	}
-	return all
-}
-
 // settle closes the survivability integrals up to now.
 func (fs *faultState) settle(now float64) {
 	if dt := now - fs.lastAccount; dt > 0 {
@@ -305,13 +269,13 @@ func (fs *faultState) settle(now float64) {
 // clock measures.
 func (fs *faultState) refreshPartition() {
 	fs.partitioned = false
-	net := fs.run.cfg.Network
+	parents := fs.run.world.parents
 	for i := 1; i < len(fs.alive); i++ {
 		if !fs.alive[i] {
 			continue
 		}
 		for id := topology.NodeID(i); id != 0; {
-			id = net.Parent(id)
+			id = parents[id]
 			if id != 0 && !fs.alive[id] {
 				fs.partitioned = true
 				return

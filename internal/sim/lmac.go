@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"github.com/edmac-project/edmac/internal/radio"
-	"github.com/edmac-project/edmac/internal/topology"
-)
+import "github.com/edmac-project/edmac/internal/radio"
 
 // lmacPhase is the protocol state of one LMAC node within a slot.
 type lmacPhase int
@@ -25,10 +22,10 @@ const (
 // once at construction, so arming a frame does not allocate.
 type lmacNode struct {
 	*node
-	slots  int     // N: slots per frame
-	tslot  float64 // slot length
-	owned  int     // this node's slot index
-	bySlot map[int]topology.NodeID
+	slots    int     // N: slots per frame
+	tslot    float64 // slot length
+	owned    int     // this node's slot index
+	occupied []bool  // occupied[s]: some node owns slot s
 
 	phase    lmacPhase
 	frameIdx int  // index of the next frame to arm
@@ -41,8 +38,8 @@ type lmacNode struct {
 	nextFrameFn   func()
 }
 
-func newLMACNode(n *node, slots int, tslot float64, owned int, bySlot map[int]topology.NodeID) *lmacNode {
-	m := &lmacNode{node: n, slots: slots, tslot: tslot, owned: owned, bySlot: bySlot}
+func newLMACNode(n *node, slots int, tslot float64, owned int, occupied []bool) *lmacNode {
+	m := &lmacNode{node: n, slots: slots, tslot: tslot, owned: owned, occupied: occupied}
 	m.slotStartCb = func(a any) { m.slotStart(a.(int)) }
 	m.slotArgs = make([]any, slots)
 	for s := 0; s < slots; s++ {
@@ -100,7 +97,7 @@ func (m *lmacNode) slotStart(s int) {
 	}
 	// Unowned slots may be empty (no node claimed them); skip listening
 	// to silence.
-	if _, occupied := m.bySlot[s]; !occupied {
+	if !m.occupied[s] {
 		return
 	}
 	m.phase = lCtrl

@@ -3,32 +3,34 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 
 	"github.com/edmac-project/edmac/internal/topology"
 	"github.com/edmac-project/edmac/internal/traffic"
 )
 
-// Materialized is the immutable shared world of a simulation config:
+// Materialized is the immutable world of a simulation config:
 // everything a run derives from the topology, the channel stamping and
-// the traffic model that does not depend on which rep is running. It is
-// built once by Materialize and attached to Config.Shared, so repeated
-// runs over the same scenario — the static/adaptive pair of a suite
-// cell, the reps of a batch sweep, every epoch of a phased or faulty
-// run — stop re-deriving neighbour tables, link-PRR/gain tables, LMAC
-// slot schedules and per-node arrival schedules from scratch.
+// the traffic model that does not depend on which rep is running. Every
+// run reads its neighbour lists, parents, link-PRR/gain tables, LMAC
+// slot plan and arrival schedules from exactly one world: Config.Shared
+// when it fits the config, otherwise one the runner builds for itself
+// with the constructor Materialize uses. A world built once by
+// Materialize and attached to Config.Shared serves repeated runs over
+// the same scenario — the static/adaptive pair of a suite cell, the
+// reps of a batch sweep — without re-deriving any of it.
 //
 // Sharing contract: a Materialized is read-only after construction and
 // safe for concurrent use by any number of runs. Consumers (Medium,
 // the runners, the MAC builders) may retain and index its slices but
 // must never write through them; nothing here aliases mutable run
-// state. The structural tables (neighbours, parents, link PRR/gain,
-// slot plans) apply to any config over the same *topology.Network;
-// the arrival schedules additionally require the same traffic model,
-// sample rate, seed and duration, and are ignored — each run falls
-// back to deriving its own — when any of those differ. A stale or
-// mismatched Shared therefore never changes results, only how much
-// setup work a run re-does.
+// state. A world fits a config over the same *topology.Network object,
+// and a config that wants capture only when it holds gain tables (see
+// fits). Lookups a fitting world was not built for — another seed's or
+// workload's arrivals, a re-bargained LMAC frame size — are derived
+// fresh by its methods. A stale or mismatched Shared therefore never
+// changes results, only how much setup work a run re-does.
 type Materialized struct {
 	net        *topology.Network
 	seed       int64
@@ -36,19 +38,19 @@ type Materialized struct {
 	sampleRate float64
 	traffic    traffic.Model
 
-	// Structural tables, valid for any run over net.
+	// Structural tables, valid for any run over net. linkPRR[from][k]
+	// and linkGain[from][k] describe the directed link from → nbrs[from][k].
 	nbrs     [][]topology.NodeID
 	parents  []topology.NodeID
 	depth    int
-	linkPRR  [][]float64 // nil on perfect channels
-	linkGain [][]float64 // nil unless the network stamps link gains
+	linkPRR  [][]float64 // nil unless the network is lossy
+	linkGain [][]float64 // nil unless the network is lossy or the config wants capture
 
-	// LMAC two-hop slot plan for slotsFor frame slots (0 = no plan).
-	// Adaptive runs that re-bargain onto a different slot count fall
-	// back to a fresh AssignSlots for that epoch.
+	// LMAC two-hop slot plan for slotsFor frame slots; nil slots means
+	// no plan, and every frame size is derived on demand.
 	slotsFor int
 	slots    []int
-	bySlot   map[int]topology.NodeID
+	occupied []bool // occupied[s]: some node owns slot s
 
 	// arrivals[i] is node i's full precomputed arrival schedule for
 	// (traffic, seed, duration) — the exact slices the runners would
@@ -63,84 +65,135 @@ func Materialize(cfg Config) (*Materialized, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := cfg.Network.N()
-	m := &Materialized{
-		net:        cfg.Network,
-		seed:       cfg.Seed,
-		duration:   cfg.Duration,
-		sampleRate: cfg.SampleRate,
-		traffic:    cfg.Traffic,
-		nbrs:       make([][]topology.NodeID, n),
-		parents:    make([]topology.NodeID, n),
-		depth:      cfg.Network.Depth(),
-		arrivals:   arrivalSchedules(cfg),
-	}
-	for i := 0; i < n; i++ {
-		id := topology.NodeID(i)
-		m.nbrs[i] = cfg.Network.Neighbors(id)
-		m.parents[i] = cfg.Network.Parent(id)
-	}
-	if cfg.Network.Lossy() {
-		m.linkPRR = make([][]float64, n)
-		m.linkGain = make([][]float64, n)
-		for i, nbrs := range m.nbrs {
-			from := topology.NodeID(i)
-			m.linkPRR[i] = make([]float64, len(nbrs))
-			m.linkGain[i] = make([]float64, len(nbrs))
-			for k, nb := range nbrs {
-				m.linkPRR[i][k] = cfg.Network.LinkPRR(from, nb)
-				m.linkGain[i][k] = cfg.Network.LinkGainDB(from, nb)
-			}
-		}
-	}
+	m := newWorld(&cfg)
 	if cfg.Protocol == "lmac" {
 		m.slotsFor = int(math.Round(cfg.Params[0]))
 		var err error
-		if m.slots, m.bySlot, err = slotPlan(cfg.Network, m.slotsFor); err != nil {
+		if m.slots, m.occupied, err = slotPlan(cfg.Network, m.slotsFor); err != nil {
 			return nil, err
 		}
 	}
 	return m, nil
 }
 
+// newWorld derives every table of cfg's world but the LMAC slot plan:
+// a run that builds its own world derives each epoch's plan through
+// slotPlanFor, and the epoch that deploys an unschedulable frame
+// reports it. Gain tables are built when the network is lossy or cfg
+// wants capture; on a never-stamped network every gain is 0.
+func newWorld(cfg *Config) *Materialized {
+	net := cfg.Network
+	n := net.N()
+	m := &Materialized{
+		net:        net,
+		seed:       cfg.Seed,
+		duration:   cfg.Duration,
+		sampleRate: cfg.SampleRate,
+		traffic:    cfg.Traffic,
+		nbrs:       make([][]topology.NodeID, n),
+		parents:    make([]topology.NodeID, n),
+		depth:      net.Depth(),
+		arrivals:   arrivalSchedules(*cfg),
+	}
+	for i := 0; i < n; i++ {
+		id := topology.NodeID(i)
+		m.nbrs[i] = net.Neighbors(id)
+		m.parents[i] = net.Parent(id)
+	}
+	if net.Lossy() {
+		m.linkPRR = m.linkTable(net.LinkPRR)
+	}
+	if net.Lossy() || cfg.Capture {
+		m.linkGain = m.linkTable(net.LinkGainDB)
+	}
+	return m
+}
+
+// linkTable tabulates f over every directed link, in nbrs order.
+func (m *Materialized) linkTable(f func(from, to topology.NodeID) float64) [][]float64 {
+	t := make([][]float64, len(m.nbrs))
+	for i, nbrs := range m.nbrs {
+		t[i] = make([]float64, len(nbrs))
+		for k, nb := range nbrs {
+			t[i][k] = f(topology.NodeID(i), nb)
+		}
+	}
+	return t
+}
+
 // slotPlan derives LMAC's two-hop conflict-free schedule for a frame of
-// frameSlots slots: each node's slot and the owner of each used slot.
-func slotPlan(net *topology.Network, frameSlots int) ([]int, map[int]topology.NodeID, error) {
+// frameSlots slots: each node's slot, and which slots some node owns.
+func slotPlan(net *topology.Network, frameSlots int) ([]int, []bool, error) {
 	slots, _, err := net.AssignSlots(frameSlots)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sim: lmac schedule: %w", err)
 	}
-	bySlot := make(map[int]topology.NodeID, len(slots))
-	for id, s := range slots {
-		bySlot[s] = topology.NodeID(id)
+	occupied := make([]bool, frameSlots)
+	for _, s := range slots {
+		occupied[s] = true
 	}
-	return slots, bySlot, nil
+	return slots, occupied, nil
 }
 
-// structuralFor reports whether the structural tables apply to cfg:
-// they only require the identical network object. Nil-receiver safe.
-func (m *Materialized) structuralFor(cfg *Config) bool {
-	return m != nil && m.net == cfg.Network
+// arrivalSchedules materializes every node's full arrival schedule,
+// indexed by node (the sink's is nil). With a traffic model each is the
+// model's own schedule; otherwise it is the phase-shifted periodic
+// generator at SampleRate: a uniform phase in [0, period) drawn from the
+// node's generator stream, then the period accumulated in float
+// arithmetic up to the run length. The periodic schedules share one
+// backing array sized up front (the phase is below one period, so a
+// node has at most Duration/period + 1 instants, plus one for rounding)
+// and one reseeded generator, so the whole set costs a few allocations.
+func arrivalSchedules(cfg Config) [][]float64 {
+	n := cfg.Network.N()
+	all := make([][]float64, n)
+	if cfg.Traffic != nil {
+		for i := 1; i < n; i++ {
+			all[i] = cfg.Traffic.Arrivals(cfg.Network, topology.NodeID(i), cfg.Seed, cfg.Duration)
+		}
+		return all
+	}
+	if cfg.SampleRate <= 0 || n < 2 {
+		return all
+	}
+	period := 1 / cfg.SampleRate
+	buf := make([]float64, 0, (n-1)*(int(cfg.Duration/period)+2))
+	genRng := rand.New(rand.NewSource(0))
+	for i := 1; i < n; i++ {
+		genRng.Seed(cfg.Seed ^ (int64(i)*2654435761 + 7))
+		start := len(buf)
+		for t := genRng.Float64() * period; t <= cfg.Duration; t += period {
+			buf = append(buf, t)
+		}
+		all[i] = buf[start:len(buf):len(buf)]
+	}
+	return all
 }
 
-// arrivalsFor returns the precomputed arrival schedules when they are
-// exactly the ones cfg's runners would derive — same network, seed,
-// duration and workload — and nil otherwise. Nil-receiver safe.
+// fits reports whether the world can serve cfg's run: it was built on
+// cfg's network object and, when cfg wants capture, holds the gain
+// tables the capture comparison reads. Nil-receiver safe.
+func (m *Materialized) fits(cfg *Config) bool {
+	return m != nil && m.net == cfg.Network && (m.linkGain != nil || !cfg.Capture)
+}
+
+// arrivalsFor returns the arrival schedules of cfg, which the world
+// fits: its own when they were derived for the same seed, duration and
+// workload, fresh ones otherwise.
 func (m *Materialized) arrivalsFor(cfg *Config) [][]float64 {
-	if m == nil || m.net != cfg.Network || m.seed != cfg.Seed ||
-		m.duration != cfg.Duration || m.sampleRate != cfg.SampleRate ||
+	if m.seed != cfg.Seed || m.duration != cfg.Duration || m.sampleRate != cfg.SampleRate ||
 		!reflect.DeepEqual(m.traffic, cfg.Traffic) {
-		return nil
+		return arrivalSchedules(*cfg)
 	}
 	return m.arrivals
 }
 
-// slotPlanFor returns the shared LMAC slot plan when it was built for
-// cfg's network with exactly frameSlots slots, else (nil, nil).
-// Nil-receiver safe.
-func (m *Materialized) slotPlanFor(cfg *Config, frameSlots int) ([]int, map[int]topology.NodeID) {
-	if !m.structuralFor(cfg) || m.slotsFor != frameSlots {
-		return nil, nil
+// slotPlanFor returns the LMAC slot plan for a frame of frameSlots
+// slots: the world's own when it was built for that frame size, a
+// fresh one otherwise.
+func (m *Materialized) slotPlanFor(frameSlots int) ([]int, []bool, error) {
+	if m.slots != nil && m.slotsFor == frameSlots {
+		return m.slots, m.occupied, nil
 	}
-	return m.slots, m.bySlot
+	return slotPlan(m.net, frameSlots)
 }

@@ -39,20 +39,19 @@ type transmission struct {
 // independently with probability 1−PRR, drawn at end of airtime from a
 // deterministic per-directed-link stream.
 //
-// The neighbour lists of the network are cached per node at construction
-// and the in-flight set is a flat slice, so the per-frame hot path
-// (startTx/endTx/busy) does no map or graph lookups and no allocation:
-// transmissions and frames are recycled through free-lists, the
-// callbacks driving them are allocated once here rather than per event,
-// and the per-link PRR/gain/RNG tables are built once by enableLoss /
-// enableCapture (never populated for the perfect channel, whose event
-// trace stays byte-identical to the pre-channel simulator).
+// The neighbour lists and per-link PRR/gain tables come read-only from
+// the run's world and the in-flight set is a flat slice, so the
+// per-frame hot path (startTx/endTx/busy) does no map or graph lookups
+// and no allocation: transmissions and frames are recycled through
+// free-lists, the callbacks driving them are allocated once here rather
+// than per event, and the per-link draw streams are built once by
+// enableLoss (never on the perfect channel, whose event trace stays
+// byte-identical to the pre-channel simulator).
 type Medium struct {
 	eng        *Engine
-	net        *topology.Network
 	xcvrs      []*Transceiver
 	carriers   []int               // per node: transmissions currently audible
-	nbrs       [][]topology.NodeID // per node: cached net.Neighbors
+	nbrs       [][]topology.NodeID // per node: the world's neighbour list
 	inflight   []*transmission
 	committed  []*transmission // sent but still inside the inter-frame spacing
 	collisions int
@@ -68,11 +67,11 @@ type Medium struct {
 	lock     []*transmission
 	lockBad  []bool
 	lockGain []float64 // received power (dB) of locked frame (capture)
-	sending  []*Frame
 	acc      []float64 // seconds per (node, radio.State): acc[id*5+state]
 
 	// Channel state: linkPRR/linkGain/linkRNG[from][k] describe the
-	// directed link from → nbrs[from][k]. All nil on a perfect channel.
+	// directed link from → nbrs[from][k]. linkPRR and linkRNG are nil on
+	// a perfect channel, linkGain unless the world holds gains.
 	lossy     bool
 	capture   bool
 	captureDB float64
@@ -100,44 +99,30 @@ type Medium struct {
 
 	startTxCb  func(any) // cached: schedule startTx without a new closure
 	finishTxCb func(any) // cached: schedule txDone+endTx without a new closure
-
-	// shared is the run's attached immutable world, nil when the run
-	// was configured without one. It only ever supplies read-only
-	// tables (neighbours, link PRR/gain); all mutable channel state
-	// stays per-run.
-	shared *Materialized
 }
 
-// newMedium creates the channel and one transceiver per node. A
-// non-nil shared world supplies the cached neighbour lists and, later,
-// the link-PRR/gain tables (see enableLoss/ensureGains) — all
-// read-only.
-func newMedium(eng *Engine, net *topology.Network, prof radio.Radio, sh *Materialized) *Medium {
-	n := net.N()
+// newMedium creates the channel over world w and one transceiver per
+// node. The world supplies the neighbour lists and link-PRR/gain
+// tables, all read-only; every mutable channel state stays per-run.
+func newMedium(eng *Engine, w *Materialized, prof radio.Radio) *Medium {
+	n := len(w.nbrs)
 	m := &Medium{
 		eng:      eng,
-		net:      net,
 		xcvrs:    make([]*Transceiver, n),
 		carriers: make([]int, n),
-		nbrs:     make([][]topology.NodeID, n),
+		nbrs:     w.nbrs,
 		states:   make([]radio.State, n),
 		since:    make([]Time, n),
 		halted:   make([]bool, n),
 		lock:     make([]*transmission, n),
 		lockBad:  make([]bool, n),
 		lockGain: make([]float64, n),
-		sending:  make([]*Frame, n),
 		acc:      make([]float64, n*5),
-	}
-	m.shared = sh
-	if sh != nil {
-		m.nbrs = sh.nbrs
+		linkPRR:  w.linkPRR,
+		linkGain: w.linkGain,
 	}
 	handles := make([]Transceiver, n) // one allocation for all handles
 	for i := range m.xcvrs {
-		if sh == nil {
-			m.nbrs[i] = net.Neighbors(topology.NodeID(i))
-		}
 		m.states[i] = radio.Sleep
 		handles[i] = Transceiver{id: topology.NodeID(i), med: m, prof: prof}
 		m.xcvrs[i] = &handles[i]
@@ -161,65 +146,34 @@ func (m *Medium) ChannelLosses() int { return m.fades }
 // capture effect (always 0 when capture is disabled).
 func (m *Medium) Captures() int { return m.captures }
 
-// enableLoss builds the per-link delivery tables from the network's
-// stamped link PRRs and the per-directed-link reception-draw streams
-// derived from the run seed. A no-op on networks without lossy links,
-// so legacy runs never pay for (or perturb) the draw machinery.
+// enableLoss switches on the per-link delivery draw, with one
+// reception-draw stream per directed link derived from the run seed. A
+// no-op on networks without lossy links (the world then holds no PRR
+// table), so legacy runs never pay for (or perturb) the draw machinery.
 func (m *Medium) enableLoss(seed int64) {
-	if !m.net.Lossy() {
+	if m.linkPRR == nil {
 		return
 	}
 	m.lossy = true
-	shared := m.shared != nil && m.shared.linkPRR != nil
-	if shared {
-		m.linkPRR = m.shared.linkPRR
-	} else {
-		m.linkPRR = make([][]float64, len(m.nbrs))
-	}
 	m.linkRNG = make([][]channel.DrawStream, len(m.nbrs))
 	for i, nbrs := range m.nbrs {
 		from := topology.NodeID(i)
-		if !shared {
-			m.linkPRR[i] = make([]float64, len(nbrs))
-		}
 		m.linkRNG[i] = make([]channel.DrawStream, len(nbrs))
 		for k, nb := range nbrs {
-			if !shared {
-				m.linkPRR[i][k] = m.net.LinkPRR(from, nb)
-			}
 			m.linkRNG[i][k] = channel.NewDrawStream(channel.DirectedLinkSeed(seed, from, nb))
 		}
 	}
 }
 
 // enableCapture switches the collision model to power capture with the
-// given margin in dB (DefaultCaptureDB when non-positive).
+// given margin in dB (DefaultCaptureDB when non-positive). The world
+// must hold gain tables (see Materialized.fits).
 func (m *Medium) enableCapture(thresholdDB float64) {
 	if thresholdDB <= 0 {
 		thresholdDB = channel.DefaultCaptureDB
 	}
 	m.capture = true
 	m.captureDB = thresholdDB
-	m.ensureGains()
-}
-
-// ensureGains caches the per-link gains the capture comparison reads.
-func (m *Medium) ensureGains() {
-	if m.linkGain != nil {
-		return
-	}
-	if m.shared != nil && m.shared.linkGain != nil {
-		m.linkGain = m.shared.linkGain
-		return
-	}
-	m.linkGain = make([][]float64, len(m.nbrs))
-	for i, nbrs := range m.nbrs {
-		from := topology.NodeID(i)
-		m.linkGain[i] = make([]float64, len(nbrs))
-		for k, nb := range nbrs {
-			m.linkGain[i][k] = m.net.LinkGainDB(from, nb)
-		}
-	}
 }
 
 // newFrame returns a zeroed frame from the pool. The medium reclaims it
@@ -451,7 +405,6 @@ func (m *Medium) quiesce() {
 	for i := range m.states {
 		m.lock[i] = nil
 		m.lockBad[i] = false
-		m.sending[i] = nil
 		// Bypass Sleep()'s in-transmission guard: the transmission this
 		// radio was making no longer exists.
 		m.setState(topology.NodeID(i), radio.Sleep)
@@ -634,7 +587,6 @@ func (x *Transceiver) Send(f *Frame) {
 	m.lock[x.id] = nil
 	m.lockBad[x.id] = false
 	m.setState(x.id, radio.Tx)
-	m.sending[x.id] = f
 	// The sender's end-of-transmission upcall and the medium's delivery
 	// run at the same instant inside one finishTx event: txDone first —
 	// the sender learns its frame left the air before receivers process
@@ -654,7 +606,6 @@ func (x *Transceiver) txDone(f *Frame) {
 	if f.pooled {
 		panic("txDone on pooled frame")
 	}
-	x.med.sending[x.id] = nil
 	x.med.setState(x.id, radio.Listen)
 	if x.handler != nil {
 		x.handler.OnTxDone(f)

@@ -24,7 +24,7 @@ func lineMedium(t *testing.T, n int) (*Engine, *Medium, *topology.Network) {
 		t.Fatalf("Line: %v", err)
 	}
 	eng := NewEngine()
-	return eng, newMedium(eng, net, radio.CC2420(), nil), net
+	return eng, newMedium(eng, newWorld(&Config{Network: net}), radio.CC2420()), net
 }
 
 func TestMediumDeliversToListeningNeighbor(t *testing.T) {

@@ -59,8 +59,9 @@ type Config struct {
 	// Shared optionally attaches a pre-built immutable world (see
 	// Materialize) so repeated runs over the same scenario skip
 	// re-deriving neighbour tables, link tables, slot plans and arrival
-	// schedules. Tables that do not match this config are ignored, so a
-	// mismatched Shared never changes results.
+	// schedules. A world that does not fit this config is ignored and
+	// one that fits derives what it lacks, so a mismatched Shared never
+	// changes results.
 	Shared *Materialized
 }
 
@@ -259,6 +260,7 @@ const (
 type runner struct {
 	cfg     *Config
 	mode    runMode
+	world   *Materialized // the one source of the run's tables
 	eng     *Engine
 	med     *Medium
 	metrics *Metrics
@@ -282,24 +284,22 @@ type runner struct {
 	degraded   int
 }
 
-// newRunner builds the world of one run: engine, medium, nodes, arrival
+// newRunner builds the state of one run over its world (cfg.Shared
+// when it fits, else one derived here): engine, medium, nodes, arrival
 // schedules and, when cfg injects faults, the fault state the medium
 // reports radio-state changes to. Failure-free runs keep a nil
 // Medium.fault, so their hot path stays draw-free.
 func newRunner(cfg Config, phases []PhaseConfig, mode runMode, reb Rebargainer) *runner {
 	n := cfg.Network.N()
-	r := &runner{cfg: &cfg, mode: mode, eng: NewEngine(), metrics: &Metrics{},
-		nodes: make([]*node, n), phases: phases, reb: reb}
-	// A matching shared world supplies the neighbour, parent and
-	// link-PRR/gain tables. The per-directed-link draw streams are
-	// per-seed mutable state, so they are always fresh.
-	var sh *Materialized
-	parent := cfg.Network.Parent
-	if cfg.Shared.structuralFor(&cfg) {
-		sh = cfg.Shared
-		parent = func(id topology.NodeID) topology.NodeID { return sh.parents[id] }
+	w := cfg.Shared
+	if !w.fits(&cfg) {
+		w = newWorld(&cfg)
 	}
-	r.med = newMedium(r.eng, cfg.Network, cfg.Radio, sh)
+	r := &runner{cfg: &cfg, mode: mode, world: w, eng: NewEngine(), metrics: &Metrics{},
+		nodes: make([]*node, n), phases: phases, reb: reb}
+	// The per-directed-link draw streams are per-seed mutable state, so
+	// they are always fresh.
+	r.med = newMedium(r.eng, w, cfg.Radio)
 	r.med.enableLoss(cfg.Seed)
 	if cfg.Capture {
 		r.med.enableCapture(cfg.CaptureDB)
@@ -309,13 +309,9 @@ func newRunner(cfg Config, phases []PhaseConfig, mode runMode, reb Rebargainer) 
 	for i := range r.nodes {
 		id := topology.NodeID(i)
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*1000003 + 1))
-		r.nodes[i] = newNode(r.eng, cfg.Network, r.med, id, parent(id), rng, r.metrics, cfg.Payload)
+		r.nodes[i] = newNode(r.eng, cfg.Network, r.med, id, w.parents[id], rng, r.metrics, cfg.Payload)
 	}
-	// Deterministic in the seed: shared from the attached world when it
-	// matches, derived fresh otherwise. Runners only read it.
-	if r.arrivals = cfg.Shared.arrivalsFor(&cfg); r.arrivals == nil {
-		r.arrivals = arrivalSchedules(cfg)
-	}
+	r.arrivals = w.arrivalsFor(&cfg) // runners only read it
 	r.cursor = make([]int, n)
 	if cfg.faulty() {
 		r.fs = newFaultState(r)
@@ -453,21 +449,15 @@ func (r *runner) sample(mac macLayer, id topology.NodeID) {
 }
 
 // buildMACs constructs one protocol instance per node over the run's
-// node state with the given vector. LMAC takes its slot plan from a
-// matching shared world (AssignSlots is the one expensive derivation
-// here); epochs that re-bargain onto a different slot count derive
-// their own.
+// node state with the given vector. LMAC takes its slot plan from the
+// world, which derives one for a frame size it was not built for.
 func (r *runner) buildMACs(params opt.Vector) ([]macLayer, error) {
-	net := r.cfg.Network
 	var slots []int
-	var bySlot map[int]topology.NodeID
+	var occupied []bool
 	if r.cfg.Protocol == "lmac" {
-		frameSlots := int(math.Round(params[0]))
-		if slots, bySlot = r.cfg.Shared.slotPlanFor(r.cfg, frameSlots); slots == nil {
-			var err error
-			if slots, bySlot, err = slotPlan(net, frameSlots); err != nil {
-				return nil, err
-			}
+		var err error
+		if slots, occupied, err = r.world.slotPlanFor(int(math.Round(params[0]))); err != nil {
+			return nil, err
 		}
 	}
 	macs := make([]macLayer, len(r.nodes))
@@ -478,9 +468,9 @@ func (r *runner) buildMACs(params opt.Vector) ([]macLayer, error) {
 		case "bmac":
 			macs[i] = newBMACNode(nd, params[0], r.cfg.Duration)
 		case "dmac":
-			macs[i] = newDMACNode(nd, params[0], params[1], net.Depth())
+			macs[i] = newDMACNode(nd, params[0], params[1], r.world.depth)
 		case "lmac":
-			macs[i] = newLMACNode(nd, int(math.Round(params[0])), params[1], slots[i], bySlot)
+			macs[i] = newLMACNode(nd, int(math.Round(params[0])), params[1], slots[i], occupied)
 		}
 	}
 	return macs, nil
