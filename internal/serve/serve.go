@@ -601,14 +601,7 @@ func (s *Server) prepareSimulate(req edmac.SimulateRequest) prepared {
 	key, _ := cacheKey("simulate", keyReq)
 	return prepared{kind: "simulate", key: key, total: 1,
 		compute: func(ctx context.Context, _ func(edmac.SuiteCell)) (any, error) {
-			rep, err := s.cli.Simulate(ctx, req)
-			if err != nil {
-				return nil, err
-			}
-			return struct {
-				Sim      wireSimReport        `json:"sim"`
-				Analytic *edmac.AnalyticCheck `json:"analytic,omitempty"`
-			}{wireSimReportOf(rep.Sim), rep.Analytic}, nil
+			return s.cli.Simulate(ctx, req)
 		}}
 }
 
@@ -699,85 +692,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	p := s.prepareOptimize(req)
 	s.serveCached(w, r, p.key, func() (any, error) { return p.compute(r.Context(), nil) })
 }
-
-// wireSimReport is SimReport with the NaN-able delay summaries boxed,
-// so the response always encodes (encoding/json rejects NaN). The
-// field set and names match SimReport's tags.
-type wireSimReport struct {
-	Protocol         edmac.Protocol `json:"protocol"`
-	Params           []float64      `json:"params"`
-	Seed             int64          `json:"seed"`
-	Duration         float64        `json:"duration"`
-	Nodes            int            `json:"nodes"`
-	Generated        int            `json:"generated"`
-	Delivered        int            `json:"delivered"`
-	Duplicates       int            `json:"duplicates,omitempty"`
-	Dropped          int            `json:"dropped"`
-	Collisions       int            `json:"collisions"`
-	ChannelLosses    int            `json:"channel_losses,omitempty"`
-	Captures         int            `json:"captures,omitempty"`
-	DeliveryRatio    float64        `json:"delivery_ratio"`
-	MeanDelay        *float64       `json:"mean_delay,omitempty"`
-	MaxDelay         *float64       `json:"max_delay,omitempty"`
-	P95Delay         *float64       `json:"p95_delay,omitempty"`
-	OuterRingDelay   *float64       `json:"outer_ring_delay,omitempty"`
-	BottleneckEnergy float64        `json:"bottleneck_energy"`
-	// Scheduler observability counters (see edmac.SimReport): Events
-	// counts folded idle poll steps too, PeakPending and
-	// WheelPromotions only the events actually queued.
-	Events          uint64 `json:"events,omitempty"`
-	PeakPending     int    `json:"peak_pending,omitempty"`
-	WheelPromotions uint64 `json:"wheel_promotions,omitempty"`
-	// Survivability block of fault-injected runs; all omitted on
-	// failure-free ones (see edmac.SimReport).
-	Deaths             int     `json:"deaths,omitempty"`
-	Recoveries         int     `json:"recoveries,omitempty"`
-	DeadAtEnd          int     `json:"dead_at_end,omitempty"`
-	StrandedPackets    int     `json:"stranded_packets,omitempty"`
-	DeadNodeFraction   float64 `json:"dead_node_fraction,omitempty"`
-	PartitionFraction  float64 `json:"partition_fraction,omitempty"`
-	Rebargains         int     `json:"rebargains,omitempty"`
-	DegradedRebargains int     `json:"degraded_rebargains,omitempty"`
-}
-
-func wireSimReportOf(rep edmac.SimReport) wireSimReport {
-	return wireSimReport{
-		Protocol:         rep.Protocol,
-		Params:           rep.Params,
-		Seed:             rep.Seed,
-		Duration:         rep.Duration,
-		Nodes:            rep.Nodes,
-		Generated:        rep.Generated,
-		Delivered:        rep.Delivered,
-		Duplicates:       rep.Duplicates,
-		Dropped:          rep.Dropped,
-		Collisions:       rep.Collisions,
-		ChannelLosses:    rep.ChannelLosses,
-		Captures:         rep.Captures,
-		DeliveryRatio:    rep.DeliveryRatio,
-		MeanDelay:        finiteOrNil(rep.MeanDelay),
-		MaxDelay:         finiteOrNil(rep.MaxDelay),
-		P95Delay:         finiteOrNil(rep.P95Delay),
-		OuterRingDelay:   finiteOrNil(rep.OuterRingDelay),
-		BottleneckEnergy: rep.BottleneckEnergy,
-
-		Events:          rep.Events,
-		PeakPending:     rep.PeakPending,
-		WheelPromotions: rep.WheelPromotions,
-
-		Deaths:             rep.Deaths,
-		Recoveries:         rep.Recoveries,
-		DeadAtEnd:          rep.DeadAtEnd,
-		StrandedPackets:    rep.StrandedPackets,
-		DeadNodeFraction:   rep.DeadNodeFraction,
-		PartitionFraction:  rep.PartitionFraction,
-		Rebargains:         rep.Rebargains,
-		DegradedRebargains: rep.DegradedRebargains,
-	}
-}
-
-// finiteOrNil is the module-wide non-finite-scrubbing rule.
-var finiteOrNil = jsonwire.FiniteOrNil
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req edmac.SimulateRequest

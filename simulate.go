@@ -2,6 +2,7 @@ package edmac
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 
 	"github.com/edmac-project/edmac/internal/macmodel"
@@ -27,8 +28,8 @@ type SimOptions struct {
 
 // SimReport carries the measured outcomes of a simulation run.
 // Delay fields (MeanDelay, MaxDelay, P95Delay, OuterRingDelay) are NaN
-// when nothing qualifying was delivered; JSON encoders must scrub them
-// (the serve layer omits non-finite fields, as SuiteSim does).
+// when nothing qualifying was delivered. A report encodes itself: its
+// MarshalJSON omits non-finite delays, as SuiteSim does.
 type SimReport struct {
 	// Protocol and Params echo the configuration.
 	Protocol Protocol  `json:"protocol"`
@@ -107,6 +108,80 @@ type SimReport struct {
 	PartitionFraction  float64 `json:"partition_fraction,omitempty"`
 	Rebargains         int     `json:"rebargains,omitempty"`
 	DegradedRebargains int     `json:"degraded_rebargains,omitempty"`
+}
+
+// MarshalJSON encodes the report with every non-finite delay summary
+// omitted (encoding/json rejects NaN). Every other field encodes as
+// its tag says, so a report with finite delays encodes exactly as the
+// struct would without this method.
+func (r SimReport) MarshalJSON() ([]byte, error) {
+	return json.Marshal(simReportWire{
+		Protocol:         r.Protocol,
+		Params:           r.Params,
+		Seed:             r.Seed,
+		Duration:         r.Duration,
+		Nodes:            r.Nodes,
+		Generated:        r.Generated,
+		Delivered:        r.Delivered,
+		Duplicates:       r.Duplicates,
+		Dropped:          r.Dropped,
+		Collisions:       r.Collisions,
+		ChannelLosses:    r.ChannelLosses,
+		Captures:         r.Captures,
+		DeliveryRatio:    r.DeliveryRatio,
+		MeanDelay:        finiteOrNil(r.MeanDelay),
+		MaxDelay:         finiteOrNil(r.MaxDelay),
+		P95Delay:         finiteOrNil(r.P95Delay),
+		OuterRingDelay:   finiteOrNil(r.OuterRingDelay),
+		BottleneckEnergy: r.BottleneckEnergy,
+
+		Events:          r.Events,
+		PeakPending:     r.PeakPending,
+		WheelPromotions: r.WheelPromotions,
+
+		Deaths:             r.Deaths,
+		Recoveries:         r.Recoveries,
+		DeadAtEnd:          r.DeadAtEnd,
+		StrandedPackets:    r.StrandedPackets,
+		DeadNodeFraction:   r.DeadNodeFraction,
+		PartitionFraction:  r.PartitionFraction,
+		Rebargains:         r.Rebargains,
+		DegradedRebargains: r.DegradedRebargains,
+	})
+}
+
+// simReportWire is SimReport with the NaN-able delay summaries boxed.
+// The field set, order and names match SimReport's tags.
+type simReportWire struct {
+	Protocol           Protocol  `json:"protocol"`
+	Params             []float64 `json:"params"`
+	Seed               int64     `json:"seed"`
+	Duration           float64   `json:"duration"`
+	Nodes              int       `json:"nodes"`
+	Generated          int       `json:"generated"`
+	Delivered          int       `json:"delivered"`
+	Duplicates         int       `json:"duplicates,omitempty"`
+	Dropped            int       `json:"dropped"`
+	Collisions         int       `json:"collisions"`
+	ChannelLosses      int       `json:"channel_losses,omitempty"`
+	Captures           int       `json:"captures,omitempty"`
+	DeliveryRatio      float64   `json:"delivery_ratio"`
+	MeanDelay          *float64  `json:"mean_delay,omitempty"`
+	MaxDelay           *float64  `json:"max_delay,omitempty"`
+	P95Delay           *float64  `json:"p95_delay,omitempty"`
+	OuterRingDelay     *float64  `json:"outer_ring_delay,omitempty"`
+	BottleneckEnergy   float64   `json:"bottleneck_energy"`
+	Events             uint64    `json:"events,omitempty"`
+	PeakPending        int       `json:"peak_pending,omitempty"`
+	WheelPromotions    uint64    `json:"wheel_promotions,omitempty"`
+	Deaths             int       `json:"deaths,omitempty"`
+	Recoveries         int       `json:"recoveries,omitempty"`
+	DeadAtEnd          int       `json:"dead_at_end,omitempty"`
+	StrandedPackets    int       `json:"stranded_packets,omitempty"`
+	DeadNodeFraction   float64   `json:"dead_node_fraction,omitempty"`
+	PartitionFraction  float64   `json:"partition_fraction,omitempty"`
+	Rebargains         int       `json:"rebargains,omitempty"`
+	DegradedRebargains int       `json:"degraded_rebargains,omitempty"`
 }
 
 // simulate is the context-aware run behind Client.Simulate's
