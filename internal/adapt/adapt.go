@@ -18,6 +18,7 @@ import (
 	"github.com/edmac-project/edmac/internal/core"
 	"github.com/edmac-project/edmac/internal/macmodel"
 	"github.com/edmac-project/edmac/internal/scenario"
+	"github.com/edmac-project/edmac/internal/topology"
 	"github.com/edmac-project/edmac/internal/traffic"
 )
 
@@ -106,18 +107,20 @@ func PlanPhases(m *scenario.Materialized, protocol string, req core.Requirements
 // the budget unattainable should deploy the best-effort point, flagged,
 // rather than abort the runtime.
 func replay(protocol string, m *scenario.Materialized, rate float64, req core.Requirements) (core.Tradeoff, error) {
-	model, err := buildModel(protocol, m, rate)
+	model, err := buildModel(protocol, m, m.EquivalentRing(), rate)
 	if err != nil {
 		return core.Tradeoff{}, err
 	}
 	return core.OptimizeRelaxed(model, req)
 }
 
-// buildModel constructs the analytic model a phase's game is played on.
-func buildModel(protocol string, m *scenario.Materialized, rate float64) (macmodel.Model, error) {
+// buildModel constructs the analytic model a game over the scenario's
+// radio and link quality is played on: a phase's game over the
+// equivalent ring, or a survivor game over the alive fragment's ring.
+func buildModel(protocol string, m *scenario.Materialized, ring topology.RingModel, rate float64) (macmodel.Model, error) {
 	env := macmodel.Env{
 		Radio:      m.Radio,
-		Rings:      m.EquivalentRing(),
+		Rings:      ring,
 		SampleRate: rate,
 		Window:     m.Spec.Window,
 		Payload:    m.Spec.Payload,

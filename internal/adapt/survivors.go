@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"github.com/edmac-project/edmac/internal/core"
-	"github.com/edmac-project/edmac/internal/macmodel"
 	"github.com/edmac-project/edmac/internal/opt"
 	"github.com/edmac-project/edmac/internal/scenario"
 	"github.com/edmac-project/edmac/internal/topology"
@@ -73,17 +72,7 @@ func ReplaySurvivors(m *scenario.Materialized, protocol string, req core.Require
 		if frac := float64(st.Reachable) / float64(m.Network.N()-1); frac < 1 {
 			effReq.EnergyBudget = req.EnergyBudget * math.Max(frac, 0.25)
 		}
-		env := macmodel.Env{
-			Radio:      m.Radio,
-			Rings:      topology.RingModel{Depth: st.Depth, Density: density},
-			SampleRate: rate,
-			Window:     m.Spec.Window,
-			Payload:    m.Spec.Payload,
-		}
-		if prr := m.Network.MeanLinkPRR(); prr < 1 {
-			env.LinkPRR = prr
-		}
-		model, err := macmodel.New(protocol, env)
+		model, err := buildModel(protocol, m, topology.RingModel{Depth: st.Depth, Density: density}, rate)
 		if err != nil {
 			return nil, err
 		}

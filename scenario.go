@@ -183,20 +183,7 @@ func simulateScenario(ctx context.Context, p Protocol, sp ScenarioSpec, params [
 	if err != nil {
 		return SimReport{}, err
 	}
-	capture, captureDB := sp.spec.CaptureConfig()
-	cfg := sim.Config{
-		Protocol:  string(p),
-		Network:   m.Network,
-		Radio:     m.Radio,
-		Params:    opt.Vector(append([]float64(nil), params...)),
-		Traffic:   m.Traffic,
-		Payload:   sp.spec.Payload,
-		Duration:  o.Duration,
-		Seed:      o.Seed,
-		Capture:   capture,
-		CaptureDB: captureDB,
-	}
-	cfg.Failures, cfg.Battery = faultConfigOf(sp.spec)
+	cfg := simConfigOf(sp.spec, m, p, params, o.Duration, o.Seed)
 	res, err := sim.RunContext(ctx, cfg)
 	if err != nil {
 		return SimReport{}, err
@@ -204,26 +191,38 @@ func simulateScenario(ctx context.Context, p Protocol, sp ScenarioSpec, params [
 	return simReportOf(p, params, cfg.Seed, m.Network.Depth(), sp.spec.Window, m.Network, res), nil
 }
 
-// faultConfigOf maps a spec's version-4 failure blocks onto the
-// simulator's fault configuration — the one place the two vocabularies
-// meet, shared by the direct simulation path and the suite runner.
-// Failure-free specs map to (nil, nil), which keeps the simulator on
-// its draw-free fixed-topology path.
-func faultConfigOf(s scenario.Spec) (*sim.FailureConfig, *sim.BatteryConfig) {
-	var fc *sim.FailureConfig
-	var bc *sim.BatteryConfig
-	if f := s.Failures; f != nil {
-		fc = &sim.FailureConfig{MTBF: f.MTBF, MTTR: f.MTTR}
+// simConfigOf maps a materialized spec and a parameter vector onto the
+// simulator's config — the one place the two vocabularies meet, shared
+// by the direct simulation path and the suite runner. The spec's
+// version-4 failure blocks become the fault configuration; a
+// failure-free spec leaves Failures and Battery nil, which keeps the
+// simulator on its draw-free fixed-topology path.
+func simConfigOf(spec scenario.Spec, mat *scenario.Materialized, p Protocol, params []float64, duration float64, seed int64) sim.Config {
+	capture, captureDB := spec.CaptureConfig()
+	cfg := sim.Config{
+		Protocol:  string(p),
+		Network:   mat.Network,
+		Radio:     mat.Radio,
+		Params:    opt.Vector(append([]float64(nil), params...)),
+		Traffic:   mat.Traffic,
+		Payload:   spec.Payload,
+		Duration:  duration,
+		Seed:      seed,
+		Capture:   capture,
+		CaptureDB: captureDB,
+	}
+	if f := spec.Failures; f != nil {
+		cfg.Failures = &sim.FailureConfig{MTBF: f.MTBF, MTTR: f.MTTR}
 		for _, ev := range f.Events {
-			fc.Events = append(fc.Events, sim.FailureEvent{
+			cfg.Failures.Events = append(cfg.Failures.Events, sim.FailureEvent{
 				Node:     topology.NodeID(ev.Node),
 				At:       ev.At,
 				Duration: ev.Duration,
 			})
 		}
 	}
-	if b := s.Battery; b != nil {
-		bc = &sim.BatteryConfig{Capacity: b.CapacityJ}
+	if b := spec.Battery; b != nil {
+		cfg.Battery = &sim.BatteryConfig{Capacity: b.CapacityJ}
 	}
-	return fc, bc
+	return cfg
 }

@@ -388,20 +388,7 @@ func runSuiteCell(ctx context.Context, spec scenario.Spec, mat *scenario.Materia
 	params, raised := effectiveParams(p, res.Bargain.Params, minSlots)
 	cell.Params = params
 	cell.SlotsRaised = raised
-	capture, captureDB := spec.CaptureConfig()
-	cfg := sim.Config{
-		Protocol:  string(p),
-		Network:   mat.Network,
-		Radio:     mat.Radio,
-		Params:    opt.Vector(params),
-		Traffic:   mat.Traffic,
-		Payload:   spec.Payload,
-		Duration:  o.Duration,
-		Seed:      suiteCellSeed(o.Seed, spec.Name, p),
-		Capture:   capture,
-		CaptureDB: captureDB,
-	}
-	cfg.Failures, cfg.Battery = faultConfigOf(spec)
+	cfg := simConfigOf(spec, mat, p, params, o.Duration, suiteCellSeed(o.Seed, spec.Name, p))
 	// Materialize the cell's immutable world once — neighbour tables,
 	// link-PRR/gain tables, the LMAC slot plan and the full per-node
 	// arrival schedules — and share it between the static baseline and
