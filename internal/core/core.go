@@ -136,14 +136,9 @@ func optimize(m macmodel.Model, req Requirements, relax bool) (Tradeoff, error) 
 	}, nil
 }
 
-// Frontier traces the protocol's E-L Pareto curve up to MaxDelay — the
-// continuous lines in the paper's figures.
-func Frontier(m macmodel.Model, req Requirements, n int) ([]nbs.Point, error) {
-	return FrontierContext(context.Background(), m, req, n)
-}
-
-// FrontierContext is Frontier with the point-granular cancellation of
-// nbs.FrontierContext.
+// FrontierContext traces the protocol's E-L Pareto curve up to
+// MaxDelay — the continuous lines in the paper's figures — with the
+// point-granular cancellation of nbs.FrontierContext.
 func FrontierContext(ctx context.Context, m macmodel.Model, req Requirements, n int) ([]nbs.Point, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err

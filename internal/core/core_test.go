@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -119,7 +120,7 @@ func TestOptimizeRejectsBadRequirements(t *testing.T) {
 func TestFrontierForModels(t *testing.T) {
 	for _, name := range []string{"xmac", "lmac"} {
 		m := model(t, name)
-		pts, err := Frontier(m, paperReq(), 12)
+		pts, err := FrontierContext(context.Background(), m, paperReq(), 12)
 		if err != nil {
 			t.Fatalf("%s: Frontier: %v", name, err)
 		}
@@ -137,7 +138,7 @@ func TestFrontierForModels(t *testing.T) {
 
 func TestFrontierValidatesRequirements(t *testing.T) {
 	m := model(t, "xmac")
-	if _, err := Frontier(m, Requirements{}, 10); err == nil {
+	if _, err := FrontierContext(context.Background(), m, Requirements{}, 10); err == nil {
 		t.Error("invalid requirements accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash"
@@ -121,7 +122,7 @@ func TestSolverDigest(t *testing.T) {
 				}
 			}
 
-			pts, err := Frontier(m, paperReq(), 12)
+			pts, err := FrontierContext(context.Background(), m, paperReq(), 12)
 			if d.outcome(err) {
 				for _, p := range pts {
 					d.point(p.X, p.A, p.B)

@@ -8,22 +8,17 @@ import (
 	"github.com/edmac-project/edmac/internal/opt"
 )
 
-// Frontier traces the game's Pareto frontier — the E-L curves plotted in
-// the paper's figures — with the epsilon-constraint method: player B's
-// cost is capped at n evenly spaced levels between its best achievable
-// value and hi, and player A's cost is minimized at each level.
+// FrontierContext traces the game's Pareto frontier — the E-L curves
+// plotted in the paper's figures — with the epsilon-constraint method:
+// player B's cost is capped at n evenly spaced levels between its best
+// achievable value and hi, and player A's cost is minimized at each
+// level.
 //
 // hi is typically BudgetB (the full admissible delay range); caps whose
 // subproblem is infeasible are skipped. The returned points are ordered
-// by increasing B.
-func Frontier(g Game, hi float64, n int) ([]Point, error) {
-	return FrontierContext(context.Background(), g, hi, n)
-}
-
-// FrontierContext is Frontier with cooperative cancellation: the
-// context is polled before each of the n cap solves, so a done ctx
-// abandons the trace at point granularity and returns the context's
-// error. An uncancellable ctx is free.
+// by increasing B. The context is polled before each of the n cap
+// solves, so a done ctx abandons the trace at point granularity and
+// returns the context's error. An uncancellable ctx is free.
 func FrontierContext(ctx context.Context, g Game, hi float64, n int) ([]Point, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err

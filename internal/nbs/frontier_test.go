@@ -11,7 +11,7 @@ import (
 
 func TestFrontierLinearGame(t *testing.T) {
 	g := linearGame(1, 1)
-	pts, err := Frontier(g, 1, 11)
+	pts, err := FrontierContext(context.Background(), g, 1, 11)
 	if err != nil {
 		t.Fatalf("Frontier: %v", err)
 	}
@@ -58,7 +58,7 @@ func TestFrontierQuadratic(t *testing.T) {
 		BudgetB: 1,
 		Bounds:  opt.Bounds{Lo: opt.Vector{0}, Hi: opt.Vector{1}},
 	}
-	pts, err := Frontier(g, 1, 9)
+	pts, err := FrontierContext(context.Background(), g, 1, 9)
 	if err != nil {
 		t.Fatalf("Frontier: %v", err)
 	}
@@ -73,15 +73,15 @@ func TestFrontierQuadratic(t *testing.T) {
 
 func TestFrontierValidation(t *testing.T) {
 	g := linearGame(1, 1)
-	if _, err := Frontier(g, 1, 1); err == nil {
+	if _, err := FrontierContext(context.Background(), g, 1, 1); err == nil {
 		t.Error("n=1 accepted")
 	}
-	if _, err := Frontier(g, 0, 5); err == nil {
+	if _, err := FrontierContext(context.Background(), g, 0, 5); err == nil {
 		t.Error("zero cap accepted")
 	}
 	bad := g
 	bad.CostB = nil
-	if _, err := Frontier(bad, 1, 5); err == nil {
+	if _, err := FrontierContext(context.Background(), bad, 1, 5); err == nil {
 		t.Error("invalid game accepted")
 	}
 }
@@ -90,7 +90,7 @@ func TestFrontierEmptyRange(t *testing.T) {
 	// Best B is 0 at x=1, but with budgetA = 0.05 the best reachable B is
 	// 0.95; a cap of 0.5 leaves an empty sweep range.
 	g := linearGame(0.05, 1)
-	if _, err := Frontier(g, 0.5, 5); err == nil {
+	if _, err := FrontierContext(context.Background(), g, 0.5, 5); err == nil {
 		t.Error("empty frontier range accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package nbs
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -102,7 +103,7 @@ func TestQuickFairnessCoordinatesInUnitRange(t *testing.T) {
 func TestQuickFrontierDominatesNothing(t *testing.T) {
 	f := func(aRaw, bRaw, pRaw, qRaw uint8) bool {
 		g := randomTradeGame(aRaw, bRaw, pRaw, qRaw)
-		pts, err := Frontier(g, g.BudgetB, 9)
+		pts, err := FrontierContext(context.Background(), g, g.BudgetB, 9)
 		if err != nil {
 			return false
 		}
