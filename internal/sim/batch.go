@@ -17,10 +17,10 @@ type BatchResult struct {
 // pool of `workers` goroutines (one per CPU when workers < 1) and
 // returns one BatchResult per config, in config order.
 //
-// Each config runs through RunContext, which builds its entire world —
-// engine, medium, transceivers, MAC state and RNG streams — fresh, while
-// the shared inputs (topology.Network, radio.Radio, an attached
-// Materialized) are immutable; so results are bit-identical to calling
+// Each config runs through RunContext, which builds all of its mutable
+// state — engine, medium, transceivers, MAC state and RNG streams —
+// fresh, while the shared inputs (topology.Network, radio.Radio, an
+// attached Materialized) are immutable; so results are bit-identical to calling
 // RunContext sequentially on each config, and concurrency changes only
 // the wall clock. Cancelling ctx skips configs not yet started (their
 // entries carry ctx.Err(), and an already-cancelled context runs

@@ -23,8 +23,8 @@
 // a pure function of its Config, so equal seeds reproduce runs exactly,
 // event for event. Independent runs share nothing mutable — every run
 // builds a fresh Engine, Medium and RNG set, and topology.Network,
-// radio.Radio and an attached Materialized world are immutable after
-// construction — so any number of runs may execute concurrently (see
+// radio.Radio and the Materialized world a run reads are immutable
+// after construction — so any number of runs may execute concurrently (see
 // RunBatch), and a batch's results are bit-identical to executing the
 // same configs sequentially.
 package sim
