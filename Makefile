@@ -6,15 +6,16 @@
 # "ci-baseline" entry — in ns/op, allocs/op, or (for the simulator
 # benchmarks, which report it) events/sec (refresh the baseline with
 # `make bench-baseline` whenever a PR intentionally moves the needle).
-# SimulatorEventRate matches all four variants: the perfect, Lossy and
-# Faulty X-MAC paths and the LPL idle-poll path are gated together.
+# SimulatorEventRate matches all five variants: the perfect, Lossy and
+# Faulty X-MAC paths, the LPL idle-poll path and the LMAC slot-schedule
+# path are gated together.
 # OptimizeCold gates the cold-solve path (a full bargaining solve per
 # request).
 
 GO         ?= go
-BENCH      ?= Figure|Frontier|OptimizeCold|Sweep|SimValidation|SimulatorEventRate(Lossy|Faulty|LPL)?|SimulateBatch|ServeOptimizeCached|JobsSubmitPoll
+BENCH      ?= Figure|Frontier|OptimizeCold|Sweep|SimValidation|SimulatorEventRate(Lossy|Faulty|LPL|LMAC)?|SimulateBatch|ServeOptimizeCached|JobsSubmitPoll
 BENCHTIME  ?= 1s
-GATE_BENCH ?= SimulatorEventRate(Lossy|Faulty|LPL)?|ServeOptimizeCached|JobsSubmitPoll|OptimizeCold
+GATE_BENCH ?= SimulatorEventRate(Lossy|Faulty|LPL|LMAC)?|ServeOptimizeCached|JobsSubmitPoll|OptimizeCold
 GATE_TOL   ?= 0.15
 
 FUZZTIME ?= 30s

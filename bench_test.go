@@ -523,3 +523,16 @@ func BenchmarkSimulatorEventRateLPL(b *testing.B) {
 	}
 	benchEventRate(b, edmac.SimulateRequest{Protocol: edmac.BMAC, Spec: &sp, Params: []float64{0.0507}})
 }
+
+// The suite's scheduled regime: LMAC on the ring-baseline builtin at
+// the golden's bargain (15 slots of 0.10785637960867542 s). Every node
+// listens to each occupied slot's control section and sleeps through
+// the rest, so slot-boundary steps outnumber transmissions by an order
+// of magnitude; this gates the slot-schedule path.
+func BenchmarkSimulatorEventRateLMAC(b *testing.B) {
+	sp, ok := edmac.BuiltinScenario("ring-baseline")
+	if !ok {
+		b.Fatal("missing builtin ring-baseline")
+	}
+	benchEventRate(b, edmac.SimulateRequest{Protocol: edmac.LMAC, Spec: &sp, Params: []float64{15, 0.10785637960867542}})
+}
