@@ -161,8 +161,9 @@ func NewEngine() *Engine {
 func (e *Engine) Now() Time { return e.now }
 
 // Processed returns the number of events executed so far, including
-// the idle poll steps dozing X-MAC and B-MAC nodes fold in without
-// queueing them (see lpl.fold).
+// the steps folding nodes apply without queueing them: idle X-MAC and
+// B-MAC poll steps (see lpl.fold) and LMAC slot steps (see
+// lmacNode.foldTo).
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // QueueLen returns the number of events currently pending. Cancelled
@@ -177,10 +178,11 @@ func (e *Engine) PeakPending() int { return e.peak }
 // the wheel horizon and were later promoted into the wheel. High counts
 // relative to Processed would mean the workload's periods outrun the
 // horizon and the wheel is degenerating into a scan. In the simulator
-// the far-future events are arrival and fault instants and the real
-// poll ending a dozing battery node's fold (up to maxStretch cycles
-// ahead); poll chains themselves stay inside the horizon or out of the
-// queue.
+// the far-future events are arrival and fault instants, the real poll
+// ending a dozing battery node's fold (up to maxStretch cycles ahead)
+// and a folding LMAC node's next owned slot (a frame ahead); poll
+// chains and slot steps themselves stay inside the horizon or out of
+// the queue.
 func (e *Engine) OverflowPromotions() uint64 { return e.promoted }
 
 // At schedules fn at absolute time t (clamped to now for past times) and

@@ -326,15 +326,16 @@ func (fs *faultState) batteryDeath(id topology.NodeID) {
 func (fs *faultState) firePoint(i int) {
 	pt := &fs.points[i]
 	pt.fired = true
+	if pt.recover && (fs.batteryDead[pt.node] || fs.alive[pt.node]) || !pt.recover && !fs.alive[pt.node] {
+		return
+	}
+	// The point was queued at the regime's install, after its MACs
+	// started: folded steps due exactly now ran before it only when
+	// that install queued them too.
+	fs.run.med.foldAll(true)
 	if pt.recover {
-		if fs.batteryDead[pt.node] || fs.alive[pt.node] {
-			return
-		}
 		fs.revive(pt.node)
 	} else {
-		if !fs.alive[pt.node] {
-			return
-		}
 		fs.kill(pt.node)
 	}
 }
@@ -417,9 +418,13 @@ func (fs *faultState) onState(x *Transceiver) {
 }
 
 // armDeathTimer (re)schedules node x's battery death from its residual
-// at its last transition, which is now except after an idle fold.
+// at its last transition, which is now except after a fold. A node the
+// medium holds keeps it disarmed (see Medium.hold).
 func (fs *faultState) armDeathTimer(x *Transceiver) {
 	id := x.id
+	if x.med.held(id) {
+		return
+	}
 	eng := fs.run.eng
 	fs.deathTimer[id].Cancel()
 	residual := fs.capacity[id] - x.Energy()

@@ -243,13 +243,13 @@ func (c *lpl) doze() bool {
 	c.winEnd = now + c.pollWindow
 	c.next = now + c.tw
 	c.dozing = true
-	m.doze(c)
+	// The death timer the Listen just armed assumes the radio keeps
+	// listening; the fold's transitions would move it. Holding the node
+	// disarms it until the doze ends (wake and the stretch's poll re-arm
+	// it).
+	m.hold(c.id, c)
 	c.left = math.MaxInt // no stretch limit
 	if k >= 0 {
-		// The death timer the Listen just armed assumes the radio keeps
-		// listening; the fold's transitions would move it. Disarm it
-		// until the doze ends (wake and the stretch's poll re-arm it).
-		m.fault.deathTimer[c.id].Cancel()
 		last := now
 		for i := 0; i < k; i++ {
 			last += c.tw
@@ -332,9 +332,21 @@ func (c *lpl) wake() {
 	}
 }
 
-// undoze takes the node off the medium's dozing table.
+// undoze takes the node off the medium's fold table.
 func (c *lpl) undoze() {
 	c.dozing = false
-	c.x.med.dozing[c.id] = nil
+	c.x.med.release(c.id)
 	c.stretch.Cancel()
+}
+
+// settle implements folder. The chain's steps were queued at its
+// polls, after the regime's fault points: under strict, none due
+// exactly now is applied.
+func (c *lpl) settle(strict bool) {
+	t := c.eng.Now()
+	if strict {
+		t = math.Nextafter(t, math.Inf(-1))
+	}
+	c.fold(t)
+	c.undoze()
 }

@@ -91,11 +91,10 @@ type Medium struct {
 	// every radio-state change so battery-depletion instants stay exact.
 	fault *faultState
 
-	// dozing[i] is node i's low-power-listening core while its idle
-	// poll chain is folded out of the engine (see lpl), nil otherwise.
-	// The table stays nil until the first doze, so runs of the
-	// scheduled protocols never scan it.
-	dozing []*lpl
+	// folding[i] is node i's MAC while its recurring steps are folded
+	// out of the engine (see folder), nil otherwise. The table stays nil
+	// until the first node folds, so runs without folds never scan it.
+	folding []folder
 
 	startTxCb  func(any) // cached: schedule startTx without a new closure
 	finishTxCb func(any) // cached: schedule txDone+endTx without a new closure
@@ -270,6 +269,11 @@ func (m *Medium) startTx(tx *transmission) {
 	m.addInflight(tx)
 	for k, nb := range m.nbrs[tx.from] {
 		m.carriers[nb]++
+		if m.folding != nil {
+			if f := m.folding[nb]; f != nil {
+				f.fold(m.eng.now)
+			}
+		}
 		switch {
 		case m.states[nb] == radio.Listen && m.lock[nb] == nil:
 			// Clean channel at a listening node: lock onto the frame.
@@ -295,6 +299,11 @@ func (m *Medium) startTx(tx *transmission) {
 //
 //edvet:hotpath
 func (m *Medium) finishTx(tx *transmission) {
+	if m.folding != nil {
+		if f := m.folding[tx.from]; f != nil {
+			f.fold(m.eng.now)
+		}
+	}
 	m.xcvrs[tx.from].txDone(tx.frame)
 	m.endTx(tx)
 }
@@ -348,6 +357,15 @@ func (m *Medium) endTx(tx *transmission) {
 		if m.lock[nb] != tx {
 			continue
 		}
+		if m.folding != nil {
+			if f := m.folding[nb]; f != nil {
+				// A folded step (a slot's end) may have put the radio
+				// down before the frame ended.
+				if f.fold(m.eng.now); m.lock[nb] != tx {
+					continue
+				}
+			}
+		}
 		ok := !m.lockBad[nb]
 		m.lock[nb] = nil
 		m.lockBad[nb] = false
@@ -381,7 +399,7 @@ func (m *Medium) endTx(tx *transmission) {
 // carried remain in their senders' queues wherever the protocol
 // confirms before popping, so the next regime retries them.
 func (m *Medium) quiesce() {
-	m.foldDozers()
+	m.foldAll(false)
 	for _, tx := range m.inflight {
 		m.freeFrame(tx.frame)
 		tx.frame = nil
@@ -411,23 +429,49 @@ func (m *Medium) quiesce() {
 	}
 }
 
-// doze lists a node whose idle poll chain leaves the engine.
-func (m *Medium) doze(c *lpl) {
-	if m.dozing == nil {
-		m.dozing = make([]*lpl, len(m.states))
-	}
-	m.dozing[c.id] = c
+// A folder is a MAC layer whose recurring steps the medium holds out
+// of the engine's queue: an idle X-MAC or B-MAC poll chain (lpl), an
+// LMAC slot schedule (lmacNode). Until something can change what the
+// node does next, each step is determined, so the folder applies it
+// late, at its exact instant, and counts it as a processed event. The
+// medium calls fold before it reads or changes a held node's radio.
+type folder interface {
+	// fold applies the steps due by t, in order.
+	fold(t Time)
+	// wake runs before a neighbour's Send puts a frame on the air.
+	wake()
+	// settle folds the steps due now and leaves the table without
+	// queueing anything: the engine's queue has just been dropped, or
+	// the run is over. With strict, the trigger is a fault point,
+	// which the regime's install queued after its first steps: of the
+	// steps due exactly now, only those queued before it are applied.
+	settle(strict bool)
 }
 
-// foldDozers folds every dozing node's chain up to now and ends its
-// doze without re-scheduling anything: the engine's queue has just been
-// dropped (an epoch boundary) or the run is over.
-func (m *Medium) foldDozers() {
-	now := m.eng.Now()
-	for _, c := range m.dozing {
-		if c != nil {
-			c.fold(now)
-			c.undoze()
+// hold lists node id's folder. A battery node's death timer stays
+// disarmed while it is held: the folder bounds its span so that no
+// depletion instant falls inside it (faultState.stretch).
+func (m *Medium) hold(id topology.NodeID, f folder) {
+	if m.folding == nil {
+		m.folding = make([]folder, len(m.states))
+	}
+	m.folding[id] = f
+	if fs := m.fault; fs != nil && fs.capacity != nil {
+		fs.deathTimer[id].Cancel()
+	}
+}
+
+// release takes node id off the table.
+func (m *Medium) release(id topology.NodeID) { m.folding[id] = nil }
+
+// held reports whether node id's steps are folded.
+func (m *Medium) held(id topology.NodeID) bool { return m.folding != nil && m.folding[id] != nil }
+
+// foldAll settles every held node (see folder.settle).
+func (m *Medium) foldAll(strict bool) {
+	for _, f := range m.folding {
+		if f != nil {
+			f.settle(strict)
 		}
 	}
 }
@@ -575,12 +619,12 @@ func (x *Transceiver) Send(f *Frame) {
 		panic("Send of pooled frame")
 	}
 	m := x.med
-	if m.dozing != nil {
+	if m.folding != nil {
 		// The frame may reach every neighbour: a dozing one folds its
 		// chain up to now and resumes real polls before it can matter.
 		for _, nb := range m.nbrs[x.id] {
-			if c := m.dozing[nb]; c != nil {
-				c.wake()
+			if f := m.folding[nb]; f != nil {
+				f.wake()
 			}
 		}
 	}

@@ -126,19 +126,22 @@ type Result struct {
 	// (0 when capture is disabled).
 	Captures int
 	// Events is the number of simulator events processed, counting
-	// each idle X-MAC or B-MAC poll step the engine never queued (a
-	// window close or a poll of a dozing node, folded in later) as the
-	// event it stands for: it does not depend on the fold.
+	// each step the engine never queued as the event it stands for: an
+	// idle X-MAC or B-MAC poll step (a window close or a poll of a
+	// dozing node) and every LMAC slot step but the owned slot's start
+	// (a slot's start or end, a control timeout, a frame rollover),
+	// each folded in later. It does not depend on the folds.
 	Events uint64
 	// PeakPending is the high-water mark of the scheduler's pending
-	// event count — how deep the event queue ever got. Folded poll
-	// steps were never queued, so they do not count.
+	// event count — how deep the event queue ever got. Folded steps
+	// were never queued, so they do not count.
 	PeakPending int
 	// WheelPromotions counts events that landed beyond the timing
 	// wheel's one-second horizon and were later promoted into the
-	// wheel in bulk: arrival and fault instants, and the real poll that
-	// ends a dozing battery node's fold. Folded poll steps never enter
-	// the wheel.
+	// wheel in bulk: arrival and fault instants, the real poll that
+	// ends a dozing battery node's fold, and an LMAC owned slot's start
+	// when a frame is longer than a second (a folding node queues it a
+	// frame ahead). Folded steps never enter the wheel.
 	WheelPromotions uint64
 	// Energy[i] is node i's consumption over the whole run, in joules.
 	Energy []float64
@@ -470,17 +473,17 @@ func (r *runner) buildMACs(params opt.Vector) ([]macLayer, error) {
 		case "dmac":
 			macs[i] = newDMACNode(nd, params[0], params[1], r.world.depth)
 		case "lmac":
-			macs[i] = newLMACNode(nd, int(math.Round(params[0])), params[1], slots[i], occupied)
+			macs[i] = newLMACNode(nd, int(math.Round(params[0])), params[1], slots[i], occupied, r.cfg.Duration)
 		}
 	}
 	return macs, nil
 }
 
-// result assembles the public result after the last epoch. Dozing
-// nodes fold their chains up to the horizon first, so Events and the
+// result assembles the public result after the last epoch. Held
+// nodes fold their steps up to the horizon first, so Events and the
 // energy meters count every step.
 func (r *runner) result() *Result {
-	r.med.foldDozers()
+	r.med.foldAll(false)
 	n := len(r.nodes)
 	res := &Result{
 		Duration:           r.cfg.Duration,
