@@ -80,8 +80,12 @@ func (m *Metrics) MeanDelayFrom(origin func(topology.NodeID) bool) float64 {
 	return sum / float64(n)
 }
 
-// MaxDelay returns the largest observed end-to-end delay.
+// MaxDelay returns the largest observed end-to-end delay, NaN when
+// nothing was delivered.
 func (m *Metrics) MaxDelay() float64 {
+	if len(m.samples) == 0 {
+		return math.NaN()
+	}
 	max := 0.0
 	for _, s := range m.samples {
 		if s.delay > max {

@@ -12,9 +12,9 @@ import (
 )
 
 // TestSimReportEncodesIdleRun pins the encoding of a run that delivers
-// nothing: its mean delays are NaN, and both reports that carry it — a
-// batch's and a single simulation's — must still marshal, with exactly
-// the non-finite delays omitted.
+// nothing: its delay summaries are NaN, and both reports that carry it
+// — a batch's and a single simulation's — must still marshal, with
+// exactly the non-finite delays omitted.
 func TestSimReportEncodesIdleRun(t *testing.T) {
 	cli := newClient(t)
 	s := edmac.DefaultScenario()
@@ -32,8 +32,8 @@ func TestSimReportEncodesIdleRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !math.IsNaN(single.Sim.MeanDelay) {
-		t.Fatalf("idle run has mean delay %v, want NaN", single.Sim.MeanDelay)
+	if !math.IsNaN(single.Sim.MeanDelay) || !math.IsNaN(single.Sim.MaxDelay) {
+		t.Fatalf("idle run has mean delay %v and max delay %v, want NaN", single.Sim.MeanDelay, single.Sim.MaxDelay)
 	}
 	delays := map[string]float64{
 		"mean_delay": single.Sim.MeanDelay, "max_delay": single.Sim.MaxDelay,

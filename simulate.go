@@ -27,9 +27,9 @@ type SimOptions struct {
 }
 
 // SimReport carries the measured outcomes of a simulation run.
-// MeanDelay, P95Delay and OuterRingDelay are NaN when nothing
-// qualifying was delivered (MaxDelay is then 0). A report encodes
-// itself: its MarshalJSON omits non-finite delays, as SuiteSim does.
+// MeanDelay, MaxDelay, P95Delay and OuterRingDelay are NaN when nothing
+// qualifying was delivered. A report encodes itself: its MarshalJSON
+// omits non-finite delays, as SuiteSim does.
 type SimReport struct {
 	// Protocol and Params echo the configuration.
 	Protocol Protocol  `json:"protocol"`
