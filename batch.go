@@ -4,9 +4,7 @@ import (
 	"context"
 	"encoding/json"
 
-	"github.com/edmac-project/edmac/internal/macmodel"
 	"github.com/edmac-project/edmac/internal/sim"
-	"github.com/edmac-project/edmac/internal/topology"
 )
 
 // BatchRun describes one simulation of a batch: a protocol, its
@@ -44,34 +42,26 @@ func (o BatchOutcome) MarshalJSON() ([]byte, error) {
 
 // simulateBatch is the fan-out behind Client.Batch: every run's seed is
 // folded with the client's base seed, configs are validated up front,
-// and the independent runs execute on the shared worker pool.
+// and the independent runs execute on the shared worker pool. One batch
+// is one scenario, so its environment and network are built once and
+// every run shares the network object, which lets the materialized
+// world below serve every rep. Networks are immutable.
 func simulateBatch(ctx context.Context, s Scenario, runs []BatchRun, workers int, baseSeed int64) []BatchOutcome {
 	out := make([]BatchOutcome, len(runs))
 	cfgs := make([]sim.Config, 0, len(runs))
 	cfgIdx := make([]int, 0, len(runs)) // batch index of each config
-	envs := make([]macmodel.Env, len(runs))
-	nets := make([]*topology.Network, len(runs))
+	rs := newRingSetup(s)
 	for i, r := range runs {
 		out[i].Run = r
 		opts := r.Options
 		opts.Seed ^= baseSeed
-		cfg, env, net, err := prepareSim(r.Protocol, s, r.Params, opts)
+		cfg, err := rs.config(r.Protocol, r.Params, opts)
 		if err != nil {
 			out[i].Err = err
 			continue
 		}
-		// One batch = one scenario, and every run's network is the same
-		// deterministic placement — share the first run's network object
-		// across the batch so the materialized world below applies to
-		// every rep. Networks are immutable; results are unchanged.
-		if len(cfgs) > 0 {
-			cfg.Network = cfgs[0].Network
-			net = nets[cfgIdx[0]]
-		}
 		cfgs = append(cfgs, cfg)
 		cfgIdx = append(cfgIdx, i)
-		envs[i] = env
-		nets[i] = net
 	}
 	// Materialize the shared world once: neighbour tables, link tables
 	// and (for LMAC) the slot plan stop being re-derived per rep. Tables
@@ -91,8 +81,7 @@ func simulateBatch(ctx context.Context, s Scenario, runs []BatchRun, workers int
 			out[i].Err = br.Err
 			continue
 		}
-		out[i].Report = simReportOf(runs[i].Protocol, runs[i].Params, cfgs[j].Seed,
-			envs[i].Rings.Depth, envs[i].Window, nets[i], br.Result)
+		out[i].Report = rs.report(runs[i].Protocol, runs[i].Params, cfgs[j].Seed, br.Result)
 	}
 	return out
 }

@@ -187,7 +187,8 @@ type simReportWire struct {
 // simulate is the context-aware run behind Client.Simulate's
 // ring-scenario path.
 func simulate(ctx context.Context, p Protocol, s Scenario, params []float64, o SimOptions) (SimReport, error) {
-	cfg, env, net, err := prepareSim(p, s, params, o)
+	rs := newRingSetup(s)
+	cfg, err := rs.config(p, params, o)
 	if err != nil {
 		return SimReport{}, err
 	}
@@ -195,42 +196,64 @@ func simulate(ctx context.Context, p Protocol, s Scenario, params []float64, o S
 	if err != nil {
 		return SimReport{}, err
 	}
-	return simReportOf(p, params, cfg.Seed, env.Rings.Depth, env.Window, net, res), nil
+	return rs.report(p, params, cfg.Seed, res), nil
 }
 
-// prepareSim validates a simulation request and builds the sim.Config
-// plus the immutable context (environment, network) a report needs.
-func prepareSim(p Protocol, s Scenario, params []float64, o SimOptions) (sim.Config, macmodel.Env, *topology.Network, error) {
+// ringSetup is what every simulation over one ring scenario shares: the
+// model environment and the network, each with the error building it,
+// so a batch builds them once.
+type ringSetup struct {
+	env    macmodel.Env
+	envErr error
+	net    *topology.Network
+	netErr error
+}
+
+func newRingSetup(s Scenario) ringSetup {
+	var rs ringSetup
+	if rs.env, rs.envErr = s.env(); rs.envErr == nil {
+		rs.net, rs.netErr = topology.Rings(rs.env.Rings)
+	}
+	return rs
+}
+
+// config validates one run over the scenario and builds its sim.Config,
+// checking the protocol, the scenario, the parameter vector and the
+// network in that order.
+func (rs ringSetup) config(p Protocol, params []float64, o SimOptions) (sim.Config, error) {
 	if p == SCPMAC {
-		return sim.Config{}, macmodel.Env{}, nil, fmt.Errorf("edmac: scpmac is analytic-only; simulate xmac, bmac, dmac or lmac")
+		return sim.Config{}, fmt.Errorf("edmac: scpmac is analytic-only; simulate xmac, bmac, dmac or lmac")
 	}
 	o = o.withDefaults()
-	env, err := s.env()
-	if err != nil {
-		return sim.Config{}, macmodel.Env{}, nil, err
+	if rs.envErr != nil {
+		return sim.Config{}, rs.envErr
 	}
-	m, err := macmodel.New(string(p), env)
+	m, err := macmodel.New(string(p), rs.env)
 	if err != nil {
-		return sim.Config{}, macmodel.Env{}, nil, err
+		return sim.Config{}, err
 	}
 	x, err := vec(m, params)
 	if err != nil {
-		return sim.Config{}, macmodel.Env{}, nil, err
+		return sim.Config{}, err
 	}
-	net, err := topology.Rings(env.Rings)
-	if err != nil {
-		return sim.Config{}, macmodel.Env{}, nil, err
+	if rs.netErr != nil {
+		return sim.Config{}, rs.netErr
 	}
 	return sim.Config{
 		Protocol:   string(p),
-		Network:    net,
-		Radio:      env.Radio,
+		Network:    rs.net,
+		Radio:      rs.env.Radio,
 		Params:     x,
-		SampleRate: env.SampleRate,
-		Payload:    env.Payload,
+		SampleRate: rs.env.SampleRate,
+		Payload:    rs.env.Payload,
 		Duration:   o.Duration,
 		Seed:       o.Seed,
-	}, env, net, nil
+	}, nil
+}
+
+// report assembles the public report of a run over the scenario.
+func (rs ringSetup) report(p Protocol, params []float64, seed int64, res *sim.Result) SimReport {
+	return simReportOf(p, params, seed, rs.env.Rings.Depth, rs.env.Window, rs.net, res)
 }
 
 // simReportOf assembles the public report from a raw simulation result:
