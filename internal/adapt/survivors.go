@@ -41,6 +41,13 @@ import (
 // returns an error; the fault runner then degrades to the last-good
 // vector, which is the documented convention for infeasible
 // re-bargains.
+//
+// The hook solves each distinct set of model inputs — survivor depth,
+// rounded density, the phase's rate and the effective budget — once,
+// and answers a repeat with a copy of that solve's vector (or its
+// error): churn revisits the same fragments epoch after epoch. The
+// memo has no lock, because a hook serves one run, and a run calls it
+// from the one goroutine that drives the simulation.
 func ReplaySurvivors(m *scenario.Materialized, protocol string, req core.Requirements) (func(alive []bool, phase int, at float64) (opt.Vector, error), error) {
 	if m == nil {
 		return nil, fmt.Errorf("adapt: nil scenario")
@@ -55,6 +62,15 @@ func ReplaySurvivors(m *scenario.Materialized, protocol string, req core.Require
 	}
 	phased, _ := m.Traffic.(traffic.Phased)
 	meanRate := m.MeanRate() // hoisted: the stationary fallback is epoch-invariant
+	type inputs struct {
+		ring         topology.RingModel
+		rate, budget float64
+	}
+	type solve struct {
+		params opt.Vector
+		err    error
+	}
+	memo := map[inputs]solve{}
 	return func(alive []bool, phase int, at float64) (opt.Vector, error) {
 		st := m.Network.SurvivorStats(alive)
 		if st.Reachable == 0 {
@@ -72,14 +88,29 @@ func ReplaySurvivors(m *scenario.Materialized, protocol string, req core.Require
 		if frac := float64(st.Reachable) / float64(m.Network.N()-1); frac < 1 {
 			effReq.EnergyBudget = req.EnergyBudget * math.Max(frac, 0.25)
 		}
-		model, err := buildModel(protocol, m, topology.RingModel{Depth: st.Depth, Density: density}, rate)
-		if err != nil {
-			return nil, err
+		in := inputs{topology.RingModel{Depth: st.Depth, Density: density}, rate, effReq.EnergyBudget}
+		sv, ok := memo[in]
+		if !ok {
+			sv.params, sv.err = solveSurvivors(protocol, m, in.ring, rate, effReq)
+			memo[in] = sv
 		}
-		res, err := core.OptimizeRelaxed(model, effReq)
-		if err != nil {
-			return nil, err
+		if sv.err != nil {
+			return nil, sv.err
 		}
-		return res.Bargain.Params, nil
+		return append(opt.Vector(nil), sv.params...), nil
 	}, nil
+}
+
+// solveSurvivors plays the relaxed game on the survivors' equivalent
+// ring.
+func solveSurvivors(protocol string, m *scenario.Materialized, ring topology.RingModel, rate float64, req core.Requirements) (opt.Vector, error) {
+	model, err := buildModel(protocol, m, ring, rate)
+	if err != nil {
+		return nil, err
+	}
+	res, err := core.OptimizeRelaxed(model, req)
+	if err != nil {
+		return nil, err
+	}
+	return res.Bargain.Params, nil
 }

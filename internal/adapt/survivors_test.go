@@ -1,6 +1,8 @@
 package adapt
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -80,5 +82,54 @@ func TestReplaySurvivorsRejects(t *testing.T) {
 	}
 	if _, err := ReplaySurvivors(m, "xmac", core.Requirements{}); err == nil {
 		t.Error("zero requirements accepted")
+	}
+}
+
+// TestReplaySurvivorsMemoMatchesFresh feeds one hook a liveness sequence
+// that revisits the same survivor stats (a relay dies, recovers, and
+// its ring-mates die in turn, across phases): every call must return
+// exactly the vector, or the error, a fresh hook returns for that set,
+// and a caller mutating a returned vector must not reach the memo.
+func TestReplaySurvivorsMemoMatchesFresh(t *testing.T) {
+	m := materialized(t, "meadow-stormcycle")
+	req := core.Requirements{EnergyBudget: 0.06, MaxDelay: 3 + 1.2*float64(m.Network.Depth())}
+	reb, err := ReplaySurvivors(m, "xmac", req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := m.Network.N()
+	var ring1 []int
+	for i := 1; i < n; i++ {
+		if m.Network.Ring(topology.NodeID(i)) == 1 {
+			ring1 = append(ring1, i)
+		}
+	}
+	if len(ring1) < 2 {
+		t.Fatalf("ring 1 has %d nodes, want two relays to alternate", len(ring1))
+	}
+	sets := [][]int{nil, {ring1[0]}, nil, {ring1[1]}, {ring1[0]}, {ring1[0], ring1[1]}, {ring1[1]}, nil}
+	for _, phase := range []int{0, 1, 0, 7} {
+		for k, dead := range sets {
+			alive := make([]bool, n)
+			for i := range alive {
+				alive[i] = true
+			}
+			for _, i := range dead {
+				alive[i] = false
+			}
+			fresh, err := ReplaySurvivors(m, "xmac", req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantErr := fresh(alive, phase, float64(k))
+			got, gotErr := reb(alive, phase, float64(k))
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("phase %d, dead %v: memoised hook returned %v, %v; a fresh one %v, %v",
+					phase, dead, got, gotErr, want, wantErr)
+			}
+			for i := range got {
+				got[i] = -1
+			}
+		}
 	}
 }
