@@ -288,7 +288,7 @@ func (m *lmacNode) stepInstant(i int) Time {
 func (m *lmacNode) unfold() {
 	m.folding = false
 	m.x.med.release(m.id)
-	m.queueTimeouts(func(frames int) bool { return frames < m.frameIdx })
+	m.queueTimeouts(true)
 	for ; m.step <= 2*m.slots; m.step++ {
 		at := m.stepInstant(m.step)
 		switch {
@@ -300,15 +300,15 @@ func (m *lmacNode) unfold() {
 			m.eng.At(at, m.slotEndFn)
 		}
 	}
-	m.queueTimeouts(func(frames int) bool { return frames >= m.frameIdx })
+	m.queueTimeouts(false)
 	m.timeouts = m.timeouts[:0]
 }
 
-// queueTimeouts schedules the pending control timeouts that pick keeps,
-// oldest first.
-func (m *lmacNode) queueTimeouts(pick func(frames int) bool) {
+// queueTimeouts schedules, oldest first, the pending control timeouts
+// armed before the current frame, or those armed since.
+func (m *lmacNode) queueTimeouts(before bool) {
 	for _, to := range m.timeouts {
-		if pick(to.frames) {
+		if (to.frames < m.frameIdx) == before {
 			m.eng.At(to.at, m.ctrlTimeoutFn)
 		}
 	}
@@ -380,7 +380,7 @@ func (m *lmacNode) foldTo(t Time, strict bool) {
 				m.epoch = m.base + float64(m.frameIdx)*m.frameLen()
 				m.armed = at
 				m.frameIdx++
-				m.step = -1
+				m.step = -1 // the next frame's first step, once incremented
 			case m.step&1 == 0:
 				if m.occupied[s] {
 					m.phase = lCtrl
