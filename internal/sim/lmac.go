@@ -63,13 +63,12 @@ type lmacNode struct {
 	// boundary (2s: slot s starts, 2s+1: slot s ends, 2·slots: the
 	// rollover) and stepAt that step's instant. Step 2·owned is the
 	// owned slot's real event, which the fold never passes.
-	folding  bool
 	foldable bool // every control window closes strictly before its slot ends
 	epoch    Time
 	armed    Time
 	step     int
 	stepAt   Time
-	timeouts []lmacTimeout // pending control timeouts, in the order they were armed
+	timeouts []lmacTimeout  // pending control timeouts, in the order they were armed
 	tbuf     [2]lmacTimeout // timeouts' backing array: rarely more are pending
 }
 
@@ -114,7 +113,6 @@ func (m *lmacNode) start() {
 		m.scheduleFrame(0)
 		return
 	}
-	m.folding = true
 	m.frameIdx = 1
 	m.epoch, m.armed = m.base, m.base
 	m.step = 0
@@ -286,7 +284,6 @@ func (m *lmacNode) stepInstant(i int) Time {
 // once, re-arms the battery's death timer from that transition, as it
 // would have without the fold.
 func (m *lmacNode) unfold() {
-	m.folding = false
 	m.x.med.release(m.id)
 	m.queueTimeouts(true)
 	for ; m.step <= 2*m.slots; m.step++ {
@@ -324,7 +321,6 @@ func (m *lmacNode) wake() {}
 // settle implements folder.
 func (m *lmacNode) settle(strict bool) {
 	m.foldTo(m.eng.Now(), strict)
-	m.folding = false
 	m.x.med.release(m.id)
 }
 

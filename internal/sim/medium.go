@@ -620,8 +620,9 @@ func (x *Transceiver) Send(f *Frame) {
 	}
 	m := x.med
 	if m.folding != nil {
-		// The frame may reach every neighbour: a dozing one folds its
-		// chain up to now and resumes real polls before it can matter.
+		// The frame may reach every neighbour: a dozing X-MAC or B-MAC
+		// one folds its chain up to now and resumes real polls before it
+		// can matter.
 		for _, nb := range m.nbrs[x.id] {
 			if f := m.folding[nb]; f != nil {
 				f.wake()
