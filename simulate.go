@@ -78,12 +78,12 @@ type SimReport struct {
 	// Scheduler observability — the engine's own counters, surfaced so
 	// load and capacity tooling can reason in events/second instead of
 	// wall clock. Events counts processed simulator events, including
-	// the idle X-MAC and B-MAC poll steps the simulator folds in
-	// without queueing them; PeakPending is the event queue's
-	// high-water mark and WheelPromotions the events that landed beyond
-	// the timing wheel's horizon and were bulk promoted later, both
-	// over the events actually queued (see sim.Result). All omitted
-	// when zero.
+	// the idle X-MAC and B-MAC poll steps and the LMAC slot steps the
+	// simulator folds in without queueing them; PeakPending is the
+	// event queue's high-water mark and WheelPromotions the events that
+	// landed beyond the timing wheel's horizon and were bulk promoted
+	// later, both over the events actually queued (see sim.Result).
+	// All omitted when zero.
 	Events          uint64 `json:"events,omitempty"`
 	PeakPending     int    `json:"peak_pending,omitempty"`
 	WheelPromotions uint64 `json:"wheel_promotions,omitempty"`
