@@ -46,6 +46,7 @@ type lmacNode struct {
 	occupied []bool  // occupied[s]: some node owns slot s
 	window   float64 // control section's listening window
 	ctrlAir  float64 // control airtime: one extension of the window
+	foldable bool    // every control window closes strictly before its slot ends
 
 	phase    lmacPhase
 	frameIdx int  // index of the next frame to arm
@@ -63,7 +64,6 @@ type lmacNode struct {
 	// boundary (2s: slot s starts, 2s+1: slot s ends, 2·slots: the
 	// rollover) and stepAt that step's instant. Step 2·owned is the
 	// owned slot's real event, which the fold never passes.
-	foldable bool // every control window closes strictly before its slot ends
 	epoch    Time
 	armed    Time
 	step     int
@@ -123,6 +123,9 @@ func (m *lmacNode) start() {
 
 func (m *lmacNode) frameLen() float64 { return float64(m.slots) * m.tslot }
 
+// frameEpoch is the instant frame k starts, before any clamp.
+func (m *lmacNode) frameEpoch(k int) Time { return m.base + float64(k)*m.frameLen() }
+
 // scheduleFrame arms every slot boundary of frame k for this node.
 // Boundaries come from integer slot indices, so within a frame slot
 // s's end and slot s+1's start are bit-identical floats; the end event
@@ -130,7 +133,7 @@ func (m *lmacNode) frameLen() float64 { return float64(m.slots) * m.tslot }
 // not be: frame k+1's first slot may start an ulp before frame k's last
 // slot ends, and the engine then starts it at the rollover instant.
 func (m *lmacNode) scheduleFrame(k int) {
-	epoch := m.base + float64(k)*m.frameLen()
+	epoch := m.frameEpoch(k)
 	boundary := func(s int) float64 { return epoch + float64(s)*m.tslot }
 	for s := 0; s < m.slots; s++ {
 		m.eng.AtCall(boundary(s), m.slotStartCb, m.slotArgs[s])
@@ -247,10 +250,8 @@ func (m *lmacNode) ownedSlot() {
 	m.step++
 	m.stepAt = m.stepInstant(m.step)
 	if m.coversFrame() {
-		// The next frame's epoch and armed instant, as its rollover
-		// computes them.
-		epoch, armed := m.base+float64(m.frameIdx)*m.frameLen(), m.epoch+m.frameLen()
-		m.eng.At(clampedBoundary(epoch, armed, m.owned, m.tslot), m.ownedSlotFn)
+		// The next frame is armed when this one rolls over.
+		m.eng.At(clampedBoundary(m.frameEpoch(m.frameIdx), m.epoch+m.frameLen(), m.owned, m.tslot), m.ownedSlotFn)
 	} else {
 		m.unfold()
 	}
@@ -373,7 +374,7 @@ func (m *lmacNode) foldTo(t Time, strict bool) {
 			}
 			switch s := m.step >> 1; {
 			case m.step == 2*m.slots:
-				m.epoch = m.base + float64(m.frameIdx)*m.frameLen()
+				m.epoch = m.frameEpoch(m.frameIdx)
 				m.armed = at
 				m.frameIdx++
 				m.step = -1 // the next frame's first step, once incremented
