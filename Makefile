@@ -10,12 +10,14 @@
 # Faulty X-MAC paths, the LPL idle-poll path and the LMAC slot-schedule
 # path are gated together.
 # OptimizeCold gates the cold-solve path (a full bargaining solve per
-# request).
+# request); SimulateScenario gates a short simulate miss of a builtin
+# scenario, whose setup (materialize, stamp links, build the run)
+# outweighs its event loop.
 
 GO         ?= go
-BENCH      ?= Figure|Frontier|OptimizeCold|Sweep|SimValidation|SimulatorEventRate(Lossy|Faulty|LPL|LMAC)?|SimulateBatch|ServeOptimizeCached|JobsSubmitPoll
+BENCH      ?= Figure|Frontier|OptimizeCold|Sweep|SimValidation|SimulatorEventRate(Lossy|Faulty|LPL|LMAC)?|SimulateBatch|SimulateScenario|ServeOptimizeCached|JobsSubmitPoll
 BENCHTIME  ?= 1s
-GATE_BENCH ?= SimulatorEventRate(Lossy|Faulty|LPL|LMAC)?|ServeOptimizeCached|JobsSubmitPoll|OptimizeCold
+GATE_BENCH ?= SimulatorEventRate(Lossy|Faulty|LPL|LMAC)?|SimulateScenario|ServeOptimizeCached|JobsSubmitPoll|OptimizeCold
 GATE_TOL   ?= 0.15
 
 FUZZTIME ?= 30s

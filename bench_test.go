@@ -536,3 +536,24 @@ func BenchmarkSimulatorEventRateLMAC(b *testing.B) {
 	}
 	benchEventRate(b, edmac.SimulateRequest{Protocol: edmac.LMAC, Spec: &sp, Params: []float64{15, 0.10785637960867542}})
 }
+
+// BenchmarkSimulateScenario times what a short /v1/simulate miss of a
+// builtin scenario pays: X-MAC on meadow-shadowed at the golden's
+// bargain (Tw = 0.08024934436473995 s) for 30 simulated seconds. The
+// scenario is selected by name, so every iteration re-materializes it
+// (a disk topology, a shadowing draw stamped on every link) and builds
+// a world and a runner before the short run; the setup, not the event
+// loop, dominates.
+func BenchmarkSimulateScenario(b *testing.B) {
+	c := newClient(b)
+	ctx := context.Background()
+	req := edmac.SimulateRequest{
+		Protocol: edmac.XMAC, ScenarioName: "meadow-shadowed", Params: []float64{0.08024934436473995},
+		Options: edmac.SimOptions{Duration: 30, Seed: 1},
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Simulate(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
