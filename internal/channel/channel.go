@@ -30,6 +30,7 @@ import (
 	"math"
 	"math/rand"
 
+	"github.com/edmac-project/edmac/internal/lazyrand"
 	"github.com/edmac-project/edmac/internal/topology"
 )
 
@@ -280,18 +281,23 @@ func (s *DrawStream) Float64() float64 {
 // path-loss gains: the network stays non-lossy (the simulator's
 // delivery draws never engage, so legacy behaviour is byte-identical),
 // but the capture effect still has distances to compare.
+//
+// Each link draws from math/rand's stream for its LinkSeed, bit for
+// bit: one lazyrand generator is reseeded per link, which costs O(1),
+// and a link's draw computes only the few state words it reads.
 func Apply(m Model, net *topology.Network, seed int64) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
 	n := net.N()
+	rng := lazyrand.New(0)
 	for i := 0; i < n; i++ {
 		a := topology.NodeID(i)
 		for _, b := range net.Neighbors(a) {
 			if b < a {
 				continue // one draw per undirected link
 			}
-			rng := rand.New(rand.NewSource(LinkSeed(seed, a, b)))
+			rng.Seed(LinkSeed(seed, a, b))
 			// Models see distances in radio-range units (a neighbour is
 			// always within (0, 1]), whatever absolute range the network
 			// was built with.

@@ -2,9 +2,9 @@ package opt
 
 import (
 	"math"
-	"math/rand"
 	"sync/atomic"
 
+	"github.com/edmac-project/edmac/internal/lazyrand"
 	"github.com/edmac-project/edmac/internal/par"
 )
 
@@ -24,7 +24,7 @@ func MultiStart(p Problem, starts int, seed int64) (Result, error) {
 		starts = 1
 	}
 	const feasTol = 1e-9
-	rng := rand.New(rand.NewSource(seed))
+	rng := lazyrand.New(seed)
 	evals := 0
 	eval := func(x Vector) (float64, float64) {
 		evals++
@@ -75,7 +75,7 @@ func MultiStartParallel(p Problem, starts int, seed int64, workers int) (Result,
 		starts = 1
 	}
 	const feasTol = 1e-9
-	rng := rand.New(rand.NewSource(seed))
+	rng := lazyrand.New(seed)
 	dim := p.Bounds.Dim()
 
 	// Draw every start point first: the RNG stream stays identical to

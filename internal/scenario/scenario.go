@@ -11,10 +11,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/rand"
 	"os"
 
 	"github.com/edmac-project/edmac/internal/channel"
+	"github.com/edmac-project/edmac/internal/lazyrand"
 	"github.com/edmac-project/edmac/internal/radio"
 	"github.com/edmac-project/edmac/internal/topology"
 	"github.com/edmac-project/edmac/internal/traffic"
@@ -531,7 +531,7 @@ func (s Spec) Materialize() (*Materialized, error) {
 		return nil, err
 	}
 	gen, _ := s.Topology.Generator()
-	net, err := gen.Build(rand.New(rand.NewSource(s.Seed)))
+	net, err := gen.Build(lazyrand.New(s.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}

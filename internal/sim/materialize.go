@@ -3,9 +3,9 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 
+	"github.com/edmac-project/edmac/internal/lazyrand"
 	"github.com/edmac-project/edmac/internal/topology"
 	"github.com/edmac-project/edmac/internal/traffic"
 )
@@ -144,6 +144,9 @@ func slotPlan(net *topology.Network, frameSlots int) ([]int, []bool, error) {
 // backing array sized up front (the phase is below one period, so a
 // node has at most Duration/period + 1 instants, plus one for rounding)
 // and one reseeded generator, so the whole set costs a few allocations.
+// The generator is math/rand's, bit for bit, built by lazyrand, so a
+// reseed costs O(1) and a node's one phase draw computes two state
+// words instead of seeding all 607.
 func arrivalSchedules(cfg Config) [][]float64 {
 	n := cfg.Network.N()
 	all := make([][]float64, n)
@@ -158,7 +161,7 @@ func arrivalSchedules(cfg Config) [][]float64 {
 	}
 	period := 1 / cfg.SampleRate
 	buf := make([]float64, 0, (n-1)*(int(cfg.Duration/period)+2))
-	genRng := rand.New(rand.NewSource(0))
+	genRng := lazyrand.New(0)
 	for i := 1; i < n; i++ {
 		genRng.Seed(cfg.Seed ^ (int64(i)*2654435761 + 7))
 		start := len(buf)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 
+	"github.com/edmac-project/edmac/internal/lazyrand"
 	"github.com/edmac-project/edmac/internal/opt"
 	"github.com/edmac-project/edmac/internal/radio"
 	"github.com/edmac-project/edmac/internal/topology"
@@ -308,11 +309,15 @@ func newRunner(cfg Config, phases []PhaseConfig, mode runMode, reb Rebargainer) 
 		r.med.enableCapture(cfg.CaptureDB)
 	}
 	// Every node draws from its own stream, so runs stay reproducible
-	// even if one node's draw count changes.
+	// even if one node's draw count changes. Each is math/rand's stream
+	// for its seed, bit for bit, built by lazyrand: a node computes only
+	// the state words it reads (a few dozen in a short run), and one
+	// allocation holds every node's source.
+	srcs := make([]lazyrand.Source, n)
 	for i := range r.nodes {
 		id := topology.NodeID(i)
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*1000003 + 1))
-		r.nodes[i] = newNode(r.eng, cfg.Network, r.med, id, w.parents[id], rng, r.metrics, cfg.Payload)
+		srcs[i].Seed(cfg.Seed + int64(i)*1000003 + 1)
+		r.nodes[i] = newNode(r.eng, cfg.Network, r.med, id, w.parents[id], rand.New(&srcs[i]), r.metrics, cfg.Payload)
 	}
 	r.arrivals = w.arrivalsFor(&cfg) // runners only read it
 	r.cursor = make([]int, n)

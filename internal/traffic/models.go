@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"github.com/edmac-project/edmac/internal/lazyrand"
 	"github.com/edmac-project/edmac/internal/topology"
 )
 
@@ -35,9 +36,11 @@ type Model interface {
 
 // nodeRng derives node id's private random stream for a traffic model.
 // The salt separates streams of different models and roles so adding a
-// draw to one never perturbs another.
+// draw to one never perturbs another. The stream is math/rand's for the
+// derived seed, bit for bit, built by lazyrand: a schedule that draws a
+// few values computes a few state words, not all 607.
 func nodeRng(seed int64, id topology.NodeID, salt int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed ^ (int64(id)*1000003 + salt)))
+	return lazyrand.New(seed ^ (int64(id)*1000003 + salt))
 }
 
 // Periodic is the baseline sensing workload: every node samples at Rate
