@@ -55,24 +55,17 @@ func (net *Network) AssignSlots(frameSlots int) ([]int, int, error) {
 }
 
 // MinSlots returns the smallest frame size for which AssignSlots
-// succeeds, probing by doubling then binary search. It is a topology
-// property used to lower-bound LMAC's Nslots parameter.
+// succeeds. It is a topology property used to lower-bound LMAC's
+// Nslots parameter.
+//
+// One greedy pass finds it. Capped at F slots, the pass gives every
+// node the slot the uncapped pass gives it, up to the first node the
+// uncapped pass puts in slot F or beyond; there the capped pass finds
+// all F slots taken and fails. So AssignSlots(F) succeeds exactly when
+// the uncapped pass uses at most F slots. A frame of N slots is never
+// short (a node has fewer than N two-hop neighbours), so that pass is
+// AssignSlots(N).
 func (net *Network) MinSlots() int {
-	lo, hi := 1, 2
-	for {
-		if _, _, err := net.AssignSlots(hi); err == nil {
-			break
-		}
-		lo = hi
-		hi *= 2
-	}
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if _, _, err := net.AssignSlots(mid); err == nil {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return hi
+	_, used, _ := net.AssignSlots(net.N())
+	return used
 }

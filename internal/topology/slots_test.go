@@ -48,19 +48,42 @@ func TestAssignSlotsTooFewSlots(t *testing.T) {
 	}
 }
 
+// TestMinSlots checks MinSlots on the builtin scenarios' topologies:
+// the frame it returns is schedulable and one slot fewer is not.
 func TestMinSlots(t *testing.T) {
-	net, err := Disk(50, 3, rand.New(rand.NewSource(11)))
-	if err != nil {
-		t.Fatalf("Disk: %v", err)
+	cases := []struct {
+		name string
+		gen  Generator
+		seed int64
+	}{
+		{"ring", RingGen{Model: RingModel{Depth: 3, Density: 3}}, 1},
+		{"ring-dense", RingGen{Model: RingModel{Depth: 3, Density: 4}}, 1},
+		{"disk-meadow", DiskGen{Nodes: 36, Radius: 2.6}, 7},
+		{"disk-dense", DiskGen{Nodes: 48, Radius: 1.8}, 3},
+		{"disk-bursty", DiskGen{Nodes: 30, Radius: 2.2}, 11},
+		{"disk-50", DiskGen{Nodes: 50, Radius: 3}, 11},
+		{"grid-campus", GridGen{Width: 7, Height: 5, Spacing: 0.9}, 1},
+		{"grid-eventwatch", GridGen{Width: 6, Height: 6, Spacing: 0.8}, 1},
+		{"line-tunnel", LineGen{Nodes: 24, Spacing: 0.8}, 1},
+		{"line-sentinel", LineGen{Nodes: 18, Spacing: 0.9}, 1},
+		{"cluster-twotier", ClusterGen{Clusters: 4, ClusterSize: 6, FieldRadius: 1.8, ClusterRadius: 0.7}, 5},
 	}
-	min := net.MinSlots()
-	if _, _, err := net.AssignSlots(min); err != nil {
-		t.Errorf("AssignSlots(MinSlots=%d) failed: %v", min, err)
-	}
-	if min > 1 {
-		if _, _, err := net.AssignSlots(min - 1); err == nil {
-			t.Errorf("AssignSlots(MinSlots-1=%d) unexpectedly succeeded", min-1)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			net, err := tc.gen.Build(rand.New(rand.NewSource(tc.seed)))
+			if err != nil {
+				t.Fatalf("Build: %v", err)
+			}
+			min := net.MinSlots()
+			if _, _, err := net.AssignSlots(min); err != nil {
+				t.Errorf("AssignSlots(MinSlots=%d) failed: %v", min, err)
+			}
+			if min > 1 {
+				if _, _, err := net.AssignSlots(min - 1); err == nil {
+					t.Errorf("AssignSlots(MinSlots-1=%d) unexpectedly succeeded", min-1)
+				}
+			}
+		})
 	}
 }
 
