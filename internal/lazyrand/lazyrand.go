@@ -14,7 +14,7 @@
 // one multiplication away from the seed once the powers are known, so a
 // Source computes word i only when the stream first reads it. A stream
 // that draws a handful of values computes a few dozen words instead of
-// 607, and Seed costs O(1).
+// 607, allocates none of the 607-word state, and Seed costs O(1).
 //
 // The seeding table is math/rand's own (its rngCooked), recovered once
 // at init from the first 607 outputs of rand.NewSource(1): after 607
@@ -111,15 +111,25 @@ func lehmerWord(x0 uint64, i int) int64 {
 // and the first tapLag of them read words length−1 down to
 // length−tapLag at the tap, each for the first time; every later read
 // finds a word an earlier draw computed or wrote. So a count of draws
-// stands in for a record of which words exist.
+// stands in for a record of which words exist. The first window draws
+// read only such new words and write a contiguous run of feed words, so
+// a stream that has drawn no more than window values since its first
+// Seed keeps those words in lo and has no 607-word state at all.
 type Source struct {
 	tap, feed int
 	x0        uint64 // the normalised seed, in [1, 2³¹−1)
 	// fresh counts the draws left whose feed word is read for the
 	// first time.
 	fresh int
-	vec   [length]int64
+	vec   *[length]int64 // the state; nil until the stream outgrows lo
+	// lo[j] is feed word length−tapLag−1−j, written by draw j+1 after
+	// Seed, while vec is nil.
+	lo [window]int64
 }
+
+// window is how many draws after Seed a Source serves from lo. Most
+// streams here draw about seven values.
+const window = 16
 
 // New returns a rand.Rand drawing the stream
 // rand.New(rand.NewSource(seed)) draws.
@@ -148,7 +158,7 @@ func (s *Source) Seed(seed int64) {
 // Int63 returns a non-negative pseudo-random 63-bit integer.
 func (s *Source) Int63() int64 {
 	if s.fresh > 0 {
-		s.seedNext()
+		return int64(s.firstReads() & mask63)
 	}
 	return int64(s.step() & mask63)
 }
@@ -156,7 +166,7 @@ func (s *Source) Int63() int64 {
 // Uint64 returns a pseudo-random 64-bit integer.
 func (s *Source) Uint64() uint64 {
 	if s.fresh > 0 {
-		s.seedNext()
+		return s.firstReads()
 	}
 	return s.step()
 }
@@ -179,18 +189,43 @@ func (s *Source) step() uint64 {
 	return uint64(x)
 }
 
-// seedNext computes the words the next draw reads for the first time:
-// its feed word, and its tap word while the tap is in the upper
-// length−tapLag.. words. The feed never wraps while fresh > 0.
-func (s *Source) seedNext() {
+// firstReads is one of the first length−tapLag draws after Seed. It
+// computes the words the draw reads for the first time, its feed word
+// and, while the tap is in the upper length−tapLag.. words, its tap
+// word, then draws. The feed never wraps in these draws.
+func (s *Source) firstReads() uint64 {
 	s.fresh--
+	if s.vec == nil {
+		if n := length - tapLag - 1 - s.fresh; n < window {
+			// Draw n+1 reads tap word length−1−n and feed word
+			// length−tapLag−1−n, both for the first time.
+			s.tap, s.feed = length-1-n, length-tapLag-1-n
+			x := s.seedWord(s.feed) + s.seedWord(s.tap)
+			s.lo[n] = x
+			return uint64(x)
+		}
+		// The stream outgrows lo: move the feed words it wrote into a
+		// state, and recompute the tap words it read, which later draws
+		// read again at the feed.
+		s.vec = new([length]int64)
+		for j, x := range s.lo {
+			s.vec[length-tapLag-1-j] = x
+			s.vec[length-1-j] = s.seedWord(length - 1 - j)
+		}
+	}
 	f := s.feed - 1
-	s.vec[f] = lehmerWord(s.x0, f) ^ cooked[f]
+	s.vec[f] = s.seedWord(f)
 	t := s.tap - 1
 	if t < 0 {
 		t += length
 	}
 	if t >= length-tapLag {
-		s.vec[t] = lehmerWord(s.x0, t) ^ cooked[t]
+		s.vec[t] = s.seedWord(t)
 	}
+	return s.step()
+}
+
+// seedWord is word i as Seed leaves it.
+func (s *Source) seedWord(i int) int64 {
+	return lehmerWord(s.x0, i) ^ cooked[i]
 }

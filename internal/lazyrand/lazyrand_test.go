@@ -60,36 +60,39 @@ func TestMatchesMathRand(t *testing.T) {
 		want := rand.New(rand.NewSource(seed))
 		got := New(seed)
 		pick := rand.New(rand.NewSource(int64(si)))
-		reseed := seeds[(si*31+7)%len(seeds)]
+		// Seeds mid-stream restart both streams: at draw 3 while the
+		// source still keeps its few words inline, and at draw 1200 with
+		// words computed for the old seed still in its state.
+		reseed := map[int]int64{3: seeds[(si*17+3)%len(seeds)], drawsPerSeed / 2: seeds[(si*31+7)%len(seeds)]}
 		for k := 0; k < drawsPerSeed; k++ {
-			if k == drawsPerSeed/2 {
-				// A Seed mid-stream restarts both streams, with words
-				// already computed for the old seed still in the state.
-				want.Seed(reseed)
-				got.Seed(reseed)
+			if r, ok := reseed[k]; ok {
+				want.Seed(r)
+				got.Seed(r)
 			}
 			op := pick.Intn(1 << 20)
 			if w, g := drawMixed(want, op), drawMixed(got, op); w != g {
-				t.Fatalf("seed %d (reseeded %d at draw %d): draw %d (op %d) = %#x, math/rand %#x",
-					seed, reseed, drawsPerSeed/2, k, op%8, g, w)
+				t.Fatalf("seed %d (reseeded %v): draw %d (op %d) = %#x, math/rand %#x", seed, reseed, k, op%8, g, w)
 			}
 		}
 	}
 }
 
-func TestSeedComputesNothing(t *testing.T) {
+func TestShortStreamsStayCompact(t *testing.T) {
 	var s Source
-	s.Seed(5)
-	if s.vec != [length]int64{} {
-		t.Fatal("Seed computed state words")
-	}
-	s.Uint64()
-	// The first draw computes the feed word length-tapLag-1 and the tap
-	// word length-1, and nothing else.
-	for i, w := range s.vec {
-		if set := w != 0; set != (i == length-tapLag-1 || i == length-1) {
-			t.Errorf("after one draw word %d = %#x", i, w)
+	r := rand.New(&s)
+	// Seed and a stream's first window draws build no 607-word state.
+	allocs := testing.AllocsPerRun(20, func() {
+		r.Seed(7)
+		for k := 0; k < window; k++ {
+			r.Uint64()
 		}
+	})
+	if allocs != 0 || s.vec != nil {
+		t.Fatalf("%d draws allocated %v times (state built: %v)", window, allocs, s.vec != nil)
+	}
+	r.Uint64()
+	if s.vec == nil {
+		t.Errorf("draw %d did not build the state", window+1)
 	}
 }
 

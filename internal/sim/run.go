@@ -311,8 +311,9 @@ func newRunner(cfg Config, phases []PhaseConfig, mode runMode, reb Rebargainer) 
 	// Every node draws from its own stream, so runs stay reproducible
 	// even if one node's draw count changes. Each is math/rand's stream
 	// for its seed, bit for bit, built by lazyrand: a node computes only
-	// the state words it reads (a few dozen in a short run), and one
-	// allocation holds every node's source.
+	// the state words it reads, one allocation holds every node's
+	// source, and only a node that draws more than a few values
+	// allocates its generator's full state.
 	srcs := make([]lazyrand.Source, n)
 	for i := range r.nodes {
 		id := topology.NodeID(i)
