@@ -113,8 +113,8 @@ func lehmerWord(x0 uint64, i int) int64 {
 // finds a word an earlier draw computed or wrote. So a count of draws
 // stands in for a record of which words exist. The first window draws
 // read only such new words and write a contiguous run of feed words, so
-// a stream that has drawn no more than window values since its first
-// Seed keeps those words in lo and has no 607-word state at all.
+// a Source that has never drawn more than window values after a Seed
+// keeps those words in lo and has no 607-word state at all.
 type Source struct {
 	tap, feed int
 	x0        uint64 // the normalised seed, in [1, 2³¹−1)
@@ -127,8 +127,8 @@ type Source struct {
 	lo [window]int64
 }
 
-// window is how many draws after Seed a Source serves from lo. Most
-// streams here draw about seven values.
+// window is how many draws after Seed a Source serves from lo. Most of
+// the simulator's and the traffic models' streams draw about seven.
 const window = 16
 
 // New returns a rand.Rand drawing the stream

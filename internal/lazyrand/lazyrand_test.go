@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// draws per seed: well past 607 source reads, so both the feed and the
-// tap wrap around the state at least once and every word is both
-// computed lazily and then read back as a sum.
+// drawsPerSeed keeps each segment between re-seeds well past 607 source
+// reads, so both the feed and the tap wrap around the state at least
+// once and every word is both computed lazily and then read back as a
+// sum.
 const drawsPerSeed = 2400
 
 // equivalenceSeeds are the seeds Seed normalises specially (0, and the
