@@ -89,51 +89,49 @@ func (m *BMAC) Structural() []opt.Constraint {
 //
 //edvet:hotpath
 func (m *BMAC) EnergyAt(x opt.Vector, ring int) Components {
-	return m.energy(x[0], windowLoad(m.env, m.flows, m.attempts, ring))
+	t := windowLoad(m.env, m.flows, m.attempts, ring)
+	cs, tx, rx, ovr, sleep := m.energy(x[0], &t)
+	return Components{CarrierSense: cs, Tx: tx, Rx: rx, Overhear: ovr, Sleep: sleep}
 }
 
-// energy is the per-window energy of a node with ring terms t at wakeup
-// interval tw.
+// energy returns the components of a node with ring terms t at wakeup
+// interval tw, all of which depend on it: carrier sense, transmit,
+// receive, overhearing and sleep energy.
 //
 //edvet:hotpath
-func (m *BMAC) energy(tw float64, t ringTerms) Components {
+func (m *BMAC) energy(tw float64, t *ringTerms) (cs, tx, rx, ovr, sleep float64) {
 	r := &m.env.Radio
 	w := m.env.Window
 
 	csTime := w / tw * m.tPoll
-	cs := csTime * r.PowerListen
+	cs = csTime * r.PowerListen
 
 	// The preamble must span a full check interval to guarantee capture.
 	txTimePerPkt := tw + m.tData
-	tx := t.wOut * txTimePerPkt * r.PowerTx
+	tx = t.wOut * txTimePerPkt * r.PowerTx
 
 	// The receiver catches the preamble half-way on average and must hang
 	// on until the data arrives — and so does every overhearer, because
 	// the preamble carries no address.
 	rxTimePerPkt := tw/2 + m.tData
-	rx := t.wIn * rxTimePerPkt * r.PowerRx
+	rx = t.wIn * rxTimePerPkt * r.PowerRx
 	ovrTime := t.wBg * rxTimePerPkt
-	ovr := ovrTime * r.PowerRx
+	ovr = ovrTime * r.PowerRx
 
 	awake := csTime + t.wOut*txTimePerPkt + t.wIn*rxTimePerPkt + ovrTime
 	sleepTime := w - awake
 	if sleepTime < 0 {
 		sleepTime = 0
 	}
-	return Components{
-		CarrierSense: cs,
-		Tx:           tx,
-		Rx:           rx,
-		Overhear:     ovr,
-		Sleep:        sleepTime * r.PowerSleep,
-	}
+	return cs, tx, rx, ovr, sleepTime * r.PowerSleep
 }
 
 // Energy implements Model.
 //
 //edvet:hotpath
 func (m *BMAC) Energy(x opt.Vector) float64 {
-	return m.energy(x[0], m.bottleneck).Total()
+	cs, tx, rx, ovr, sleep := m.energy(x[0], &m.bottleneck)
+	return total(cs, tx, rx, ovr, 0, 0, sleep)
 }
 
 // Delay implements Model: every hop pays the full preamble plus data,

@@ -158,26 +158,8 @@ func (m *DMAC) ringTerms(ring int) ringTerms {
 //
 //edvet:hotpath
 func (m *DMAC) EnergyAt(x opt.Vector, ring int) Components {
-	return m.energy(x[0], x[1], m.ringTerms(ring))
-}
-
-// energy is the per-window energy of a node with ring terms t at frame
-// length frame and slot length mu.
-//
-//edvet:hotpath
-func (m *DMAC) energy(frame, mu float64, t ringTerms) Components {
-	r := &m.env.Radio
-	w := m.env.Window
-
-	// Baseline: one receive slot per frame, listened end to end.
-	csTime := w / frame * (r.Startup + mu)
-	cs := csTime * r.PowerListen
-
-	awake := csTime + t.txTime + t.rxTime + t.ovrTime + m.syncTime + m.syncTime
-	sleepTime := w - awake
-	if sleepTime < 0 {
-		sleepTime = 0
-	}
+	t := m.ringTerms(ring)
+	cs, sleep := m.energy(x[0], x[1], &t)
 	return Components{
 		CarrierSense: cs,
 		Tx:           t.tx,
@@ -185,15 +167,38 @@ func (m *DMAC) energy(frame, mu float64, t ringTerms) Components {
 		Overhear:     t.ovr,
 		SyncTx:       m.syncTx,
 		SyncRx:       m.syncRx,
-		Sleep:        sleepTime * r.PowerSleep,
+		Sleep:        sleep,
 	}
+}
+
+// energy returns the schedule-dependent components of a node with ring
+// terms t at frame length frame and slot length mu: receive-slot
+// listening and sleep energy.
+//
+//edvet:hotpath
+func (m *DMAC) energy(frame, mu float64, t *ringTerms) (cs, sleep float64) {
+	r := &m.env.Radio
+	w := m.env.Window
+
+	// Baseline: one receive slot per frame, listened end to end.
+	csTime := w / frame * (r.Startup + mu)
+	cs = csTime * r.PowerListen
+
+	awake := csTime + t.txTime + t.rxTime + t.ovrTime + m.syncTime + m.syncTime
+	sleepTime := w - awake
+	if sleepTime < 0 {
+		sleepTime = 0
+	}
+	return cs, sleepTime * r.PowerSleep
 }
 
 // Energy implements Model.
 //
 //edvet:hotpath
 func (m *DMAC) Energy(x opt.Vector) float64 {
-	return m.energy(x[0], x[1], m.bottleneck).Total()
+	t := &m.bottleneck
+	cs, sleep := m.energy(x[0], x[1], t)
+	return total(cs, t.tx, t.rx, t.ovr, m.syncTx, m.syncRx, sleep)
 }
 
 // Delay implements Model: a packet waits half a frame on average for its

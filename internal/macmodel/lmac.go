@@ -123,14 +123,17 @@ func (m *LMAC) ringTerms(ring int) ringTerms {
 //
 //edvet:hotpath
 func (m *LMAC) EnergyAt(x opt.Vector, ring int) Components {
-	return m.energy(x[0], x[1], m.ringTerms(ring))
+	t := m.ringTerms(ring)
+	stx, srx, sleep := m.energy(x[0], x[1], &t)
+	return Components{Tx: t.tx, Rx: t.rx, SyncTx: stx, SyncRx: srx, Sleep: sleep}
 }
 
-// energy is the per-window energy of a node with ring terms t at slots
-// slots per frame of length tslot.
+// energy returns the schedule-dependent components of a node with ring
+// terms t at slots slots per frame of length tslot: its control
+// beacons, its control tracking and its sleep energy.
 //
 //edvet:hotpath
-func (m *LMAC) energy(slots, tslot float64, t ringTerms) Components {
+func (m *LMAC) energy(slots, tslot float64, t *ringTerms) (stx, srx, sleep float64) {
 	frame := slots * tslot
 	r := &m.env.Radio
 	w := m.env.Window
@@ -138,31 +141,27 @@ func (m *LMAC) energy(slots, tslot float64, t ringTerms) Components {
 	// Control tracking: listen to the control section (plus a CCA to
 	// catch the section start) of every slot it does not own.
 	srxTime := w * (slots - 1) / frame * m.tTrack
-	srx := srxTime * r.PowerRx
+	srx = srxTime * r.PowerRx
 
 	// Own slot: the control beacon goes out every frame, data or not.
 	stxTime := w / frame * m.tCtrl
-	stx := stxTime * r.PowerTx
+	stx = stxTime * r.PowerTx
 
 	awake := srxTime + stxTime + t.txTime + t.rxTime
 	sleepTime := w - awake
 	if sleepTime < 0 {
 		sleepTime = 0
 	}
-	return Components{
-		Tx:     t.tx,
-		Rx:     t.rx,
-		SyncTx: stx,
-		SyncRx: srx,
-		Sleep:  sleepTime * r.PowerSleep,
-	}
+	return stx, srx, sleepTime * r.PowerSleep
 }
 
 // Energy implements Model.
 //
 //edvet:hotpath
 func (m *LMAC) Energy(x opt.Vector) float64 {
-	return m.energy(x[0], x[1], m.bottleneck).Total()
+	t := &m.bottleneck
+	stx, srx, sleep := m.energy(x[0], x[1], t)
+	return total(0, t.tx, t.rx, 0, stx, srx, sleep)
 }
 
 // Delay implements Model: at every hop a packet waits half a frame on

@@ -126,6 +126,71 @@ func TestEnergyIsBottleneckRing(t *testing.T) {
 	}
 }
 
+// TestEnergyKernelMatchesReport: Energy, the scalar kernel the solver
+// calls at every point, returns exactly the bits of EnergyAt's report
+// at the bottleneck ring. Both share one energy formula per model and
+// one summation, so a formula or an addition order that drifts between
+// them shows here. Every model is checked on perfect and on lossy links
+// (attempts > 1), over a dense lattice of its bounds and their corners.
+func TestEnergyKernelMatchesReport(t *testing.T) {
+	lossy := Default()
+	lossy.LinkPRR = 0.8
+	if lossy.Attempts() <= 1 {
+		t.Fatalf("lossy env charges %v attempts per hop, want more than 1", lossy.Attempts())
+	}
+	for _, env := range []Env{Default(), lossy} {
+		ring := env.Flows().Bottleneck()
+		for _, name := range Names() {
+			m, err := New(name, env)
+			if err != nil {
+				t.Fatalf("New(%q): %v", name, err)
+			}
+			for _, x := range kernelPoints(m.Bounds()) {
+				got, want := m.Energy(x), m.EnergyAt(x, ring).Total()
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s (PRR %v) at %v: Energy = %v (%#x), EnergyAt(%d).Total() = %v (%#x)",
+						name, env.LinkPRR, x, got, math.Float64bits(got), ring, want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+// kernelPoints spreads points over a 1-D or 2-D box: 257 along a line,
+// or a 33×33 lattice, then the box's corners, which a lattice's last
+// step need not hit exactly.
+func kernelPoints(b opt.Bounds) []opt.Vector {
+	axis := func(i, n int) []float64 {
+		v := make([]float64, n)
+		for j := range v {
+			v[j] = b.Lo[i] + float64(j)/float64(n-1)*(b.Hi[i]-b.Lo[i])
+		}
+		return v
+	}
+	var pts []opt.Vector
+	switch b.Dim() {
+	case 1:
+		for _, a := range axis(0, 257) {
+			pts = append(pts, opt.Vector{a})
+		}
+		pts = append(pts, opt.Vector{b.Lo[0]}, opt.Vector{b.Hi[0]})
+	case 2:
+		for _, a := range axis(0, 33) {
+			for _, c := range axis(1, 33) {
+				pts = append(pts, opt.Vector{a, c})
+			}
+		}
+		for _, a := range []float64{b.Lo[0], b.Hi[0]} {
+			for _, c := range []float64{b.Lo[1], b.Hi[1]} {
+				pts = append(pts, opt.Vector{a, c})
+			}
+		}
+	default:
+		panic("kernelPoints: models have one or two parameters")
+	}
+	return pts
+}
+
 func TestDelayPositiveAndFiniteEverywhere(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, m := range allModels(t) {

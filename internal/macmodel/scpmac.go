@@ -152,26 +152,8 @@ func (m *SCPMAC) ringTerms(ring int) ringTerms {
 //
 //edvet:hotpath
 func (m *SCPMAC) EnergyAt(x opt.Vector, ring int) Components {
-	return m.energy(x[0], m.ringTerms(ring))
-}
-
-// energy is the per-window energy of a node with ring terms t at poll
-// period tp.
-//
-//edvet:hotpath
-func (m *SCPMAC) energy(tp float64, t ringTerms) Components {
-	r := &m.env.Radio
-	w := m.env.Window
-
-	// Synchronized polls: a short CCA pair every poll period.
-	csTime := w / tp * m.tPoll
-	cs := csTime * r.PowerListen
-
-	awake := csTime + t.txTime + t.rxTime + t.ovrTime + m.syncTime + m.syncTime
-	sleepTime := w - awake
-	if sleepTime < 0 {
-		sleepTime = 0
-	}
+	t := m.ringTerms(ring)
+	cs, sleep := m.energy(x[0], &t)
 	return Components{
 		CarrierSense: cs,
 		Tx:           t.tx,
@@ -179,15 +161,37 @@ func (m *SCPMAC) energy(tp float64, t ringTerms) Components {
 		Overhear:     t.ovr,
 		SyncTx:       m.syncTx,
 		SyncRx:       m.syncRx,
-		Sleep:        sleepTime * r.PowerSleep,
+		Sleep:        sleep,
 	}
+}
+
+// energy returns the poll-period-dependent components of a node with
+// ring terms t at poll period tp: carrier sense and sleep energy.
+//
+//edvet:hotpath
+func (m *SCPMAC) energy(tp float64, t *ringTerms) (cs, sleep float64) {
+	r := &m.env.Radio
+	w := m.env.Window
+
+	// Synchronized polls: a short CCA pair every poll period.
+	csTime := w / tp * m.tPoll
+	cs = csTime * r.PowerListen
+
+	awake := csTime + t.txTime + t.rxTime + t.ovrTime + m.syncTime + m.syncTime
+	sleepTime := w - awake
+	if sleepTime < 0 {
+		sleepTime = 0
+	}
+	return cs, sleepTime * r.PowerSleep
 }
 
 // Energy implements Model.
 //
 //edvet:hotpath
 func (m *SCPMAC) Energy(x opt.Vector) float64 {
-	return m.energy(x[0], m.bottleneck).Total()
+	t := &m.bottleneck
+	cs, sleep := m.energy(x[0], t)
+	return total(cs, t.tx, t.rx, t.ovr, m.syncTx, m.syncRx, sleep)
 }
 
 // Delay implements Model: a packet waits half a poll period for the next

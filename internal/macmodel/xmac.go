@@ -131,45 +131,44 @@ func (m *XMAC) ringTerms(ring int) ringTerms {
 //
 //edvet:hotpath
 func (m *XMAC) EnergyAt(x opt.Vector, ring int) Components {
-	return m.energy(x[0], m.ringTerms(ring))
+	t := m.ringTerms(ring)
+	cs, tx, sleep := m.energy(x[0], &t)
+	return Components{CarrierSense: cs, Tx: tx, Rx: t.rx, Overhear: t.ovr, Sleep: sleep}
 }
 
-// energy is the per-window energy of a node with ring terms t at wakeup
-// interval tw.
+// energy returns the wakeup-interval-dependent components of a node
+// with ring terms t at wakeup interval tw: carrier sense, transmit and
+// sleep energy.
 //
 //edvet:hotpath
-func (m *XMAC) energy(tw float64, t ringTerms) Components {
+func (m *XMAC) energy(tw float64, t *ringTerms) (cs, tx, sleep float64) {
 	r := &m.env.Radio
 	w := m.env.Window
 
 	// Periodic channel polls: startup plus two CCAs per check.
 	csTime := w / tw * m.tPoll
-	cs := csTime * r.PowerListen
+	cs = csTime * r.PowerListen
 
 	// Transmit: strobe for Tw/2 on average (transmitting a strobe, then
 	// listening in the gap for the early ACK), then the data exchange.
 	txTimePerPkt := tw/2 + m.tData + m.tAck
-	tx := t.wOut * (tw/2*m.strobePower + m.dataTx + m.ackRx)
+	tx = t.wOut * (tw/2*m.strobePower + m.dataTx + m.ackRx)
 
 	awake := csTime + t.wOut*txTimePerPkt + t.rxTime + t.ovrTime
 	sleepTime := w - awake
 	if sleepTime < 0 {
 		sleepTime = 0
 	}
-	return Components{
-		CarrierSense: cs,
-		Tx:           tx,
-		Rx:           t.rx,
-		Overhear:     t.ovr,
-		Sleep:        sleepTime * r.PowerSleep,
-	}
+	return cs, tx, sleepTime * r.PowerSleep
 }
 
 // Energy implements Model.
 //
 //edvet:hotpath
 func (m *XMAC) Energy(x opt.Vector) float64 {
-	return m.energy(x[0], m.bottleneck).Total()
+	t := &m.bottleneck
+	cs, tx, sleep := m.energy(x[0], t)
+	return total(cs, tx, t.rx, t.ovr, 0, 0, sleep)
 }
 
 // Delay implements Model: each hop waits Tw/2 on average for the
