@@ -160,19 +160,47 @@ func gridPhase(bounds Bounds, eval PointFunc, cfg config) (Result, bool) {
 	return best, foundFeasible
 }
 
+// polishWeights are polishPhase's exact-penalty weights, in units of
+// the incumbent's objective scale, in the order it escalates them.
+var polishWeights = [...]float64{1e2, 1e4, 1e6, 1e8}
+
 // polishPhase refines the incumbent with Nelder-Mead under an escalating
 // exact penalty, keeping the lexicographically best point seen.
+//
+// It stops escalating early, with the result unchanged, once a run
+// leaves the incumbent where it was, every point that run evaluated had
+// a violation of exactly 0 or +Inf, and every weight left is finite. At
+// such a point the penalized value does not depend on the weight: it is
+// f + w·0 = f for any finite w, or +Inf. Each later run would start
+// from the same incumbent and see the same values, so Nelder-Mead,
+// being deterministic, would evaluate the same points and return the
+// same one, which again would not move the incumbent.
 func polishPhase(bounds Bounds, eval PointFunc, incumbent Result, cfg config) Result {
 	scale := math.Abs(incumbent.F)
 	if math.IsInf(scale, 0) || math.IsNaN(scale) || scale < 1 {
 		scale = 1
 	}
+	// The weights ascend, so the last is the largest any run can use.
+	finite := !math.IsInf(polishWeights[len(polishWeights)-1]*scale, 1)
+	exact := true
+	watched := func(x Vector) (float64, float64) {
+		f, v := eval(x)
+		if v != 0 && !math.IsInf(v, 1) {
+			exact = false
+		}
+		return f, v
+	}
 	best := incumbent
-	for _, w := range []float64{1e2, 1e4, 1e6, 1e8} {
-		r := NelderMead(penalized(eval, w*scale), best.X, bounds, NMOptions{})
+	for _, w := range polishWeights {
+		exact = true
+		r := NelderMead(penalized(watched, w*scale), best.X, bounds, NMOptions{})
 		f, viol := eval(r.X)
-		if isWorse(best.F, best.Violation, f, viol, cfg.feasTol) {
+		moved := isWorse(best.F, best.Violation, f, viol, cfg.feasTol)
+		if moved {
 			best = Result{X: r.X.Clone(), F: f, Violation: viol}
+		}
+		if !moved && exact && finite {
+			break
 		}
 	}
 	return best

@@ -258,3 +258,147 @@ func TestSolveRanksFeasibilityFirst(t *testing.T) {
 		t.Errorf("x = %v with violation %v, want the feasible boundary 0.5", r.X[0], r.Violation)
 	}
 }
+
+// referencePolish is polishPhase without its early stop: it runs
+// Nelder-Mead at every penalty weight, as the polish once always did.
+func referencePolish(bounds Bounds, eval PointFunc, incumbent Result, cfg config) Result {
+	scale := math.Abs(incumbent.F)
+	if math.IsInf(scale, 0) || math.IsNaN(scale) || scale < 1 {
+		scale = 1
+	}
+	best := incumbent
+	for _, w := range []float64{1e2, 1e4, 1e6, 1e8} {
+		r := NelderMead(penalized(eval, w*scale), best.X, bounds, NMOptions{})
+		f, viol := eval(r.X)
+		if isWorse(best.F, best.Violation, f, viol, cfg.feasTol) {
+			best = Result{X: r.X.Clone(), F: f, Violation: viol}
+		}
+	}
+	return best
+}
+
+// TestPolishStopIsExact: polishPhase's early stop changes how many
+// points the polish evaluates, never what it returns. On each problem
+// the grid's incumbent is polished twice, by polishPhase and by the
+// reference that runs every weight, and the results must agree bit for
+// bit. Where every run sees violations of only 0 or +Inf the stop must
+// fire; where a run sees a finite violation, or a weight overflows, it
+// must not.
+func TestPolishStopIsExact(t *testing.T) {
+	cases := []struct {
+		name  string
+		p     Problem
+		opts  []Option
+		stops bool
+	}{
+		{
+			// A curved valley: the first two runs each move the
+			// incumbent, and the third repeats the second.
+			name: "interior optimum",
+			p: Problem{
+				Eval: Constrained(func(x Vector) float64 {
+					a, b := 0.3-x[0], x[1]-x[0]*x[0]
+					return a*a + 1000*b*b
+				}),
+				Bounds: Bounds{Lo: Vector{-2, -2}, Hi: Vector{2, 2}},
+			},
+			stops: true,
+		},
+		{
+			// A coarse grid leaves the incumbent short of the boundary,
+			// and the first weight is too weak to hold the constraint:
+			// that run moves nothing, and the next one moves the
+			// incumbent onto the boundary.
+			name: "optimum on a constraint",
+			p: Problem{
+				Eval: Constrained(func(x Vector) float64 { return -1e5 * (x[0] - 1.0/3) },
+					Constraint{Name: "x<=1/3", F: func(x Vector) float64 { return x[0] - 1.0/3 }}),
+				Bounds: Bounds{Lo: Vector{0}, Hi: Vector{1}},
+			},
+			opts: []Option{WithRefinements(0)},
+		},
+		{
+			name: "+Inf plateau",
+			p: Problem{
+				Eval: func(x Vector) (float64, float64) {
+					if x[0]+x[1] > 1.2 {
+						return 0, math.Inf(1)
+					}
+					a, b := x[0]-0.41, x[1]-0.77
+					return a*a + 3*b*b, 0
+				},
+				Bounds: Bounds{Lo: Vector{0, 0}, Hi: Vector{1, 1}},
+			},
+			stops: true,
+		},
+		{
+			// The optimum sits on the edge of a region where the
+			// constraint is NaN, which counts as +Inf violation.
+			name: "NaN constraint",
+			p: Problem{
+				Eval: Constrained(func(x Vector) float64 {
+					a, b := x[0]-0.7, x[1]-0.2
+					return a*a + b*b
+				}, Constraint{Name: "nan-beyond", F: func(x Vector) float64 {
+					if x[0]*x[1] > 0.1 {
+						return math.NaN()
+					}
+					return -1
+				}}),
+				Bounds: Bounds{Lo: Vector{0, 0}, Hi: Vector{1, 1}},
+			},
+			stops: true,
+		},
+		{
+			// 1e6·scale overflows: f + (+Inf)·0 is NaN, so the last two
+			// runs see values the first two did not.
+			name: "weight overflows",
+			p: Problem{
+				Eval: Constrained(func(x Vector) float64 {
+					a := x[0] - 0.3
+					return 1e303 * (1 + a*a)
+				}),
+				Bounds: Bounds{Lo: Vector{0}, Hi: Vector{1}},
+			},
+		},
+	}
+	for _, tc := range cases {
+		cfg := defaultConfig(tc.p.Bounds.Dim())
+		for _, o := range tc.opts {
+			o(&cfg)
+		}
+		incumbent, _ := gridPhase(tc.p.Bounds, tc.p.Eval, cfg)
+		n := 0
+		counted := func(x Vector) (float64, float64) { n++; return tc.p.Eval(x) }
+		want := referencePolish(tc.p.Bounds, counted, incumbent, cfg)
+		nWant := n
+		n = 0
+		got := polishPhase(tc.p.Bounds, counted, incumbent, cfg)
+		if !sameBits(got, want) {
+			t.Errorf("%s: polishPhase = %v (F %v, violation %v), reference = %v (F %v, violation %v)",
+				tc.name, got.X, got.F, got.Violation, want.X, want.F, want.Violation)
+		}
+		switch {
+		case tc.stops && n >= nWant:
+			t.Errorf("%s: polishPhase evaluated %d points, reference %d: the stop did not fire", tc.name, n, nWant)
+		case !tc.stops && n != nWant:
+			t.Errorf("%s: polishPhase evaluated %d points, reference %d: the stop fired", tc.name, n, nWant)
+		}
+	}
+}
+
+// sameBits reports whether two results carry the same X, F and
+// Violation bits.
+func sameBits(a, b Result) bool {
+	if len(a.X) != len(b.X) ||
+		math.Float64bits(a.F) != math.Float64bits(b.F) ||
+		math.Float64bits(a.Violation) != math.Float64bits(b.Violation) {
+		return false
+	}
+	for i := range a.X {
+		if math.Float64bits(a.X[i]) != math.Float64bits(b.X[i]) {
+			return false
+		}
+	}
+	return true
+}
