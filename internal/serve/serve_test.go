@@ -227,6 +227,33 @@ func TestSimulateBuiltinScenario(t *testing.T) {
 	}
 }
 
+// TestSimulateBoundsLMACFrame: every simulated LMAC node keeps tables
+// with one entry per slot, so /v1/simulate refuses a frame above the
+// model's 128-slot maximum with 400 invalid_request, on the ring path
+// and on the scenario path alike, and runs a frame at the maximum.
+func TestSimulateBoundsLMACFrame(t *testing.T) {
+	ts, _ := newTestServer(t)
+	deployments := map[string]string{
+		"ring":     `"scenario":{"depth":3,"density":4,"sample_interval":120,"window":60,"payload":32,"radio":"cc2420"}`,
+		"scenario": `"scenario_name":"ring-baseline"`,
+	}
+	for name, deployment := range deployments {
+		for _, tc := range []struct{ slots, status int }{{20000, http.StatusBadRequest}, {128, http.StatusOK}} {
+			body := fmt.Sprintf(`{"protocol":"lmac",%s,"params":[%d,0.05],"options":{"duration":1,"seed":1}}`, deployment, tc.slots)
+			resp, data := postJSON(t, ts.URL+"/v1/simulate", body)
+			if resp.StatusCode != tc.status {
+				t.Errorf("%s path, %d slots: status = %d (%s), want %d", name, tc.slots, resp.StatusCode, data, tc.status)
+				continue
+			}
+			if tc.status != http.StatusOK {
+				if code, _ := decodeEnvelope(t, data); code != "invalid_request" {
+					t.Errorf("%s path, %d slots: error code = %q, want invalid_request", name, tc.slots, code)
+				}
+			}
+		}
+	}
+}
+
 // TestSimulateValidateNaNScrubbed proves a run with unusable delay
 // statistics (nothing delivered at a near-zero rate) still encodes:
 // the NaN fields are omitted, not 500s.

@@ -178,6 +178,9 @@ func simulateScenario(ctx context.Context, p Protocol, sp ScenarioSpec, params [
 	if p == SCPMAC {
 		return SimReport{}, fmt.Errorf("edmac: scpmac is analytic-only; simulate xmac, bmac, dmac or lmac")
 	}
+	if err := checkFrame(p, params); err != nil {
+		return SimReport{}, err
+	}
 	o = o.withDefaults()
 	m, err := sp.spec.Materialize()
 	if err != nil {

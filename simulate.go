@@ -236,6 +236,9 @@ func (rs ringSetup) config(p Protocol, params []float64, o SimOptions) (sim.Conf
 	if err != nil {
 		return sim.Config{}, err
 	}
+	if err := checkFrame(p, params); err != nil {
+		return sim.Config{}, err
+	}
 	if rs.netErr != nil {
 		return sim.Config{}, rs.netErr
 	}
@@ -249,6 +252,25 @@ func (rs ringSetup) config(p Protocol, params []float64, o SimOptions) (sim.Conf
 		Duration:   o.Duration,
 		Seed:       o.Seed,
 	}, nil
+}
+
+// checkFrame rejects an LMAC vector whose frame has more slots than the
+// model's frame-slots maximum. Every simulated LMAC node keeps tables
+// with one entry per slot, so an unbounded frame would let one small
+// request size the server's memory; no bargain lies beyond the maximum,
+// which does not depend on the environment.
+func checkFrame(p Protocol, params []float64) error {
+	if p != LMAC || len(params) == 0 {
+		return nil
+	}
+	m, err := macmodel.NewLMAC(macmodel.Default())
+	if err != nil {
+		return err
+	}
+	if spec := m.Params()[0]; params[0] > spec.Max {
+		return fmt.Errorf("edmac: lmac %s %v exceeds the model's maximum of %v %s", spec.Name, params[0], spec.Max, spec.Unit)
+	}
+	return nil
 }
 
 // report assembles the public report of a run over the scenario.
