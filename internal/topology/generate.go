@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 )
 
 // ringSpacing is the radial distance between consecutive rings in
@@ -63,16 +64,70 @@ func Rings(m RingModel) (*Network, error) {
 // buildConnected samples placements until the unit-disk graph comes out
 // connected, retrying up to connectAttempts times — the shared policy of
 // every random generator. kind names the family in the give-up error.
+// A rejected sample costs one reachability pass; only the kept one is
+// built into a Network.
 func buildConnected(kind string, sample func() []Point) (*Network, error) {
 	var lastErr error
 	for a := 0; a < connectAttempts; a++ {
-		net, err := New(sample(), 1.0)
-		if err == nil {
-			return net, nil
+		positions := sample()
+		if id := unreachable(positions, 1.0); id >= 0 {
+			lastErr = errUnreachable(id)
+			continue
 		}
-		lastErr = err
+		return New(positions, 1.0)
 	}
 	return nil, fmt.Errorf("topology: %s sample stayed disconnected after %d attempts: %w", kind, connectAttempts, lastErr)
+}
+
+// unreachable returns the lowest ID of a node that the sink (node 0)
+// cannot reach in the unit-disk graph of the given radio range, or -1
+// when it reaches every node. It links exactly the pairs New links:
+// nodes in the same or adjacent cells of buildAdjacency's binning whose
+// Dist is at most radioRange. Instead of a map of cells it sorts the
+// nodes by cell, so the three cells in one column of a node's
+// neighbourhood are one contiguous run.
+func unreachable(positions []Point, radioRange float64) int {
+	type binned struct{ cx, cy, id int }
+	cell := func(p Point) (int, int) {
+		return int(math.Floor(p.X / radioRange)), int(math.Floor(p.Y / radioRange))
+	}
+	n := len(positions)
+	order := make([]binned, n)
+	for i, p := range positions {
+		cx, cy := cell(p)
+		order[i] = binned{cx, cy, i}
+	}
+	sort.Slice(order, func(a, b int) bool {
+		if order[a].cx != order[b].cx {
+			return order[a].cx < order[b].cx
+		}
+		return order[a].cy < order[b].cy
+	})
+	seen := make([]bool, n)
+	seen[0] = true
+	queue := make([]int, 1, n)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		p := positions[u]
+		cx, cy := cell(p)
+		for x := cx - 1; x <= cx+1; x++ {
+			k := sort.Search(n, func(k int) bool {
+				return order[k].cx > x || order[k].cx == x && order[k].cy >= cy-1
+			})
+			for ; k < n && order[k].cx == x && order[k].cy <= cy+1; k++ {
+				if v := order[k].id; !seen[v] && p.Dist(positions[v]) <= radioRange {
+					seen[v] = true
+					queue = append(queue, v)
+				}
+			}
+		}
+	}
+	for i, ok := range seen {
+		if !ok {
+			return i
+		}
+	}
+	return -1
 }
 
 // Disk scatters n nodes uniformly at random over a disk of the given

@@ -1,7 +1,9 @@
 package topology
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -181,4 +183,92 @@ func TestGeneratorValidate(t *testing.T) {
 			t.Errorf("%s %+v built", g.Kind(), g)
 		}
 	}
+}
+
+// legacyBuildConnected is buildConnected as it was before the
+// reachability pass: it builds a whole Network for every sample and
+// keeps the first that New accepts.
+func legacyBuildConnected(kind string, sample func() []Point) (*Network, error) {
+	var lastErr error
+	for a := 0; a < connectAttempts; a++ {
+		net, err := New(sample(), 1.0)
+		if err == nil {
+			return net, nil
+		}
+		lastErr = err
+	}
+	return nil, fmt.Errorf("topology: %s sample stayed disconnected after %d attempts: %w", kind, connectAttempts, lastErr)
+}
+
+// TestBuildConnectedMatchesLegacy: Disk and ClusterGen draw the same
+// samples and keep the same one as the legacy loop, so every network is
+// identical field for field, and a sample family that never connects
+// gives up with the same error text. The legacy side re-draws Disk's
+// and ClusterGen's placements with its own generator of the same seed.
+func TestBuildConnectedMatchesLegacy(t *testing.T) {
+	var retried, gaveUp, total int
+	check := func(name string, got *Network, gotErr error, kind string, sample func() []Point) {
+		t.Helper()
+		samples := 0
+		want, wantErr := legacyBuildConnected(kind, func() []Point { samples++; return sample() })
+		total++
+		switch {
+		case (gotErr == nil) != (wantErr == nil):
+			t.Fatalf("%s: error %v, legacy error %v", name, gotErr, wantErr)
+		case gotErr != nil:
+			if gotErr.Error() != wantErr.Error() {
+				t.Fatalf("%s: error %q, legacy error %q", name, gotErr, wantErr)
+			}
+			gaveUp++
+		case !reflect.DeepEqual(got, want):
+			t.Fatalf("%s: network differs from the legacy loop's", name)
+		case samples > 1:
+			retried++
+		}
+	}
+	for _, n := range []int{1, 3, 10, 30, 80} {
+		for _, radius := range []float64{0.5, 1.2, 2, 3, 5, 12} {
+			for seed := int64(1); seed <= 8; seed++ {
+				got, err := Disk(n, radius, rand.New(rand.NewSource(seed)))
+				rng := rand.New(rand.NewSource(seed))
+				check(fmt.Sprintf("disk(%d, %v, seed %d)", n, radius, seed), got, err, "disk", func() []Point {
+					positions := []Point{{0, 0}}
+					for i := 0; i < n; i++ {
+						positions = append(positions, uniformInDisk(rng, radius))
+					}
+					return positions
+				})
+			}
+		}
+	}
+	for _, clusters := range []int{1, 3, 5} {
+		for _, size := range []int{1, 4} {
+			for _, field := range []float64{1, 2.5, 6} {
+				for seed := int64(1); seed <= 4; seed++ {
+					g := ClusterGen{Clusters: clusters, ClusterSize: size, FieldRadius: field, ClusterRadius: 0.6}
+					got, err := g.Build(rand.New(rand.NewSource(seed)))
+					rng := rand.New(rand.NewSource(seed))
+					check(fmt.Sprintf("%+v seed %d", g, seed), got, err, "cluster", func() []Point {
+						positions := []Point{{0, 0}}
+						heads := make([]Point, clusters)
+						for c := range heads {
+							heads[c] = uniformInDisk(rng, field)
+							positions = append(positions, heads[c])
+						}
+						for _, h := range heads {
+							for k := 0; k < size; k++ {
+								m := uniformInDisk(rng, g.ClusterRadius)
+								positions = append(positions, Point{h.X + m.X, h.Y + m.Y})
+							}
+						}
+						return positions
+					})
+				}
+			}
+		}
+	}
+	if retried == 0 || gaveUp == 0 {
+		t.Fatalf("of %d builds, %d connected after a rejected sample and %d gave up; want some of each", total, retried, gaveUp)
+	}
+	t.Logf("%d builds: %d connected after a rejected sample, %d gave up", total, retried, gaveUp)
 }

@@ -137,7 +137,7 @@ func (net *Network) buildTree() error {
 	}
 	for i := 0; i < n; i++ {
 		if net.ring[i] == -1 {
-			return fmt.Errorf("topology: node %d is not connected to the sink", i)
+			return errUnreachable(i)
 		}
 	}
 	for i := 1; i < n; i++ {
@@ -145,6 +145,12 @@ func (net *Network) buildTree() error {
 		net.children[p] = append(net.children[p], NodeID(i))
 	}
 	return nil
+}
+
+// errUnreachable is the error for a network whose sink cannot reach
+// node id.
+func errUnreachable(id int) error {
+	return fmt.Errorf("topology: node %d is not connected to the sink", id)
 }
 
 // buildSubtrees computes routing-subtree sizes (the node itself plus all
