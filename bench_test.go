@@ -12,6 +12,7 @@ package edmac_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -19,6 +20,7 @@ import (
 	"github.com/edmac-project/edmac/internal/core"
 	"github.com/edmac-project/edmac/internal/macmodel"
 	"github.com/edmac-project/edmac/internal/nbs"
+	"github.com/edmac-project/edmac/internal/opt"
 )
 
 // printOnce guards the one-time series dumps across benchmark reruns.
@@ -155,6 +157,56 @@ func BenchmarkOptimizeCold(b *testing.B) {
 			b.Fatalf("%s %+v: %v", req.Protocol, req.Requirements, err)
 		}
 	}
+}
+
+// BenchmarkModelEnergy times the solver's per-point kernel, one
+// model's Energy, per protocol on the default environment. Each
+// iteration evaluates the next of 64 fixed points spread over the
+// model's bounds (a line in 1-D, an 8×8 lattice in 2-D), so ns/op is
+// the cost of one evaluation. Not gated: at ~10 ns/op the timing
+// swings more than the gate's tolerance, and the gated OptimizeCold
+// already catches a kernel regression.
+func BenchmarkModelEnergy(b *testing.B) {
+	for _, name := range macmodel.Names() {
+		m, err := macmodel.New(name, macmodel.Default())
+		if err != nil {
+			b.Fatal(err)
+		}
+		pts := latticePoints(m.Bounds(), 64)
+		b.Run(name, func(b *testing.B) {
+			sum := 0.0
+			for i := 0; i < b.N; i++ {
+				sum += m.Energy(pts[i%len(pts)])
+			}
+			energySink = sum
+		})
+	}
+}
+
+// energySink keeps BenchmarkModelEnergy's evaluations observable.
+var energySink float64
+
+// latticePoints spreads n points evenly over the box: a line of n in
+// 1-D, a k×k lattice with k² = n in 2-D, bounds included.
+func latticePoints(bd opt.Bounds, n int) []opt.Vector {
+	k := n
+	if bd.Dim() == 2 {
+		k = int(math.Sqrt(float64(n)))
+	}
+	at := func(i, j int) float64 {
+		return bd.Lo[i] + float64(j)/float64(k-1)*(bd.Hi[i]-bd.Lo[i])
+	}
+	var pts []opt.Vector
+	for a := 0; a < k; a++ {
+		if bd.Dim() == 1 {
+			pts = append(pts, opt.Vector{at(0, a)})
+			continue
+		}
+		for c := 0; c < k; c++ {
+			pts = append(pts, opt.Vector{at(0, a), at(1, c)})
+		}
+	}
+	return pts
 }
 
 // --- Proportional fairness (the paper's closing identity) ------------
