@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // ringSpacing is the radial distance between consecutive rings in
@@ -83,39 +82,18 @@ func buildConnected(kind string, sample func() []Point) (*Network, error) {
 // cannot reach in the unit-disk graph of the given radio range, or -1
 // when it reaches every node. It links exactly the pairs New links:
 // nodes in the same or adjacent cells of buildAdjacency's binning whose
-// Dist is at most radioRange. Instead of a map of cells it sorts the
-// nodes by cell, so the three cells in one column of a node's
-// neighbourhood are one contiguous run.
+// Dist is at most radioRange.
 func unreachable(positions []Point, radioRange float64) int {
-	type binned struct{ cx, cy, id int }
-	cell := func(p Point) (int, int) {
-		return int(math.Floor(p.X / radioRange)), int(math.Floor(p.Y / radioRange))
-	}
-	n := len(positions)
-	order := make([]binned, n)
-	for i, p := range positions {
-		cx, cy := cell(p)
-		order[i] = binned{cx, cy, i}
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].cx != order[b].cx {
-			return order[a].cx < order[b].cx
-		}
-		return order[a].cy < order[b].cy
-	})
-	seen := make([]bool, n)
+	bins := newCellIndex(positions, radioRange)
+	seen := make([]bool, len(positions))
 	seen[0] = true
-	queue := make([]int, 1, n)
+	queue := make([]NodeID, 1, len(positions))
 	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		p := positions[u]
-		cx, cy := cell(p)
+		p := positions[queue[head]]
+		cx, cy := bins.cell(p)
 		for x := cx - 1; x <= cx+1; x++ {
-			k := sort.Search(n, func(k int) bool {
-				return order[k].cx > x || order[k].cx == x && order[k].cy >= cy-1
-			})
-			for ; k < n && order[k].cx == x && order[k].cy <= cy+1; k++ {
-				if v := order[k].id; !seen[v] && p.Dist(positions[v]) <= radioRange {
+			for _, b := range bins.column(x, cy) {
+				if v := b.id; !seen[v] && p.Dist(positions[v]) <= radioRange {
 					seen[v] = true
 					queue = append(queue, v)
 				}

@@ -79,27 +79,15 @@ func New(positions []Point, radioRange float64) (*Network, error) {
 // buildAdjacency links every pair of nodes within radio range, using grid
 // binning so that large networks do not pay the full O(n²) scan.
 func (net *Network) buildAdjacency() {
-	type cell struct{ cx, cy int }
-	bins := make(map[cell][]NodeID, len(net.pos))
 	r := net.radioRng
-	key := func(p Point) cell {
-		return cell{int(math.Floor(p.X / r)), int(math.Floor(p.Y / r))}
-	}
+	bins := newCellIndex(net.pos, r)
 	for i, p := range net.pos {
-		bins[key(p)] = append(bins[key(p)], NodeID(i))
-	}
-	for i, p := range net.pos {
-		c := key(p)
-		for dx := -1; dx <= 1; dx++ {
-			for dy := -1; dy <= 1; dy++ {
-				for _, j := range bins[cell{c.cx + dx, c.cy + dy}] {
-					if int(j) <= i {
-						continue
-					}
-					if p.Dist(net.pos[j]) <= r {
-						net.adj[i] = append(net.adj[i], j)
-						net.adj[j] = append(net.adj[j], NodeID(i))
-					}
+		cx, cy := bins.cell(p)
+		for x := cx - 1; x <= cx+1; x++ {
+			for _, b := range bins.column(x, cy) {
+				if j := b.id; int(j) > i && p.Dist(net.pos[j]) <= r {
+					net.adj[i] = append(net.adj[i], j)
+					net.adj[j] = append(net.adj[j], NodeID(i))
 				}
 			}
 		}
@@ -108,6 +96,55 @@ func (net *Network) buildAdjacency() {
 		ids := net.adj[i]
 		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 	}
+}
+
+// cellIndex bins nodes into square cells whose side is the radio range,
+// so two nodes within range lie in the same or adjacent cells. Instead
+// of a map of cells it keeps the nodes sorted by cell, column by column,
+// so the three cells of one column of a node's neighbourhood are one
+// contiguous run.
+type cellIndex struct {
+	side float64
+	bins []binned
+}
+
+// binned is one node and the column and row of its cell.
+type binned struct {
+	cx, cy int
+	id     NodeID
+}
+
+func newCellIndex(pos []Point, side float64) cellIndex {
+	ix := cellIndex{side: side, bins: make([]binned, len(pos))}
+	for i, p := range pos {
+		cx, cy := ix.cell(p)
+		ix.bins[i] = binned{cx, cy, NodeID(i)}
+	}
+	sort.Slice(ix.bins, func(a, b int) bool {
+		if ix.bins[a].cx != ix.bins[b].cx {
+			return ix.bins[a].cx < ix.bins[b].cx
+		}
+		return ix.bins[a].cy < ix.bins[b].cy
+	})
+	return ix
+}
+
+// cell returns the column and row of p's cell.
+func (ix cellIndex) cell(p Point) (int, int) {
+	return int(math.Floor(p.X / ix.side)), int(math.Floor(p.Y / ix.side))
+}
+
+// column returns the nodes in cells (cx, cy−1), (cx, cy) and (cx, cy+1).
+func (ix cellIndex) column(cx, cy int) []binned {
+	b := ix.bins
+	lo := sort.Search(len(b), func(k int) bool {
+		return b[k].cx > cx || b[k].cx == cx && b[k].cy >= cy-1
+	})
+	hi := lo
+	for hi < len(b) && b[hi].cx == cx && b[hi].cy <= cy+1 {
+		hi++
+	}
+	return b[lo:hi]
 }
 
 // buildTree runs a BFS from the sink, assigning rings (hop counts) and
