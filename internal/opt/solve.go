@@ -160,10 +160,6 @@ func gridPhase(bounds Bounds, eval PointFunc, cfg config) (Result, bool) {
 	return best, foundFeasible
 }
 
-// polishWeights are polishPhase's exact-penalty weights, in units of
-// the incumbent's objective scale, in the order it escalates them.
-var polishWeights = [...]float64{1e2, 1e4, 1e6, 1e8}
-
 // polishPhase refines the incumbent with Nelder-Mead under an escalating
 // exact penalty, keeping the lexicographically best point seen.
 //
@@ -180,9 +176,12 @@ func polishPhase(bounds Bounds, eval PointFunc, incumbent Result, cfg config) Re
 	if math.IsInf(scale, 0) || math.IsNaN(scale) || scale < 1 {
 		scale = 1
 	}
+	weights := [...]float64{1e2, 1e4, 1e6, 1e8}
 	// The weights ascend, so the last is the largest any run can use.
-	finite := !math.IsInf(polishWeights[len(polishWeights)-1]*scale, 1)
-	exact := true
+	finite := !math.IsInf(weights[len(weights)-1]*scale, 1)
+	// exact records whether every point the current run evaluated had a
+	// violation of exactly 0 or +Inf.
+	var exact bool
 	watched := func(x Vector) (float64, float64) {
 		f, v := eval(x)
 		if v != 0 && !math.IsInf(v, 1) {
@@ -191,7 +190,7 @@ func polishPhase(bounds Bounds, eval PointFunc, incumbent Result, cfg config) Re
 		return f, v
 	}
 	best := incumbent
-	for _, w := range polishWeights {
+	for _, w := range weights {
 		exact = true
 		r := NelderMead(penalized(watched, w*scale), best.X, bounds, NMOptions{})
 		f, viol := eval(r.X)
