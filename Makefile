@@ -92,11 +92,11 @@ examples:
 	  $(GO) run ./$${d%/} > /dev/null || exit 1; \
 	done
 
-check: fmt lint build test suite examples perfbench-check
+check: fmt lint lint-escape build test suite examples perfbench-check
 
-# What to run before pushing a fix: format gate, vet + edvet, build,
-# tests, the suite golden, the examples, the benchmark module. Alias of
-# check, named for intent.
+# What to run before pushing a fix: format gate, vet + edvet, the
+# escape golden, build, tests, the suite golden, the examples, the
+# benchmark module. Alias of check, named for intent.
 fix-check: check
 
 # Fuzz the strict scenario parser, then the job store's reload of spill
