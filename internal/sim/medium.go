@@ -666,11 +666,17 @@ func (x *Transceiver) finish() { x.med.setState(x.id, x.med.states[x.id]) }
 // TimeIn returns the seconds spent in state s so far.
 func (x *Transceiver) TimeIn(s radio.State) float64 { return x.med.acc[int(x.id)*5+int(s)] }
 
-// Energy returns the joules consumed so far: Σ time(state) × power.
+// Energy returns the joules consumed so far: Σ time(state) × power,
+// summed from 0 in the order sleep, listen, receive, transmit. It runs
+// at every transition of a battery node, so it reads the powers through
+// a pointer rather than copying the profile per term.
 func (x *Transceiver) Energy() float64 {
+	acc := x.med.acc[int(x.id)*5 : int(x.id)*5+5]
+	p := &x.prof
 	total := 0.0
-	for _, s := range []radio.State{radio.Sleep, radio.Listen, radio.Rx, radio.Tx} {
-		total += x.med.acc[int(x.id)*5+int(s)] * x.prof.Power(s)
-	}
+	total += acc[radio.Sleep] * p.PowerSleep
+	total += acc[radio.Listen] * p.PowerListen
+	total += acc[radio.Rx] * p.PowerRx
+	total += acc[radio.Tx] * p.PowerTx
 	return total
 }
