@@ -286,6 +286,10 @@ type runner struct {
 
 	rebargains int
 	degraded   int
+
+	// plans holds the LMAC slot plans this run derived, one per frame
+	// size it deployed (see lmacPlan).
+	plans []*lmacPlan
 }
 
 // newRunner builds the state of one run over its world (cfg.Shared
@@ -458,14 +462,13 @@ func (r *runner) sample(mac macLayer, id topology.NodeID) {
 }
 
 // buildMACs constructs one protocol instance per node over the run's
-// node state with the given vector. LMAC takes its slot plan from the
-// world, which derives one for a frame size it was not built for.
+// node state with the given vector. LMAC takes its slot plan from
+// lmacPlan.
 func (r *runner) buildMACs(params opt.Vector) ([]macLayer, error) {
-	var slots []int
-	var occupied []bool
+	var plan *lmacPlan
 	if r.cfg.Protocol == "lmac" {
 		var err error
-		if slots, occupied, err = r.world.slotPlanFor(int(math.Round(params[0]))); err != nil {
+		if plan, err = r.lmacPlan(int(math.Round(params[0]))); err != nil {
 			return nil, err
 		}
 	}
@@ -479,10 +482,36 @@ func (r *runner) buildMACs(params opt.Vector) ([]macLayer, error) {
 		case "dmac":
 			macs[i] = newDMACNode(nd, params[0], params[1], r.world.depth)
 		case "lmac":
-			macs[i] = newLMACNode(nd, int(math.Round(params[0])), params[1], slots[i], occupied, r.cfg.Duration)
+			macs[i] = newLMACNode(nd, plan.slots, params[1], plan.owned[i], plan.occupied, r.cfg.Duration)
 		}
 	}
 	return macs, nil
+}
+
+// lmacPlan is the LMAC slot plan for one frame size: each node's slot
+// and which slots some node owns, or why the frame cannot be scheduled.
+type lmacPlan struct {
+	slots    int
+	owned    []int
+	occupied []bool
+	err      error
+}
+
+// lmacPlan returns the LMAC slot plan for a frame of slots slots. Each
+// frame size is looked up once per run, so a re-bargained frame the
+// world was not built for re-runs the two-hop colouring only the first
+// time an epoch deploys it; an unschedulable one is remembered too.
+// The memo is the run's own: the world stays read-only.
+func (r *runner) lmacPlan(slots int) (*lmacPlan, error) {
+	for _, p := range r.plans {
+		if p.slots == slots {
+			return p, p.err
+		}
+	}
+	p := &lmacPlan{slots: slots}
+	p.owned, p.occupied, p.err = r.world.slotPlanFor(slots)
+	r.plans = append(r.plans, p)
+	return p, p.err
 }
 
 // result assembles the public result after the last epoch. Held
