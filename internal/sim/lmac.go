@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"github.com/edmac-project/edmac/internal/radio"
+	"github.com/edmac-project/edmac/internal/topology"
 )
 
 // lmacPhase is the protocol state of one LMAC node within a slot.
@@ -38,15 +39,41 @@ const (
 // endTx for a locked receiver, finishTx for the sender, an epoch
 // boundary and the end of the run. Results keep their bits; only the
 // engine's queue depth and wheel promotions change.
+//
+// Periodic airtime takes the idle control sections out too. A folding
+// node whose owned slot starts with nothing queued, while every living
+// neighbour folds, sends its control sections from that slot on as
+// periodic airtime: no frame, transmission or event is made, and the
+// node queues nothing (a battery node: one owned slot, at the last
+// frame its residual covers). Its own fold applies the section — Send's
+// Tx at the slot's start, txDone's Listen and OnTxDone's Sleep at its
+// last bit — counting the three events (ownedSlot, startTx, finishTx)
+// it stands for. Each neighbour's fold applies what startTx and endTx
+// did there: at the first bit the lock and Rx, or the overlap; at the
+// last the unlock, Listen, the link's loss draw and, as the section
+// announces no one, Sleep. The periodic frames are a range
+// [perFrom, perTo), and a neighbour reads it only at the section's first
+// bit, after the slot's start has run. The range is cut back, from the
+// next owned slot on, by an arrival, an accepted packet or a
+// neighbour's unfold; it is opened, or extended past a battery node's
+// last covered frame, only at a real owned slot. Either way every
+// neighbour is first folded up to now, so none still owes a step the
+// change could hide. Same-instant order: a node's own step runs before
+// a section's step at the same instant, as startTx and finishTx folded
+// it first; a section's steps were queued at its slot's start, after
+// every event that could tie with them, so a fold an event triggers
+// applies them only strictly before the event, and an epoch boundary
+// (settle without strict) applies those due at it.
 type lmacNode struct {
 	*node
-	slots    int     // N: slots per frame
-	tslot    float64 // slot length
-	owned    int     // this node's slot index
-	occupied []bool  // occupied[s]: some node owns slot s
-	window   float64 // control section's listening window
-	ctrlAir  float64 // control airtime: one extension of the window
-	foldable bool    // every control window closes strictly before its slot ends
+	slots    int       // N: slots per frame
+	tslot    float64   // slot length
+	offsets  []float64 // offsets[s] = s·tslot, s ≤ slots: boundary s of a frame
+	owned    int       // this node's slot index
+	occupied []bool    // occupied[s]: some node owns slot s
+	window   float64   // control section's listening window
+	ctrlAir  float64   // control airtime: one extension of the window
+	foldable bool      // every control window closes strictly before its slot ends
 
 	phase    lmacPhase
 	frameIdx int  // index of the next frame to arm
@@ -63,13 +90,27 @@ type lmacNode struct {
 	// which starts at epoch and was armed at armed; step is its next
 	// boundary (2s: slot s starts, 2s+1: slot s ends, 2·slots: the
 	// rollover) and stepAt that step's instant. Step 2·owned is the
-	// owned slot's real event, which the fold never passes.
+	// owned slot's real event, which the fold passes only in a frame
+	// whose control section is periodic airtime.
 	epoch    Time
 	armed    Time
 	step     int
 	stepAt   Time
 	timeouts []lmacTimeout  // pending control timeouts, in the order they were armed
 	tbuf     [2]lmacTimeout // timeouts' backing array: rarely more are pending
+
+	// Periodic airtime. The control sections of frames [perFrom, perTo)
+	// are periodic; stretch is the real owned slot that ends a battery
+	// node's run of them, and rec the lock a neighbour holds on one.
+	// peers is the regime's LMAC layer by node id, hear[s] the
+	// neighbour that owns slot s, and sec the section the fold is in.
+	perFrom int
+	perTo   int
+	stretch Timer
+	rec     transmission
+	peers   []*lmacNode
+	hear    []lmacLink
+	sec     lmacSection
 }
 
 // lmacTimeout is a pending control timeout of a folding node.
@@ -78,21 +119,63 @@ type lmacTimeout struct {
 	frames int // frames armed when it was scheduled (frameIdx then)
 }
 
-// newLMACNode builds node n's LMAC layer: a frame of slots slots of
-// tslot seconds, slot owned its own. horizon is the run's end, up to
-// which a fold must keep the schedule's step order.
-func newLMACNode(n *node, slots int, tslot float64, owned int, occupied []bool, horizon float64) *lmacNode {
-	m := &lmacNode{node: n, slots: slots, tslot: tslot, owned: owned, occupied: occupied}
+// lmacLink names the neighbour that owns a slot: the link from it to
+// this node is the k-th of its neighbour list. from is -1 when no
+// neighbour owns the slot.
+type lmacLink struct {
+	from topology.NodeID
+	k    int32
+}
+
+// lmacSection is a control section the fold steps through: node
+// from's (this node's own, or a neighbour's on link k) in frame frame,
+// whose next step falls at at: its first bit, or once started, its last
+// at end. from is -1 outside a section. A neighbour's section is noted
+// at its slot's start and applied only if it is periodic; a real one's
+// events lock and release the node themselves.
+type lmacSection struct {
+	from    int32
+	k       int32
+	frame   int
+	started bool
+	at      Time
+	end     Time
+}
+
+// newSection notes node from's control section of frame frame, whose
+// slot starts at at.
+func (m *lmacNode) newSection(from topology.NodeID, k int32, frame int, at Time) {
+	sec := &m.sec
+	sec.from, sec.k, sec.frame, sec.started = int32(from), k, frame, false
+	sec.at = at + interFrameSpacing
+	sec.end = sec.at + m.ctrlAir
+}
+
+// newLMACNode builds node n's LMAC layer over slot plan p, in a frame of
+// slots of tslot seconds whose boundaries lie at offsets (see
+// lmacOffsets). horizon is the run's end, up to which a fold must keep
+// the schedule's step order. peers is the regime's LMAC layer, which
+// the caller fills.
+func newLMACNode(n *node, p *lmacPlan, tslot float64, offsets []float64, horizon float64, peers []*lmacNode) *lmacNode {
+	id := int(n.id)
+	m := &lmacNode{node: n, slots: p.slots, tslot: tslot, offsets: offsets, owned: p.owned[id], occupied: p.occupied,
+		peers: peers, hear: p.hear[id*p.slots : (id+1)*p.slots : (id+1)*p.slots]}
 	m.timeouts = m.tbuf[:0]
+	m.rec = transmission{from: n.id, idx: -1}
+	m.sec.from = -1
 	m.ctrlAir = n.x.Airtime(n.ctrlBytes)
 	m.window = interFrameSpacing + m.ctrlAir + n.x.prof.CCA
 	// Instants never exceed horizon+frameLen, so with this gap every
-	// control window, rounded, closes strictly before its slot ends and
-	// the timeout never ties with the slot's end.
-	m.foldable = tslot-m.window > (horizon+m.frameLen())*0x1p-48
+	// instant of a slot's control section rounds into the slot's
+	// interior: its first bit strictly after the slot starts, its last
+	// strictly before the control window closes, and the window
+	// strictly before the slot ends. No two of these steps tie, and the
+	// timeout never ties with the slot's end.
+	gap := (horizon + m.frameLen()) * 0x1p-48
+	m.foldable = tslot-m.window > gap && m.window-(interFrameSpacing+m.ctrlAir) > gap && interFrameSpacing > gap
 	m.slotStartCb = func(a any) { m.slotStart(a.(int)) }
-	m.slotArgs = make([]any, slots)
-	for s := 0; s < slots; s++ {
+	m.slotArgs = make([]any, m.slots)
+	for s := 0; s < m.slots; s++ {
 		m.slotArgs[s] = s
 	}
 	m.slotEndFn = m.slotEnd
@@ -102,6 +185,34 @@ func newLMACNode(n *node, slots int, tslot float64, owned int, occupied []bool, 
 	return m
 }
 
+// lmacOffsets returns the offsets of a frame's boundaries from its
+// start, s·tslot for s = 0..slots, from which every instant of the
+// schedule is computed.
+func lmacOffsets(slots int, tslot float64) []float64 {
+	off := make([]float64, slots+1)
+	for s := range off {
+		off[s] = float64(s) * tslot
+	}
+	return off
+}
+
+// lmacHearing tabulates, for every node i and slot s of a frame of
+// slots slots, the neighbour of i that owns s (hear[i·slots+s]). The
+// schedule is two-hop conflict-free, so no two neighbours of a node own
+// one slot.
+func lmacHearing(nbrs [][]topology.NodeID, owned []int, slots int) []lmacLink {
+	hear := make([]lmacLink, len(nbrs)*slots)
+	for i := range hear {
+		hear[i].from = -1
+	}
+	for j, list := range nbrs {
+		for k, x := range list {
+			hear[int(x)*slots+owned[j]] = lmacLink{from: topology.NodeID(j), k: int32(k)}
+		}
+	}
+	return hear
+}
+
 // start implements macLayer.
 func (m *lmacNode) start() {
 	m.x.Sleep()
@@ -109,7 +220,7 @@ func (m *lmacNode) start() {
 	// fixed run, the epoch boundary in a phased one) keeps slot
 	// boundaries aligned across all nodes of the regime.
 	m.base = m.eng.Now()
-	if !m.foldable || !m.coversFrame() {
+	if !m.foldable || m.coverage() == 0 {
 		m.scheduleFrame(0)
 		return
 	}
@@ -121,7 +232,7 @@ func (m *lmacNode) start() {
 	m.eng.At(m.stepInstant(2*m.owned), m.ownedSlotFn)
 }
 
-func (m *lmacNode) frameLen() float64 { return float64(m.slots) * m.tslot }
+func (m *lmacNode) frameLen() float64 { return m.offsets[m.slots] }
 
 // frameEpoch is the instant frame k starts, before any clamp.
 func (m *lmacNode) frameEpoch(k int) Time { return m.base + float64(k)*m.frameLen() }
@@ -134,17 +245,20 @@ func (m *lmacNode) frameEpoch(k int) Time { return m.base + float64(k)*m.frameLe
 // slot ends, and the engine then starts it at the rollover instant.
 func (m *lmacNode) scheduleFrame(k int) {
 	epoch := m.frameEpoch(k)
-	boundary := func(s int) float64 { return epoch + float64(s)*m.tslot }
 	for s := 0; s < m.slots; s++ {
-		m.eng.AtCall(boundary(s), m.slotStartCb, m.slotArgs[s])
-		m.eng.At(boundary(s+1), m.slotEndFn)
+		m.eng.AtCall(epoch+m.offsets[s], m.slotStartCb, m.slotArgs[s])
+		m.eng.At(epoch+m.offsets[s+1], m.slotEndFn)
 	}
 	m.frameIdx = k + 1
 	m.eng.At(epoch+m.frameLen(), m.nextFrameFn)
 }
 
-// sampled implements macLayer: packets wait for the owned slot.
-func (m *lmacNode) sampled(p *Packet) { m.push(p) }
+// sampled implements macLayer: packets wait for the owned slot, whose
+// control section then announces them.
+func (m *lmacNode) sampled(p *Packet) {
+	m.push(p)
+	m.endPeriodic()
+}
 
 // slotStart either transmits the control section (owner) or listens to
 // it (everyone else).
@@ -225,44 +339,130 @@ func (m *lmacNode) OnFrame(f *Frame) {
 			m.accept(f.Packet)
 			m.phase = lSleep
 			m.x.Sleep()
+			if !m.isSink() {
+				m.endPeriodic()
+			}
 		}
 	case lSleep, lOwnSlot:
 		// Stray delivery outside a listening phase: ignore.
 	}
 }
 
-// coversFrame reports whether the node may fold the coming frame: a
-// mains-powered node always may; a battery node only while its
-// residual provably outlasts a frame at the radio's largest draw
-// (faultState.stretch), so no depletion instant falls inside the fold.
-func (m *lmacNode) coversFrame() bool {
-	p := m.x.prof
+// coverage is faultState.stretch over frames at the radio's largest
+// draw: how many frames from now a battery node's residual provably
+// outlasts (0: not the coming one), or -1 for no limit. Over those
+// frames no depletion instant can fall, so the node may fold them.
+func (m *lmacNode) coverage() int {
+	p := &m.x.prof
 	draw := math.Max(math.Max(p.PowerTx, p.PowerRx), math.Max(p.PowerListen, p.PowerSleep))
-	return m.x.med.fault.stretch(m.x, m.frameLen()*draw) != 0
+	return m.x.med.fault.stretch(m.x, m.frameLen()*draw)
 }
 
-// ownedSlot is the one event a folding node queues per frame: its own
-// slot's start. It folds the steps before it, queues the next frame's
-// owned slot — or, when a battery node's residual no longer covers a
-// frame, ends the fold — and then runs the slot.
+// ownedSlot is the real event at the owned slot's start of a folding
+// node: each frame's while its control sections are real, and a
+// battery node's at the end of its periodic run. It folds the steps
+// before it and then either ends the fold (a battery node whose
+// residual no longer covers the coming frame), sends the section as
+// periodic airtime (nothing queued, every living neighbour folding), or
+// queues the next frame's owned slot and runs this one.
 func (m *lmacNode) ownedSlot() {
-	m.fold(m.eng.Now())
+	now := m.eng.Now()
+	m.fold(now)
 	m.step++
 	m.stepAt = m.stepInstant(m.step)
-	if m.coversFrame() {
-		// The next frame is armed when this one rolls over.
-		m.eng.At(clampedBoundary(m.frameEpoch(m.frameIdx), m.epoch+m.frameLen(), m.owned, m.tslot), m.ownedSlotFn)
-	} else {
+	switch k := m.coverage(); {
+	case k == 0:
 		m.unfold()
+	case m.head() == nil && m.quiet():
+		m.periodicFrom(now, k)
+		return
+	default:
+		// The next frame is armed when this one rolls over.
+		m.eng.At(m.ownedStart(m.frameIdx), m.ownedSlotFn)
 	}
 	m.slotStart(m.owned)
 }
 
-// clampedBoundary is the instant of boundary s of a frame starting at
-// epoch that was armed at armed: below armed, Engine.schedule's clamp
-// raises it (in practice only slot 0's start, an ulp early).
-func clampedBoundary(epoch, armed Time, s int, tslot float64) Time {
-	if at := epoch + float64(s)*tslot; at > armed {
+// quiet reports whether every living neighbour folds: only a fold
+// applies a periodic section.
+func (m *lmacNode) quiet() bool {
+	med := m.x.med
+	for _, nb := range med.nbrs[m.id] {
+		if !med.held(nb) && !med.halted[nb] {
+			return false
+		}
+	}
+	return true
+}
+
+// periodicFrom makes the control sections of the current frame, whose
+// owned slot starts now, and of the frames after it periodic airtime:
+// up to the last frame a battery node's residual covers (k frames from
+// now, see coverage), without end for a mains-powered node (k < 0).
+// The slot's start is applied at once; the event that runs it was
+// counted.
+func (m *lmacNode) periodicFrom(now Time, k int) {
+	med := m.x.med
+	m.foldPeers(now)
+	f := m.frameIdx - 1
+	m.perFrom, m.perTo = f, math.MaxInt
+	if k > 0 {
+		m.perTo = f + k
+		m.stretch = m.eng.At(m.ownedStart(f+k), m.ownedSlotFn)
+	}
+	w := m.meters()
+	m.idleStart(med, &w, now, f)
+	w.store(med, m.id)
+}
+
+// endPeriodic makes the node's control sections real from its next
+// owned slot on: the slot's start becomes a real event again. A no-op
+// when no periodic section lies ahead.
+func (m *lmacNode) endPeriodic() {
+	if m.perTo < m.frameIdx {
+		return
+	}
+	now := m.eng.Now()
+	m.fold(now)
+	f, at := m.frameIdx-1, m.stepInstant(2*m.owned)
+	if m.step > 2*m.owned {
+		f++
+		at = m.ownedStart(f)
+	}
+	if m.perTo <= f {
+		return
+	}
+	m.foldPeers(now)
+	m.perTo = f
+	m.stretch.Cancel()
+	m.eng.At(at, m.ownedSlotFn)
+}
+
+// periodic reports whether the node's control section of frame f is
+// periodic airtime.
+func (m *lmacNode) periodic(f int) bool { return m.perFrom <= f && f < m.perTo }
+
+// foldPeers folds every folding neighbour up to t.
+func (m *lmacNode) foldPeers(t Time) {
+	med := m.x.med
+	for _, nb := range med.nbrs[m.id] {
+		if med.held(nb) {
+			m.peers[nb].fold(t)
+		}
+	}
+}
+
+// ownedStart is the instant frame k ≥ 1's owned slot starts: frame k is
+// armed when frame k−1 rolls over.
+func (m *lmacNode) ownedStart(k int) Time {
+	return m.boundary(m.frameEpoch(k), m.frameEpoch(k-1)+m.frameLen(), m.owned)
+}
+
+// boundary is the instant of boundary s of a frame starting at epoch
+// that was armed at armed: below armed, Engine.schedule's clamp raises
+// it (in practice only slot 0's start, an ulp early).
+func (m *lmacNode) boundary(epoch, armed Time, s int) Time {
+	if at := epoch + m.offsets[s]; at > armed {
 		return at
 	}
 	return armed
@@ -274,18 +474,26 @@ func (m *lmacNode) stepInstant(i int) Time {
 	if i == 2*m.slots {
 		return m.epoch + m.frameLen()
 	}
-	return clampedBoundary(m.epoch, m.armed, (i+1)>>1, m.tslot)
+	return m.boundary(m.epoch, m.armed, (i+1)>>1)
 }
 
 // unfold ends the fold at the owned slot's start: the rest of the
 // frame's boundaries and every pending control timeout become real
 // events at their instants, queued so that equal instants keep their
 // order (a timeout armed before the frame runs before its boundaries,
-// one armed after runs after them). The slot's Send, which follows at
-// once, re-arms the battery's death timer from that transition, as it
-// would have without the fold.
+// one armed after runs after them). A neighbour sending periodic
+// sections sends real ones from its next owned slot, since only a fold
+// applies a periodic section. The slot's Send, which follows at once,
+// re-arms the battery's death timer from that transition, as it would
+// have without the fold.
 func (m *lmacNode) unfold() {
-	m.x.med.release(m.id)
+	med := m.x.med
+	med.release(m.id)
+	for _, nb := range med.nbrs[m.id] {
+		if med.held(nb) {
+			m.peers[nb].endPeriodic()
+		}
+	}
 	m.queueTimeouts(true)
 	for ; m.step <= 2*m.slots; m.step++ {
 		at := m.stepInstant(m.step)
@@ -312,16 +520,20 @@ func (m *lmacNode) queueTimeouts(before bool) {
 	}
 }
 
-// fold implements folder: it applies the steps due by t.
-func (m *lmacNode) fold(t Time) { m.foldTo(t, false) }
+// fold implements folder: it applies the steps due by t, and the
+// control-section steps due before t.
+func (m *lmacNode) fold(t Time) { m.foldTo(t, false, false) }
 
 // wake implements folder. A neighbour's Send reads nothing of this
 // node: its steps wait for the transmission's startTx.
 func (m *lmacNode) wake() {}
 
-// settle implements folder.
+// settle implements folder. At a fault point (strict) the sections'
+// steps due exactly now were queued after it, as were the node's own
+// past its first frame; at an epoch boundary or the end of the run
+// everything due now ran.
 func (m *lmacNode) settle(strict bool) {
-	m.foldTo(m.eng.Now(), strict)
+	m.foldTo(m.eng.Now(), strict, !strict)
 	m.x.med.release(m.id)
 }
 
@@ -330,92 +542,227 @@ func (m *lmacNode) settle(strict bool) {
 // arithmetic: a slot's start Listens (an occupied slot) and arms its
 // control timeout, a timeout extends while a reception is in flight and
 // otherwise Sleeps, a slot's end Sleeps, a rollover arms the next
-// frame. Each counts as one processed event. A step at t itself is
-// applied unless strict: then only the first frame's, which the
-// regime's install queued before its fault points. The owned slot's
-// start is a real event; the fold stops there until it has run. A
-// folding node is alive, so its meters always run, and its death timer
-// is disarmed, so no transition re-arms it.
+// frame, and the steps of a periodic control section are applied as
+// lmacNode describes. Each own step counts as one processed event, and
+// so does each step of the node's own periodic section. A step at t
+// itself is applied unless strict: then only the first frame's, which
+// the regime's install queued before its fault points. A section's
+// step at t is applied only with sections. A real owned slot's start
+// is an event; the fold stops there until it has run. A folding node is
+// alive, so its meters always run, and its death timer is disarmed, so
+// no transition re-arms it. The loop keeps the meters and the schedule
+// cursor in locals and stores them once.
 //
 //edvet:hotpath
-func (m *lmacNode) foldTo(t Time, strict bool) {
+func (m *lmacNode) foldTo(t Time, strict, sections bool) {
 	med := m.x.med
-	id := m.id
-	row := int(id) * 5
+	w := m.meters()
+	off := m.offsets
+	last, own := 2*m.slots, 2*m.owned
+	step, stepAt, frame := m.step, m.stepAt, m.frameIdx
+	epoch, armed := m.epoch, m.armed
+	tos := m.timeouts
 	var steps uint64
 	for {
-		// The earliest pending timeout, the oldest on a tie.
-		next := -1
-		for i := range m.timeouts {
-			if next < 0 || m.timeouts[i].at < m.timeouts[next].at {
-				next = i
+		// The next own step: the earliest pending timeout (the oldest
+		// on a tie) if it runs before the next boundary, else the
+		// boundary.
+		at, next := stepAt, -1
+		if len(tos) > 0 {
+			next = 0
+			for i := 1; i < len(tos); i++ {
+				if tos[i].at < tos[next].at {
+					next = i
+				}
+			}
+			if to := tos[next]; to.at < at || to.at == at && to.frames < frame {
+				at = to.at
+			} else {
+				next = -1
 			}
 		}
-		var at Time
-		if next >= 0 && (m.timeouts[next].at < m.stepAt ||
-			m.timeouts[next].at == m.stepAt && m.timeouts[next].frames < m.frameIdx) {
-			at = m.timeouts[next].at
+		// A section's step before it runs first.
+		if m.sec.from >= 0 && m.sec.at < at {
+			sat := m.sec.at
+			if sat > t || sat == t && !sections {
+				break
+			}
+			if m.sectionStep(med, &w, sat) {
+				steps++
+			}
+			continue
+		}
+		if next >= 0 {
 			if at > t || at == t && strict {
 				break
 			}
-			m.timeouts = append(m.timeouts[:next], m.timeouts[next+1:]...)
+			if len(tos) == 1 {
+				tos = tos[:0]
+			} else {
+				tos = append(tos[:next], tos[next+1:]...)
+			}
 			switch {
 			case m.phase != lCtrl:
-			case med.states[id] == radio.Rx:
-				m.timeouts = append(m.timeouts, lmacTimeout{at: at + m.ctrlAir, frames: m.frameIdx})
+			case w.st == radio.Rx:
+				tos = append(tos, lmacTimeout{at: at + m.ctrlAir, frames: frame})
 			default:
 				m.phase = lSleep
-				m.sleepAt(med, row, at)
+				m.sleepAt(med, &w, at)
 			}
-		} else {
-			at = m.stepAt
-			if m.step == 2*m.owned || at > t || at == t && strict && m.frameIdx > 1 {
-				break
-			}
-			switch s := m.step >> 1; {
-			case m.step == 2*m.slots:
-				m.epoch = m.frameEpoch(m.frameIdx)
-				m.armed = at
-				m.frameIdx++
-				m.step = -1 // the next frame's first step, once incremented
-			case m.step&1 == 0:
-				if m.occupied[s] {
-					m.phase = lCtrl
-					// Listen; its midLock finds no wakeup preamble on an
-					// LMAC channel.
-					if st := med.states[id]; st != radio.Listen && st != radio.Rx && st != radio.Tx {
-						med.acc[row+int(st)] += at - med.since[id]
-						med.since[id] = at
-						med.states[id] = radio.Listen
-					}
-					m.timeouts = append(m.timeouts, lmacTimeout{at: at + m.window, frames: m.frameIdx})
+			steps++
+			continue
+		}
+		if step == own && !m.periodic(frame-1) || at > t || at == t && strict && frame > 1 {
+			break
+		}
+		switch {
+		case step == last:
+			epoch = m.frameEpoch(frame)
+			armed = at
+			frame++
+			step = -1 // the next frame's first step, once incremented
+		case step == own:
+			m.idleStart(med, &w, at, frame-1)
+		case step&1 == 0:
+			if s := step >> 1; m.occupied[s] {
+				m.phase = lCtrl
+				// Listen; its midLock finds no wakeup preamble on an
+				// LMAC channel.
+				if st := w.st; st != radio.Listen && st != radio.Rx && st != radio.Tx {
+					w.set(at, radio.Listen)
 				}
-			default:
-				m.phase = lSleep
-				m.sleepAt(med, row, at)
+				tos = append(tos, lmacTimeout{at: at + m.window, frames: frame})
+				if l := m.hear[s]; l.from >= 0 {
+					m.newSection(l.from, l.k, frame-1, at)
+				}
 			}
-			m.step++
-			m.stepAt = m.stepInstant(m.step)
+		default:
+			m.phase = lSleep
+			m.sleepAt(med, &w, at)
+		}
+		// The next boundary's instant, as stepInstant computes it.
+		step++
+		if step == last {
+			stepAt = epoch + off[m.slots]
+		} else if stepAt = epoch + off[(step+1)>>1]; stepAt <= armed {
+			stepAt = armed
 		}
 		steps++
 	}
+	m.step, m.stepAt, m.frameIdx = step, stepAt, frame
+	m.epoch, m.armed = epoch, armed
+	m.timeouts = tos
+	w.store(med, m.id)
 	m.eng.processed += steps
 }
 
-// sleepAt is Transceiver.Sleep at instant at, for a folding node.
+// idleStart is the owned slot's start in frame frame, whose control
+// section is periodic airtime, at instant at: Send's transition to Tx,
+// with the section's first bit to follow.
 //
 //edvet:hotpath
-func (m *lmacNode) sleepAt(med *Medium, row int, at Time) {
+func (m *lmacNode) idleStart(med *Medium, w *lmacMeters, at Time, frame int) {
+	m.phase = lOwnSlot
+	if med.lock[m.id] != nil {
+		med.lock[m.id] = nil
+		med.lockBad[m.id] = false
+	}
+	w.set(at, radio.Tx)
+	m.newSection(m.id, 0, frame, at)
+}
+
+// sectionStep applies the next step of the section the fold is in, at
+// its instant at, and reports whether it stands for an event: the
+// sender's startTx at the first bit and its finishTx at the last. A
+// neighbour's section that is not periodic is dropped at its first bit.
+// At a receiver the steps are startTx's and endTx's: lock and Rx, or
+// the overlap; then, if the lock held, unlock, Listen and the link's
+// loss draw, and OnFrame's Sleep for a section announcing no one.
+//
+//edvet:hotpath
+func (m *lmacNode) sectionStep(med *Medium, w *lmacMeters, at Time) bool {
+	sec := &m.sec
 	id := m.id
-	st := med.states[id]
-	if st == radio.Tx {
+	own := sec.from == int32(id)
+	p := m.peers[sec.from]
+	if !sec.started {
+		sec.started = true
+		sec.at = sec.end
+		switch {
+		case own:
+			return true
+		case !p.periodic(sec.frame):
+			sec.from = -1
+		case med.receive(id, w.st, &p.rec, int(sec.k)):
+			w.set(at, radio.Rx)
+		}
+		return false
+	}
+	sec.from = -1
+	if own {
+		w.set(at, radio.Listen)
+		m.sleepAt(med, w, at)
+		return true
+	}
+	if med.lock[id] != &p.rec {
+		return false
+	}
+	ok := med.received(id, p.id, int(sec.k))
+	w.set(at, radio.Listen)
+	if ok && m.phase == lCtrl {
+		m.sleepAt(med, w, at)
+	}
+	return false
+}
+
+// lmacMeters is a folding node's radio state and time-in-state meters,
+// held in locals for the length of a fold.
+type lmacMeters struct {
+	acc   [5]float64
+	since Time
+	st    radio.State
+}
+
+// meters loads the node's radio state and meters.
+func (m *lmacNode) meters() lmacMeters {
+	med := m.x.med
+	row := int(m.id) * 5
+	w := lmacMeters{since: med.since[m.id], st: med.states[m.id]}
+	copy(w.acc[:], med.acc[row:row+5])
+	return w
+}
+
+// store writes the meters back.
+func (w *lmacMeters) store(med *Medium, id topology.NodeID) {
+	row := int(id) * 5
+	copy(med.acc[row:row+5], w.acc[:])
+	med.since[id] = w.since
+	med.states[id] = w.st
+}
+
+// set is setState at instant at for a folding node.
+//
+//edvet:hotpath
+func (w *lmacMeters) set(at Time, s radio.State) {
+	w.acc[w.st] += at - w.since
+	w.since = at
+	w.st = s
+}
+
+// sleepAt is Transceiver.Sleep at instant at, for a folding node. A
+// node holds no lock, and no corrupted one, while lock is nil, so the
+// pair is cleared only when set.
+//
+//edvet:hotpath
+func (m *lmacNode) sleepAt(med *Medium, w *lmacMeters, at Time) {
+	if w.st == radio.Tx {
 		return
 	}
-	med.lock[id] = nil
-	med.lockBad[id] = false
-	med.acc[row+int(st)] += at - med.since[id]
-	med.since[id] = at
-	med.states[id] = radio.Sleep
+	if med.lock[m.id] != nil {
+		med.lock[m.id] = nil
+		med.lockBad[m.id] = false
+	}
+	w.set(at, radio.Sleep)
 }
 
 var _ macLayer = (*lmacNode)(nil)

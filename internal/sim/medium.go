@@ -274,20 +274,54 @@ func (m *Medium) startTx(tx *transmission) {
 				f.fold(m.eng.now)
 			}
 		}
-		switch {
-		case m.states[nb] == radio.Listen && m.lock[nb] == nil:
-			// Clean channel at a listening node: lock onto the frame.
-			m.lock[nb] = tx
-			m.lockBad[nb] = false
-			if m.capture {
-				m.lockGain[nb] = m.linkGain[tx.from][k]
-			}
+		if m.receive(nb, m.states[nb], tx, k) {
 			m.setState(nb, radio.Rx)
-		case m.states[nb] == radio.Rx && m.lock[nb] != nil:
-			m.overlap(nb, tx, k)
 		}
-		// Sleeping or transmitting nodes miss the frame entirely.
 	}
+}
+
+// receive is a transmission's first bit at neighbour nb, whose radio is
+// in state st; tx reaches it over link k of the sender's neighbour list.
+// On a clean channel a listening node locks onto the frame, and receive
+// reports it (the caller moves the radio to Rx); at a receiving node the
+// overlap is resolved. Sleeping or transmitting nodes miss the frame
+// entirely. A folding LMAC node takes a periodic control section's
+// first bit here too.
+//
+//edvet:hotpath
+func (m *Medium) receive(nb topology.NodeID, st radio.State, tx *transmission, k int) bool {
+	switch {
+	case st == radio.Listen && m.lock[nb] == nil:
+		m.lock[nb] = tx
+		m.lockBad[nb] = false
+		if m.capture {
+			m.lockGain[nb] = m.linkGain[tx.from][k]
+		}
+		return true
+	case st == radio.Rx && m.lock[nb] != nil:
+		m.overlap(nb, tx, k)
+	}
+	return false
+}
+
+// received ends neighbour nb's reception of its locked frame, sent by
+// from over link k of from's neighbour list, and reports whether nb
+// decoded it: no overlap corrupted it and the link's delivery draw
+// passed it. The draw is per receiver: the link passes the frame with
+// probability PRR, from the directed link's own deterministic stream
+// (Float64 is in [0, 1), so a PRR of 1 never loses). A folding LMAC
+// node ends a periodic control section here too.
+//
+//edvet:hotpath
+func (m *Medium) received(nb, from topology.NodeID, k int) bool {
+	ok := !m.lockBad[nb]
+	m.lock[nb] = nil
+	m.lockBad[nb] = false
+	if ok && m.lossy && m.linkRNG[from][k].Float64() >= m.linkPRR[from][k] {
+		ok = false
+		m.fades++
+	}
+	return ok
 }
 
 // finishTx closes a transmission at its end instant: the sender's
@@ -366,19 +400,8 @@ func (m *Medium) endTx(tx *transmission) {
 				}
 			}
 		}
-		ok := !m.lockBad[nb]
-		m.lock[nb] = nil
-		m.lockBad[nb] = false
+		ok := m.received(nb, tx.from, k)
 		m.setState(nb, radio.Listen)
-		if ok && m.lossy {
-			// Per-receiver delivery draw: the link passes this frame with
-			// probability PRR, from the directed link's own deterministic
-			// stream (Float64 is in [0, 1), so a PRR of 1 never loses).
-			if m.linkRNG[tx.from][k].Float64() >= m.linkPRR[tx.from][k] {
-				ok = false
-				m.fades++
-			}
-		}
 		if ok {
 			if h := m.xcvrs[nb].handler; h != nil {
 				h.OnFrame(tx.frame)

@@ -473,6 +473,12 @@ func (r *runner) buildMACs(params opt.Vector) ([]macLayer, error) {
 		}
 	}
 	macs := make([]macLayer, len(r.nodes))
+	var peers []*lmacNode
+	var offsets []float64
+	if plan != nil {
+		peers = make([]*lmacNode, len(r.nodes))
+		offsets = lmacOffsets(plan.slots, params[1])
+	}
 	for i, nd := range r.nodes {
 		switch r.cfg.Protocol {
 		case "xmac":
@@ -482,18 +488,21 @@ func (r *runner) buildMACs(params opt.Vector) ([]macLayer, error) {
 		case "dmac":
 			macs[i] = newDMACNode(nd, params[0], params[1], r.world.depth)
 		case "lmac":
-			macs[i] = newLMACNode(nd, plan.slots, params[1], plan.owned[i], plan.occupied, r.cfg.Duration)
+			peers[i] = newLMACNode(nd, plan, params[1], offsets, r.cfg.Duration, peers)
+			macs[i] = peers[i]
 		}
 	}
 	return macs, nil
 }
 
-// lmacPlan is the LMAC slot plan for one frame size: each node's slot
-// and which slots some node owns, or why the frame cannot be scheduled.
+// lmacPlan is the LMAC slot plan for one frame size: each node's slot,
+// which slots some node owns and which neighbour each node hears in
+// each slot (see lmacHearing), or why the frame cannot be scheduled.
 type lmacPlan struct {
 	slots    int
 	owned    []int
 	occupied []bool
+	hear     []lmacLink
 	err      error
 }
 
@@ -509,7 +518,9 @@ func (r *runner) lmacPlan(slots int) (*lmacPlan, error) {
 		}
 	}
 	p := &lmacPlan{slots: slots}
-	p.owned, p.occupied, p.err = r.world.slotPlanFor(slots)
+	if p.owned, p.occupied, p.err = r.world.slotPlanFor(slots); p.err == nil {
+		p.hear = lmacHearing(r.world.nbrs, p.owned, slots)
+	}
 	r.plans = append(r.plans, p)
 	return p, p.err
 }
