@@ -70,3 +70,49 @@ func TestSlotStepsLeaveTheQueue(t *testing.T) {
 		}
 	}
 }
+
+// TestIdleSectionsLeaveTheQueue pins periodic airtime the same way: on
+// an idle line every node's control sections from its first owned slot
+// on are periodic airtime, so the engine queues that one slot per node
+// (a battery node also its death timer, armed before the fold held it,
+// and one owned slot per run of at most maxStretch frames),
+// while Events still counts the ownedSlot, startTx and finishTx each
+// section stands for. Light traffic brings real sections back only
+// around each packet.
+func TestIdleSectionsLeaveTheQueue(t *testing.T) {
+	const slots, frames = 8, 2500
+	for _, rate := range []float64{0, 0.02} {
+		for _, battery := range []bool{false, true} {
+			cfg := lineConfig(t, "lmac", opt.Vector{slots, 0.01}, 4, rate, frames*slots*0.01)
+			run := fixedRun
+			if battery {
+				cfg.Battery = &BatteryConfig{Capacity: 10}
+				run = faultyRun
+			}
+			r := newRunner(cfg, []PhaseConfig{{Params: cfg.Params, Until: cfg.Duration}}, run, nil)
+			res, err := r.run(context.Background())
+			if err != nil {
+				t.Fatalf("rate=%v battery=%v: %v", rate, battery, err)
+			}
+			n := uint64(cfg.Network.N())
+			// Each node's frame is 2·slots boundaries, a rollover and the
+			// three events of its own control section.
+			if want := n * (2*slots + 4) * (frames - 1); res.Events < want {
+				t.Errorf("rate=%v battery=%v: Events = %d, want at least %d", rate, battery, res.Events, want)
+			}
+			limit := n
+			if battery {
+				limit += (n - 1) * (frames/maxStretch + 2)
+			}
+			if rate > 0 {
+				// A packet's hops each queue a few owned slots and
+				// transmissions.
+				limit += 20 * uint64(res.Metrics.Generated()) * n
+			}
+			if r.eng.seq > limit {
+				t.Errorf("rate=%v battery=%v: the engine queued %d events, want at most %d; idle sections should be periodic airtime",
+					rate, battery, r.eng.seq, limit)
+			}
+		}
+	}
+}
