@@ -67,8 +67,7 @@ const (
 type lmacNode struct {
 	*node
 	slots    int       // N: slots per frame
-	tslot    float64   // slot length
-	offsets  []float64 // offsets[s] = s·tslot, s ≤ slots: boundary s of a frame
+	offsets  []float64 // offsets[s] = s·(slot length), s ≤ slots: boundary s of a frame
 	owned    int       // this node's slot index
 	occupied []bool    // occupied[s]: some node owns slot s
 	window   float64   // control section's listening window
@@ -158,7 +157,7 @@ func (m *lmacNode) newSection(from topology.NodeID, k int32, frame int, at Time)
 // the caller fills.
 func newLMACNode(n *node, p *lmacPlan, tslot float64, offsets []float64, horizon float64, peers []*lmacNode) *lmacNode {
 	id := int(n.id)
-	m := &lmacNode{node: n, slots: p.slots, tslot: tslot, offsets: offsets, owned: p.owned[id], occupied: p.occupied,
+	m := &lmacNode{node: n, slots: p.slots, offsets: offsets, owned: p.owned[id], occupied: p.occupied,
 		peers: peers, hear: p.hear[id*p.slots : (id+1)*p.slots : (id+1)*p.slots]}
 	m.timeouts = m.tbuf[:0]
 	m.rec = transmission{from: n.id, idx: -1}
@@ -470,11 +469,15 @@ func (m *lmacNode) boundary(epoch, armed Time, s int) Time {
 
 // stepInstant is the instant of boundary step i of the frame the fold
 // steps through.
-func (m *lmacNode) stepInstant(i int) Time {
+func (m *lmacNode) stepInstant(i int) Time { return m.instant(m.epoch, m.armed, i) }
+
+// instant is the instant of boundary step i of a frame that starts at
+// epoch and was armed at armed.
+func (m *lmacNode) instant(epoch, armed Time, i int) Time {
 	if i == 2*m.slots {
-		return m.epoch + m.frameLen()
+		return epoch + m.frameLen()
 	}
-	return m.boundary(m.epoch, m.armed, (i+1)>>1)
+	return m.boundary(epoch, armed, (i+1)>>1)
 }
 
 // unfold ends the fold at the owned slot's start: the rest of the
@@ -557,7 +560,6 @@ func (m *lmacNode) settle(strict bool) {
 func (m *lmacNode) foldTo(t Time, strict, sections bool) {
 	med := m.x.med
 	w := m.meters()
-	off := m.offsets
 	last, own := 2*m.slots, 2*m.owned
 	step, stepAt, frame := m.step, m.stepAt, m.frameIdx
 	epoch, armed := m.epoch, m.armed
@@ -640,13 +642,8 @@ func (m *lmacNode) foldTo(t Time, strict, sections bool) {
 			m.phase = lSleep
 			m.sleepAt(med, &w, at)
 		}
-		// The next boundary's instant, as stepInstant computes it.
 		step++
-		if step == last {
-			stepAt = epoch + off[m.slots]
-		} else if stepAt = epoch + off[(step+1)>>1]; stepAt <= armed {
-			stepAt = armed
-		}
+		stepAt = m.instant(epoch, armed, step)
 		steps++
 	}
 	m.step, m.stepAt, m.frameIdx = step, stepAt, frame
