@@ -150,12 +150,11 @@ func (m *lmacNode) newSection(from topology.NodeID, k int32, frame int, at Time)
 	sec.end = sec.at + m.ctrlAir
 }
 
-// newLMACNode builds node n's LMAC layer over slot plan p, in a frame of
-// slots of tslot seconds whose boundaries lie at offsets (see
-// lmacOffsets). horizon is the run's end, up to which a fold must keep
-// the schedule's step order. peers is the regime's LMAC layer, which
-// the caller fills.
-func newLMACNode(n *node, p *lmacPlan, tslot float64, offsets []float64, horizon float64, peers []*lmacNode) *lmacNode {
+// newLMACNode builds node n's LMAC layer over slot plan p, in a frame
+// whose boundaries lie at offsets (see lmacOffsets). horizon is the
+// run's end, up to which a fold must keep the schedule's step order.
+// peers is the regime's LMAC layer, which the caller fills.
+func newLMACNode(n *node, p *lmacPlan, offsets []float64, horizon float64, peers []*lmacNode) *lmacNode {
 	id := int(n.id)
 	m := &lmacNode{node: n, slots: p.slots, offsets: offsets, owned: p.owned[id], occupied: p.occupied,
 		peers: peers, hear: p.hear[id*p.slots : (id+1)*p.slots : (id+1)*p.slots]}
@@ -171,6 +170,7 @@ func newLMACNode(n *node, p *lmacPlan, tslot float64, offsets []float64, horizon
 	// strictly before the slot ends. No two of these steps tie, and the
 	// timeout never ties with the slot's end.
 	gap := (horizon + m.frameLen()) * 0x1p-48
+	tslot := offsets[1]
 	m.foldable = tslot-m.window > gap && m.window-(interFrameSpacing+m.ctrlAir) > gap && interFrameSpacing > gap
 	m.slotStartCb = func(a any) { m.slotStart(a.(int)) }
 	m.slotArgs = make([]any, m.slots)

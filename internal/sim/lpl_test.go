@@ -38,48 +38,18 @@ func TestIdlePollsLeaveTheQueue(t *testing.T) {
 	}
 }
 
-// TestSlotStepsLeaveTheQueue pins the LMAC slot fold the same way: on a
-// lightly loaded line every node queues its owned slot's start and its
-// transmissions, while Events still counts each slot's start and end,
-// each rollover and each control timeout. A battery node that outlasts
-// every frame folds too, and no transition re-arms its death timer.
+// TestSlotStepsLeaveTheQueue pins the LMAC slot fold and periodic
+// airtime the same way. While a node's queue is empty its control
+// sections from its first owned slot on are periodic airtime, so on an
+// idle line the engine queues that one slot per node (a battery node
+// also its death timer, armed before the fold held it, and one owned
+// slot per run of at most maxStretch frames), and light traffic brings
+// real sections back only around each packet. Events still counts each
+// slot's start and end, each rollover, each control timeout and the
+// three events each control section stands for. A battery node that
+// outlasts every frame folds too, and no transition re-arms its death
+// timer.
 func TestSlotStepsLeaveTheQueue(t *testing.T) {
-	const slots, frames = 8, 2500
-	for _, battery := range []bool{false, true} {
-		cfg := lineConfig(t, "lmac", opt.Vector{slots, 0.01}, 4, 0.02, frames*slots*0.01)
-		run := fixedRun
-		if battery {
-			cfg.Battery = &BatteryConfig{Capacity: 10}
-			run = faultyRun
-		}
-		r := newRunner(cfg, []PhaseConfig{{Params: cfg.Params, Until: cfg.Duration}}, run, nil)
-		res, err := r.run(context.Background())
-		if err != nil {
-			t.Fatalf("battery=%v: %v", battery, err)
-		}
-		if res.Deaths != 0 {
-			t.Fatalf("battery=%v: %d deaths, want none", battery, res.Deaths)
-		}
-		// Each node's frame is 2·slots boundaries and a rollover.
-		if want := uint64(cfg.Network.N()) * (2*slots + 1) * (frames - 1); res.Events < want {
-			t.Errorf("battery=%v: Events = %d, want at least %d", battery, res.Events, want)
-		}
-		if r.eng.seq*5 >= res.Events {
-			t.Errorf("battery=%v: the engine queued %d events for %d processed; slot steps should fold",
-				battery, r.eng.seq, res.Events)
-		}
-	}
-}
-
-// TestIdleSectionsLeaveTheQueue pins periodic airtime the same way: on
-// an idle line every node's control sections from its first owned slot
-// on are periodic airtime, so the engine queues that one slot per node
-// (a battery node also its death timer, armed before the fold held it,
-// and one owned slot per run of at most maxStretch frames),
-// while Events still counts the ownedSlot, startTx and finishTx each
-// section stands for. Light traffic brings real sections back only
-// around each packet.
-func TestIdleSectionsLeaveTheQueue(t *testing.T) {
 	const slots, frames = 8, 2500
 	for _, rate := range []float64{0, 0.02} {
 		for _, battery := range []bool{false, true} {
@@ -93,6 +63,9 @@ func TestIdleSectionsLeaveTheQueue(t *testing.T) {
 			res, err := r.run(context.Background())
 			if err != nil {
 				t.Fatalf("rate=%v battery=%v: %v", rate, battery, err)
+			}
+			if res.Deaths != 0 {
+				t.Fatalf("rate=%v battery=%v: %d deaths, want none", rate, battery, res.Deaths)
 			}
 			n := uint64(cfg.Network.N())
 			// Each node's frame is 2·slots boundaries, a rollover and the
@@ -110,7 +83,7 @@ func TestIdleSectionsLeaveTheQueue(t *testing.T) {
 				limit += 20 * uint64(res.Metrics.Generated()) * n
 			}
 			if r.eng.seq > limit {
-				t.Errorf("rate=%v battery=%v: the engine queued %d events, want at most %d; idle sections should be periodic airtime",
+				t.Errorf("rate=%v battery=%v: the engine queued %d events, want at most %d; slot steps and idle sections should fold",
 					rate, battery, r.eng.seq, limit)
 			}
 		}

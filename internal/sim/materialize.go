@@ -79,8 +79,9 @@ func Materialize(cfg Config) (*Materialized, error) {
 // newWorld derives every table of cfg's world but the LMAC slot plan:
 // a run that builds its own world derives the plan of each frame size
 // it deploys through slotPlanFor (once, see runner.lmacPlan), and the
-// epoch that deploys an unschedulable frame reports it. Gain tables are built when the network is lossy or cfg
-// wants capture; on a never-stamped network every gain is 0.
+// epoch that deploys an unschedulable frame reports it. Gain tables are
+// built when the network is lossy or cfg wants capture; on a
+// never-stamped network every gain is 0.
 func newWorld(cfg *Config) *Materialized {
 	net := cfg.Network
 	n := net.N()

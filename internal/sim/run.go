@@ -488,7 +488,7 @@ func (r *runner) buildMACs(params opt.Vector) ([]macLayer, error) {
 		case "dmac":
 			macs[i] = newDMACNode(nd, params[0], params[1], r.world.depth)
 		case "lmac":
-			peers[i] = newLMACNode(nd, plan, params[1], offsets, r.cfg.Duration, peers)
+			peers[i] = newLMACNode(nd, plan, offsets, r.cfg.Duration, peers)
 			macs[i] = peers[i]
 		}
 	}
