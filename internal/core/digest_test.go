@@ -16,12 +16,11 @@ import (
 
 // solverDigest pins the solver's outputs bit for bit: the float bits of
 // every strict and relaxed Tradeoff over the five protocols × {perfect,
-// lossy} links × the requirement pairs below, of every frontier, and of
-// the Kalai–Smorodinsky, egalitarian and weighted-sum bargains. A change
+// lossy} links × the requirement pairs below, and of every frontier. A change
 // that is meant to be a pure refactor or speedup of opt, nbs or
 // macmodel must leave it unchanged; a change that moves a result on
 // purpose updates it in the same commit and says why.
-const solverDigest = "5092051f8db4f6d6"
+const solverDigest = "8f2400cb69c92a92"
 
 // digestRequirements spans every outcome class: the paper's headline
 // pair, tight budgets the relaxed mode answers with a budget-exceeded
@@ -126,27 +125,6 @@ func TestSolverDigest(t *testing.T) {
 			if d.outcome(err) {
 				for _, p := range pts {
 					d.point(p.X, p.A, p.B)
-				}
-			}
-
-			tr, err := Optimize(m, paperReq())
-			if err != nil {
-				t.Fatalf("%s/%v: Optimize: %v", name, prr, err)
-			}
-			g := GameFor(m, paperReq())
-			vA, vB := tr.WorstEnergy, tr.WorstDelay
-			ks, err := nbs.KalaiSmorodinsky(g, vA, vB, tr.EnergyOptimal.Energy, tr.DelayOptimal.Delay)
-			if d.outcome(err) {
-				d.point(ks.X, ks.A, ks.B)
-			}
-			eg, err := nbs.Egalitarian(g, vA, vB)
-			if d.outcome(err) {
-				d.point(eg.X, eg.A, eg.B)
-			}
-			for _, w := range []float64{0.25, 0.5, 0.75} {
-				ws, err := nbs.WeightedSum(g, vA, vB, w)
-				if d.outcome(err) {
-					d.point(ws.X, ws.A, ws.B)
 				}
 			}
 		}
