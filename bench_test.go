@@ -1,6 +1,5 @@
 // Benchmark harness: one benchmark per figure of the paper's evaluation
-// plus ablations of the bargaining concept, the threat point and the
-// protocol family. Each benchmark prints the regenerated series once
+// plus ablations of the threat point and the protocol family. Each benchmark prints the regenerated series once
 // (the rows the paper plots) and then times the computation; run with
 //
 //	go test -bench=. -benchmem
@@ -344,55 +343,6 @@ func BenchmarkScalability(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// --- Ablation: Nash vs alternative bargaining solutions ---------------
-
-func BenchmarkBargainingAblation(b *testing.B) {
-	env := macmodel.Default()
-	m, err := macmodel.NewXMAC(env)
-	if err != nil {
-		b.Fatal(err)
-	}
-	req := core.Requirements{EnergyBudget: core.PaperEnergyBudget, MaxDelay: core.PaperMaxDelay}
-	g := core.GameFor(m, req)
-	out, err := nbs.Solve(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	solveAll := func() map[string]nbs.Point {
-		points := map[string]nbs.Point{"nash": out.Bargain}
-		ks, err := nbs.KalaiSmorodinsky(g, out.DisagreementA, out.DisagreementB, out.BestA.A, out.BestB.B)
-		if err != nil {
-			b.Fatal(err)
-		}
-		points["kalai-smorodinsky"] = ks
-		eg, err := nbs.Egalitarian(g, out.DisagreementA, out.DisagreementB)
-		if err != nil {
-			b.Fatal(err)
-		}
-		points["egalitarian"] = eg
-		ws, err := nbs.WeightedSum(g, out.DisagreementA, out.DisagreementB, 0.5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		points["weighted-sum-0.5"] = ws
-		return points
-	}
-	points := solveAll()
-	once("ablation-bargain", func() {
-		fmt.Printf("\n# ablation-bargain — compromise concepts on the X-MAC game (0.06 J, 6 s)\n")
-		fmt.Printf("%-20s %-12s %-10s %s\n", "solution", "E [J]", "L [s]", "nash product")
-		for _, name := range []string{"nash", "kalai-smorodinsky", "egalitarian", "weighted-sum-0.5"} {
-			p := points[name]
-			prod := (out.DisagreementA - p.A) * (out.DisagreementB - p.B)
-			fmt.Printf("%-20s %-12.5g %-10.4g %.4g\n", name, p.A, p.B, prod)
-		}
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		solveAll()
 	}
 }
 

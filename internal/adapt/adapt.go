@@ -53,16 +53,6 @@ type Plan struct {
 	Phases []PhasePlan
 }
 
-// Failed returns the first phase error in the plan, if any.
-func (p *Plan) Failed() error {
-	for _, ph := range p.Phases {
-		if ph.Err != nil {
-			return fmt.Errorf("adapt: phase %d: %w", ph.Index, ph.Err)
-		}
-	}
-	return nil
-}
-
 // PlanPhases re-plays the bargain once per phase of a materialized
 // phased scenario: phase k's game is built from the same equivalent
 // ring, radio, window and payload as the static bridge, but with the

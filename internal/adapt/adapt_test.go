@@ -31,8 +31,10 @@ func TestPlanPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plan.Failed(); err != nil {
-		t.Fatal(err)
+	for _, ph := range plan.Phases {
+		if ph.Err != nil {
+			t.Fatalf("phase %d: %v", ph.Index, ph.Err)
+		}
 	}
 	if len(plan.Phases) != 3 {
 		t.Fatalf("%d phases planned, want 3", len(plan.Phases))
@@ -98,12 +100,16 @@ func TestPlanPhasesRejects(t *testing.T) {
 		t.Error("zero requirements accepted")
 	}
 	// An unknown protocol fails per phase, not wholesale: the plan
-	// reports it through Failed.
+	// carries it in a phase's error.
 	plan, err := PlanPhases(phased, "nomac", req, 400)
 	if err != nil {
 		t.Fatalf("unknown protocol: %v", err)
 	}
-	if plan.Failed() == nil {
+	failed := false
+	for _, ph := range plan.Phases {
+		failed = failed || ph.Err != nil
+	}
+	if !failed {
 		t.Error("unknown protocol planned successfully")
 	}
 }

@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
 
 	"github.com/edmac-project/edmac/internal/macmodel"
-	"github.com/edmac-project/edmac/internal/nbs"
 	"github.com/edmac-project/edmac/internal/par"
 )
 
@@ -17,12 +15,6 @@ type SweepPoint struct {
 	Requirements Requirements
 	Tradeoff     Tradeoff
 	Err          error
-}
-
-// Infeasible reports whether the cell failed due to infeasibility (as
-// opposed to being solved).
-func (s SweepPoint) Infeasible() bool {
-	return s.Err != nil && errors.Is(s.Err, nbs.ErrInfeasible)
 }
 
 // Sweep plays the game in relaxed mode at every requirement pair of

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"github.com/edmac-project/edmac/internal/macmodel"
+	"github.com/edmac-project/edmac/internal/nbs"
 )
 
 // grid lists the requirement pairs of budgets × delays, budget-major: a
@@ -173,14 +175,16 @@ func TestLMACTightestBudgetBestEffort(t *testing.T) {
 	}
 }
 
-func TestSweepPointInfeasibleHelper(t *testing.T) {
+// TestSweepMarksInfeasibleCells: a cell no parameters can meet carries
+// an error wrapping nbs.ErrInfeasible, and a feasible cell none.
+func TestSweepMarksInfeasibleCells(t *testing.T) {
 	m := model(t, "xmac")
 	pts := mustSweep(t, m, []Requirements{{EnergyBudget: 1e-9, MaxDelay: 0.001}}, 1)
-	if len(pts) != 1 || !pts[0].Infeasible() {
+	if len(pts) != 1 || !errors.Is(pts[0].Err, nbs.ErrInfeasible) {
 		t.Error("hopeless cell not reported as infeasible")
 	}
 	ok := mustSweep(t, m, []Requirements{{EnergyBudget: PaperEnergyBudget, MaxDelay: 3}}, 1)
-	if ok[0].Infeasible() {
+	if ok[0].Err != nil {
 		t.Errorf("feasible cell flagged infeasible: %v", ok[0].Err)
 	}
 }

@@ -29,15 +29,15 @@ func FuzzReload(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	meta, err := os.ReadFile(s.metaPath(j.ID()))
+	meta, err := os.ReadFile(s.metaPath(j.id))
 	if err != nil {
 		f.Fatal(err)
 	}
-	result, err := os.ReadFile(s.resultPath(j.ID()))
+	result, err := os.ReadFile(s.resultPath(j.id))
 	if err != nil {
 		f.Fatal(err)
 	}
-	meta = bytes.ReplaceAll(meta, []byte(j.ID()), []byte(idA))
+	meta = bytes.ReplaceAll(meta, []byte(j.id), []byte(idA))
 	f.Add(meta, result)
 	// Truncated metadata, and an ID that points outside the directory.
 	f.Add(meta[:len(meta)/2], result)

@@ -151,9 +151,7 @@ type Snapshot struct {
 type Job struct {
 	id   string
 	kind string
-
-	store *Store
-	run   RunFunc
+	run  RunFunc
 
 	mu       sync.Mutex
 	state    State
@@ -170,16 +168,10 @@ type Job struct {
 	// cancelled records a Cancel request so a run function that returns
 	// the cancellation error lands in Cancelled, not Failed.
 	cancelled bool
-	// restored marks jobs reloaded from the spill directory after a
-	// restart; their results are raw encoded bytes.
-	restored bool
 	// finishing claims the terminal transition while finish spills the
 	// result unlocked, so a concurrent finish (Cancel, Close) backs off.
 	finishing bool
 }
-
-// ID returns the job's identifier.
-func (j *Job) ID() string { return j.id }
 
 // Kind returns the submitter-chosen job kind.
 func (j *Job) Kind() string { return j.kind }
@@ -420,7 +412,7 @@ func (s *Store) register(kind string, total int, st State) (*Job, error) {
 		return nil, err
 	}
 	j := &Job{
-		id: id, kind: kind, store: s,
+		id: id, kind: kind,
 		state: st, total: total,
 		created: s.now(),
 		wake:    make(chan struct{}),
@@ -739,11 +731,11 @@ func (s *Store) reload() error {
 			continue
 		}
 		j := &Job{
-			id: snap.ID, kind: snap.Kind, store: s,
+			id: snap.ID, kind: snap.Kind,
 			state: Done, done: snap.Done, total: snap.Total,
 			created: snap.Created, started: snap.Started, finished: snap.Finished,
-			result: result, restored: true,
-			wake: make(chan struct{}),
+			result: result,
+			wake:   make(chan struct{}),
 		}
 		j.mu.Lock()
 		j.done = snap.Done
@@ -753,15 +745,6 @@ func (s *Store) reload() error {
 		s.counts[Done]++
 	}
 	return nil
-}
-
-// Restored reports whether the job was reloaded from the spill
-// directory (its result is raw encoded bytes, not the typed value the
-// run function returned).
-func (j *Job) Restored() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.restored
 }
 
 // newID returns a 16-hex-character random job identifier.

@@ -97,7 +97,7 @@ func TestCancelMidRun(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 	<-started
-	if _, ok := s.Cancel(j.ID()); !ok {
+	if _, ok := s.Cancel(j.id); !ok {
 		t.Fatal("Cancel: job not found")
 	}
 	if _, err := j.Wait(context.Background()); !errors.Is(err, ErrCancelled) {
@@ -131,7 +131,7 @@ func TestCancelQueued(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit queued: %v", err)
 	}
-	if _, ok := s.Cancel(queued.ID()); !ok {
+	if _, ok := s.Cancel(queued.id); !ok {
 		t.Fatal("Cancel queued: not found")
 	}
 	if _, err := queued.Wait(context.Background()); !errors.Is(err, ErrCancelled) {
@@ -209,7 +209,7 @@ func TestTTLGC(t *testing.T) {
 	if _, err := j.Wait(context.Background()); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	if _, err := os.Stat(s.resultPath(j.ID())); err != nil {
+	if _, err := os.Stat(s.resultPath(j.id)); err != nil {
 		t.Fatalf("spilled result missing: %v", err)
 	}
 	// Not yet expired.
@@ -219,10 +219,10 @@ func TestTTLGC(t *testing.T) {
 	if n := s.GC(j.Snapshot().Finished.Add(time.Second)); n != 1 {
 		t.Fatalf("GC dropped %d jobs, want 1", n)
 	}
-	if _, ok := s.Get(j.ID()); ok {
+	if _, ok := s.Get(j.id); ok {
 		t.Fatal("expired job still listed")
 	}
-	if _, err := os.Stat(s.resultPath(j.ID())); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(s.resultPath(j.id)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("expired spill file still present: %v", err)
 	}
 	if got := s.Counts()[Done]; got != 0 {
@@ -258,10 +258,10 @@ func TestGCDuringSpill(t *testing.T) {
 	if dropped != 0 {
 		t.Fatalf("GC during the spill dropped %d jobs, want 0", dropped)
 	}
-	if _, ok := s.Get(j.ID()); !ok {
+	if _, ok := s.Get(j.id); !ok {
 		t.Fatal("job collected before it was published")
 	}
-	assertGCExpires(t, s, dir, j.ID(), base)
+	assertGCExpires(t, s, dir, j.id, base)
 }
 
 // TestGCAfterPublish: once Wait returns, the spill is already on disk
@@ -281,7 +281,7 @@ func TestGCAfterPublish(t *testing.T) {
 	if _, err := j.Wait(context.Background()); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	for _, path := range []string{s.resultPath(j.ID()), s.metaPath(j.ID())} {
+	for _, path := range []string{s.resultPath(j.id), s.metaPath(j.id)} {
 		if _, err := os.Stat(path); err != nil {
 			t.Fatalf("spill missing when Wait returned: %v", err)
 		}
@@ -289,7 +289,7 @@ func TestGCAfterPublish(t *testing.T) {
 	if n := s.GC(base.Add(30 * time.Second)); n != 0 {
 		t.Fatalf("GC inside the TTL dropped %d jobs", n)
 	}
-	assertGCExpires(t, s, dir, j.ID(), base)
+	assertGCExpires(t, s, dir, j.id, base)
 }
 
 // assertGCExpires runs a GC past the TTL of a job finished at `finished`
@@ -349,16 +349,13 @@ func TestSpillReload(t *testing.T) {
 	if _, err := j.Wait(context.Background()); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	id := j.ID()
+	id := j.id
 	s.Close()
 
 	s2 := newStore(t, Options{Workers: 1, SpillDir: dir})
 	j2, ok := s2.Get(id)
 	if !ok {
 		t.Fatal("job lost across restart")
-	}
-	if !j2.Restored() {
-		t.Fatal("reloaded job not marked restored")
 	}
 	res, err, terminal := j2.Result()
 	if !terminal || err != nil {
@@ -413,7 +410,7 @@ func TestReloadChecksIDAgainstName(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Complete: %v", err)
 				}
-				ids = append(ids, j.ID())
+				ids = append(ids, j.id)
 			}
 			s.Close()
 			want := tc.tamper(t, dir, ids[0], ids[1])

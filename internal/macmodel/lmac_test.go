@@ -42,7 +42,7 @@ func TestLMACEnergyDecreasingInSlotLength(t *testing.T) {
 func TestLMACControlTrackingDominates(t *testing.T) {
 	m := newLMAC(t)
 	c := m.EnergyAt(opt.Vector{16, 0.05}, 1)
-	active := c.Active()
+	active := c.Total() - c.Sleep
 	if c.SyncRx < 0.8*active {
 		t.Errorf("control tracking (%v J) should dominate the active energy (%v J)", c.SyncRx, active)
 	}

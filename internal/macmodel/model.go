@@ -29,23 +29,12 @@ type Components struct {
 	Sleep float64
 }
 
-// Total returns the node's energy over the window in joules.
-func (c Components) Total() float64 {
-	return total(c.CarrierSense, c.Tx, c.Rx, c.Overhear, c.SyncTx, c.SyncRx, c.Sleep)
-}
-
 // total is the one summation of a node's energy components, in the
 // order of the Components fields. Each model's Energy adds its scalar
-// components through it, so Energy(x) and EnergyAt(x, ring).Total()
-// agree bit for bit at the bottleneck ring.
+// components through it, so Energy(x) is bit for bit the sum of
+// EnergyAt(x, ring)'s fields at the bottleneck ring.
 func total(cs, tx, rx, ovr, stx, srx, sleep float64) float64 {
 	return cs + tx + rx + ovr + stx + srx + sleep
-}
-
-// Active returns the energy excluding sleep, the quantity the paper's
-// component formula lists explicitly.
-func (c Components) Active() float64 {
-	return c.Total() - c.Sleep
 }
 
 // ParamSpec documents one tunable MAC parameter and its admissible range.

@@ -61,8 +61,12 @@ func TestProgramEvalAllocFree(t *testing.T) {
 			CostA: m.Energy, CostB: m.Delay, BudgetA: 0.06, BudgetB: 6,
 			Bounds: m.Bounds(), Structural: m.Structural(),
 		}
-		x := m.Bounds().Center()
-		for _, p := range []program{g.minA(6), g.minB(0.06), g.bargaining(goalNash, 0.06, 6)} {
+		b := m.Bounds()
+		x := make(opt.Vector, b.Dim()) // the box's midpoint
+		for i := range x {
+			x[i] = 0.5 * (b.Lo[i] + b.Hi[i])
+		}
+		for _, p := range []program{g.minA(6), g.minB(0.06), g.bargaining(0.06, 6)} {
 			if n := testing.AllocsPerRun(100, func() { p.eval(x) }); n != 0 {
 				t.Errorf("%s: goal %d eval allocates %v times per point", name, p.goal, n)
 			}

@@ -1,9 +1,7 @@
 // Package nbs implements the paper's cooperative game machinery: the
 // two optimization players (P1) and (P2), the Nash Bargaining Solution
 // via the log-transformed concave program (P4), the Pareto-frontier
-// tracer behind the figures, the proportional-fairness identity, and
-// alternative bargaining solutions (Kalai-Smorodinsky, egalitarian,
-// weighted-sum) used as ablation baselines.
+// tracer behind the figures, and the proportional-fairness identity.
 //
 // The package is deliberately generic over two cost functions A and B of
 // a shared decision vector — in the paper A is energy and B is
@@ -157,12 +155,9 @@ func Solve(g Game) (Outcome, error) {
 type goal uint8
 
 const (
-	goalA           goal = iota // A: (P1), frontier caps, the degenerate fallback
-	goalB                       // B: (P2) and the frontier anchor
-	goalNash                    // −log(vA − A) − log(vB − B): the bargain (P4)
-	goalKS                      // −min of the gain fractions: Kalai-Smorodinsky
-	goalEgalitarian             // −min of the absolute gains
-	goalWeighted                // w·A/vA + (1−w)·B/vB
+	goalA    goal = iota // A: (P1), frontier caps, the degenerate fallback
+	goalB                // B: (P2) and the frontier anchor
+	goalNash             // −log(vA − A) − log(vB − B): the bargain (P4)
 )
 
 // program is one of the game's constrained programs: minimize goal
@@ -174,10 +169,8 @@ type program struct {
 	// capA and capB bound the costs when hasCapA / hasCapB are set.
 	capA, capB       float64
 	hasCapA, hasCapB bool
-	// vA and vB are the disagreement point of the bargaining goals;
-	// rangeA and rangeB scale the Kalai-Smorodinsky gains, and w weighs
-	// the weighted sum.
-	vA, vB, rangeA, rangeB, w float64
+	// vA and vB are the disagreement point of the bargaining goal.
+	vA, vB float64
 }
 
 // minA is the program "minimize A subject to B <= capB".
@@ -190,12 +183,12 @@ func (g *Game) minB(capA float64) program {
 	return program{g: g, goal: goalB, capA: capA, hasCapA: true}
 }
 
-// bargaining is the program "minimize goal over the bargaining region":
-// both costs capped at the smaller of their budget and the disagreement
-// point (vA, vB).
-func (g *Game) bargaining(goal goal, vA, vB float64) program {
+// bargaining is the program (P4) over the bargaining region: both costs
+// capped at the smaller of their budget and the disagreement point
+// (vA, vB).
+func (g *Game) bargaining(vA, vB float64) program {
 	return program{
-		g: g, goal: goal, vA: vA, vB: vB,
+		g: g, goal: goalNash, vA: vA, vB: vB,
 		capA: math.Min(g.BudgetA, vA), hasCapA: true,
 		capB: math.Min(g.BudgetB, vB), hasCapB: true,
 	}
@@ -237,21 +230,13 @@ func (p *program) objective(a, b float64) float64 {
 		return a
 	case goalB:
 		return b
-	case goalNash:
+	default: // goalNash
 		gainA := p.vA - a
 		gainB := p.vB - b
 		if gainA <= 0 || gainB <= 0 {
 			return math.Inf(1)
 		}
 		return -math.Log(gainA) - math.Log(gainB)
-	case goalKS:
-		fracA := (p.vA - a) / p.rangeA
-		fracB := (p.vB - b) / p.rangeB
-		return -math.Min(fracA, fracB)
-	case goalEgalitarian:
-		return -math.Min(p.vA-a, p.vB-b)
-	default: // goalWeighted
-		return p.w*a/p.vA + (1-p.w)*b/p.vB
 	}
 }
 
@@ -273,7 +258,7 @@ func Bargain(g Game, vA, vB float64) (Point, bool, error) {
 	if err := g.Validate(); err != nil {
 		return Point{}, false, err
 	}
-	p := g.bargaining(goalNash, vA, vB)
+	p := g.bargaining(vA, vB)
 	r, err := p.solve()
 	if err == nil && !math.IsInf(r.F, 1) {
 		return g.pointAt(r.X), false, nil
@@ -310,10 +295,4 @@ func (o Outcome) Fairness() (fA, fB float64) {
 		fB = (o.Bargain.B - o.DisagreementB) / denB
 	}
 	return fA, fB
-}
-
-// NashProduct returns the bargaining product (vA − A*)(vB − B*) at the
-// outcome's bargain point; larger is better.
-func (o Outcome) NashProduct() float64 {
-	return (o.DisagreementA - o.Bargain.A) * (o.DisagreementB - o.Bargain.B)
 }

@@ -300,35 +300,3 @@ func TestGameValidate(t *testing.T) {
 		t.Error("empty bounds accepted")
 	}
 }
-
-func TestNashProductMaximality(t *testing.T) {
-	// The Nash point must carry a product no smaller than any other
-	// compromise concept's point.
-	g := Game{
-		CostA:   func(x opt.Vector) float64 { return x[0] * x[0] },
-		CostB:   func(x opt.Vector) float64 { return 1 - x[0] },
-		BudgetA: 1,
-		BudgetB: 1,
-		Bounds:  opt.Bounds{Lo: opt.Vector{0}, Hi: opt.Vector{1}},
-	}
-	out, err := Solve(g)
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	product := func(p Point) float64 {
-		return (out.DisagreementA - p.A) * (out.DisagreementB - p.B)
-	}
-	ks, err := KalaiSmorodinsky(g, out.DisagreementA, out.DisagreementB, out.BestA.A, out.BestB.B)
-	if err != nil {
-		t.Fatalf("KalaiSmorodinsky: %v", err)
-	}
-	eg, err := Egalitarian(g, out.DisagreementA, out.DisagreementB)
-	if err != nil {
-		t.Fatalf("Egalitarian: %v", err)
-	}
-	for name, p := range map[string]Point{"kalai-smorodinsky": ks, "egalitarian": eg} {
-		if product(p) > out.NashProduct()+1e-6 {
-			t.Errorf("%s product %v exceeds Nash product %v", name, product(p), out.NashProduct())
-		}
-	}
-}

@@ -62,7 +62,7 @@ func TestQuickNashMaximizesProduct(t *testing.T) {
 		if err != nil || out.Degenerate {
 			return err == nil
 		}
-		best := out.NashProduct()
+		best := (out.DisagreementA - out.Bargain.A) * (out.DisagreementB - out.Bargain.B)
 		for i := 0; i <= 200; i++ {
 			x := opt.Vector{float64(i) / 200}
 			a, b := g.CostA(x), g.CostB(x)

@@ -1,75 +1,90 @@
 package opt
 
 import (
-	"errors"
 	"math"
-	"testing"
+
+	"github.com/edmac-project/edmac/internal/lazyrand"
 )
 
-// multiStartProblems is the fixture set for comparing the sequential and
-// parallel multi-start strategies.
-func multiStartProblems() map[string]Problem {
-	return map[string]Problem{
-		"quadratic": {
-			Eval:   Constrained(func(x Vector) float64 { return (x[0]-0.3)*(x[0]-0.3) + (x[1]+0.7)*(x[1]+0.7) }),
-			Bounds: Bounds{Lo: Vector{-2, -2}, Hi: Vector{2, 2}},
-		},
-		"constrained": {
-			Eval: Constrained(func(x Vector) float64 { return x[0] * x[0] },
-				Constraint{Name: "x>=1", F: func(x Vector) float64 { return 1 - x[0] }}),
-			Bounds: Bounds{Lo: Vector{-5}, Hi: Vector{5}},
-		},
-		"multimodal": {
-			// Rastrigin-flavoured: many local minima, global at the origin.
-			Eval: Constrained(func(x Vector) float64 {
-				return 20 + x[0]*x[0] - 10*math.Cos(2*math.Pi*x[0]) +
-					x[1]*x[1] - 10*math.Cos(2*math.Pi*x[1])
-			}),
-			Bounds: Bounds{Lo: Vector{-5.12, -5.12}, Hi: Vector{5.12, 5.12}},
-		},
+// The helpers below build test problems and an independent solver to
+// cross-check Solve against.
+
+// Constrained builds the point function of minimizing objective subject
+// to the constraints cons (g(x) <= 0). It returns nil, which Validate
+// rejects, when objective or a constraint function is nil.
+func Constrained(objective Func, cons ...Constraint) PointFunc {
+	if objective == nil {
+		return nil
+	}
+	for _, c := range cons {
+		if c.F == nil {
+			return nil
+		}
+	}
+	return func(x Vector) (float64, float64) {
+		return objective(x), Violation(x, cons)
 	}
 }
 
-// MultiStartParallel must return exactly what MultiStart returns — same
-// point, same objective, same violation, same evaluation count — for
-// any worker count.
-func TestMultiStartParallelMatchesSequential(t *testing.T) {
-	for name, p := range multiStartProblems() {
-		t.Run(name, func(t *testing.T) {
-			for _, starts := range []int{1, 4, 9} {
-				seq, errSeq := MultiStart(p, starts, 42)
-				for _, workers := range []int{1, 3, 8} {
-					par, errPar := MultiStartParallel(p, starts, 42, workers)
-					if (errSeq == nil) != (errPar == nil) {
-						t.Fatalf("starts=%d workers=%d: err %v vs %v", starts, workers, errSeq, errPar)
-					}
-					if seq.F != par.F || seq.Violation != par.Violation {
-						t.Errorf("starts=%d workers=%d: (F, viol) = (%v, %v), want (%v, %v)",
-							starts, workers, par.F, par.Violation, seq.F, seq.Violation)
-					}
-					for i := range seq.X {
-						if seq.X[i] != par.X[i] {
-							t.Errorf("starts=%d workers=%d: X = %v, want %v", starts, workers, par.X, seq.X)
-							break
-						}
-					}
-					if seq.Evals != par.Evals {
-						t.Errorf("starts=%d workers=%d: Evals = %d, want %d",
-							starts, workers, par.Evals, seq.Evals)
-					}
-				}
-			}
-		})
+// AtMost builds the constraint f(x) <= limit.
+func AtMost(name string, f Func, limit float64) Constraint {
+	return Constraint{
+		Name: name,
+		F:    func(x Vector) float64 { return f(x) - limit },
 	}
 }
 
-func TestMultiStartParallelInfeasible(t *testing.T) {
-	p := Problem{
-		Eval: Constrained(func(x Vector) float64 { return x[0] },
-			Constraint{Name: "impossible", F: func(x Vector) float64 { return 1 }}),
-		Bounds: Bounds{Lo: Vector{0}, Hi: Vector{1}},
+// Center returns the midpoint of the box.
+func (b Bounds) Center() Vector {
+	c := make(Vector, b.Dim())
+	for i := range c {
+		c[i] = 0.5 * (b.Lo[i] + b.Hi[i])
 	}
-	if _, err := MultiStartParallel(p, 4, 1, 2); !errors.Is(err, ErrInfeasible) {
-		t.Errorf("MultiStartParallel error = %v, want ErrInfeasible", err)
+	return c
+}
+
+// multiStartWeight is MultiStart's fixed exact-penalty weight.
+const multiStartWeight = 1e7
+
+// MultiStart runs Nelder-Mead with an exact penalty from `starts` points
+// sampled uniformly from the box (deterministically for a given seed)
+// plus the box centre, and returns the lexicographically best outcome.
+// It is a solving strategy independent of Solve's lattice search.
+func MultiStart(p Problem, starts int, seed int64) (Result, error) {
+	if err := p.Validate(); err != nil {
+		return Result{}, err
 	}
+	if starts < 1 {
+		starts = 1
+	}
+	rng := lazyrand.New(seed)
+	evals := 0
+	eval := func(x Vector) (float64, float64) {
+		evals++
+		return p.Eval(x)
+	}
+	pen := penalized(eval, multiStartWeight)
+
+	dim := p.Bounds.Dim()
+	best := Result{F: math.Inf(1), Violation: math.Inf(1)}
+	try := func(x0 Vector) {
+		r := NelderMead(pen, x0, p.Bounds)
+		f, viol := eval(r.X)
+		if isWorse(best.F, best.Violation, f, viol) {
+			best = Result{X: r.X.Clone(), F: f, Violation: viol}
+		}
+	}
+	try(p.Bounds.Center())
+	for s := 1; s < starts; s++ {
+		x0 := make(Vector, dim)
+		for i := range x0 {
+			x0[i] = p.Bounds.Lo[i] + rng.Float64()*(p.Bounds.Hi[i]-p.Bounds.Lo[i])
+		}
+		try(x0)
+	}
+	best.Evals = evals
+	if best.Violation > feasTol {
+		return best, ErrInfeasible
+	}
+	return best, nil
 }

@@ -2,36 +2,20 @@ package opt
 
 import "math"
 
-// NMOptions configure the Nelder-Mead simplex search.
-type NMOptions struct {
-	// MaxIter bounds the number of simplex iterations (default 400·dim).
-	MaxIter int
-	// TolF stops the search when the simplex's relative function spread
-	// falls below it (default 1e-12).
-	TolF float64
-	// TolX stops the search when the simplex diameter relative to the
-	// bounds width falls below it (default 1e-10).
-	TolX float64
-	// Step sets the initial simplex edge as a fraction of the bounds
-	// width (default 0.1).
-	Step float64
-}
-
-func (o NMOptions) withDefaults(dim int) NMOptions {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 400 * dim
-	}
-	if o.TolF <= 0 {
-		o.TolF = 1e-12
-	}
-	if o.TolX <= 0 {
-		o.TolX = 1e-10
-	}
-	if o.Step <= 0 {
-		o.Step = 0.1
-	}
-	return o
-}
+// NelderMead's settings.
+const (
+	// nmIterPerDim bounds the simplex iterations at nmIterPerDim·dim.
+	nmIterPerDim = 400
+	// nmTolF stops the search when the simplex's relative function
+	// spread falls below it, together with nmTolX.
+	nmTolF = 1e-12
+	// nmTolX stops the search when the simplex diameter relative to the
+	// bounds width falls below it, together with nmTolF.
+	nmTolX = 1e-10
+	// nmStep is the initial simplex edge as a fraction of the bounds
+	// width.
+	nmStep = 0.1
+)
 
 // NelderMead minimizes f over the box b starting from x0 using the
 // downhill-simplex method with reflection/expansion/contraction/shrink
@@ -46,9 +30,8 @@ func (o NMOptions) withDefaults(dim int) NMOptions {
 // many iterations it runs. The sweep and bargaining layers call this in
 // tight grids; the solver being allocation-free is what keeps the figure
 // benchmarks off the garbage collector.
-func NelderMead(f Func, x0 Vector, b Bounds, o NMOptions) Result {
+func NelderMead(f Func, x0 Vector, b Bounds) Result {
 	dim := b.Dim()
-	o = o.withDefaults(dim)
 	evals := 0
 	eval := func(x Vector) float64 {
 		evals++
@@ -93,7 +76,7 @@ func NelderMead(f Func, x0 Vector, b Bounds, o NMOptions) Result {
 	for i := 0; i < dim; i++ {
 		x := simplex[i+1].x
 		copy(x, start)
-		step := o.Step * width[i]
+		step := nmStep * width[i]
 		if x[i]+step > b.Hi[i] {
 			step = -step
 		}
@@ -150,7 +133,7 @@ func NelderMead(f Func, x0 Vector, b Bounds, o NMOptions) Result {
 	}
 
 	reseeded := false
-	for iter := 0; iter < o.MaxIter; iter++ {
+	for iter := 0; iter < nmIterPerDim*dim; iter++ {
 		order()
 		// If every vertex is on an infinite plateau (e.g. the start point
 		// landed in a penalized region), the simplex cannot orient itself;
@@ -190,7 +173,7 @@ func NelderMead(f Func, x0 Vector, b Bounds, o NMOptions) Result {
 				}
 			}
 		}
-		if spread <= o.TolF*(math.Abs(fBest)+1e-30) && diam <= o.TolX {
+		if spread <= nmTolF*(math.Abs(fBest)+1e-30) && diam <= nmTolX {
 			break
 		}
 

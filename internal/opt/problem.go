@@ -5,9 +5,8 @@
 //
 // The problems are 1-3 dimensional, smooth, and cheap to evaluate, so the
 // package favours robust derivative-free methods: refining grid search
-// for global structure, Nelder-Mead with penalty functions for polish,
-// golden-section/Brent for scalar lines, and deterministic multi-start
-// for cross-checking. All solvers are deterministic for a given input.
+// for global structure and Nelder-Mead with penalty functions for polish.
+// Both are deterministic for a given input.
 package opt
 
 import (
@@ -36,14 +35,6 @@ type Constraint struct {
 	F Func
 }
 
-// AtMost builds the constraint f(x) <= limit.
-func AtMost(name string, f Func, limit float64) Constraint {
-	return Constraint{
-		Name: name,
-		F:    func(x Vector) float64 { return f(x) - limit },
-	}
-}
-
 // Bounds is an axis-aligned box. Every solver in this package works on a
 // bounded domain.
 type Bounds struct {
@@ -69,20 +60,6 @@ func (b Bounds) Validate() error {
 	return nil
 }
 
-// Clamp returns a copy of x projected into the box.
-func (b Bounds) Clamp(x Vector) Vector {
-	out := x.Clone()
-	for i := range out {
-		if out[i] < b.Lo[i] {
-			out[i] = b.Lo[i]
-		}
-		if out[i] > b.Hi[i] {
-			out[i] = b.Hi[i]
-		}
-	}
-	return out
-}
-
 // Contains reports whether x lies inside the box (inclusive).
 func (b Bounds) Contains(x Vector) bool {
 	if len(x) != b.Dim() {
@@ -94,15 +71,6 @@ func (b Bounds) Contains(x Vector) bool {
 		}
 	}
 	return true
-}
-
-// Center returns the midpoint of the box.
-func (b Bounds) Center() Vector {
-	c := make(Vector, b.Dim())
-	for i := range c {
-		c[i] = 0.5 * (b.Lo[i] + b.Hi[i])
-	}
-	return c
 }
 
 // Width returns the per-dimension widths of the box.
@@ -123,8 +91,7 @@ type PointFunc func(x Vector) (f, viol float64)
 // Problem is a bounded, inequality-constrained minimization problem.
 type Problem struct {
 	// Eval returns the objective, which is minimized, and the total
-	// constraint violation at a point. Constrained builds it from an
-	// objective and a constraint list.
+	// constraint violation at a point.
 	Eval PointFunc
 	// Bounds delimit the search box; solvers never evaluate outside it.
 	Bounds Bounds
@@ -136,23 +103,6 @@ func (p Problem) Validate() error {
 		return errors.New("opt: nil point function")
 	}
 	return p.Bounds.Validate()
-}
-
-// Constrained builds the point function of minimizing objective subject
-// to the constraints cons (g(x) <= 0). It returns nil, which Validate
-// rejects, when objective or a constraint function is nil.
-func Constrained(objective Func, cons ...Constraint) PointFunc {
-	if objective == nil {
-		return nil
-	}
-	for _, c := range cons {
-		if c.F == nil {
-			return nil
-		}
-	}
-	return func(x Vector) (float64, float64) {
-		return objective(x), Violation(x, cons)
-	}
 }
 
 // Violation returns the total positive violation of cons at x, zero
@@ -191,26 +141,22 @@ type Result struct {
 	Evals int
 }
 
-// Feasible reports whether the result satisfies all constraints to the
-// given tolerance.
-func (r Result) Feasible(tol float64) bool { return r.Violation <= tol }
-
 // ErrInfeasible is returned when no point satisfying the constraints
-// exists within the search box (to the configured tolerance).
+// exists within the search box (to the feasibility tolerance).
 var ErrInfeasible = errors.New("opt: no feasible point in the search box")
 
 // isWorse reports whether b is a strictly better candidate than a under
-// the standard lexicographic rule: feasibility (to tol) first, then
+// the standard lexicographic rule: feasibility (to feasTol) first, then
 // objective among feasible points, then violation among infeasible ones.
 // NaN objectives are treated as +Inf.
-func isWorse(aF, aViol, bF, bViol, tol float64) bool {
+func isWorse(aF, aViol, bF, bViol float64) bool {
 	if math.IsNaN(aF) {
 		aF = math.Inf(1)
 	}
 	if math.IsNaN(bF) {
 		bF = math.Inf(1)
 	}
-	aFeas, bFeas := aViol <= tol, bViol <= tol
+	aFeas, bFeas := aViol <= feasTol, bViol <= feasTol
 	switch {
 	case aFeas && bFeas:
 		return bF < aF

@@ -5,62 +5,21 @@ import (
 	"math"
 )
 
-// Option configures Solve.
-type Option func(*config)
+// Solve's settings. Every program of the framework is solved with them.
+const (
+	// refinements is how many times the lattice zooms into the best cell.
+	refinements = 8
+	// feasTol is the total constraint violation up to which a point
+	// counts as feasible.
+	feasTol = 1e-9
+)
 
-type config struct {
-	gridPoints  int
-	refinements int
-	feasTol     float64
-	polish      bool
-}
-
-func defaultConfig(dim int) config {
-	points := 17
+// gridPoints is the lattice size per dimension of the grid phase.
+func gridPoints(dim int) int {
 	if dim == 1 {
-		points = 65
+		return 65
 	}
-	return config{
-		gridPoints:  points,
-		refinements: 8,
-		feasTol:     1e-9,
-		polish:      true,
-	}
-}
-
-// WithGridPoints sets the per-dimension lattice size of the global grid
-// phase (minimum 3).
-func WithGridPoints(n int) Option {
-	return func(c *config) {
-		if n >= 3 {
-			c.gridPoints = n
-		}
-	}
-}
-
-// WithRefinements sets how many times the grid zooms into the best cell.
-func WithRefinements(n int) Option {
-	return func(c *config) {
-		if n >= 0 {
-			c.refinements = n
-		}
-	}
-}
-
-// WithFeasibilityTolerance sets the constraint-violation tolerance below
-// which a point counts as feasible.
-func WithFeasibilityTolerance(tol float64) Option {
-	return func(c *config) {
-		if tol > 0 {
-			c.feasTol = tol
-		}
-	}
-}
-
-// WithoutPolish disables the Nelder-Mead polish phase (grid only);
-// useful for debugging and for benchmarking the phases separately.
-func WithoutPolish() Option {
-	return func(c *config) { c.polish = false }
+	return 17
 }
 
 // Solve minimizes the constrained problem p with a deterministic global
@@ -73,13 +32,9 @@ func WithoutPolish() Option {
 //
 // Solve returns ErrInfeasible when no point in the box satisfies the
 // constraints to within the feasibility tolerance.
-func Solve(p Problem, opts ...Option) (Result, error) {
+func Solve(p Problem) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
-	}
-	cfg := defaultConfig(p.Bounds.Dim())
-	for _, o := range opts {
-		o(&cfg)
 	}
 
 	evals := 0
@@ -88,51 +43,41 @@ func Solve(p Problem, opts ...Option) (Result, error) {
 		return p.Eval(x)
 	}
 
-	best, ok := gridPhase(p.Bounds, eval, cfg)
-	if cfg.polish {
-		best = polishPhase(p.Bounds, eval, best, cfg)
-		if best.Violation <= cfg.feasTol {
-			ok = true
-		}
-	}
+	best := polishPhase(p.Bounds, eval, gridPhase(p.Bounds, eval))
 	best.Evals = evals
-	if !ok || best.Violation > cfg.feasTol {
+	if best.Violation > feasTol {
 		return best, fmt.Errorf("%w: best residual violation %.3g", ErrInfeasible, best.Violation)
 	}
 	return best, nil
 }
 
-// gridPhase runs the refining lattice search. The returned bool reports
-// whether any feasible lattice point was seen.
-func gridPhase(bounds Bounds, eval PointFunc, cfg config) (Result, bool) {
+// gridPhase runs the refining lattice search and returns its best point.
+func gridPhase(bounds Bounds, eval PointFunc) Result {
 	dim := bounds.Dim()
+	points := gridPoints(dim)
 	box := Bounds{Lo: bounds.Lo.Clone(), Hi: bounds.Hi.Clone()}
 	best := Result{F: math.Inf(1), Violation: math.Inf(1)}
-	foundFeasible := false
 
 	idx := make([]int, dim)
 	x := make(Vector, dim)
-	for pass := 0; pass <= cfg.refinements; pass++ {
+	for pass := 0; pass <= refinements; pass++ {
 		for i := range idx {
 			idx[i] = 0
 		}
 		for {
 			for i := 0; i < dim; i++ {
-				frac := float64(idx[i]) / float64(cfg.gridPoints-1)
+				frac := float64(idx[i]) / float64(points-1)
 				x[i] = box.Lo[i] + frac*(box.Hi[i]-box.Lo[i])
 			}
 			f, viol := eval(x)
-			if viol <= cfg.feasTol {
-				foundFeasible = true
-			}
-			if isWorse(best.F, best.Violation, f, viol, cfg.feasTol) {
+			if isWorse(best.F, best.Violation, f, viol) {
 				best = Result{X: x.Clone(), F: f, Violation: viol}
 			}
 			// Advance the mixed-radix counter.
 			carry := dim - 1
 			for carry >= 0 {
 				idx[carry]++
-				if idx[carry] < cfg.gridPoints {
+				if idx[carry] < points {
 					break
 				}
 				idx[carry] = 0
@@ -145,7 +90,7 @@ func gridPhase(bounds Bounds, eval PointFunc, cfg config) (Result, bool) {
 		// Zoom: new box spans two cells around the incumbent, clamped to
 		// the original bounds.
 		for i := 0; i < dim; i++ {
-			cell := (box.Hi[i] - box.Lo[i]) / float64(cfg.gridPoints-1)
+			cell := (box.Hi[i] - box.Lo[i]) / float64(points-1)
 			lo := best.X[i] - 2*cell
 			hi := best.X[i] + 2*cell
 			if lo < bounds.Lo[i] {
@@ -157,7 +102,7 @@ func gridPhase(bounds Bounds, eval PointFunc, cfg config) (Result, bool) {
 			box.Lo[i], box.Hi[i] = lo, hi
 		}
 	}
-	return best, foundFeasible
+	return best
 }
 
 // polishPhase refines the incumbent with Nelder-Mead under an escalating
@@ -171,7 +116,7 @@ func gridPhase(bounds Bounds, eval PointFunc, cfg config) (Result, bool) {
 // from the same incumbent and see the same values, so Nelder-Mead,
 // being deterministic, would evaluate the same points and return the
 // same one, which again would not move the incumbent.
-func polishPhase(bounds Bounds, eval PointFunc, incumbent Result, cfg config) Result {
+func polishPhase(bounds Bounds, eval PointFunc, incumbent Result) Result {
 	scale := math.Abs(incumbent.F)
 	if math.IsInf(scale, 0) || math.IsNaN(scale) || scale < 1 {
 		scale = 1
@@ -192,9 +137,9 @@ func polishPhase(bounds Bounds, eval PointFunc, incumbent Result, cfg config) Re
 	best := incumbent
 	for _, w := range weights {
 		exact = true
-		r := NelderMead(penalized(watched, w*scale), best.X, bounds, NMOptions{})
+		r := NelderMead(penalized(watched, w*scale), best.X, bounds)
 		f, viol := eval(r.X)
-		moved := isWorse(best.F, best.Violation, f, viol, cfg.feasTol)
+		moved := isWorse(best.F, best.Violation, f, viol)
 		if moved {
 			best = Result{X: r.X.Clone(), F: f, Violation: viol}
 		}

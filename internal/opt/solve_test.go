@@ -35,7 +35,7 @@ func TestSolveActiveConstraint(t *testing.T) {
 	if math.Abs(r.X[0]-1) > 1e-5 {
 		t.Errorf("x = %v, want 1", r.X[0])
 	}
-	if !r.Feasible(1e-9) {
+	if r.Violation > 1e-9 {
 		t.Errorf("result infeasible: violation %v", r.Violation)
 	}
 }
@@ -80,14 +80,19 @@ func TestSolveMinOutsideCircleHitsCorner(t *testing.T) {
 }
 
 func TestSolveInfeasible(t *testing.T) {
-	p := Problem{
-		Eval: Constrained(func(x Vector) float64 { return x[0] },
-			Constraint{Name: "impossible", F: func(x Vector) float64 { return 1 + x[0] }}),
-		Bounds: Bounds{Lo: Vector{0}, Hi: Vector{1}},
-	}
-	_, err := Solve(p)
-	if !errors.Is(err, ErrInfeasible) {
-		t.Errorf("Solve error = %v, want ErrInfeasible", err)
+	for _, c := range []Constraint{
+		{Name: "impossible", F: func(x Vector) float64 { return 1 + x[0] }},
+		// Violated by 1e-6 everywhere: well above the feasibility
+		// tolerance.
+		{Name: "just-off", F: func(x Vector) float64 { return 1e-6 }},
+	} {
+		p := Problem{
+			Eval:   Constrained(func(x Vector) float64 { return x[0] }, c),
+			Bounds: Bounds{Lo: Vector{0}, Hi: Vector{1}},
+		}
+		if _, err := Solve(p); !errors.Is(err, ErrInfeasible) {
+			t.Errorf("%s: Solve error = %v, want ErrInfeasible", c.Name, err)
+		}
 	}
 }
 
@@ -129,17 +134,25 @@ func TestSolveAtMostHelper(t *testing.T) {
 	}
 }
 
-func TestSolveGridOnly(t *testing.T) {
+func TestSolve3D(t *testing.T) {
+	// Three-dimensional convex bowl with one active constraint: the
+	// solvers are sized for 1-2D but must stay correct in 3D.
 	p := Problem{
-		Eval:   Constrained(func(x Vector) float64 { return math.Abs(x[0] - 0.25) }),
-		Bounds: Bounds{Lo: Vector{0}, Hi: Vector{1}},
+		Eval: Constrained(func(x Vector) float64 {
+			return (x[0]-0.5)*(x[0]-0.5) + (x[1]-0.5)*(x[1]-0.5) + (x[2]-0.5)*(x[2]-0.5)
+		},
+			AtMost("sum", func(x Vector) float64 { return x[0] + x[1] + x[2] }, 1)),
+		Bounds: Bounds{Lo: Vector{0, 0, 0}, Hi: Vector{1, 1, 1}},
 	}
-	r, err := Solve(p, WithoutPolish(), WithGridPoints(33), WithRefinements(10))
+	r, err := Solve(p)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	if math.Abs(r.X[0]-0.25) > 1e-4 {
-		t.Errorf("x = %v, want 0.25", r.X[0])
+	// Symmetric optimum at (1/3, 1/3, 1/3).
+	for i, v := range r.X {
+		if math.Abs(v-1.0/3) > 5e-3 {
+			t.Errorf("x[%d] = %v, want 1/3", i, v)
+		}
 	}
 }
 
@@ -180,13 +193,30 @@ func TestMultiStartInfeasible(t *testing.T) {
 	}
 }
 
+func TestIsWorseOrdering(t *testing.T) {
+	tests := []struct {
+		name                 string
+		aF, aViol, bF, bViol float64
+		bStrictlyBetter      bool
+	}{
+		{name: "both feasible, b lower", aF: 2, bF: 1, bStrictlyBetter: true},
+		{name: "both feasible, b higher", aF: 1, bF: 2},
+		{name: "only b feasible", aF: 0, aViol: 1, bF: 100, bStrictlyBetter: true},
+		{name: "only a feasible", aF: 100, bF: 0, bViol: 1},
+		{name: "both infeasible, b closer", aF: 0, aViol: 2, bF: 0, bViol: 1, bStrictlyBetter: true},
+		{name: "NaN objective loses", aF: math.NaN(), bF: 5, bStrictlyBetter: true},
+	}
+	for _, tt := range tests {
+		if got := isWorse(tt.aF, tt.aViol, tt.bF, tt.bViol); got != tt.bStrictlyBetter {
+			t.Errorf("%s: isWorse = %v, want %v", tt.name, got, tt.bStrictlyBetter)
+		}
+	}
+}
+
 func TestBoundsHelpers(t *testing.T) {
 	b := Bounds{Lo: Vector{0, -1}, Hi: Vector{2, 1}}
 	if err := b.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
-	}
-	if got := b.Clamp(Vector{-5, 5}); got[0] != 0 || got[1] != 1 {
-		t.Errorf("Clamp = %v, want [0 1]", got)
 	}
 	if !b.Contains(Vector{1, 0}) {
 		t.Error("Contains(interior) = false")
@@ -254,23 +284,23 @@ func TestSolveRanksFeasibilityFirst(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	if math.Abs(r.X[0]-0.5) > 1e-6 || !r.Feasible(1e-9) {
+	if math.Abs(r.X[0]-0.5) > 1e-6 || r.Violation > 1e-9 {
 		t.Errorf("x = %v with violation %v, want the feasible boundary 0.5", r.X[0], r.Violation)
 	}
 }
 
 // referencePolish is polishPhase without its early stop: it runs
 // Nelder-Mead at every penalty weight, as the polish once always did.
-func referencePolish(bounds Bounds, eval PointFunc, incumbent Result, cfg config) Result {
+func referencePolish(bounds Bounds, eval PointFunc, incumbent Result) Result {
 	scale := math.Abs(incumbent.F)
 	if math.IsInf(scale, 0) || math.IsNaN(scale) || scale < 1 {
 		scale = 1
 	}
 	best := incumbent
 	for _, w := range []float64{1e2, 1e4, 1e6, 1e8} {
-		r := NelderMead(penalized(eval, w*scale), best.X, bounds, NMOptions{})
+		r := NelderMead(penalized(eval, w*scale), best.X, bounds)
 		f, viol := eval(r.X)
-		if isWorse(best.F, best.Violation, f, viol, cfg.feasTol) {
+		if isWorse(best.F, best.Violation, f, viol) {
 			best = Result{X: r.X.Clone(), F: f, Violation: viol}
 		}
 	}
@@ -279,16 +309,16 @@ func referencePolish(bounds Bounds, eval PointFunc, incumbent Result, cfg config
 
 // TestPolishStopIsExact: polishPhase's early stop changes how many
 // points the polish evaluates, never what it returns. On each problem
-// the grid's incumbent is polished twice, by polishPhase and by the
-// reference that runs every weight, and the results must agree bit for
-// bit. Where every run sees violations of only 0 or +Inf the stop must
+// an incumbent, the grid's unless the case names one, is polished
+// twice, by polishPhase and by the reference that runs every weight,
+// and the results must agree bit for bit. Where every run sees violations of only 0 or +Inf the stop must
 // fire; where a run sees a finite violation, or a weight overflows, it
 // must not.
 func TestPolishStopIsExact(t *testing.T) {
 	cases := []struct {
 		name  string
 		p     Problem
-		opts  []Option
+		start Vector // the incumbent's point; nil for the grid's
 		stops bool
 	}{
 		{
@@ -305,17 +335,17 @@ func TestPolishStopIsExact(t *testing.T) {
 			stops: true,
 		},
 		{
-			// A coarse grid leaves the incumbent short of the boundary,
-			// and the first weight is too weak to hold the constraint:
-			// that run moves nothing, and the next one moves the
-			// incumbent onto the boundary.
+			// The unrefined 65-point lattice's best point, 21/64, is
+			// short of the boundary, and the first weight is too weak
+			// to hold the constraint: that run moves nothing, and the
+			// next one moves the incumbent onto the boundary.
 			name: "optimum on a constraint",
 			p: Problem{
 				Eval: Constrained(func(x Vector) float64 { return -1e5 * (x[0] - 1.0/3) },
 					Constraint{Name: "x<=1/3", F: func(x Vector) float64 { return x[0] - 1.0/3 }}),
 				Bounds: Bounds{Lo: Vector{0}, Hi: Vector{1}},
 			},
-			opts: []Option{WithRefinements(0)},
+			start: Vector{21.0 / 64},
 		},
 		{
 			name: "+Inf plateau",
@@ -363,17 +393,17 @@ func TestPolishStopIsExact(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		cfg := defaultConfig(tc.p.Bounds.Dim())
-		for _, o := range tc.opts {
-			o(&cfg)
+		incumbent := gridPhase(tc.p.Bounds, tc.p.Eval)
+		if tc.start != nil {
+			f, viol := tc.p.Eval(tc.start)
+			incumbent = Result{X: tc.start, F: f, Violation: viol}
 		}
-		incumbent, _ := gridPhase(tc.p.Bounds, tc.p.Eval, cfg)
 		n := 0
 		counted := func(x Vector) (float64, float64) { n++; return tc.p.Eval(x) }
-		want := referencePolish(tc.p.Bounds, counted, incumbent, cfg)
+		want := referencePolish(tc.p.Bounds, counted, incumbent)
 		nWant := n
 		n = 0
-		got := polishPhase(tc.p.Bounds, counted, incumbent, cfg)
+		got := polishPhase(tc.p.Bounds, counted, incumbent)
 		if !sameBits(got, want) {
 			t.Errorf("%s: polishPhase = %v (F %v, violation %v), reference = %v (F %v, violation %v)",
 				tc.name, got.X, got.F, got.Violation, want.X, want.F, want.Violation)

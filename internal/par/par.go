@@ -1,6 +1,6 @@
 // Package par is the one worker-pool primitive behind every parallel
-// layer in the module (requirement sweeps, multi-start solves, batch
-// simulation). Keeping the pool in one place keeps the semantics — index
+// layer in the module (requirement sweeps, batch simulation, scenario
+// suite cells). Keeping the pool in one place keeps the semantics — index
 // ordering, worker clamping, cancellation — identical everywhere.
 package par
 

@@ -129,18 +129,6 @@ func (r Radio) FrameAirtime(macBytes int) float64 {
 	return float64(r.PHYOverhead+macBytes) * r.ByteTime()
 }
 
-// TxEnergy returns the energy in joules to transmit a frame of the given
-// MAC-layer size, excluding any turnaround or startup cost.
-func (r Radio) TxEnergy(macBytes int) float64 {
-	return r.FrameAirtime(macBytes) * r.PowerTx
-}
-
-// RxEnergy returns the energy in joules to receive a frame of the given
-// MAC-layer size.
-func (r Radio) RxEnergy(macBytes int) float64 {
-	return r.FrameAirtime(macBytes) * r.PowerRx
-}
-
 // ErrUnknownProfile is returned by Profile for unrecognized names.
 var ErrUnknownProfile = errors.New("radio: unknown profile")
 

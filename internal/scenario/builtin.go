@@ -209,16 +209,6 @@ func Builtins() []Spec {
 	}
 }
 
-// Names returns the builtin scenario names in registry order.
-func Names() []string {
-	specs := Builtins()
-	names := make([]string, len(specs))
-	for i, s := range specs {
-		names[i] = s.Name
-	}
-	return names
-}
-
 // ByName returns the builtin scenario with the given name.
 func ByName(name string) (Spec, bool) {
 	for _, s := range Builtins() {

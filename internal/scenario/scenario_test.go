@@ -290,8 +290,4 @@ func TestByName(t *testing.T) {
 	if _, ok := ByName("no-such-scenario"); ok {
 		t.Error("phantom scenario found")
 	}
-	names := Names()
-	if len(names) != len(Builtins()) {
-		t.Errorf("Names() returned %d entries for %d builtins", len(names), len(Builtins()))
-	}
 }

@@ -166,10 +166,6 @@ func (e *Engine) Now() Time { return e.now }
 // lmacNode.foldTo).
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// QueueLen returns the number of events currently pending. Cancelled
-// events are removed eagerly and never count.
-func (e *Engine) QueueLen() int { return e.pending }
-
 // PeakPending returns the high-water mark of the pending-event count —
 // the working-set size the scheduler had to order.
 func (e *Engine) PeakPending() int { return e.peak }

@@ -4,6 +4,10 @@ import (
 	"testing"
 )
 
+// QueueLen returns the number of events currently pending. Cancelled
+// events are removed eagerly and never count.
+func (e *Engine) QueueLen() int { return e.pending }
+
 func TestEngineOrdersEvents(t *testing.T) {
 	eng := NewEngine()
 	var got []int

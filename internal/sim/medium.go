@@ -26,7 +26,6 @@ type FrameHandler interface {
 type transmission struct {
 	frame *Frame
 	from  topology.NodeID
-	endAt Time  // absolute end-of-airtime instant
 	idx   int32 // position in Medium.inflight, -1 when not in flight
 }
 
@@ -203,10 +202,10 @@ func (m *Medium) freeFrame(f *Frame) {
 }
 
 // newTransmission builds a pooled transmission for a frame leaving node
-// `from` with the given airtime.
+// `from`.
 //
 //edvet:hotpath
-func (m *Medium) newTransmission(f *Frame, from topology.NodeID, endAt Time) *transmission {
+func (m *Medium) newTransmission(f *Frame, from topology.NodeID) *transmission {
 	var tx *transmission
 	if n := len(m.txPool); n > 0 {
 		tx = m.txPool[n-1]
@@ -217,7 +216,6 @@ func (m *Medium) newTransmission(f *Frame, from topology.NodeID, endAt Time) *tr
 	}
 	tx.frame = f
 	tx.from = from
-	tx.endAt = endAt
 	tx.idx = -1
 	return tx
 }
@@ -535,9 +533,6 @@ type Transceiver struct {
 // simulation starts.
 func (x *Transceiver) SetHandler(h FrameHandler) { x.handler = h }
 
-// ID returns the node this radio belongs to.
-func (x *Transceiver) ID() topology.NodeID { return x.id }
-
 // State returns the current radio state.
 func (x *Transceiver) State() radio.State { return x.med.states[x.id] }
 
@@ -559,9 +554,6 @@ func (m *Medium) setState(id topology.NodeID, s radio.State) {
 		f.onState(m.xcvrs[id])
 	}
 }
-
-// setState is the handle-level view of Medium.setState.
-func (x *Transceiver) setState(s radio.State) { x.med.setState(x.id, s) }
 
 // Sleep powers the radio down, aborting any reception in progress. It
 // is a no-op while transmitting: the frame finishes first and the MAC
@@ -661,7 +653,7 @@ func (x *Transceiver) Send(f *Frame) {
 	// it, exactly as with a real radio's end-of-transmission interrupt.
 	start := x.med.eng.Now() + interFrameSpacing
 	end := start + x.prof.FrameAirtime(f.Bytes)
-	tx := x.med.newTransmission(f, x.id, end)
+	tx := x.med.newTransmission(f, x.id)
 	x.med.committed = append(x.med.committed, tx)
 	x.med.eng.AtCall(start, x.med.startTxCb, tx)
 	x.med.eng.AtCall(end, x.med.finishTxCb, tx)

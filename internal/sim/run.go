@@ -191,13 +191,6 @@ func (r *Result) PartitionFraction() float64 {
 	return r.PartitionSeconds / r.Duration
 }
 
-// DutyCycle returns the fraction of the run node id spent with the
-// radio active (listen, receive or transmit) — the quantity duty-cycled
-// MACs exist to minimize.
-func (r *Result) DutyCycle(id topology.NodeID) float64 {
-	return (r.ListenTime[id] + r.TxTime[id]) / r.Duration
-}
-
 // EnergyPerWindow rescales node id's measured consumption to joules per
 // accounting window, the unit the analytic models report.
 func (r *Result) EnergyPerWindow(id topology.NodeID, window float64) float64 {

@@ -46,12 +46,15 @@ func TestGeneratorConnectivity(t *testing.T) {
 				if net.Ring(id) < 0 {
 					t.Fatalf("node %d unreachable", i)
 				}
-				path := net.PathToSink(id)
-				if path[len(path)-1] != 0 {
-					t.Fatalf("node %d path does not end at sink: %v", i, path)
+				hops := 0
+				for p := id; p != 0; p = net.Parent(p) {
+					if p < 0 || hops > net.N() {
+						t.Fatalf("node %d routing path does not end at the sink", i)
+					}
+					hops++
 				}
-				if len(path)-1 != net.Ring(id) {
-					t.Errorf("node %d path length %d != ring %d", i, len(path)-1, net.Ring(id))
+				if hops != net.Ring(id) {
+					t.Errorf("node %d path length %d != ring %d", i, hops, net.Ring(id))
 				}
 			}
 		})

@@ -31,8 +31,6 @@ type Network struct {
 	adj      [][]NodeID
 	parent   []NodeID
 	ring     []int
-	children [][]NodeID
-	subtree  []int
 	depth    int
 
 	// linkPRR[i][k] is the packet reception ratio of the directed link
@@ -65,14 +63,11 @@ func New(positions []Point, radioRange float64) (*Network, error) {
 		adj:      make([][]NodeID, n),
 		parent:   make([]NodeID, n),
 		ring:     make([]int, n),
-		children: make([][]NodeID, n),
-		subtree:  make([]int, n),
 	}
 	net.buildAdjacency()
 	if err := net.buildTree(); err != nil {
 		return nil, err
 	}
-	net.buildSubtrees()
 	return net, nil
 }
 
@@ -177,10 +172,6 @@ func (net *Network) buildTree() error {
 			return errUnreachable(i)
 		}
 	}
-	for i := 1; i < n; i++ {
-		p := net.parent[i]
-		net.children[p] = append(net.children[p], NodeID(i))
-	}
 	return nil
 }
 
@@ -188,24 +179,6 @@ func (net *Network) buildTree() error {
 // node id.
 func errUnreachable(id int) error {
 	return fmt.Errorf("topology: node %d is not connected to the sink", id)
-}
-
-// buildSubtrees computes routing-subtree sizes (the node itself plus all
-// descendants) by scanning nodes in decreasing ring order.
-func (net *Network) buildSubtrees() {
-	order := make([]NodeID, len(net.pos))
-	for i := range order {
-		order[i] = NodeID(i)
-	}
-	sort.Slice(order, func(a, b int) bool { return net.ring[order[a]] > net.ring[order[b]] })
-	for i := range net.subtree {
-		net.subtree[i] = 1
-	}
-	for _, id := range order {
-		if p := net.parent[id]; p >= 0 {
-			net.subtree[p] += net.subtree[id]
-		}
-	}
 }
 
 // N returns the number of nodes including the sink.
@@ -226,32 +199,9 @@ func (net *Network) Ring(id NodeID) int { return net.ring[id] }
 // Parent returns the routing-tree parent of id, or -1 for the sink.
 func (net *Network) Parent(id NodeID) NodeID { return net.parent[id] }
 
-// Degree returns the number of neighbours of id.
-func (net *Network) Degree(id NodeID) int { return len(net.adj[id]) }
-
 // Neighbors returns a copy of the neighbour list of id, sorted by ID.
 func (net *Network) Neighbors(id NodeID) []NodeID {
 	return append([]NodeID(nil), net.adj[id]...)
-}
-
-// Children returns a copy of the routing-tree children of id.
-func (net *Network) Children(id NodeID) []NodeID {
-	return append([]NodeID(nil), net.children[id]...)
-}
-
-// SubtreeSize returns the number of nodes in the routing subtree rooted
-// at id, counting id itself.
-func (net *Network) SubtreeSize(id NodeID) int { return net.subtree[id] }
-
-// PathToSink returns the routing path from id to the sink, inclusive of
-// both endpoints.
-func (net *Network) PathToSink(id NodeID) []NodeID {
-	path := []NodeID{id}
-	for id != 0 {
-		id = net.parent[id]
-		path = append(path, id)
-	}
-	return path
 }
 
 // NodesAtRing returns the IDs of all nodes at ring d, sorted.

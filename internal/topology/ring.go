@@ -41,11 +41,6 @@ func (r RingModel) NodesAt(d int) int {
 	return (2*d - 1) * (r.Density + 1)
 }
 
-// Total returns the number of nodes in the network, excluding the sink.
-func (r RingModel) Total() int {
-	return (r.Density + 1) * r.Depth * r.Depth
-}
-
 // Descendants returns the average number of nodes whose traffic a single
 // ring-d node relays (its routing-tree descendants). Ring-D nodes relay
 // nothing.

@@ -100,18 +100,6 @@ type NodeFlows struct {
 	Background []float64
 }
 
-// Compute derives exact per-node rates on net with uniform sampling
-// rate fs — the homogeneous special case of ComputeRates.
-func Compute(net *topology.Network, fs float64) (NodeFlows, error) {
-	if net == nil {
-		return NodeFlows{}, fmt.Errorf("traffic: nil network")
-	}
-	if fs <= 0 {
-		return NodeFlows{}, fmt.Errorf("traffic: sampling rate %v must be positive", fs)
-	}
-	return ComputeRates(net, uniformRates(net, fs))
-}
-
 // ComputeRates derives exact per-node flow rates on net when node i
 // generates at rates[i] packets per second (indexed by NodeID, sink rate
 // ignored) — the general form every traffic Model reduces to via

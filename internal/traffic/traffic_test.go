@@ -114,9 +114,9 @@ func TestComputeOnLine(t *testing.T) {
 		t.Fatalf("Line: %v", err)
 	}
 	fs := 0.1
-	flows, err := Compute(net, fs)
+	flows, err := ComputeRates(net, uniformRates(net, fs))
 	if err != nil {
-		t.Fatalf("Compute: %v", err)
+		t.Fatalf("ComputeRates: %v", err)
 	}
 	// Chain 0(sink)-1-2-3-4: node 1 forwards for 2,3,4 plus itself.
 	wantOut := []float64{0, 0.4, 0.3, 0.2, 0.1}
@@ -141,9 +141,9 @@ func TestComputeConservation(t *testing.T) {
 		t.Fatalf("Rings: %v", err)
 	}
 	fs := 1.0 / 300
-	flows, err := Compute(net, fs)
+	flows, err := ComputeRates(net, uniformRates(net, fs))
 	if err != nil {
-		t.Fatalf("Compute: %v", err)
+		t.Fatalf("ComputeRates: %v", err)
 	}
 	// Sink intake equals total generation.
 	want := fs * float64(net.N()-1)
@@ -152,27 +152,15 @@ func TestComputeConservation(t *testing.T) {
 	}
 	// Each node's output = own sampling + children's outputs.
 	for i := 1; i < net.N(); i++ {
-		id := topology.NodeID(i)
 		sum := fs
-		for _, c := range net.Children(id) {
-			sum += flows.Out[c]
+		for c := 1; c < net.N(); c++ {
+			if net.Parent(topology.NodeID(c)) == topology.NodeID(i) {
+				sum += flows.Out[c]
+			}
 		}
 		if math.Abs(flows.Out[i]-sum) > 1e-9 {
 			t.Errorf("node %d: Out=%v, want own+children=%v", i, flows.Out[i], sum)
 		}
-	}
-}
-
-func TestComputeErrors(t *testing.T) {
-	if _, err := Compute(nil, 0.1); err == nil {
-		t.Error("Compute(nil) should fail")
-	}
-	net, err := topology.Line(2, 0.8)
-	if err != nil {
-		t.Fatalf("Line: %v", err)
-	}
-	if _, err := Compute(net, 0); err == nil {
-		t.Error("Compute with zero rate should fail")
 	}
 }
 
@@ -187,9 +175,9 @@ func TestRingApproximationTracksExact(t *testing.T) {
 		t.Fatalf("Rings: %v", err)
 	}
 	fs := 0.01
-	exact, err := Compute(net, fs)
+	exact, err := ComputeRates(net, uniformRates(net, fs))
 	if err != nil {
-		t.Fatalf("Compute: %v", err)
+		t.Fatalf("ComputeRates: %v", err)
 	}
 	approx := RingFlows{Rings: m, Rate: fs}
 	for d := 1; d <= m.Depth; d++ {
