@@ -18,9 +18,9 @@ var fixtureState struct {
 	err  error
 }
 
-// fixturePkg loads one testdata fixture package under a synthetic
-// import path.
-func fixturePkg(t *testing.T, name string) *Package {
+// sharedLoader returns the loader every test in the package shares, so
+// the standard library is type-checked once.
+func sharedLoader(t *testing.T) *Loader {
 	t.Helper()
 	fixtureState.once.Do(func() {
 		fixtureState.l, fixtureState.err = NewLoader(filepath.Join("..", ".."))
@@ -28,8 +28,15 @@ func fixturePkg(t *testing.T, name string) *Package {
 	if fixtureState.err != nil {
 		t.Fatalf("NewLoader: %v", fixtureState.err)
 	}
+	return fixtureState.l
+}
+
+// fixturePkg loads one testdata fixture package under a synthetic
+// import path.
+func fixturePkg(t *testing.T, name string) *Package {
+	t.Helper()
 	dir := filepath.Join("testdata", "src", name)
-	p, err := fixtureState.l.LoadDir(dir, "fixture/"+name)
+	p, err := sharedLoader(t).LoadDir(dir, "fixture/"+name)
 	if err != nil {
 		t.Fatalf("LoadDir(%s): %v", dir, err)
 	}
@@ -229,13 +236,8 @@ func TestAPISurfaceGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the root package and its imports")
 	}
-	fixtureState.once.Do(func() {
-		fixtureState.l, fixtureState.err = NewLoader(filepath.Join("..", ".."))
-	})
-	if fixtureState.err != nil {
-		t.Fatalf("NewLoader: %v", fixtureState.err)
-	}
-	p, err := fixtureState.l.Load(fixtureState.l.Module())
+	l := sharedLoader(t)
+	p, err := l.Load(l.Module())
 	if err != nil {
 		t.Fatalf("loading root package: %v", err)
 	}
