@@ -176,9 +176,8 @@ func digestRun(cfg Config, mode string, b opt.Vector, capacity float64) (*Result
 // TestSimDigest pins every simulator result over X-MAC, B-MAC, DMAC and
 // LMAC × {no traffic, light periodic, heavy periodic, bursty} ×
 // {perfect, lossy with capture} × {fixed, two-phase, churn only,
-// battery only, churn + battery} × 2 seeds. On failure-free cells it
-// also checks energy conservation: each node's per-state dwell times
-// sum to the run length.
+// battery only, churn + battery} × 2 seeds. On cells without churn it
+// also checks energy conservation (see checkDwellTimes).
 func TestSimDigest(t *testing.T) {
 	if n := reflect.TypeOf(Result{}).NumField(); n != 19 {
 		t.Fatalf("Result has %d fields, the digest hashes 19: hash the new field", n)
@@ -225,7 +224,7 @@ func TestSimDigest(t *testing.T) {
 						collisions += res.Collisions
 						losses += res.ChannelLosses
 						captures += res.Captures
-						if r.fs == nil {
+						if r.fs == nil || mode == "battery" {
 							checkDwellTimes(t, name, r)
 						}
 					}
@@ -245,15 +244,28 @@ func TestSimDigest(t *testing.T) {
 	}
 }
 
-// checkDwellTimes asserts energy conservation on a failure-free run:
-// every node's time in sleep, listen, receive and transmit adds up to
-// the run length.
+// checkDwellTimes asserts energy conservation on a run without churn:
+// a living node's time in sleep, listen, receive and transmit adds up
+// to the run length, and a node whose battery died has drawn its
+// capacity and dwelt less than the run length.
 func checkDwellTimes(t *testing.T, name string, r *runner) {
 	t.Helper()
 	for i := range r.nodes {
 		sum := 0.0
 		for _, s := range []radio.State{radio.Sleep, radio.Listen, radio.Rx, radio.Tx} {
 			sum += r.med.acc[i*5+int(s)]
+		}
+		if r.fs != nil && r.fs.batteryDead[i] {
+			capacity, drawn := r.fs.capacity[i], r.med.xcvrs[i].Energy()
+			if rel := math.Abs(drawn-capacity) / capacity; rel > 1e-12 {
+				t.Errorf("%s: node %d died of its battery having drawn %v J of %v J (rel. error %.2g)",
+					name, i, drawn, capacity, rel)
+			}
+			if sum >= r.cfg.Duration {
+				t.Errorf("%s: node %d died of its battery yet dwelt %v s of a %v s run",
+					name, i, sum, r.cfg.Duration)
+			}
+			continue
 		}
 		if rel := math.Abs(sum-r.cfg.Duration) / r.cfg.Duration; rel > 1e-9 {
 			t.Errorf("%s: node %d dwell times sum to %v s over a %v s run (rel. error %.2g)",
