@@ -311,9 +311,9 @@ func referencePolish(bounds Bounds, eval PointFunc, incumbent Result) Result {
 // points the polish evaluates, never what it returns. On each problem
 // an incumbent, the grid's unless the case names one, is polished
 // twice, by polishPhase and by the reference that runs every weight,
-// and the results must agree bit for bit. Where every run sees violations of only 0 or +Inf the stop must
-// fire; where a run sees a finite violation, or a weight overflows, it
-// must not.
+// and the results must agree bit for bit. Where every run sees
+// violations of only 0 or +Inf the stop must fire; where a run sees a
+// finite violation, or a weight overflows, it must not.
 func TestPolishStopIsExact(t *testing.T) {
 	cases := []struct {
 		name  string
