@@ -80,19 +80,37 @@ func TestSolveMinOutsideCircleHitsCorner(t *testing.T) {
 }
 
 func TestSolveInfeasible(t *testing.T) {
-	for _, c := range []Constraint{
-		{Name: "impossible", F: func(x Vector) float64 { return 1 + x[0] }},
-		// Violated by 1e-6 everywhere: well above the feasibility
-		// tolerance.
-		{Name: "just-off", F: func(x Vector) float64 { return 1e-6 }},
-	} {
-		p := Problem{
-			Eval:   Constrained(func(x Vector) float64 { return x[0] }, c),
+	p := Problem{
+		Eval: Constrained(func(x Vector) float64 { return x[0] },
+			Constraint{Name: "impossible", F: func(x Vector) float64 { return 1 + x[0] }}),
+		Bounds: Bounds{Lo: Vector{0}, Hi: Vector{1}},
+	}
+	_, err := Solve(p)
+	if !errors.Is(err, ErrInfeasible) {
+		t.Errorf("Solve error = %v, want ErrInfeasible", err)
+	}
+}
+
+func TestWithFeasibilityTolerance(t *testing.T) {
+	// Solve's fixed feasibility tolerance is 1e-9: a constraint
+	// violated by 1e-6 everywhere is infeasible, one violated by 1e-10
+	// everywhere is met and leaves the objective's minimum in place.
+	problem := func(viol float64) Problem {
+		return Problem{
+			Eval: Constrained(func(x Vector) float64 { return x[0] },
+				Constraint{Name: "just-off", F: func(x Vector) float64 { return viol }}),
 			Bounds: Bounds{Lo: Vector{0}, Hi: Vector{1}},
 		}
-		if _, err := Solve(p); !errors.Is(err, ErrInfeasible) {
-			t.Errorf("%s: Solve error = %v, want ErrInfeasible", c.Name, err)
-		}
+	}
+	if _, err := Solve(problem(1e-6)); !errors.Is(err, ErrInfeasible) {
+		t.Errorf("violation 1e-6: Solve error = %v, want ErrInfeasible", err)
+	}
+	r, err := Solve(problem(1e-10))
+	if err != nil {
+		t.Fatalf("violation 1e-10: %v", err)
+	}
+	if math.Abs(r.X[0]) > 1e-6 {
+		t.Errorf("x = %v, want 0", r.X[0])
 	}
 }
 
