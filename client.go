@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/edmac-project/edmac/internal/core"
-	"github.com/edmac-project/edmac/internal/jobs"
 	"github.com/edmac-project/edmac/internal/jsonwire"
 	"github.com/edmac-project/edmac/internal/lru"
 )
@@ -32,15 +30,6 @@ type Client struct {
 	scenario Scenario
 	baseSeed int64
 	cache    *lru.Cache // nil: caching disabled
-
-	// The async job tier (SubmitJob and friends) — created lazily on
-	// first use, so clients that never submit a job carry no worker
-	// pool. jobsOpts is fixed at construction (WithJobs); the store
-	// pointer is the one piece of mutable state a Client owns, guarded
-	// by jobsMu. Close releases it.
-	jobsMu    sync.Mutex
-	jobsStore *jobs.Store
-	jobsOpts  jobs.Options
 }
 
 // Option configures a Client under construction (functional options).
@@ -729,8 +718,9 @@ func (c *Client) Suite(ctx context.Context, req SuiteRequest) (*SuiteReport, err
 // cell to fn as it finishes (SuiteStream's delivery contract: serial,
 // completion order, a non-nil error cancels the rest) and still
 // returning the monolithic report. This is the shape progress-tracking
-// callers — the async jobs tier above all — need: live per-cell events
-// plus the byte-stable final report. A nil fn makes it exactly Suite.
+// callers — edserve's async suite jobs above all — need: live per-cell
+// events plus the byte-stable final report. A nil fn makes it exactly
+// Suite.
 func (c *Client) SuiteObserved(ctx context.Context, req SuiteRequest, fn func(SuiteCell) error) (*SuiteReport, error) {
 	return c.runSuite(ctx, req, fn)
 }

@@ -1,17 +1,17 @@
-// Package jobs is the durable in-process job tier behind the async
-// serving API: a bounded admission queue feeding a small worker pool,
-// with per-job progress counters, an ordered event log any number of
-// followers can tail, TTL-based garbage collection of finished jobs,
-// and an optional crash-safe disk spill of finished results.
+// Package jobs is the job store behind the async serving API: a
+// bounded admission queue feeding a small worker pool, with per-job
+// progress counters, an ordered event log any number of followers can
+// tail, TTL-based garbage collection of finished jobs, and an optional
+// crash-safe disk spill of finished results.
 //
-// The store is deliberately generic — a job is (kind, total, run
-// function) and its result is opaque — so the HTTP layer can store
-// response bytes (byte-identical to the synchronous endpoints) while
-// the in-process client facade stores typed reports, both over the one
-// implementation. Admission control is the bounded queue: Submit on a
-// full queue fails with ErrQueueFull instead of queueing unboundedly,
-// which is what lets one slow tenant be refused instead of starving
-// the rest (the explicit admission the related work argues for).
+// Its front end is internal/serve's /v1/jobs handlers. A job is (kind,
+// total, run function); serve's run functions return the marshalled
+// response bytes, so a fetched result is byte-identical to the
+// synchronous endpoint's answer and spills verbatim. Admission control
+// is the bounded queue: Submit on a full queue fails with ErrQueueFull
+// instead of queueing unboundedly, which is what lets one slow tenant
+// be refused instead of starving the rest (the explicit admission the
+// related work argues for).
 package jobs
 
 import (
@@ -86,12 +86,10 @@ type Options struct {
 	// SpillDir, when non-empty, persists every successfully finished
 	// job to disk (metadata plus encoded result) and reloads them on
 	// New — a restart keeps serving results for jobs that completed
-	// before the crash. The directory is created if missing.
+	// before the crash. A []byte result spills verbatim, any other
+	// through json.Marshal; an encoding error skips the spill without
+	// failing the job. The directory is created if missing.
 	SpillDir string
-	// Encode turns a finished job's result into the spilled bytes.
-	// nil means json.Marshal; []byte results always spill verbatim.
-	// An encoding error skips the spill without failing the job.
-	Encode func(kind string, result any) ([]byte, error)
 }
 
 const (
@@ -109,9 +107,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TTL <= 0 {
 		o.TTL = DefaultTTL
-	}
-	if o.Encode == nil {
-		o.Encode = func(_ string, result any) ([]byte, error) { return json.Marshal(result) }
 	}
 	return o
 }
@@ -173,9 +168,6 @@ type Job struct {
 	finishing bool
 }
 
-// Kind returns the submitter-chosen job kind.
-func (j *Job) Kind() string { return j.kind }
-
 // Snapshot returns a copy of the job's current state.
 func (j *Job) Snapshot() Snapshot {
 	j.mu.Lock()
@@ -230,26 +222,6 @@ func (j *Job) Result() (result any, err error, ok bool) {
 		return nil, nil, false
 	}
 	return j.result, j.err, true
-}
-
-// Wait blocks until the job reaches a terminal state (returning its
-// result and error) or ctx is done (returning ctx's error).
-func (j *Job) Wait(ctx context.Context) (any, error) {
-	for {
-		j.mu.Lock()
-		if j.state.Terminal() {
-			res, err := j.result, j.err
-			j.mu.Unlock()
-			return res, err
-		}
-		w := j.wake
-		j.mu.Unlock()
-		select {
-		case <-w:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
 }
 
 // Events replays the job's event log from seq `from` and then follows
@@ -355,7 +327,7 @@ func (s *Store) Close() {
 	s.mu.Unlock()
 	s.baseCancel()
 	s.wg.Wait()
-	// Anything still queued was never picked up: cancel it so waiters
+	// Anything still queued was never picked up: cancel it so followers
 	// unblock.
 	for {
 		select {
@@ -477,7 +449,7 @@ func (s *Store) Cancel(id string) (*Job, bool) {
 		j.cancelled = true
 		j.mu.Unlock()
 		// The worker skips cancelled-while-queued jobs; finish now so
-		// waiters unblock immediately.
+		// followers unblock immediately.
 		s.finish(j, nil, ErrCancelled)
 		return j, true
 	case Running:
@@ -555,7 +527,7 @@ func (s *Store) execute(j *Job) {
 
 // finish moves a job to its terminal state and appends the terminal
 // event. A successful result is spilled before the state is published,
-// so whoever observes Done (Wait, Events, GC) finds it on disk, and GC
+// so whoever observes Done (Result, Events, GC) finds it on disk, and GC
 // can never delete the files ahead of the write that creates them.
 func (s *Store) finish(j *Job, result any, err error) {
 	final := Done
@@ -661,7 +633,7 @@ func (s *Store) resultPath(id string) string {
 // worst an orphaned result file, never a metadata file pointing at a
 // missing or truncated result.
 func (s *Store) spill(snap Snapshot, result any) {
-	data, ok := encodeResult(s.opts.Encode, snap.Kind, result)
+	data, ok := encodeResult(result)
 	if !ok {
 		return
 	}
@@ -677,16 +649,17 @@ func (s *Store) spill(snap Snapshot, result any) {
 	}
 }
 
-// encodeResult applies the store's encoding; []byte results pass
-// through verbatim so byte-exact payloads survive the round trip.
-func encodeResult(encode func(string, any) ([]byte, error), kind string, result any) ([]byte, bool) {
+// encodeResult turns a finished job's result into its spilled bytes:
+// []byte results pass through verbatim so byte-exact payloads survive
+// the round trip, anything else is JSON-encoded.
+func encodeResult(result any) ([]byte, bool) {
 	switch v := result.(type) {
 	case []byte:
 		return v, true
 	case json.RawMessage:
 		return []byte(v), true
 	}
-	data, err := encode(kind, result)
+	data, err := json.Marshal(result)
 	if err != nil {
 		return nil, false
 	}

@@ -24,6 +24,20 @@ func newStore(t *testing.T, o Options) *Store {
 	return s
 }
 
+// await follows j's event log to its terminal event, as serve's
+// result handler does, and returns the job's result and error.
+func await(t *testing.T, j *Job) (any, error) {
+	t.Helper()
+	if err := j.Events(context.Background(), 0, func(Event) error { return nil }); err != nil {
+		t.Fatalf("Events: %v", err)
+	}
+	res, err, ok := j.Result()
+	if !ok {
+		t.Fatalf("job %s not terminal after its event log ended", j.id)
+	}
+	return res, err
+}
+
 func TestLifecycleDone(t *testing.T) {
 	s := newStore(t, Options{Workers: 1})
 	j, err := s.Submit("echo", 3, func(ctx context.Context, j *Job) (any, error) {
@@ -35,9 +49,9 @@ func TestLifecycleDone(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	res, err := j.Wait(context.Background())
+	res, err := await(t, j)
 	if err != nil || res != "result" {
-		t.Fatalf("Wait = %v, %v", res, err)
+		t.Fatalf("result = %v, %v", res, err)
 	}
 	snap := j.Snapshot()
 	if snap.State != Done || snap.Done != 3 || snap.Total != 3 {
@@ -75,8 +89,8 @@ func TestFailedJobKeepsError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if _, err := j.Wait(context.Background()); !errors.Is(err, boom) {
-		t.Fatalf("Wait err = %v, want boom", err)
+	if _, err := await(t, j); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
 	}
 	if st := j.Snapshot(); st.State != Failed || st.Err != "boom" {
 		t.Fatalf("snapshot = %+v", st)
@@ -100,8 +114,8 @@ func TestCancelMidRun(t *testing.T) {
 	if _, ok := s.Cancel(j.id); !ok {
 		t.Fatal("Cancel: job not found")
 	}
-	if _, err := j.Wait(context.Background()); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("Wait err = %v, want ErrCancelled", err)
+	if _, err := await(t, j); !errors.Is(err, ErrCancelled) {
+		t.Fatalf("err = %v, want ErrCancelled", err)
 	}
 	if st := j.Snapshot(); st.State != Cancelled {
 		t.Fatalf("state = %s, want cancelled", st.State)
@@ -134,11 +148,11 @@ func TestCancelQueued(t *testing.T) {
 	if _, ok := s.Cancel(queued.id); !ok {
 		t.Fatal("Cancel queued: not found")
 	}
-	if _, err := queued.Wait(context.Background()); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("queued Wait err = %v", err)
+	if _, err := await(t, queued); !errors.Is(err, ErrCancelled) {
+		t.Fatalf("queued err = %v", err)
 	}
 	close(release)
-	if _, err := blocker.Wait(context.Background()); err != nil {
+	if _, err := await(t, blocker); err != nil {
 		t.Fatalf("blocker: %v", err)
 	}
 	select {
@@ -185,7 +199,7 @@ func TestQueueFullAdmission(t *testing.T) {
 	}
 	close(release)
 	for _, jq := range jobs {
-		if _, err := jq.Wait(context.Background()); err != nil {
+		if _, err := await(t, jq); err != nil {
 			t.Fatalf("drain: %v", err)
 		}
 	}
@@ -206,8 +220,8 @@ func TestTTLGC(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if _, err := j.Wait(context.Background()); err != nil {
-		t.Fatalf("Wait: %v", err)
+	if _, err := await(t, j); err != nil {
+		t.Fatalf("job: %v", err)
 	}
 	if _, err := os.Stat(s.resultPath(j.id)); err != nil {
 		t.Fatalf("spilled result missing: %v", err)
@@ -230,30 +244,35 @@ func TestTTLGC(t *testing.T) {
 	}
 }
 
+// marshalHook is a job result whose JSON encoding first calls the
+// function itself.
+type marshalHook func()
+
+func (f marshalHook) MarshalJSON() ([]byte, error) {
+	f()
+	return []byte(`{"ok":"yes"}`), nil
+}
+
 // TestGCDuringSpill: a GC that lands while a finished job's result is
 // still being spilled must not see the job as finished. If it did, it
 // would delete files the spill then rewrites, and a restart would bring
-// the expired job back. The spill's encoder runs the GC at exactly that
-// instant, with the injected clock far past the TTL.
+// the expired job back. The result's MarshalJSON, which the spill's
+// json.Marshal calls, runs the GC at exactly that instant, with the
+// injected clock far past the TTL.
 func TestGCDuringSpill(t *testing.T) {
 	dir := t.TempDir()
 	base := time.Unix(1700000000, 0)
-	var s *Store
-	dropped := -1
-	s = newStore(t, Options{Workers: 1, TTL: time.Minute, SpillDir: dir,
-		Encode: func(_ string, result any) ([]byte, error) {
-			dropped = s.GC(base.Add(time.Hour))
-			return json.Marshal(result)
-		}})
+	s := newStore(t, Options{Workers: 1, TTL: time.Minute, SpillDir: dir})
 	s.now = func() time.Time { return base }
+	dropped := -1
 	j, err := s.Submit("short", 1, func(context.Context, *Job) (any, error) {
-		return map[string]string{"ok": "yes"}, nil
+		return marshalHook(func() { dropped = s.GC(base.Add(time.Hour)) }), nil
 	})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if _, err := j.Wait(context.Background()); err != nil {
-		t.Fatalf("Wait: %v", err)
+	if _, err := await(t, j); err != nil {
+		t.Fatalf("job: %v", err)
 	}
 	if dropped != 0 {
 		t.Fatalf("GC during the spill dropped %d jobs, want 0", dropped)
@@ -264,9 +283,9 @@ func TestGCDuringSpill(t *testing.T) {
 	assertGCExpires(t, s, dir, j.id, base)
 }
 
-// TestGCAfterPublish: once Wait returns, the spill is already on disk
-// (no polling), and a later GC removes both the job and its files for
-// good.
+// TestGCAfterPublish: once the terminal event is delivered, the spill
+// is already on disk (no polling), and a later GC removes both the job
+// and its files for good.
 func TestGCAfterPublish(t *testing.T) {
 	dir := t.TempDir()
 	base := time.Unix(1700000000, 0)
@@ -278,12 +297,12 @@ func TestGCAfterPublish(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if _, err := j.Wait(context.Background()); err != nil {
-		t.Fatalf("Wait: %v", err)
+	if _, err := await(t, j); err != nil {
+		t.Fatalf("job: %v", err)
 	}
 	for _, path := range []string{s.resultPath(j.id), s.metaPath(j.id)} {
 		if _, err := os.Stat(path); err != nil {
-			t.Fatalf("spill missing when Wait returned: %v", err)
+			t.Fatalf("spill missing when the job was published: %v", err)
 		}
 	}
 	if n := s.GC(base.Add(30 * time.Second)); n != 0 {
@@ -346,8 +365,8 @@ func TestSpillReload(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if _, err := j.Wait(context.Background()); err != nil {
-		t.Fatalf("Wait: %v", err)
+	if _, err := await(t, j); err != nil {
+		t.Fatalf("job: %v", err)
 	}
 	id := j.id
 	s.Close()
@@ -436,7 +455,7 @@ func TestReloadChecksIDAgainstName(t *testing.T) {
 	}
 }
 
-// TestPollStampede: many goroutines hammering Snapshot/Wait/Events on
+// TestPollStampede: many goroutines hammering Snapshot/Result/Events on
 // one running job must all observe a consistent lifecycle (run under
 // -race, this is the data-race gate for the job tier).
 func TestPollStampede(t *testing.T) {
@@ -470,9 +489,16 @@ func TestPollStampede(t *testing.T) {
 						return
 					}
 				}
-			case 1: // wait for the result
-				if res, err := j.Wait(context.Background()); err != nil || res != "done" {
-					errs <- fmt.Errorf("Wait = %v, %v", res, err)
+			case 1: // poll the result until terminal
+				for {
+					res, err, ok := j.Result()
+					if !ok {
+						continue
+					}
+					if err != nil || res != "done" {
+						errs <- fmt.Errorf("Result = %v, %v", res, err)
+					}
+					return
 				}
 			default: // follow the event log and check seq density
 				next := 0
@@ -511,8 +537,8 @@ func TestEventsResumeFrom(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if _, err := j.Wait(context.Background()); err != nil {
-		t.Fatalf("Wait: %v", err)
+	if _, err := await(t, j); err != nil {
+		t.Fatalf("job: %v", err)
 	}
 	var seqs []int
 	if err := j.Events(context.Background(), 3, func(ev Event) error {
