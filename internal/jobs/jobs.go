@@ -551,6 +551,11 @@ func (s *Store) finish(j *Job, result any, err error) {
 		s.spill(snap, result)
 	}
 
+	// The state and its count change under one hold of s.mu, which GC
+	// holds while it drops terminal jobs, so GC never uncounts a job
+	// whose terminal state is not counted yet.
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	j.mu.Lock()
 	prev := j.state
 	j.state = final
@@ -563,7 +568,8 @@ func (s *Store) finish(j *Job, result any, err error) {
 	}
 	j.appendLocked(ev)
 	j.mu.Unlock()
-	s.transition(prev, final)
+	s.counts[prev]--
+	s.counts[final]++
 }
 
 // transition moves one job between state buckets.
