@@ -23,9 +23,11 @@ var testOnlyExempt = map[string]bool{
 // kept alive only by its own tests does not come back. A function's
 // references from its own body do not count. The benchmark module in
 // perfbench/ is loaded too, so its calls count. Two kinds are exempt:
-// methods named in some interface's method set, which callers may reach
-// through the interface, and the root package, whose exported surface
-// the apisurface golden pins.
+// methods some named type provides to a non-empty interface it
+// implements (promoted methods count), which callers may reach through
+// the interface, and the root package, whose exported surface the
+// apisurface golden pins. A method whose name merely matches an
+// interface's, on a type that does not implement it, is checked.
 func TestNoTestOnlyCode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
@@ -49,7 +51,7 @@ func TestNoTestOnlyCode(t *testing.T) {
 	}
 	pkgs = append(pkgs, bench)
 
-	ifaceMethods := interfaceMethodNames(pkgs)
+	provided := interfaceMethods(pkgs)
 	used := make(map[*types.Func]bool)
 	var defined []*types.Func
 	for _, p := range pkgs {
@@ -60,7 +62,7 @@ func TestNoTestOnlyCode(t *testing.T) {
 				var self *types.Func
 				if fd, ok := decl.(*ast.FuncDecl); ok {
 					self, _ = p.Info.Defs[fd.Name].(*types.Func)
-					if checked && self != nil && !exemptFunc(fd, ifaceMethods) {
+					if checked && self != nil && !exemptFunc(fd, self, provided) {
 						defined = append(defined, self)
 					}
 				}
@@ -91,11 +93,11 @@ func TestNoTestOnlyCode(t *testing.T) {
 }
 
 // exemptFunc reports whether a declaration is one the test does not
-// check: main and init, which the runtime calls, and methods whose name
-// some interface declares.
-func exemptFunc(fd *ast.FuncDecl, ifaceMethods map[string]bool) bool {
+// check: main and init, which the runtime calls, and methods some type
+// provides to an interface.
+func exemptFunc(fd *ast.FuncDecl, fn *types.Func, provided map[*types.Func]bool) bool {
 	if fd.Recv != nil {
-		return ifaceMethods[fd.Name.Name]
+		return provided[fn]
 	}
 	return fd.Name.Name == "main" || fd.Name.Name == "init"
 }
@@ -119,16 +121,20 @@ func qualifiedName(fn *types.Func, module string) string {
 	return pkg + "." + fn.Name()
 }
 
-// interfaceMethodNames collects the method names of every interface the
-// packages declare or write inline, of every interface the packages
-// they import (transitively) declare at package level, and of error.
-func interfaceMethodNames(pkgs []*Package) map[string]bool {
-	names := make(map[string]bool)
+// interfaceMethods returns the methods that some named type declared
+// in the packages provides to an interface it implements: for each such
+// type and each non-empty interface its pointer type implements, the
+// method its method set (promoted methods included) resolves each of
+// the interface's names to. The interfaces are every interface the
+// packages declare or write inline, every interface the packages they
+// import (transitively) declare at package level, and error.
+func interfaceMethods(pkgs []*Package) map[*types.Func]bool {
+	var ifaces []*types.Interface
+	seenIface := make(map[*types.Interface]bool)
 	add := func(t types.Type) {
-		if it, ok := t.Underlying().(*types.Interface); ok {
-			for i := 0; i < it.NumMethods(); i++ {
-				names[it.Method(i).Name()] = true
-			}
+		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 && !seenIface[it] {
+			seenIface[it] = true
+			ifaces = append(ifaces, it)
 		}
 	}
 	add(types.Universe.Lookup("error").Type())
@@ -157,5 +163,31 @@ func interfaceMethodNames(pkgs []*Package) map[string]bool {
 		}
 		walk(p.Types)
 	}
-	return names
+
+	provided := make(map[*types.Func]bool)
+	for _, p := range pkgs {
+		for _, obj := range p.Info.Defs {
+			tn, ok := obj.(*types.TypeName)
+			if !ok || types.IsInterface(tn.Type()) {
+				continue
+			}
+			ptr := types.NewPointer(tn.Type())
+			mset := types.NewMethodSet(ptr)
+			if mset.Len() == 0 {
+				continue
+			}
+			for _, it := range ifaces {
+				if !types.Implements(ptr, it) {
+					continue
+				}
+				for i := 0; i < it.NumMethods(); i++ {
+					m := it.Method(i)
+					if fn, ok := mset.Lookup(m.Pkg(), m.Name()).Obj().(*types.Func); ok {
+						provided[fn.Origin()] = true
+					}
+				}
+			}
+		}
+	}
+	return provided
 }

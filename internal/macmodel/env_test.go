@@ -58,8 +58,8 @@ func TestEnvAirtimes(t *testing.T) {
 func TestEnvFlows(t *testing.T) {
 	env := Default()
 	f := env.Flows()
-	if err := f.Validate(); err != nil {
-		t.Fatalf("Flows().Validate() = %v", err)
+	if f.Rings != env.Rings {
+		t.Errorf("Flows rings = %+v, want %+v", f.Rings, env.Rings)
 	}
 	if f.Rate != env.SampleRate {
 		t.Errorf("Flows rate = %v, want %v", f.Rate, env.SampleRate)

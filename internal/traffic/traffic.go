@@ -26,17 +26,6 @@ type RingFlows struct {
 	Rate float64
 }
 
-// Validate reports whether the flow parameters are usable.
-func (f RingFlows) Validate() error {
-	if err := f.Rings.Validate(); err != nil {
-		return err
-	}
-	if f.Rate <= 0 {
-		return fmt.Errorf("traffic: sampling rate %v must be positive", f.Rate)
-	}
-	return nil
-}
-
 // Out returns the transmit rate of a ring-d node in packets per second:
 // its own samples plus everything it relays.
 func (f RingFlows) Out(d int) float64 {

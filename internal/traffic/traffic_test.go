@@ -12,23 +12,6 @@ func ringModel(depth, density int) topology.RingModel {
 	return topology.RingModel{Depth: depth, Density: density}
 }
 
-func TestRingFlowsValidate(t *testing.T) {
-	tests := []struct {
-		name    string
-		f       RingFlows
-		wantErr bool
-	}{
-		{name: "ok", f: RingFlows{Rings: ringModel(5, 6), Rate: 1.0 / 300}},
-		{name: "zero rate", f: RingFlows{Rings: ringModel(5, 6), Rate: 0}, wantErr: true},
-		{name: "bad rings", f: RingFlows{Rings: ringModel(0, 6), Rate: 1}, wantErr: true},
-	}
-	for _, tt := range tests {
-		if err := tt.f.Validate(); (err != nil) != tt.wantErr {
-			t.Errorf("%s: Validate() = %v, wantErr %v", tt.name, err, tt.wantErr)
-		}
-	}
-}
-
 func TestRingFlowsKnownValues(t *testing.T) {
 	f := RingFlows{Rings: ringModel(5, 6), Rate: 0.01}
 	// Ring 1 node: relays 24 descendants plus itself.
