@@ -27,12 +27,8 @@ func Workers(n int) int {
 //
 // Cancelling ctx stops the feed: indices not yet handed to a worker are
 // never run — an already-cancelled context runs nothing — and the
-// context's error is returned. Work in flight completes. A nil ctx
-// means context.Background().
+// context's error is returned. Work in flight completes.
 func ForEach(ctx context.Context, n, workers int, fn func(i int)) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if n == 0 {
 		return ctx.Err()
 	}

@@ -64,13 +64,6 @@ func TestForEachZeroItems(t *testing.T) {
 	}
 }
 
-func TestForEachNilContext(t *testing.T) {
-	var ran atomic.Int32
-	if err := ForEach(nil, 5, 2, func(int) { ran.Add(1) }); err != nil || ran.Load() != 5 {
-		t.Fatalf("err=%v ran=%d, want nil and 5", err, ran.Load())
-	}
-}
-
 func TestWorkers(t *testing.T) {
 	if got := Workers(0); got < 1 {
 		t.Errorf("Workers(0) = %d, want >= 1", got)
