@@ -217,8 +217,9 @@ func TestClientSimulateDeploymentConflict(t *testing.T) {
 	}
 }
 
-// TestSuiteStreamMatchesSuite: streaming delivers exactly the cells of
-// the monolithic report, serialized to the callback.
+// TestSuiteStreamMatchesSuite: both streaming front ends deliver
+// exactly the cells of the monolithic report, serialized to the
+// callback, and SuiteObserved also returns that report byte for byte.
 func TestSuiteStreamMatchesSuite(t *testing.T) {
 	cli := newClient(t)
 	sp, _ := edmac.BuiltinScenario("ring-baseline")
@@ -233,32 +234,51 @@ func TestSuiteStreamMatchesSuite(t *testing.T) {
 		t.Fatalf("Suite: %v", err)
 	}
 
-	var mu sync.Mutex
-	inFlight := 0
-	got := map[string][]byte{}
-	err = cli.SuiteStream(ctx, req, func(cell edmac.SuiteCell) error {
-		mu.Lock()
-		inFlight++
-		if inFlight != 1 {
-			t.Error("callback invoked concurrently")
-		}
-		got[cell.Scenario+"/"+string(cell.Protocol)] = asJSON(t, cell)
-		inFlight--
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("SuiteStream: %v", err)
-	}
-	if len(got) != len(report.Cells) {
-		t.Fatalf("streamed %d cells, report has %d", len(got), len(report.Cells))
-	}
-	for _, cell := range report.Cells {
-		key := cell.Scenario + "/" + string(cell.Protocol)
-		want := asJSON(t, cell)
-		if string(got[key]) != string(want) {
-			t.Errorf("%s: streamed cell differs from report cell", key)
-		}
+	for _, tc := range []struct {
+		name string
+		// stream plays req, delivering cells to fn; it returns the
+		// monolithic report, or nil when the front end has none.
+		stream func(fn func(edmac.SuiteCell) error) (*edmac.SuiteReport, error)
+	}{
+		{"SuiteStream", func(fn func(edmac.SuiteCell) error) (*edmac.SuiteReport, error) {
+			return nil, cli.SuiteStream(ctx, req, fn)
+		}},
+		{"SuiteObserved", func(fn func(edmac.SuiteCell) error) (*edmac.SuiteReport, error) {
+			return cli.SuiteObserved(ctx, req, fn)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			inFlight := 0
+			got := map[string][]byte{}
+			observed, err := tc.stream(func(cell edmac.SuiteCell) error {
+				mu.Lock()
+				inFlight++
+				if inFlight != 1 {
+					t.Error("callback invoked concurrently")
+				}
+				got[cell.Scenario+"/"+string(cell.Protocol)] = asJSON(t, cell)
+				inFlight--
+				mu.Unlock()
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if len(got) != len(report.Cells) {
+				t.Fatalf("streamed %d cells, report has %d", len(got), len(report.Cells))
+			}
+			for _, cell := range report.Cells {
+				key := cell.Scenario + "/" + string(cell.Protocol)
+				want := asJSON(t, cell)
+				if string(got[key]) != string(want) {
+					t.Errorf("%s: streamed cell differs from report cell", key)
+				}
+			}
+			if observed != nil {
+				mustEqualJSON(t, report, observed, "SuiteObserved's report against Suite's")
+			}
+		})
 	}
 }
 
