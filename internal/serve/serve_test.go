@@ -227,27 +227,50 @@ func TestSimulateBuiltinScenario(t *testing.T) {
 	}
 }
 
-// TestSimulateBoundsLMACFrame: every simulated LMAC node keeps tables
-// with one entry per slot, so /v1/simulate refuses a frame above the
-// model's 128-slot maximum with 400 invalid_request, on the ring path
-// and on the scenario path alike, and runs a frame at the maximum.
+// TestSimulateBoundsLMACFrame: /v1/simulate refuses an LMAC frame with
+// 400 invalid_request, on the ring path and on the scenario path alike,
+// when it has more slots than the model's 128-slot maximum (every
+// simulated LMAC node keeps tables with one entry per slot) or a slot
+// strictly shorter than the model's slot-length minimum for the
+// deployment's radio and payload (control + CCA + data + turnaround,
+// below which nothing can be delivered). It runs a frame at the maximum
+// and a slot at the minimum.
 func TestSimulateBoundsLMACFrame(t *testing.T) {
 	ts, _ := newTestServer(t)
-	deployments := map[string]string{
-		"ring":     `"scenario":{"depth":3,"density":4,"sample_interval":120,"window":60,"payload":32,"radio":"cc2420"}`,
-		"scenario": `"scenario_name":"ring-baseline"`,
+	ring := func(radio string, payload int) string {
+		return fmt.Sprintf(`"scenario":{"depth":3,"density":4,"sample_interval":120,"window":60,"payload":%d,"radio":%q}`, payload, radio)
 	}
-	for name, deployment := range deployments {
-		for _, tc := range []struct{ slots, status int }{{20000, http.StatusBadRequest}, {128, http.StatusOK}} {
-			body := fmt.Sprintf(`{"protocol":"lmac",%s,"params":[%d,0.05],"options":{"duration":1,"seed":1}}`, deployment, tc.slots)
+	for _, d := range []struct {
+		name, deployment string
+		// minSlot is the slot-length minimum for the deployment's radio
+		// and payload, below is a microsecond less.
+		minSlot, below string
+	}{
+		{"ring cc2420/32", ring("cc2420", 32), "0.002464", "0.002463"},
+		{"ring cc1101/32", ring("cc1101", 32), "0.002672", "0.002671"},
+		{"ring cc1101/48", ring("cc1101", 48), "0.003184", "0.003183"},
+		{"scenario ring-baseline", `"scenario_name":"ring-baseline"`, "0.002464", "0.002463"},     // cc2420, 32 bytes
+		{"scenario disk-meadow", `"scenario_name":"disk-meadow"`, "0.002672", "0.002671"},         // cc1101, 32 bytes
+		{"scenario tunnel-sentinel", `"scenario_name":"tunnel-sentinel"`, "0.003184", "0.003183"}, // cc1101, 48 bytes
+	} {
+		for _, tc := range []struct {
+			params string
+			status int
+		}{
+			{"20000,0.05", http.StatusBadRequest},
+			{"128,0.05", http.StatusOK},
+			{"128," + d.below, http.StatusBadRequest},
+			{"128," + d.minSlot, http.StatusOK},
+		} {
+			body := fmt.Sprintf(`{"protocol":"lmac",%s,"params":[%s],"options":{"duration":1,"seed":1}}`, d.deployment, tc.params)
 			resp, data := postJSON(t, ts.URL+"/v1/simulate", body)
 			if resp.StatusCode != tc.status {
-				t.Errorf("%s path, %d slots: status = %d (%s), want %d", name, tc.slots, resp.StatusCode, data, tc.status)
+				t.Errorf("%s, params [%s]: status = %d (%s), want %d", d.name, tc.params, resp.StatusCode, data, tc.status)
 				continue
 			}
 			if tc.status != http.StatusOK {
 				if code, _ := decodeEnvelope(t, data); code != "invalid_request" {
-					t.Errorf("%s path, %d slots: error code = %q, want invalid_request", name, tc.slots, code)
+					t.Errorf("%s, params [%s]: error code = %q, want invalid_request", d.name, tc.params, code)
 				}
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"github.com/edmac-project/edmac/internal/opt"
+	"github.com/edmac-project/edmac/internal/radio"
 	"github.com/edmac-project/edmac/internal/scenario"
 	"github.com/edmac-project/edmac/internal/sim"
 	"github.com/edmac-project/edmac/internal/topology"
@@ -178,7 +179,11 @@ func simulateScenario(ctx context.Context, p Protocol, sp ScenarioSpec, params [
 	if p == SCPMAC {
 		return SimReport{}, fmt.Errorf("edmac: scpmac is analytic-only; simulate xmac, bmac, dmac or lmac")
 	}
-	if err := checkFrame(p, params); err != nil {
+	prof, err := radio.Profile(sp.spec.Radio)
+	if err != nil {
+		return SimReport{}, err
+	}
+	if err := checkFrame(p, prof, sp.spec.Payload, params); err != nil {
 		return SimReport{}, err
 	}
 	o = o.withDefaults()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"github.com/edmac-project/edmac/internal/macmodel"
+	"github.com/edmac-project/edmac/internal/radio"
 	"github.com/edmac-project/edmac/internal/sim"
 	"github.com/edmac-project/edmac/internal/topology"
 )
@@ -236,7 +237,7 @@ func (rs ringSetup) config(p Protocol, params []float64, o SimOptions) (sim.Conf
 	if err != nil {
 		return sim.Config{}, err
 	}
-	if err := checkFrame(p, params); err != nil {
+	if err := checkFrame(p, rs.env.Radio, rs.env.Payload, params); err != nil {
 		return sim.Config{}, err
 	}
 	if rs.netErr != nil {
@@ -255,20 +256,31 @@ func (rs ringSetup) config(p Protocol, params []float64, o SimOptions) (sim.Conf
 }
 
 // checkFrame rejects an LMAC vector whose frame has more slots than the
-// model's frame-slots maximum. Every simulated LMAC node keeps tables
-// with one entry per slot, so an unbounded frame would let one small
-// request size the server's memory; no bargain lies beyond the maximum,
-// which does not depend on the environment.
-func checkFrame(p Protocol, params []float64) error {
+// model's frame-slots maximum, or whose slot is shorter than the model's
+// slot-length minimum for the run's radio and payload. Every simulated
+// LMAC node keeps tables with one entry per slot, so an unbounded frame
+// would let one small request size the server's memory. Below the
+// minimum (control + CCA + data + turnaround) every section outlasts its
+// slot and nothing can be delivered. No bargain lies beyond either
+// bound, and neither depends on the rings or the traffic; slot counts
+// below the model's minimum stay allowed as what-ifs.
+func checkFrame(p Protocol, r radio.Radio, payload int, params []float64) error {
 	if p != LMAC || len(params) == 0 {
 		return nil
 	}
-	m, err := macmodel.NewLMAC(macmodel.Default())
+	env := macmodel.Default()
+	env.Radio, env.Payload = r, payload
+	m, err := macmodel.NewLMAC(env)
 	if err != nil {
 		return err
 	}
-	if spec := m.Params()[0]; params[0] > spec.Max {
-		return fmt.Errorf("edmac: lmac %s %v exceeds the model's maximum of %v %s", spec.Name, params[0], spec.Max, spec.Unit)
+	slots, slot := m.Params()[0], m.Params()[1]
+	if params[0] > slots.Max {
+		return fmt.Errorf("edmac: lmac %s %v exceeds the model's maximum of %v %s", slots.Name, params[0], slots.Max, slots.Unit)
+	}
+	if len(params) > 1 && params[1] < slot.Min {
+		return fmt.Errorf("edmac: lmac %s %v is below the model's minimum of %v %s for %s at %d-byte payloads",
+			slot.Name, params[1], slot.Min, slot.Unit, r.Name, payload)
 	}
 	return nil
 }
