@@ -24,8 +24,9 @@ func newStore(t *testing.T, o Options) *Store {
 	return s
 }
 
-// await follows j's event log to its terminal event, as serve's
-// result handler does, and returns the job's result and error.
+// await follows j's event log to its terminal event and then reads the
+// job's result and error: the two calls behind serve's events and
+// result endpoints.
 func await(t *testing.T, j *Job) (any, error) {
 	t.Helper()
 	if err := j.Events(context.Background(), 0, func(Event) error { return nil }); err != nil {

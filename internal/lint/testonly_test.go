@@ -121,13 +121,13 @@ func qualifiedName(fn *types.Func, module string) string {
 	return pkg + "." + fn.Name()
 }
 
-// interfaceMethods returns the methods that some named type declared
-// in the packages provides to an interface it implements: for each such
-// type and each non-empty interface its pointer type implements, the
-// method its method set (promoted methods included) resolves each of
-// the interface's names to. The interfaces are every interface the
-// packages declare or write inline, every interface the packages they
-// import (transitively) declare at package level, and error.
+// interfaceMethods returns the methods that named types declared in
+// the packages provide to interfaces: for each type whose pointer
+// implements a non-empty interface, the method, promoted or its own,
+// that each of the interface's names selects on it. The interfaces are
+// every interface the packages declare or write inline, every interface
+// the packages they import (transitively) declare at package level, and
+// error.
 func interfaceMethods(pkgs []*Package) map[*types.Func]bool {
 	var ifaces []*types.Interface
 	seenIface := make(map[*types.Interface]bool)
