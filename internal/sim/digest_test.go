@@ -23,7 +23,7 @@ import (
 // be a pure refactor or speedup of the simulator must leave it
 // unchanged; a change that moves a result on purpose updates it in the
 // same commit and says why.
-const simDigest = "5f14d7824ae13b3e"
+const simDigest = "c64dc6f5b3766712"
 
 // digestDuration is the simulated length of every digest run.
 const digestDuration = 60.0
@@ -43,8 +43,8 @@ var digestProtocols = []struct {
 	{"lmac", opt.Vector{12, 0.05}, opt.Vector{14, 0.04}, 0.015},
 }
 
-// digestTraffic spans idle, light and heavy periodic sampling (the
-// legacy generator) and a bursty model. Heavy traffic puts neighbour
+// digestTraffic spans idle, light and heavy periodic sampling
+// (traffic.Periodic) and a bursty model. Heavy traffic puts neighbour
 // transmissions and arrivals both inside and between poll windows.
 var digestTraffic = []struct {
 	name  string
@@ -52,8 +52,8 @@ var digestTraffic = []struct {
 	model traffic.Model
 }{
 	{"none", 0, nil},
-	{"light", 0.02, nil},
-	{"heavy", 0.25, nil},
+	{"light", 0, traffic.Periodic{Rate: 0.02}},
+	{"heavy", 0, traffic.Periodic{Rate: 0.25}},
 	{"bursty", 0, traffic.Bursty{PeakRate: 2, OnMean: 4, OffMean: 16}},
 }
 
