@@ -2,6 +2,8 @@ package edmac_test
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -23,12 +25,39 @@ var simParams = map[edmac.Protocol][]float64{
 	edmac.LMAC: {15, 0.05},
 }
 
+// ringSpec spells a ring scenario out as an inline declarative spec:
+// ring topology, periodic traffic at 1/SampleInterval, and the same
+// radio, payload and window.
+func ringSpec(t *testing.T, s edmac.Scenario) edmac.ScenarioSpec {
+	t.Helper()
+	data, err := json.Marshal(map[string]any{
+		"version":  1,
+		"name":     "ring-scenario",
+		"topology": map[string]any{"kind": "ring", "depth": s.Depth, "density": s.Density},
+		"traffic":  map[string]any{"kind": "periodic", "rate": 1 / s.SampleInterval},
+		"radio":    s.Radio,
+		"payload":  s.Payload,
+		"window":   s.Window,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := edmac.ParseScenario(data)
+	if err != nil {
+		t.Fatalf("ParseScenario: %v", err)
+	}
+	return sp
+}
+
 // Client.Batch must reproduce sequential Simulate calls byte for byte,
-// across every simulable protocol and several seeds.
+// across every simulable protocol and several seeds. Both must also
+// encode exactly as a Simulate of the equivalent inline spec: a ring
+// scenario and a ring spec are one workload.
 func TestSimulateBatchMatchesSequential(t *testing.T) {
 	cli := newClient(t)
 	ctx := context.Background()
 	s := batchScenario()
+	spec := ringSpec(t, s)
 	var runs []edmac.BatchRun
 	for _, p := range []edmac.Protocol{edmac.XMAC, edmac.BMAC, edmac.DMAC, edmac.LMAC} {
 		for seed := int64(1); seed <= 2; seed++ {
@@ -60,6 +89,15 @@ func TestSimulateBatchMatchesSequential(t *testing.T) {
 			t.Errorf("run %d (%s seed %d): batch report differs from sequential\nwant %+v\ngot  %+v",
 				i, runs[i].Protocol, runs[i].Options.Seed, want.Sim, out.Report)
 		}
+		viaSpec, err := cli.Simulate(ctx, edmac.SimulateRequest{
+			Protocol: runs[i].Protocol, Spec: &spec, Params: runs[i].Params, Options: runs[i].Options,
+		})
+		if err != nil {
+			t.Fatalf("spec run %d: %v", i, err)
+		}
+		what := fmt.Sprintf("run %d (%s seed %d)", i, runs[i].Protocol, runs[i].Options.Seed)
+		mustEqualJSON(t, viaSpec.Sim, want.Sim, what+": ring scenario vs inline spec")
+		mustEqualJSON(t, viaSpec.Sim, out.Report, what+": batch vs inline spec")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"github.com/edmac-project/edmac/internal/opt"
 	"github.com/edmac-project/edmac/internal/radio"
 	"github.com/edmac-project/edmac/internal/topology"
+	"github.com/edmac-project/edmac/internal/traffic"
 )
 
 // batchConfigs builds one runnable config per protocol plus seed
@@ -35,11 +36,11 @@ func batchConfigs(t *testing.T) []Config {
 		t.Fatalf("Profile: %v", err)
 	}
 	base := Config{
-		Network:    net,
-		Radio:      prof,
-		SampleRate: 1.0 / 60,
-		Payload:    32,
-		Duration:   300,
+		Network:  net,
+		Radio:    prof,
+		Traffic:  traffic.Periodic{Rate: 1.0 / 60},
+		Payload:  32,
+		Duration: 300,
 	}
 	params := map[string]opt.Vector{
 		"xmac": {0.25},

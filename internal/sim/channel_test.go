@@ -9,6 +9,7 @@ import (
 	"github.com/edmac-project/edmac/internal/opt"
 	"github.com/edmac-project/edmac/internal/radio"
 	"github.com/edmac-project/edmac/internal/topology"
+	"github.com/edmac-project/edmac/internal/traffic"
 )
 
 // lossyLine builds a line network whose every link carries the given
@@ -191,14 +192,14 @@ func TestSinkDeduplicatesDeliveries(t *testing.T) {
 	// Asymmetric loss: data (1 → 0) always decodes, ACKs (0 → 1) never.
 	net.SetLink(0, 1, 0, 0)
 	cfg := Config{
-		Protocol:   "bmac",
-		Network:    net,
-		Radio:      radio.CC2420(),
-		Params:     opt.Vector{0.1},
-		SampleRate: 0.05,
-		Payload:    32,
-		Duration:   60,
-		Seed:       3,
+		Protocol: "bmac",
+		Network:  net,
+		Radio:    radio.CC2420(),
+		Params:   opt.Vector{0.1},
+		Traffic:  traffic.Periodic{Rate: 0.05},
+		Payload:  32,
+		Duration: 60,
+		Seed:     3,
 	}
 	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
@@ -266,15 +267,15 @@ func TestLossyRunDeterministic(t *testing.T) {
 	run := func(seed int64) string {
 		net := lossyLine(t, 3, 0.8)
 		res, err := RunContext(context.Background(), Config{
-			Protocol:   "xmac",
-			Network:    net,
-			Radio:      radio.CC2420(),
-			Params:     opt.Vector{0.2},
-			SampleRate: 0.05,
-			Payload:    32,
-			Duration:   120,
-			Seed:       seed,
-			Capture:    true,
+			Protocol: "xmac",
+			Network:  net,
+			Radio:    radio.CC2420(),
+			Params:   opt.Vector{0.2},
+			Traffic:  traffic.Periodic{Rate: 0.05},
+			Payload:  32,
+			Duration: 120,
+			Seed:     seed,
+			Capture:  true,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -48,13 +48,12 @@ var digestProtocols = []struct {
 // transmissions and arrivals both inside and between poll windows.
 var digestTraffic = []struct {
 	name  string
-	rate  float64
 	model traffic.Model
 }{
-	{"none", 0, nil},
-	{"light", 0, traffic.Periodic{Rate: 0.02}},
-	{"heavy", 0, traffic.Periodic{Rate: 0.25}},
-	{"bursty", 0, traffic.Bursty{PeakRate: 2, OnMean: 4, OffMean: 16}},
+	{"none", nil},
+	{"light", traffic.Periodic{Rate: 0.02}},
+	{"heavy", traffic.Periodic{Rate: 0.25}},
+	{"bursty", traffic.Bursty{PeakRate: 2, OnMean: 4, OffMean: 16}},
 }
 
 // digestModes are the run shapes: one regime, a phase boundary, churn,
@@ -123,9 +122,7 @@ func digestNetworks(t *testing.T) (perfect, lossy *topology.Network) {
 // digestRun executes one grid cell through the runner its entry point
 // would build and returns the runner too, so the test can read the
 // energy meters. Failure-free cells run as RunContext (fixed) or
-// RunPhasedContext (two-phase) would; the idle two-phase cell has no
-// traffic model to phase, so it takes the fault runner's path, as
-// RunFaultyContext without failures does.
+// RunPhasedContext (two-phase) would.
 func digestRun(cfg Config, mode string, b opt.Vector, capacity float64) (*Result, *runner, error) {
 	phases := []PhaseConfig{{Params: cfg.Params, Until: cfg.Duration}}
 	run := fixedRun
@@ -134,13 +131,6 @@ func digestRun(cfg Config, mode string, b opt.Vector, capacity float64) (*Result
 	case "two-phase":
 		phases = []PhaseConfig{{Params: cfg.Params, Until: 0.45 * cfg.Duration}, {Params: b, Until: cfg.Duration}}
 		run = phasedRun
-		if cfg.Traffic == nil {
-			if cfg.SampleRate > 0 {
-				cfg.Traffic = traffic.Periodic{Rate: cfg.SampleRate}
-			} else {
-				run = faultyRun
-			}
-		}
 	case "churn":
 		cfg.Failures = &FailureConfig{MTBF: 50, MTTR: 15}
 	case "battery":
@@ -196,15 +186,14 @@ func TestSimDigest(t *testing.T) {
 				for _, mode := range digestModes {
 					for _, seed := range []int64{1, 2} {
 						cfg := Config{
-							Protocol:   p.name,
-							Network:    perfect,
-							Radio:      prof,
-							Params:     p.a,
-							SampleRate: tr.rate,
-							Traffic:    tr.model,
-							Payload:    32,
-							Duration:   digestDuration,
-							Seed:       seed,
+							Protocol: p.name,
+							Network:  perfect,
+							Radio:    prof,
+							Params:   p.a,
+							Traffic:  tr.model,
+							Payload:  32,
+							Duration: digestDuration,
+							Seed:     seed,
 						}
 						if ch == "lossy" {
 							cfg.Network = lossy

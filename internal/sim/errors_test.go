@@ -96,8 +96,7 @@ func TestRunnerErrorText(t *testing.T) {
 		{"phased faulty no phases", phased, faulty, nil,
 			"sim: phased run needs at least one phase"},
 		{"phased no traffic", phased, func(c *Config) { c.Traffic = nil },
-			[]PhaseConfig{{Params: opt.Vector{0.3}, Until: 100}},
-			"sim: phased run needs a traffic model"},
+			[]PhaseConfig{{Params: opt.Vector{0.3}, Until: 100}}, ""},
 		{"phased faulty no traffic", phased, func(c *Config) { c.Traffic = nil; faulty(c) },
 			[]PhaseConfig{{Params: opt.Vector{0.3}, Until: 100}}, ""},
 		{"phased zero first phase", phased, nil,

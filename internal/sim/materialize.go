@@ -5,7 +5,6 @@ import (
 	"math"
 	"reflect"
 
-	"github.com/edmac-project/edmac/internal/lazyrand"
 	"github.com/edmac-project/edmac/internal/topology"
 	"github.com/edmac-project/edmac/internal/traffic"
 )
@@ -32,11 +31,10 @@ import (
 // fresh by its methods. A stale or mismatched Shared therefore never
 // changes results, only how much setup work a run re-does.
 type Materialized struct {
-	net        *topology.Network
-	seed       int64
-	duration   float64
-	sampleRate float64
-	traffic    traffic.Model
+	net      *topology.Network
+	seed     int64
+	duration float64
+	traffic  traffic.Model
 
 	// Structural tables, valid for any run over net. linkPRR[from][k]
 	// and linkGain[from][k] describe the directed link from → nbrs[from][k].
@@ -86,15 +84,14 @@ func newWorld(cfg *Config) *Materialized {
 	net := cfg.Network
 	n := net.N()
 	m := &Materialized{
-		net:        net,
-		seed:       cfg.Seed,
-		duration:   cfg.Duration,
-		sampleRate: cfg.SampleRate,
-		traffic:    cfg.Traffic,
-		nbrs:       make([][]topology.NodeID, n),
-		parents:    make([]topology.NodeID, n),
-		depth:      net.Depth(),
-		arrivals:   arrivalSchedules(*cfg),
+		net:      net,
+		seed:     cfg.Seed,
+		duration: cfg.Duration,
+		traffic:  cfg.Traffic,
+		nbrs:     make([][]topology.NodeID, n),
+		parents:  make([]topology.NodeID, n),
+		depth:    net.Depth(),
+		arrivals: arrivalSchedules(*cfg),
 	}
 	for i := 0; i < n; i++ {
 		id := topology.NodeID(i)
@@ -136,40 +133,17 @@ func slotPlan(net *topology.Network, frameSlots int) ([]int, []bool, error) {
 	return slots, occupied, nil
 }
 
-// arrivalSchedules materializes every node's full arrival schedule,
-// indexed by node (the sink's is nil). With a traffic model each is the
-// model's own schedule; otherwise it is the phase-shifted periodic
-// generator at SampleRate: a uniform phase in [0, period) drawn from the
-// node's generator stream, then the period accumulated in float
-// arithmetic up to the run length. The periodic schedules share one
-// backing array sized up front (the phase is below one period, so a
-// node has at most Duration/period + 1 instants, plus one for rounding)
-// and one reseeded generator, so the whole set costs a few allocations.
-// The generator is math/rand's, bit for bit, built by lazyrand, so a
-// reseed costs O(1) and a node's one phase draw computes two state
-// words instead of seeding all 607.
+// arrivalSchedules materializes every node's full arrival schedule
+// from cfg.Traffic, indexed by node (the sink's is nil). Without a
+// traffic model no node samples, and every schedule is nil.
 func arrivalSchedules(cfg Config) [][]float64 {
 	n := cfg.Network.N()
 	all := make([][]float64, n)
-	if cfg.Traffic != nil {
-		for i := 1; i < n; i++ {
-			all[i] = cfg.Traffic.Arrivals(cfg.Network, topology.NodeID(i), cfg.Seed, cfg.Duration)
-		}
+	if cfg.Traffic == nil {
 		return all
 	}
-	if cfg.SampleRate <= 0 || n < 2 {
-		return all
-	}
-	period := 1 / cfg.SampleRate
-	buf := make([]float64, 0, (n-1)*(int(cfg.Duration/period)+2))
-	genRng := lazyrand.New(0)
 	for i := 1; i < n; i++ {
-		genRng.Seed(cfg.Seed ^ (int64(i)*2654435761 + 7))
-		start := len(buf)
-		for t := genRng.Float64() * period; t <= cfg.Duration; t += period {
-			buf = append(buf, t)
-		}
-		all[i] = buf[start:len(buf):len(buf)]
+		all[i] = cfg.Traffic.Arrivals(cfg.Network, topology.NodeID(i), cfg.Seed, cfg.Duration)
 	}
 	return all
 }
@@ -185,8 +159,7 @@ func (m *Materialized) fits(cfg *Config) bool {
 // fits: its own when they were derived for the same seed, duration and
 // workload, fresh ones otherwise.
 func (m *Materialized) arrivalsFor(cfg *Config) [][]float64 {
-	if m.seed != cfg.Seed || m.duration != cfg.Duration || m.sampleRate != cfg.SampleRate ||
-		!reflect.DeepEqual(m.traffic, cfg.Traffic) {
+	if m.seed != cfg.Seed || m.duration != cfg.Duration || !reflect.DeepEqual(m.traffic, cfg.Traffic) {
 		return arrivalSchedules(*cfg)
 	}
 	return m.arrivals

@@ -25,7 +25,7 @@ func TestMaterializedEquivalence(t *testing.T) {
 	}{
 		{"xmac periodic lossy capture", Config{
 			Protocol: "xmac", Network: lossy, Radio: radio.CC2420(),
-			Params: opt.Vector{0.2}, SampleRate: 0.05, Payload: 32,
+			Params: opt.Vector{0.2}, Traffic: traffic.Periodic{Rate: 0.05}, Payload: 32,
 			Duration: 120, Seed: 11, Capture: true,
 		}, nil},
 		{"lmac traffic", Config{
@@ -44,7 +44,7 @@ func TestMaterializedEquivalence(t *testing.T) {
 		}},
 		{"xmac faulty battery", Config{
 			Protocol: "xmac", Network: phasedSimNetwork(t), Radio: radio.CC2420(),
-			Params: opt.Vector{0.2}, SampleRate: 0.05, Payload: 32,
+			Params: opt.Vector{0.2}, Traffic: traffic.Periodic{Rate: 0.05}, Payload: 32,
 			Duration: 200, Seed: 7,
 			Failures: &FailureConfig{MTBF: 80, MTTR: 30},
 			Battery:  &BatteryConfig{Capacity: 0.5},
@@ -98,7 +98,7 @@ func TestMaterializedEquivalence(t *testing.T) {
 	gains := gainLine(t)
 	capture := Config{
 		Protocol: "xmac", Network: gains, Radio: radio.CC2420(),
-		Params: opt.Vector{0.2}, SampleRate: 0.5, Payload: 32,
+		Params: opt.Vector{0.2}, Traffic: traffic.Periodic{Rate: 0.5}, Payload: 32,
 		Duration: 120, Seed: 13, Capture: true,
 	}
 	noCapture := capture
@@ -106,7 +106,7 @@ func TestMaterializedEquivalence(t *testing.T) {
 	twin := lossyLine(t, 4, 0.8)
 	onTwin := Config{
 		Protocol: "bmac", Network: lossyLine(t, 4, 0.8), Radio: radio.CC2420(),
-		Params: opt.Vector{0.2}, SampleRate: 0.05, Payload: 32,
+		Params: opt.Vector{0.2}, Traffic: traffic.Periodic{Rate: 0.05}, Payload: 32,
 		Duration: 120, Seed: 17,
 	}
 	twinWorld := onTwin

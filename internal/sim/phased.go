@@ -33,9 +33,9 @@ type PhaseConfig struct {
 // boundary, Until] belong to a phase; an arrival exactly on the boundary
 // still fires under the old regime (the engine processes events at the
 // horizon), and its packet rides the queue into the next one.
-// cfg.Params is ignored; cfg.Traffic must be set (phased runs replay a
-// precomputed schedule, typically a traffic.Phased model aligned with
-// the same boundaries). A config that injects failures runs under
+// cfg.Params is ignored. cfg.Traffic is typically a traffic.Phased
+// model aligned with the same boundaries; nil means no node samples, as
+// in RunContext. A config that injects failures runs under
 // RunFaultyContext's contract.
 //
 // A one-phase call reproduces RunContext bit for bit — same events, same
@@ -47,9 +47,6 @@ func RunPhasedContext(ctx context.Context, cfg Config, phases []PhaseConfig) (*R
 	}
 	if cfg.faulty() {
 		return RunFaultyContext(ctx, cfg, phases, nil)
-	}
-	if cfg.Traffic == nil {
-		return nil, fmt.Errorf("sim: phased run needs a traffic model")
 	}
 	if err := validatePhases(cfg, phases); err != nil {
 		return nil, err

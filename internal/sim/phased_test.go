@@ -39,7 +39,8 @@ func phasedSimConfig(t *testing.T, m traffic.Model, duration float64) Config {
 	}
 }
 
-// TestRunPhasedValidation exercises the rejection cases.
+// TestRunPhasedValidation exercises the rejection cases and accepts a
+// run without a traffic model, in which no node samples.
 func TestRunPhasedValidation(t *testing.T) {
 	cfg := phasedSimConfig(t, traffic.Periodic{Rate: 0.05}, 100)
 	cases := []struct {
@@ -48,8 +49,6 @@ func TestRunPhasedValidation(t *testing.T) {
 		phases []PhaseConfig
 	}{
 		{"no phases", nil, nil},
-		{"no traffic", func(c *Config) { c.Traffic = nil },
-			[]PhaseConfig{{Params: opt.Vector{0.3}, Until: 100}}},
 		{"non-increasing", nil, []PhaseConfig{
 			{Params: opt.Vector{0.3}, Until: 50}, {Params: opt.Vector{0.2}, Until: 50}}},
 		{"short of duration", nil, []PhaseConfig{{Params: opt.Vector{0.3}, Until: 60}}},
@@ -64,6 +63,15 @@ func TestRunPhasedValidation(t *testing.T) {
 		if _, err := RunPhasedContext(context.Background(), c, tc.phases); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+	idle := cfg
+	idle.Traffic = nil
+	res, err := RunPhasedContext(context.Background(), idle, []PhaseConfig{{Params: opt.Vector{0.3}, Until: 100}})
+	if err != nil {
+		t.Fatalf("no traffic: rejected: %v", err)
+	}
+	if g := res.Metrics.Generated(); g != 0 {
+		t.Errorf("no traffic: generated %d packets, want 0", g)
 	}
 }
 

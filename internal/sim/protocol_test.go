@@ -8,6 +8,7 @@ import (
 	"github.com/edmac-project/edmac/internal/opt"
 	"github.com/edmac-project/edmac/internal/radio"
 	"github.com/edmac-project/edmac/internal/topology"
+	"github.com/edmac-project/edmac/internal/traffic"
 )
 
 // lineConfig builds a small chain scenario with moderate traffic so runs
@@ -18,15 +19,19 @@ func lineConfig(t *testing.T, protocol string, params opt.Vector, hops int, rate
 	if err != nil {
 		t.Fatalf("Line: %v", err)
 	}
+	var tr traffic.Model // rate 0: no node samples
+	if rate > 0 {
+		tr = traffic.Periodic{Rate: rate}
+	}
 	return Config{
-		Protocol:   protocol,
-		Network:    net,
-		Radio:      radio.CC2420(),
-		Params:     params,
-		SampleRate: rate,
-		Payload:    32,
-		Duration:   duration,
-		Seed:       42,
+		Protocol: protocol,
+		Network:  net,
+		Radio:    radio.CC2420(),
+		Params:   params,
+		Traffic:  tr,
+		Payload:  32,
+		Duration: duration,
+		Seed:     42,
 	}
 }
 

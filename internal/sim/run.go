@@ -26,14 +26,10 @@ type Config struct {
 	Radio radio.Radio
 	// Params is the protocol parameter vector (macmodel coordinates).
 	Params opt.Vector
-	// SampleRate is the per-node application rate in packets/second. It
-	// drives the legacy phase-shifted periodic generator and is ignored
-	// when Traffic is set.
-	SampleRate float64
-	// Traffic optionally replaces the periodic generator with a traffic
-	// model: every node replays the model's precomputed arrival schedule
-	// (bursty, event-correlated, heterogeneous, ...). The schedules are
-	// derived from Seed, keeping runs exactly reproducible.
+	// Traffic is the application workload: every node replays the
+	// model's precomputed arrival schedule (periodic, bursty,
+	// event-correlated, heterogeneous, ...), derived from Seed so runs
+	// stay exactly reproducible. Nil means no node samples.
 	Traffic traffic.Model
 	// Payload is the application payload in bytes.
 	Payload int
@@ -94,9 +90,6 @@ func (c Config) Validate() error {
 		if p <= 0 || math.IsNaN(p) || math.IsInf(p, 0) {
 			return fmt.Errorf("sim: parameter %d = %v must be positive and finite", i, p)
 		}
-	}
-	if c.SampleRate < 0 {
-		return fmt.Errorf("sim: sample rate %v must be non-negative", c.SampleRate)
 	}
 	if c.Traffic != nil {
 		if err := c.Traffic.Validate(); err != nil {

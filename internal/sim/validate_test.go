@@ -8,6 +8,7 @@ import (
 	"github.com/edmac-project/edmac/internal/macmodel"
 	"github.com/edmac-project/edmac/internal/opt"
 	"github.com/edmac-project/edmac/internal/topology"
+	"github.com/edmac-project/edmac/internal/traffic"
 )
 
 // The cross-validation experiments: run each protocol at packet level on
@@ -55,7 +56,16 @@ func checkBand(t *testing.T, what string, measured, predicted float64) {
 	}
 }
 
-func validate(t *testing.T, protocol string, x opt.Vector, rate, duration float64) {
+// minDelivery is the mean delivery ratio below which a validation run
+// is too lossy for a meaningful comparison.
+const minDelivery = 0.9
+
+// validate simulates x at rate for duration on the validation rings,
+// once per seed, and checks the means over the seeds: the delivery
+// ratio must reach minDelivery, and the bottleneck energy and the
+// outer-ring delay must fall inside the validation band around the
+// model's.
+func validate(t *testing.T, protocol string, x opt.Vector, rate, duration float64, seeds ...int64) {
 	t.Helper()
 	env := validationEnv(rate)
 	net := validationNet(t, env)
@@ -63,39 +73,46 @@ func validate(t *testing.T, protocol string, x opt.Vector, rate, duration float6
 	if err != nil {
 		t.Fatalf("model: %v", err)
 	}
-	res, err := RunContext(context.Background(), Config{
-		Protocol:   protocol,
-		Network:    net,
-		Radio:      env.Radio,
-		Params:     x,
-		SampleRate: env.SampleRate,
-		Payload:    env.Payload,
-		Duration:   duration,
-		Seed:       7,
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if ratio := res.Metrics.DeliveryRatio(); ratio < 0.7 {
-		t.Fatalf("delivery ratio %v too low for a meaningful comparison (collisions %d, dropped %d)",
-			ratio, res.Collisions, res.Metrics.Dropped())
-	}
-
-	measuredE := res.MeanRingEnergyPerWindow(net, 1, env.Window)
-	predictedE := model.Energy(x)
-	checkBand(t, protocol+" bottleneck energy/window", measuredE, predictedE)
-
 	outer := env.Rings.Depth
-	measuredL := res.Metrics.MeanDelayFrom(func(id topology.NodeID) bool { return net.Ring(id) == outer })
-	predictedL := model.Delay(x)
-	checkBand(t, protocol+" outer-ring delay", measuredL, predictedL)
+	var delivery, energy, delay float64
+	var collisions, dropped int
+	for _, seed := range seeds {
+		res, err := RunContext(context.Background(), Config{
+			Protocol: protocol,
+			Network:  net,
+			Radio:    env.Radio,
+			Params:   x,
+			Traffic:  traffic.Periodic{Rate: env.SampleRate},
+			Payload:  env.Payload,
+			Duration: duration,
+			Seed:     seed,
+		})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		delivery += res.Metrics.DeliveryRatio()
+		energy += res.MeanRingEnergyPerWindow(net, 1, env.Window)
+		delay += res.Metrics.MeanDelayFrom(func(id topology.NodeID) bool { return net.Ring(id) == outer })
+		collisions += res.Collisions
+		dropped += res.Metrics.Dropped()
+	}
+	n := float64(len(seeds))
+	if ratio := delivery / n; ratio < minDelivery {
+		t.Fatalf("mean delivery ratio %v too low for a meaningful comparison (collisions %d, dropped %d)",
+			ratio, collisions, dropped)
+	}
+	checkBand(t, protocol+" bottleneck energy/window", energy/n, model.Energy(x))
+	checkBand(t, protocol+" outer-ring delay", delay/n, model.Delay(x))
 }
 
 func TestValidateXMAC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("validation runs take seconds")
 	}
-	validate(t, "xmac", opt.Vector{0.25}, 1.0/120, 1800)
+	validate(t, "xmac", opt.Vector{0.25}, 1.0/120, 1800, 7)
+	// BenchmarkSimulatorEventRate's configuration, strobe-heavy: a
+	// 300 s run is noisy per seed, so judge the mean of ten.
+	validate(t, "xmac", opt.Vector{0.5}, 1.0/120, 300, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
 }
 
 func TestValidateDMAC(t *testing.T) {
@@ -104,7 +121,7 @@ func TestValidateDMAC(t *testing.T) {
 	}
 	// Each ring shares a single transmit slot per frame, so DMAC needs a
 	// lower offered load than the others to stay collision-free.
-	validate(t, "dmac", opt.Vector{1.0, 0.005}, 1.0/600, 3600)
+	validate(t, "dmac", opt.Vector{1.0, 0.005}, 1.0/600, 3600, 7)
 }
 
 func TestValidateBMAC(t *testing.T) {
@@ -113,7 +130,7 @@ func TestValidateBMAC(t *testing.T) {
 	}
 	// Full-interval preambles occupy the channel heavily; keep the rate
 	// low enough for the collision-free analytic model to apply.
-	validate(t, "bmac", opt.Vector{0.2}, 1.0/600, 3600)
+	validate(t, "bmac", opt.Vector{0.2}, 1.0/600, 3600, 7)
 }
 
 func TestValidateLMAC(t *testing.T) {
@@ -125,7 +142,7 @@ func TestValidateLMAC(t *testing.T) {
 	// Use the smallest schedulable frame so the analytic "listen to all
 	// control sections" assumption matches the occupied-slot reality.
 	slots := net.MinSlots()
-	validate(t, "lmac", opt.Vector{float64(slots), 0.02}, 1.0/120, 1800)
+	validate(t, "lmac", opt.Vector{float64(slots), 0.02}, 1.0/120, 1800, 7)
 }
 
 // TestValidationEnergyOrdering runs the protocols at operating points
@@ -143,14 +160,14 @@ func TestValidationEnergyOrdering(t *testing.T) {
 		env := validationEnv(rate)
 		net := validationNet(t, env)
 		res, err := RunContext(context.Background(), Config{
-			Protocol:   protocol,
-			Network:    net,
-			Radio:      env.Radio,
-			Params:     x,
-			SampleRate: env.SampleRate,
-			Payload:    env.Payload,
-			Duration:   900,
-			Seed:       11,
+			Protocol: protocol,
+			Network:  net,
+			Radio:    env.Radio,
+			Params:   x,
+			Traffic:  traffic.Periodic{Rate: env.SampleRate},
+			Payload:  env.Payload,
+			Duration: 900,
+			Seed:     11,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", protocol, err)

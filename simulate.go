@@ -9,6 +9,7 @@ import (
 	"github.com/edmac-project/edmac/internal/radio"
 	"github.com/edmac-project/edmac/internal/sim"
 	"github.com/edmac-project/edmac/internal/topology"
+	"github.com/edmac-project/edmac/internal/traffic"
 )
 
 // SimOptions configure a packet-level simulation run.
@@ -244,14 +245,14 @@ func (rs ringSetup) config(p Protocol, params []float64, o SimOptions) (sim.Conf
 		return sim.Config{}, rs.netErr
 	}
 	return sim.Config{
-		Protocol:   string(p),
-		Network:    rs.net,
-		Radio:      rs.env.Radio,
-		Params:     x,
-		SampleRate: rs.env.SampleRate,
-		Payload:    rs.env.Payload,
-		Duration:   o.Duration,
-		Seed:       o.Seed,
+		Protocol: string(p),
+		Network:  rs.net,
+		Radio:    rs.env.Radio,
+		Params:   x,
+		Traffic:  traffic.Periodic{Rate: rs.env.SampleRate},
+		Payload:  rs.env.Payload,
+		Duration: o.Duration,
+		Seed:     o.Seed,
 	}, nil
 }
 
