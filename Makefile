@@ -24,7 +24,7 @@ GATE_TOL   ?= 0.15
 
 FUZZTIME ?= 30s
 
-.PHONY: build test race vet fmt lint lint-escape escape-golden api-golden gate-coverage print-gate-bench perfbench-check examples fuzz bench bench-gate bench-baseline suite golden suite-golden check fix-check
+.PHONY: build test race vet fmt lint lint-escape escape-golden api-golden gate-coverage print-gate-bench perfbench-check examples fuzz bench bench-gate bench-baseline suite golden suite-golden check fix-check loc
 
 build:
 	$(GO) build ./...
@@ -98,6 +98,12 @@ check: fmt lint lint-escape build test suite examples perfbench-check
 # escape golden, build, tests, the suite golden, the examples, the
 # benchmark module. Alias of check, named for intent.
 fix-check: check
+
+# The two line counts a simplifying change reports: tracked non-test Go
+# and tracked test Go, both outside the benchmark module in perfbench/.
+loc:
+	@echo "non-test Go: $$(git ls-files -z -- '*.go' ':!:*_test.go' ':!:perfbench/' | xargs -0 cat | wc -l)"
+	@echo "test Go:     $$(git ls-files -z -- '*_test.go' ':!:perfbench/' | xargs -0 cat | wc -l)"
 
 # Fuzz the strict scenario parser, then the job store's reload of spill
 # files, FUZZTIME each (bump it for longer local campaigns; CI runs the

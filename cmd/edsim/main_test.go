@@ -2,6 +2,9 @@ package main
 
 import (
 	"context"
+	"io"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -35,6 +38,45 @@ func TestRunSubcommands(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestReplicatedValidateReportsAnalyticError: with -reps, parameters the
+// analytic model rejects print the evaluation error where the
+// comparison table would be, instead of dropping the table silently.
+func TestReplicatedValidateReportsAnalyticError(t *testing.T) {
+	out := captureStdout(t, func() error {
+		return run(context.Background(), []string{"validate", "-protocol", "xmac", "-params", "12",
+			"-depth", "2", "-density", "2", "-duration", "200", "-reps", "2"})
+	})
+	if !strings.Contains(out, "outside the admissible box") {
+		t.Errorf("validate -reps output lacks the evaluation error:\n%s", out)
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected and returns what it
+// printed, failing the test if f returns an error.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	printed := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		printed <- b
+	}()
+	ferr := f()
+	os.Stdout = stdout
+	w.Close()
+	out := <-printed
+	r.Close()
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	return string(out)
 }
 
 func TestParseParams(t *testing.T) {

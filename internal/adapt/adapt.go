@@ -44,10 +44,6 @@ type PhasePlan struct {
 
 // Plan is a full adaptive schedule for one (scenario, protocol) pair.
 type Plan struct {
-	// Protocol is the model name the plan was bargained for.
-	Protocol string
-	// Requirements echoes the application inputs of every re-play.
-	Requirements core.Requirements
 	// Phases holds one entry per phase window the run reaches, in
 	// chronological order.
 	Phases []PhasePlan
@@ -77,7 +73,7 @@ func PlanPhases(m *scenario.Materialized, protocol string, req core.Requirements
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	plan := &Plan{Protocol: protocol, Requirements: req}
+	plan := &Plan{}
 	for k, win := range phased.Windows(duration) {
 		if win.Duration() <= 0 {
 			continue

@@ -43,9 +43,6 @@ const DefaultCaptureDB = 3.0
 // Model is one link-quality family. Implementations are immutable
 // values; equal values describe equal channels.
 type Model interface {
-	// Kind returns the registry name ("perfect", "bernoulli",
-	// "shadowing").
-	Kind() string
 	// Validate reports whether the parameters are usable.
 	Validate() error
 	// Link returns the PRR and gain (in dB, relative to the decode
@@ -61,9 +58,6 @@ type Model interface {
 // unit PRRs (leaving the network non-lossy, so legacy runs stay
 // byte-identical) with path-loss gains for the capture comparison.
 type Perfect struct{}
-
-// Kind implements Model.
-func (Perfect) Kind() string { return "perfect" }
 
 // Validate implements Model.
 func (Perfect) Validate() error { return nil }
@@ -81,9 +75,6 @@ type Bernoulli struct {
 	// PRR is the per-frame delivery probability of every link, in (0, 1].
 	PRR float64
 }
-
-// Kind implements Model.
-func (Bernoulli) Kind() string { return "bernoulli" }
 
 // Validate implements Model.
 func (m Bernoulli) Validate() error {
@@ -135,9 +126,6 @@ type Shadowing struct {
 	// default 3.0.
 	WidthDB float64
 }
-
-// Kind implements Model.
-func (Shadowing) Kind() string { return "shadowing" }
 
 // withDefaults fills zero fields with the package defaults.
 func (m Shadowing) withDefaults() Shadowing {
@@ -298,11 +286,9 @@ func Apply(m Model, net *topology.Network, seed int64) error {
 				continue // one draw per undirected link
 			}
 			rng.Seed(LinkSeed(seed, a, b))
-			// Models see distances in radio-range units (a neighbour is
-			// always within (0, 1]), whatever absolute range the network
-			// was built with.
-			dist := net.Position(a).Dist(net.Position(b)) / net.RadioRange()
-			prr, gain := m.Link(dist, rng)
+			// Positions are in radio-range units, so a neighbour is
+			// always within (0, 1].
+			prr, gain := m.Link(net.Position(a).Dist(net.Position(b)), rng)
 			net.SetLink(a, b, prr, gain)
 			net.SetLink(b, a, prr, gain)
 		}

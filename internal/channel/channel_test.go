@@ -98,7 +98,7 @@ func TestModelValidation(t *testing.T) {
 	}
 	for _, m := range valid {
 		if err := m.Validate(); err != nil {
-			t.Errorf("%s: unexpected error %v", m.Kind(), err)
+			t.Errorf("%#v: unexpected error %v", m, err)
 		}
 	}
 	invalid := []Model{
@@ -111,13 +111,13 @@ func TestModelValidation(t *testing.T) {
 	}
 	for _, m := range invalid {
 		if err := m.Validate(); err == nil {
-			t.Errorf("%s %+v: validation passed, want error", m.Kind(), m)
+			t.Errorf("%#v: validation passed, want error", m)
 		}
 	}
 	if _, err := New("nonsense", Bernoulli{}, Shadowing{}); err == nil {
 		t.Error("New accepted an unknown kind")
 	}
-	if m, err := New("", Bernoulli{}, Shadowing{}); err != nil || m.Kind() != "perfect" {
+	if m, err := New("", Bernoulli{}, Shadowing{}); err != nil || m != (Perfect{}) {
 		t.Errorf("New(\"\") = %v, %v; want the perfect channel", m, err)
 	}
 }

@@ -50,10 +50,6 @@ type OperatingPoint struct {
 // Tradeoff is the complete result of playing the energy-delay game for
 // one protocol under one set of requirements.
 type Tradeoff struct {
-	// Protocol is the model name ("xmac", "dmac", "lmac", "bmac").
-	Protocol string
-	// Requirements echoes the inputs.
-	Requirements Requirements
 	// EnergyOptimal solves (P1): minimal energy subject to MaxDelay.
 	// Its metrics are the paper's (Ebest, Lworst).
 	EnergyOptimal OperatingPoint
@@ -122,8 +118,6 @@ func optimize(m macmodel.Model, req Requirements, relax bool) (Tradeoff, error) 
 	}
 	fA, fB := out.Fairness()
 	return Tradeoff{
-		Protocol:       m.Name(),
-		Requirements:   req,
 		EnergyOptimal:  pointOf(out.BestA),
 		DelayOptimal:   pointOf(out.BestB),
 		WorstEnergy:    out.DisagreementA,

@@ -44,9 +44,6 @@ func TestOptimizeInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Optimize: %v", name, err)
 		}
-		if tr.Protocol != name {
-			t.Errorf("%s: protocol = %q", name, tr.Protocol)
-		}
 		// P1 and P2 respect their own constraints.
 		if tr.EnergyOptimal.Delay > PaperMaxDelay+tol {
 			t.Errorf("%s: P1 delay %v exceeds Lmax", name, tr.EnergyOptimal.Delay)

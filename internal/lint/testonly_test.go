@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"path/filepath"
 	"sort"
@@ -9,25 +10,51 @@ import (
 	"testing"
 )
 
-// testOnlyExempt names the functions TestNoTestOnlyCode lets stand
-// although no non-test code references them.
+// testOnlyExempt names the functions, struct fields, struct types (all
+// of their fields) and interface methods TestNoTestOnlyCode lets stand
+// although no non-test code uses them.
 var testOnlyExempt = map[string]bool{
 	// The canonical protocol order: tests in four other packages range
 	// over it to cover every model, so moving it into one package's
 	// tests would copy it into the others.
 	"internal/macmodel.Names": true,
+	// The paper's per-component energy breakdown: model_test checks
+	// each model's Energy against the sum of its components bit for
+	// bit, so it is the reference implementation Energy is held to.
+	"internal/macmodel.Model.EnergyAt": true,
+	"internal/macmodel.Components":     true,
+	// Counts of the medium's pooled allocations: the crash-leak tests
+	// assert on them to show a crashed node's frames go back to the
+	// pools.
+	"internal/sim.Medium.txMade":     true,
+	"internal/sim.Medium.framesMade": true,
+	// A finished run's time in each radio state: TestSimDigest pins
+	// them, and they are the only way a test sees that split.
+	"internal/sim.Result.ListenTime": true,
+	"internal/sim.Result.TxTime":     true,
 }
 
-// TestNoTestOnlyCode fails on any function or method in non-test code
-// under internal/ or cmd/ that no non-test code references, so code
-// kept alive only by its own tests does not come back. A function's
-// references from its own body do not count. The benchmark module in
-// perfbench/ is loaded too, so its calls count. Two kinds are exempt:
-// methods some named type provides to a non-empty interface it
-// implements (promoted methods count), which callers may reach through
-// the interface, and the root package, whose exported surface the
-// apisurface golden pins. A method whose name merely matches an
-// interface's, on a type that does not implement it, is checked.
+// TestNoTestOnlyCode fails on code under internal/ or cmd/ that only
+// tests use, so code kept alive by its own tests does not come back.
+// It checks three kinds:
+//   - every function and method must be referenced by non-test code;
+//     a function's references from its own body do not count;
+//   - every field of a package-level struct type must be read by
+//     non-test code; a composite-literal key and the target of an
+//     assignment, op-assign, ++ or -- (through any index) only write
+//     it. Tagged fields, which encoding/json reads, and embedded
+//     fields are exempt;
+//   - every method of a package-level interface must be called, or
+//     taken as a method value, by non-test code, through the interface
+//     or through a type that implements it.
+//
+// The benchmark module in perfbench/ is loaded too, so its uses count.
+// The root package is not checked: the apisurface golden pins its
+// exported surface. The first check exempts methods some named type
+// provides to a non-empty interface it implements (promoted methods
+// count), which callers may reach through the interface; a method
+// whose name merely matches an interface's, on a type that does not
+// implement it, is checked.
 func TestNoTestOnlyCode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
@@ -53,10 +80,18 @@ func TestNoTestOnlyCode(t *testing.T) {
 
 	provided := interfaceMethods(pkgs)
 	used := make(map[*types.Func]bool)
+	read := make(map[*types.Var]bool)
 	var defined []*types.Func
+	var fields []namedField
+	var ifaces []*types.Interface
 	for _, p := range pkgs {
 		rel := strings.TrimPrefix(strings.TrimPrefix(p.Path, l.Module()), "/")
 		checked := strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/")
+		if checked {
+			fs, its := declaredTypes(p, rel)
+			fields, ifaces = append(fields, fs...), append(ifaces, its...)
+		}
+		writes := fieldWrites(p)
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
 				var self *types.Func
@@ -71,8 +106,15 @@ func TestNoTestOnlyCode(t *testing.T) {
 					if !ok {
 						return true
 					}
-					if fn, ok := p.Info.Uses[id].(*types.Func); ok && fn.Origin() != self {
-						used[fn.Origin()] = true
+					switch obj := p.Info.Uses[id].(type) {
+					case *types.Func:
+						if obj.Origin() != self {
+							used[obj.Origin()] = true
+						}
+					case *types.Var:
+						if obj.IsField() && !writes[id] {
+							read[obj.Origin()] = true
+						}
 					}
 					return true
 				})
@@ -80,16 +122,116 @@ func TestNoTestOnlyCode(t *testing.T) {
 		}
 	}
 
-	var unused []string
+	var findings []string
 	for _, fn := range defined {
 		if name := qualifiedName(fn, l.Module()); !used[fn] && !testOnlyExempt[name] {
-			unused = append(unused, name)
+			findings = append(findings, name+": no non-test code references it")
 		}
 	}
-	sort.Strings(unused)
-	for _, name := range unused {
-		t.Errorf("%s: no non-test code references it; delete it, or move it into the tests that use it", name)
+	for _, f := range fields {
+		if !read[f.v] && !testOnlyExempt[f.name] && !testOnlyExempt[f.owner] {
+			findings = append(findings, f.name+": no non-test code reads this field")
+		}
 	}
+	for _, it := range ifaces {
+		called := make(map[*types.Func]bool)
+		implementations(pkgs, it, func(m, impl *types.Func) {
+			called[m] = called[m] || used[impl]
+		})
+		for i := 0; i < it.NumExplicitMethods(); i++ {
+			m := it.ExplicitMethod(i)
+			if name := qualifiedName(m, l.Module()); !used[m] && !called[m] && !testOnlyExempt[name] {
+				findings = append(findings, name+": no non-test code calls this interface method")
+			}
+		}
+	}
+	sort.Strings(findings)
+	for _, f := range findings {
+		t.Errorf("%s; delete it, or move it into the tests that use it", f)
+	}
+}
+
+// namedField is a struct field with its module-relative names:
+// "internal/opt.Result.Violation", owned by "internal/opt.Result".
+type namedField struct {
+	v           *types.Var
+	name, owner string
+}
+
+// declaredTypes returns what TestNoTestOnlyCode checks among p's
+// package-level types, rel being p's module-relative path: the
+// untagged, non-embedded fields of its struct types, and its
+// interfaces.
+func declaredTypes(p *Package, rel string) ([]namedField, []*types.Interface) {
+	var fields []namedField
+	var ifaces []*types.Interface
+	scope := p.Types.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		switch u := tn.Type().Underlying().(type) {
+		case *types.Interface:
+			ifaces = append(ifaces, u)
+		case *types.Struct:
+			owner := rel + "." + tn.Name()
+			for i := 0; i < u.NumFields(); i++ {
+				if f := u.Field(i); f.Pkg() == p.Types && !f.Embedded() && u.Tag(i) == "" {
+					fields = append(fields, namedField{f, owner + "." + f.Name(), owner})
+				}
+			}
+		}
+	}
+	return fields, ifaces
+}
+
+// fieldWrites returns the identifiers in p's files that name a field
+// only to write it: the keys of composite literals, and the selected
+// field at the top of each target of =, an op-assign, ++ and --, after
+// any index or parentheses. It covers the whole package, so a use in
+// one file is classified against writes in all of them.
+func fieldWrites(p *Package) map[*ast.Ident]bool {
+	writes := make(map[*ast.Ident]bool)
+	target := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				writes[x.Sel] = true
+				return
+			default:
+				return
+			}
+		}
+	}
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if n.Tok != token.DEFINE {
+					for _, lhs := range n.Lhs {
+						target(lhs)
+					}
+				}
+			case *ast.IncDecStmt:
+				target(n.X)
+			case *ast.CompositeLit:
+				for _, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							writes[id] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	return writes
 }
 
 // exemptFunc reports whether a declaration is one the test does not
@@ -165,6 +307,16 @@ func interfaceMethods(pkgs []*Package) map[*types.Func]bool {
 	}
 
 	provided := make(map[*types.Func]bool)
+	for _, it := range ifaces {
+		implementations(pkgs, it, func(_, impl *types.Func) { provided[impl] = true })
+	}
+	return provided
+}
+
+// implementations calls f with each method m of it and impl, the
+// method, promoted or its own, that m selects on each named type
+// declared in pkgs whose pointer implements it.
+func implementations(pkgs []*Package, it *types.Interface, f func(m, impl *types.Func)) {
 	for _, p := range pkgs {
 		for _, obj := range p.Info.Defs {
 			tn, ok := obj.(*types.TypeName)
@@ -172,22 +324,16 @@ func interfaceMethods(pkgs []*Package) map[*types.Func]bool {
 				continue
 			}
 			ptr := types.NewPointer(tn.Type())
-			mset := types.NewMethodSet(ptr)
-			if mset.Len() == 0 {
+			if !types.Implements(ptr, it) {
 				continue
 			}
-			for _, it := range ifaces {
-				if !types.Implements(ptr, it) {
-					continue
-				}
-				for i := 0; i < it.NumMethods(); i++ {
-					m := it.Method(i)
-					if fn, ok := mset.Lookup(m.Pkg(), m.Name()).Obj().(*types.Func); ok {
-						provided[fn.Origin()] = true
-					}
+			mset := types.NewMethodSet(ptr)
+			for i := 0; i < it.NumMethods(); i++ {
+				m := it.Method(i)
+				if impl, ok := mset.Lookup(m.Pkg(), m.Name()).Obj().(*types.Func); ok {
+					f(m, impl.Origin())
 				}
 			}
 		}
 	}
-	return provided
 }

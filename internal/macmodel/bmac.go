@@ -63,9 +63,6 @@ func NewBMAC(env Env) (*BMAC, error) {
 // Name implements Model.
 func (m *BMAC) Name() string { return "bmac" }
 
-// Env implements Model.
-func (m *BMAC) Env() Env { return m.env }
-
 // Params implements Model.
 func (m *BMAC) Params() []ParamSpec {
 	return []ParamSpec{{Name: "wakeup-interval", Unit: "s", Min: bmacTwMin, Max: bmacTwMax}}
@@ -77,7 +74,6 @@ func (m *BMAC) Bounds() opt.Bounds { return boundsOf(m.Params()) }
 // Structural implements Model.
 func (m *BMAC) Structural() []opt.Constraint {
 	return []opt.Constraint{{
-		Name: "bmac-unsaturated",
 		F: func(x opt.Vector) float64 {
 			tw := x[0]
 			return m.out1*(tw+m.tData) - 0.5

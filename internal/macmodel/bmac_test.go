@@ -55,7 +55,7 @@ func TestBMACOverhearingSubstantial(t *testing.T) {
 
 func TestBMACDelayIncludesFullPreamble(t *testing.T) {
 	m := newBMAC(t)
-	depth := float64(m.Env().Rings.Depth)
+	depth := float64(m.env.Rings.Depth)
 	tw := 0.8
 	l := m.Delay(opt.Vector{tw})
 	if l < depth*tw {

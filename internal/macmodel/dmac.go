@@ -87,9 +87,6 @@ func NewDMAC(env Env) (*DMAC, error) {
 // Name implements Model.
 func (m *DMAC) Name() string { return "dmac" }
 
-// Env implements Model.
-func (m *DMAC) Env() Env { return m.env }
-
 // Params implements Model.
 func (m *DMAC) Params() []ParamSpec {
 	return []ParamSpec{
@@ -108,13 +105,11 @@ func (m *DMAC) Structural() []opt.Constraint {
 	depth := float64(m.env.Rings.Depth)
 	return []opt.Constraint{
 		{
-			Name: "dmac-ladder-fits-frame",
 			F: func(x opt.Vector) float64 {
 				return (depth+1)*x[1] - x[0]
 			},
 		},
 		{
-			Name: "dmac-capacity",
 			F: func(x opt.Vector) float64 {
 				return m.out1*x[0] - dmacCapacity
 			},

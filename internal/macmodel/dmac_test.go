@@ -18,7 +18,7 @@ func newDMAC(t *testing.T) *DMAC {
 
 func TestDMACDelayForm(t *testing.T) {
 	m := newDMAC(t)
-	depth := float64(m.Env().Rings.Depth)
+	depth := float64(m.env.Rings.Depth)
 	mu := m.Bounds().Lo[1]
 	if got, want := m.Delay(opt.Vector{2.0, mu}), 1.0+depth*mu; math.Abs(got-want) > 1e-12 {
 		t.Errorf("Delay(T=2) = %v, want %v", got, want)
@@ -58,16 +58,8 @@ func TestDMACEnergyIncreasingInSlot(t *testing.T) {
 func TestDMACLadderConstraint(t *testing.T) {
 	m := newDMAC(t)
 	mu := m.Bounds().Lo[1]
-	depth := float64(m.Env().Rings.Depth)
-	var ladder opt.Constraint
-	for _, c := range m.Structural() {
-		if c.Name == "dmac-ladder-fits-frame" {
-			ladder = c
-		}
-	}
-	if ladder.F == nil {
-		t.Fatal("missing ladder constraint")
-	}
+	depth := float64(m.env.Rings.Depth)
+	ladder := m.Structural()[0]
 	// A frame shorter than (D+1) slots must violate.
 	tooShort := opt.Vector{(depth + 1) * mu * 0.5, mu}
 	if v := ladder.F(tooShort); v <= 0 {

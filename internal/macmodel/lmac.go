@@ -78,9 +78,6 @@ func NewLMAC(env Env) (*LMAC, error) {
 // Name implements Model.
 func (m *LMAC) Name() string { return "lmac" }
 
-// Env implements Model.
-func (m *LMAC) Env() Env { return m.env }
-
 // Params implements Model.
 func (m *LMAC) Params() []ParamSpec {
 	return []ParamSpec{
@@ -96,7 +93,6 @@ func (m *LMAC) Bounds() opt.Bounds { return boundsOf(m.Params()) }
 // less than one outgoing packet per frame on average.
 func (m *LMAC) Structural() []opt.Constraint {
 	return []opt.Constraint{{
-		Name: "lmac-capacity",
 		F: func(x opt.Vector) float64 {
 			frame := x[0] * x[1]
 			return m.out1*frame - lmacCapacity

@@ -18,7 +18,7 @@ func newLMAC(t *testing.T) *LMAC {
 
 func TestLMACDelayProportionalToFrame(t *testing.T) {
 	m := newLMAC(t)
-	depth := float64(m.Env().Rings.Depth)
+	depth := float64(m.env.Rings.Depth)
 	n, ts := 16.0, 0.05
 	want := depth * (n*ts/2 + m.tData)
 	if got := m.Delay(opt.Vector{n, ts}); math.Abs(got-want) > 1e-12 {

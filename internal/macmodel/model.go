@@ -54,8 +54,6 @@ type ParamSpec struct {
 type Model interface {
 	// Name returns the protocol name ("xmac", "dmac", "lmac", "bmac").
 	Name() string
-	// Env returns the deployment the model was built for.
-	Env() Env
 	// Params documents the tunable parameter vector, in order.
 	Params() []ParamSpec
 	// Bounds returns the admissible box for the parameter vector.

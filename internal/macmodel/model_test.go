@@ -90,7 +90,7 @@ func TestModelMetadata(t *testing.T) {
 func TestComponentsNonNegativeAndSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, m := range allModels(t) {
-		depth := m.Env().Rings.Depth
+		depth := Default().Rings.Depth
 		for trial := 0; trial < 200; trial++ {
 			x := randomPoint(m, rng)
 			for d := 1; d <= depth; d++ {
@@ -121,7 +121,7 @@ func TestEnergyIsBottleneckRing(t *testing.T) {
 				t.Fatalf("%s: Energy(%v) = %v, want ring-1 total %v", m.Name(), x, got, want)
 			}
 			// Ring 1 carries the most traffic, so it must dominate.
-			for d := 2; d <= m.Env().Rings.Depth; d++ {
+			for d := 2; d <= Default().Rings.Depth; d++ {
 				if outer := m.EnergyAt(x, d).Total(); outer > m.Energy(x)+1e-12 {
 					t.Fatalf("%s: ring-%d energy %v exceeds ring-1 energy %v", m.Name(), d, outer, m.Energy(x))
 				}

@@ -86,9 +86,6 @@ func NewSCPMAC(env Env) (*SCPMAC, error) {
 // Name implements Model.
 func (m *SCPMAC) Name() string { return "scpmac" }
 
-// Env implements Model.
-func (m *SCPMAC) Env() Env { return m.env }
-
 // Params implements Model.
 func (m *SCPMAC) Params() []ParamSpec {
 	return []ParamSpec{{Name: "poll-period", Unit: "s", Min: scpPollMin, Max: scpPollMax}}
@@ -112,7 +109,6 @@ func (m *SCPMAC) toneTime() float64 {
 // within its poll period (one packet per poll on average at most).
 func (m *SCPMAC) Structural() []opt.Constraint {
 	return []opt.Constraint{{
-		Name: "scpmac-capacity",
 		F: func(x opt.Vector) float64 {
 			return m.out1*x[0] - 0.9
 		},

@@ -56,7 +56,7 @@ func TestSCPMACPaysSyncInstead(t *testing.T) {
 
 func TestSCPMACDelayLinearInPeriod(t *testing.T) {
 	m := newSCPMAC(t)
-	d := float64(m.Env().Rings.Depth)
+	d := float64(m.env.Rings.Depth)
 	l1 := m.Delay(opt.Vector{1.0})
 	l2 := m.Delay(opt.Vector{3.0})
 	if got, want := l2-l1, d; math.Abs(got-want) > 1e-9 {

@@ -81,9 +81,6 @@ func NewXMAC(env Env) (*XMAC, error) {
 // Name implements Model.
 func (m *XMAC) Name() string { return "xmac" }
 
-// Env implements Model.
-func (m *XMAC) Env() Env { return m.env }
-
 // Params implements Model.
 func (m *XMAC) Params() []ParamSpec {
 	return []ParamSpec{{Name: "wakeup-interval", Unit: "s", Min: xmacTwMin, Max: xmacTwMax}}
@@ -97,7 +94,6 @@ func (m *XMAC) Bounds() opt.Bounds { return boundsOf(m.Params()) }
 // the window, or the low-rate queueing assumptions collapse.
 func (m *XMAC) Structural() []opt.Constraint {
 	return []opt.Constraint{{
-		Name: "xmac-unsaturated",
 		F: func(x opt.Vector) float64 {
 			return m.utilization(x) - 0.5
 		},

@@ -27,11 +27,8 @@ func Constrained(objective Func, cons ...Constraint) PointFunc {
 }
 
 // AtMost builds the constraint f(x) <= limit.
-func AtMost(name string, f Func, limit float64) Constraint {
-	return Constraint{
-		Name: name,
-		F:    func(x Vector) float64 { return f(x) - limit },
-	}
+func AtMost(f Func, limit float64) Constraint {
+	return Constraint{F: func(x Vector) float64 { return f(x) - limit }}
 }
 
 // Center returns the midpoint of the box.
@@ -58,18 +55,13 @@ func MultiStart(p Problem, starts int, seed int64) (Result, error) {
 		starts = 1
 	}
 	rng := lazyrand.New(seed)
-	evals := 0
-	eval := func(x Vector) (float64, float64) {
-		evals++
-		return p.Eval(x)
-	}
-	pen := penalized(eval, multiStartWeight)
+	pen := penalized(p.Eval, multiStartWeight)
 
 	dim := p.Bounds.Dim()
 	best := Result{F: math.Inf(1), Violation: math.Inf(1)}
 	try := func(x0 Vector) {
 		r := NelderMead(pen, x0, p.Bounds)
-		f, viol := eval(r.X)
+		f, viol := p.Eval(r.X)
 		if isWorse(best.F, best.Violation, f, viol) {
 			best = Result{X: r.X.Clone(), F: f, Violation: viol}
 		}
@@ -82,7 +74,6 @@ func MultiStart(p Problem, starts int, seed int64) (Result, error) {
 		}
 		try(x0)
 	}
-	best.Evals = evals
 	if best.Violation > feasTol {
 		return best, ErrInfeasible
 	}

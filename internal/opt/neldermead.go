@@ -32,9 +32,7 @@ const (
 // benchmarks off the garbage collector.
 func NelderMead(f Func, x0 Vector, b Bounds) Result {
 	dim := b.Dim()
-	evals := 0
 	eval := func(x Vector) float64 {
-		evals++
 		v := f(x)
 		if math.IsNaN(v) {
 			return math.Inf(1)
@@ -210,5 +208,5 @@ func NelderMead(f Func, x0 Vector, b Bounds) Result {
 		}
 	}
 	order()
-	return Result{X: simplex[0].x.Clone(), F: simplex[0].f, Evals: evals}
+	return Result{X: simplex[0].x.Clone(), F: simplex[0].f}
 }

@@ -29,8 +29,6 @@ type Func func(Vector) float64
 
 // Constraint is an inequality constraint, satisfied when F(x) <= 0.
 type Constraint struct {
-	// Name labels the constraint in errors and reports.
-	Name string
 	// F is the constraint function; feasible points have F(x) <= 0.
 	F Func
 }
@@ -137,8 +135,6 @@ type Result struct {
 	F float64
 	// Violation is the total constraint violation at X (0 when feasible).
 	Violation float64
-	// Evals counts point evaluations performed.
-	Evals int
 }
 
 // ErrInfeasible is returned when no point satisfying the constraints

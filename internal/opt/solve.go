@@ -37,14 +37,7 @@ func Solve(p Problem) (Result, error) {
 		return Result{}, err
 	}
 
-	evals := 0
-	eval := func(x Vector) (float64, float64) {
-		evals++
-		return p.Eval(x)
-	}
-
-	best := polishPhase(p.Bounds, eval, gridPhase(p.Bounds, eval))
-	best.Evals = evals
+	best := polishPhase(p.Bounds, p.Eval, gridPhase(p.Bounds, p.Eval))
 	if best.Violation > feasTol {
 		return best, fmt.Errorf("%w: best residual violation %.3g", ErrInfeasible, best.Violation)
 	}

@@ -25,7 +25,7 @@ func TestSolveActiveConstraint(t *testing.T) {
 	// Minimize x² subject to x >= 1 (i.e. 1 - x <= 0): optimum at x = 1.
 	p := Problem{
 		Eval: Constrained(func(x Vector) float64 { return x[0] * x[0] },
-			Constraint{Name: "x>=1", F: func(x Vector) float64 { return 1 - x[0] }}),
+			Constraint{F: func(x Vector) float64 { return 1 - x[0] }}),
 		Bounds: Bounds{Lo: Vector{-5}, Hi: Vector{5}},
 	}
 	r, err := Solve(p)
@@ -45,7 +45,7 @@ func TestSolveConstrained2D(t *testing.T) {
 	// optimum at the tangency point x=y=1/sqrt(2).
 	p := Problem{
 		Eval: Constrained(func(x Vector) float64 { return -(x[0] + x[1]) },
-			Constraint{Name: "inside-circle", F: func(x Vector) float64 { return x[0]*x[0] + x[1]*x[1] - 1 }}),
+			Constraint{F: func(x Vector) float64 { return x[0]*x[0] + x[1]*x[1] - 1 }}),
 		Bounds: Bounds{Lo: Vector{0, 0}, Hi: Vector{2, 2}},
 	}
 	r, err := Solve(p)
@@ -67,7 +67,7 @@ func TestSolveMinOutsideCircleHitsCorner(t *testing.T) {
 	// attained at (1,0) or (0,1) where the line x+y=1 meets the circle.
 	p := Problem{
 		Eval: Constrained(func(x Vector) float64 { return x[0] + x[1] },
-			Constraint{Name: "outside-circle", F: func(x Vector) float64 { return 1 - (x[0]*x[0] + x[1]*x[1]) }}),
+			Constraint{F: func(x Vector) float64 { return 1 - (x[0]*x[0] + x[1]*x[1]) }}),
 		Bounds: Bounds{Lo: Vector{0, 0}, Hi: Vector{2, 2}},
 	}
 	r, err := Solve(p)
@@ -82,7 +82,7 @@ func TestSolveMinOutsideCircleHitsCorner(t *testing.T) {
 func TestSolveInfeasible(t *testing.T) {
 	p := Problem{
 		Eval: Constrained(func(x Vector) float64 { return x[0] },
-			Constraint{Name: "impossible", F: func(x Vector) float64 { return 1 + x[0] }}),
+			Constraint{F: func(x Vector) float64 { return 1 + x[0] }}),
 		Bounds: Bounds{Lo: Vector{0}, Hi: Vector{1}},
 	}
 	_, err := Solve(p)
@@ -98,7 +98,7 @@ func TestWithFeasibilityTolerance(t *testing.T) {
 	problem := func(viol float64) Problem {
 		return Problem{
 			Eval: Constrained(func(x Vector) float64 { return x[0] },
-				Constraint{Name: "just-off", F: func(x Vector) float64 { return viol }}),
+				Constraint{F: func(x Vector) float64 { return viol }}),
 			Bounds: Bounds{Lo: Vector{0}, Hi: Vector{1}},
 		}
 	}
@@ -127,7 +127,7 @@ func TestSolveValidation(t *testing.T) {
 	}
 	p = Problem{
 		Eval: Constrained(func(x Vector) float64 { return x[0] },
-			Constraint{Name: "nil"}),
+			Constraint{}),
 		Bounds: Bounds{Lo: Vector{0}, Hi: Vector{1}},
 	}
 	if _, err := Solve(p); err == nil {
@@ -139,7 +139,7 @@ func TestSolveAtMostHelper(t *testing.T) {
 	delay := func(x Vector) float64 { return 3 * x[0] }
 	p := Problem{
 		Eval: Constrained(func(x Vector) float64 { return 1 / x[0] },
-			AtMost("delay", delay, 6)),
+			AtMost(delay, 6)),
 		Bounds: Bounds{Lo: Vector{0.01}, Hi: Vector{10}},
 	}
 	r, err := Solve(p)
@@ -159,7 +159,7 @@ func TestSolve3D(t *testing.T) {
 		Eval: Constrained(func(x Vector) float64 {
 			return (x[0]-0.5)*(x[0]-0.5) + (x[1]-0.5)*(x[1]-0.5) + (x[2]-0.5)*(x[2]-0.5)
 		},
-			AtMost("sum", func(x Vector) float64 { return x[0] + x[1] + x[2] }, 1)),
+			AtMost(func(x Vector) float64 { return x[0] + x[1] + x[2] }, 1)),
 		Bounds: Bounds{Lo: Vector{0, 0, 0}, Hi: Vector{1, 1, 1}},
 	}
 	r, err := Solve(p)
@@ -185,7 +185,7 @@ func TestSolveMatchesMultiStart(t *testing.T) {
 			Eval: Constrained(func(x Vector) float64 {
 				return (x[0]-cx)*(x[0]-cx) + (x[1]-cy)*(x[1]-cy)
 			},
-				AtMost("sum", func(x Vector) float64 { return x[0] + x[1] }, cap)),
+				AtMost(func(x Vector) float64 { return x[0] + x[1] }, cap)),
 			Bounds: Bounds{Lo: Vector{-2, -2}, Hi: Vector{2, 2}},
 		}
 		a, errA := Solve(p)
@@ -203,7 +203,7 @@ func TestSolveMatchesMultiStart(t *testing.T) {
 func TestMultiStartInfeasible(t *testing.T) {
 	p := Problem{
 		Eval: Constrained(func(x Vector) float64 { return x[0] },
-			Constraint{Name: "impossible", F: func(x Vector) float64 { return 1 }}),
+			Constraint{F: func(x Vector) float64 { return 1 }}),
 		Bounds: Bounds{Lo: Vector{0}, Hi: Vector{1}},
 	}
 	if _, err := MultiStart(p, 4, 1); !errors.Is(err, ErrInfeasible) {
@@ -268,8 +268,8 @@ func TestVectorClone(t *testing.T) {
 // through Violation and through the point function Constrained builds,
 // wherever it sits in the constraint list.
 func TestViolationNaN(t *testing.T) {
-	nan := Constraint{Name: "nan", F: func(x Vector) float64 { return math.NaN() }}
-	over := Constraint{Name: "over", F: func(x Vector) float64 { return 0.5 }}
+	nan := Constraint{F: func(x Vector) float64 { return math.NaN() }}
+	over := Constraint{F: func(x Vector) float64 { return 0.5 }}
 	for _, cons := range [][]Constraint{{nan}, {over, nan}, {nan, over}} {
 		if v := Violation(Vector{0.5}, cons); !math.IsInf(v, 1) {
 			t.Errorf("Violation with NaN constraint = %v, want +Inf", v)
@@ -290,7 +290,7 @@ func TestViolationNaN(t *testing.T) {
 func TestSolveRanksFeasibilityFirst(t *testing.T) {
 	p := Problem{
 		Eval: Constrained(func(x Vector) float64 { return -x[0] },
-			Constraint{Name: "x<=0.5", F: func(x Vector) float64 {
+			Constraint{F: func(x Vector) float64 {
 				if x[0] > 0.9 {
 					return math.NaN()
 				}
@@ -360,7 +360,7 @@ func TestPolishStopIsExact(t *testing.T) {
 			name: "optimum on a constraint",
 			p: Problem{
 				Eval: Constrained(func(x Vector) float64 { return -1e5 * (x[0] - 1.0/3) },
-					Constraint{Name: "x<=1/3", F: func(x Vector) float64 { return x[0] - 1.0/3 }}),
+					Constraint{F: func(x Vector) float64 { return x[0] - 1.0/3 }}),
 				Bounds: Bounds{Lo: Vector{0}, Hi: Vector{1}},
 			},
 			start: Vector{21.0 / 64},
@@ -387,7 +387,7 @@ func TestPolishStopIsExact(t *testing.T) {
 				Eval: Constrained(func(x Vector) float64 {
 					a, b := x[0]-0.7, x[1]-0.2
 					return a*a + b*b
-				}, Constraint{Name: "nan-beyond", F: func(x Vector) float64 {
+				}, Constraint{F: func(x Vector) float64 {
 					if x[0]*x[1] > 0.1 {
 						return math.NaN()
 					}

@@ -477,8 +477,6 @@ type Materialized struct {
 	Network *topology.Network
 	// Traffic is the built workload model.
 	Traffic traffic.Model
-	// Flows are the exact per-node mean flow rates on Network.
-	Flows traffic.NodeFlows
 	// Radio is the resolved transceiver profile.
 	Radio radio.Radio
 
@@ -524,7 +522,7 @@ func (s Spec) CaptureConfig() (enabled bool, thresholdDB float64) {
 // Materialize builds the network (resampling deterministically from
 // Spec.Seed until connected), stamps its links with the channel model's
 // quality (also deterministic in Spec.Seed), and builds the traffic
-// model and the derived flows. Equal specs always materialize identical
+// model and its mean rate. Equal specs always materialize identical
 // objects.
 func (s Spec) Materialize() (*Materialized, error) {
 	if err := s.Validate(); err != nil {
@@ -542,37 +540,20 @@ func (s Spec) Materialize() (*Materialized, error) {
 		}
 	}
 	model, _ := s.trafficModel()
-	flows, err := traffic.ComputeRates(net, model.MeanRates(net))
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
-	}
 	prof, _ := radio.Profile(s.Radio)
-	mat := &Materialized{Spec: s, Network: net, Traffic: model, Flows: flows, Radio: prof}
-	mat.meanRate = meanRateOf(model, net)
-	return mat, nil
+	return &Materialized{
+		Spec:     s,
+		Network:  net,
+		Traffic:  model,
+		Radio:    prof,
+		meanRate: traffic.MeanNonSinkRate(model.MeanRates(net)),
+	}, nil
 }
 
 // MeanRate returns the average per-node generation rate over the
 // non-sink nodes — the homogeneous rate the analytic ring models see.
-// Materialize precomputes it; a hand-built Materialized (zero
-// meanRate) falls back to aggregating on the fly.
-func (m *Materialized) MeanRate() float64 {
-	if m.meanRate > 0 {
-		return m.meanRate
-	}
-	return meanRateOf(m.Traffic, m.Network)
-}
-
-// meanRateOf aggregates a workload's per-node mean rates over the
-// non-sink population.
-func meanRateOf(model traffic.Model, net *topology.Network) float64 {
-	rates := model.MeanRates(net)
-	sum := 0.0
-	for i := 1; i < len(rates); i++ {
-		sum += rates[i]
-	}
-	return sum / float64(len(rates)-1)
-}
+// Materialize precomputes it.
+func (m *Materialized) MeanRate() float64 { return m.meanRate }
 
 // EquivalentRing maps the explicit network onto the analytic ring
 // abstraction the closed-form MAC models need: the BFS depth becomes D

@@ -44,8 +44,8 @@ func TestBuiltinsMaterialize(t *testing.T) {
 			for i := 1; i < m.Network.N(); i++ {
 				total += m.Traffic.MeanRates(m.Network)[i]
 			}
-			if got := m.Flows.In[0]; got < total-1e-9 || got > total+1e-9 {
-				t.Errorf("sink inflow %v != generated %v", got, total)
+			if want := total / float64(m.Network.N()-1); m.MeanRate() != want {
+				t.Errorf("mean rate %v != generated %v over %d non-sink nodes", m.MeanRate(), want, m.Network.N()-1)
 			}
 		})
 	}

@@ -224,13 +224,10 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if data, ok := result.([]byte); ok {
-		writeBody(w, data)
-		return
-	}
-	// The serve layer always stores bytes; anything else would be a new
-	// job producer that forgot to marshal. Encode it rather than 500.
-	s.computeAndWrite(w, "", func() (any, error) { return result, nil })
+	// Every job in the store holds bytes: handleJobSubmit's run function
+	// returns the marshalled response, a born-done cache hit stores the
+	// cached body, and a reloaded spill reads its result file back.
+	writeBody(w, result.([]byte))
 }
 
 // handleJobEvents streams the job's event log as NDJSON — replay from

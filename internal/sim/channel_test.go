@@ -229,23 +229,20 @@ func TestPushOverflowKeepsInFlightHead(t *testing.T) {
 	n := &node{metrics: metrics}
 	arena := &packetArena{}
 	first := arena.new()
-	first.ID = 1
 	n.push(first)
-	for i := 1; i < queueCap; i++ {
-		p := arena.new()
-		p.ID = int64(i + 1)
-		n.push(p)
+	second := arena.new()
+	n.push(second)
+	for i := 2; i < queueCap; i++ {
+		n.push(arena.new())
 	}
 	if n.queueLen() != queueCap {
 		t.Fatalf("queue length %d, want full %d", n.queueLen(), queueCap)
 	}
 	// The MAC is now mid-handshake on `first`. Overflowing must not
 	// replace it.
-	late := arena.new()
-	late.ID = 999
-	n.push(late)
+	n.push(arena.new())
 	if n.head() != first {
-		t.Fatalf("head packet swapped out during overflow: got %v, want ID 1", n.head().ID)
+		t.Fatalf("head packet swapped out during overflow: got %p, want %p", n.head(), first)
 	}
 	if n.queueLen() != queueCap {
 		t.Errorf("queue length %d after overflow, want %d", n.queueLen(), queueCap)
@@ -255,8 +252,8 @@ func TestPushOverflowKeepsInFlightHead(t *testing.T) {
 	}
 	// pop() now removes exactly the packet the handshake completed.
 	n.pop()
-	if n.head().ID != 2 {
-		t.Errorf("after pop head ID = %d, want 2", n.head().ID)
+	if n.head() != second {
+		t.Errorf("after pop head %p, want the second packet %p", n.head(), second)
 	}
 }
 

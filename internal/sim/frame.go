@@ -48,8 +48,6 @@ func (k FrameKind) String() string {
 
 // Packet is one application sample travelling to the sink.
 type Packet struct {
-	// ID is unique across the run.
-	ID int64
 	// Origin is the node that sampled it.
 	Origin topology.NodeID
 	// Created is the sampling time.

@@ -267,7 +267,6 @@ type runner struct {
 	// its next arrival.
 	arrivals [][]float64
 	cursor   []int
-	nextID   int64
 	arena    packetArena
 
 	rebargains int
@@ -438,9 +437,7 @@ func (r *runner) splice(mac macLayer, id topology.NodeID, now, end float64) {
 // sample generates one application packet at node id. Packets come from
 // the run's arena, so steady-state sampling does not hit the heap.
 func (r *runner) sample(mac macLayer, id topology.NodeID) {
-	r.nextID++
 	p := r.arena.new()
-	p.ID = r.nextID
 	p.Origin = id
 	p.Created = r.eng.Now()
 	r.metrics.recordGenerated()

@@ -57,7 +57,7 @@ func Rings(m RingModel) (*Network, error) {
 		}
 		prevAngles = angles
 	}
-	return New(positions, 1.0)
+	return New(positions)
 }
 
 // buildConnected samples placements until the unit-disk graph comes out
@@ -69,22 +69,21 @@ func buildConnected(kind string, sample func() []Point) (*Network, error) {
 	var lastErr error
 	for a := 0; a < connectAttempts; a++ {
 		positions := sample()
-		if id := unreachable(positions, 1.0); id >= 0 {
+		if id := unreachable(positions); id >= 0 {
 			lastErr = errUnreachable(id)
 			continue
 		}
-		return New(positions, 1.0)
+		return New(positions)
 	}
 	return nil, fmt.Errorf("topology: %s sample stayed disconnected after %d attempts: %w", kind, connectAttempts, lastErr)
 }
 
 // unreachable returns the lowest ID of a node that the sink (node 0)
-// cannot reach in the unit-disk graph of the given radio range, or -1
-// when it reaches every node. It links exactly the pairs New links:
-// nodes in the same or adjacent cells of buildAdjacency's binning whose
-// Dist is at most radioRange.
-func unreachable(positions []Point, radioRange float64) int {
-	bins := newCellIndex(positions, radioRange)
+// cannot reach in the unit-disk graph, or -1 when it reaches every
+// node. It links exactly the pairs New links: nodes in the same or
+// adjacent cells of buildAdjacency's binning whose Dist is at most 1.
+func unreachable(positions []Point) int {
+	bins := newCellIndex(positions)
 	seen := make([]bool, len(positions))
 	seen[0] = true
 	queue := make([]NodeID, 1, len(positions))
@@ -93,7 +92,7 @@ func unreachable(positions []Point, radioRange float64) int {
 		cx, cy := bins.cell(p)
 		for x := cx - 1; x <= cx+1; x++ {
 			for _, b := range bins.column(x, cy) {
-				if v := b.id; !seen[v] && p.Dist(positions[v]) <= radioRange {
+				if v := b.id; !seen[v] && p.Dist(positions[v]) <= 1 {
 					seen[v] = true
 					queue = append(queue, v)
 				}
@@ -144,7 +143,7 @@ func Line(n int, spacing float64) (*Network, error) {
 	for i := range positions {
 		positions[i] = Point{float64(i) * spacing, 0}
 	}
-	return New(positions, 1.0)
+	return New(positions)
 }
 
 // Grid places w×h nodes on a rectangular grid with the given spacing,
@@ -163,5 +162,5 @@ func Grid(w, h int, spacing float64) (*Network, error) {
 			positions = append(positions, Point{float64(x) * spacing, float64(y) * spacing})
 		}
 	}
-	return New(positions, 1.0)
+	return New(positions)
 }

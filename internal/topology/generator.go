@@ -15,9 +15,6 @@ import (
 // deterministic families (rings, grids, lines) ignore it, and accept a
 // nil rng.
 type Generator interface {
-	// Kind returns the family's registry name ("ring", "disk", "grid",
-	// "line", "cluster").
-	Kind() string
 	// Validate reports whether the parameters describe a buildable
 	// network.
 	Validate() error
@@ -39,9 +36,6 @@ type RingGen struct {
 	Model RingModel
 }
 
-// Kind returns "ring".
-func (g RingGen) Kind() string { return "ring" }
-
 // Validate reports whether the ring model is usable.
 func (g RingGen) Validate() error { return g.Model.Validate() }
 
@@ -56,9 +50,6 @@ type DiskGen struct {
 	// Radius is the deployment radius in radio-range units.
 	Radius float64
 }
-
-// Kind returns "disk".
-func (g DiskGen) Kind() string { return "disk" }
 
 // Validate reports whether the disk parameters are usable.
 func (g DiskGen) Validate() error {
@@ -88,9 +79,6 @@ type GridGen struct {
 	Spacing float64
 }
 
-// Kind returns "grid".
-func (g GridGen) Kind() string { return "grid" }
-
 // Validate reports whether the grid parameters are usable.
 func (g GridGen) Validate() error {
 	if g.Width < 1 || g.Height < 1 {
@@ -113,9 +101,6 @@ type LineGen struct {
 	// Spacing is the inter-node distance in radio-range units, at most 1.
 	Spacing float64
 }
-
-// Kind returns "line".
-func (g LineGen) Kind() string { return "line" }
 
 // Validate reports whether the line parameters are usable.
 func (g LineGen) Validate() error {
@@ -147,9 +132,6 @@ type ClusterGen struct {
 	// ClusterRadius bounds member scatter around the head.
 	ClusterRadius float64
 }
-
-// Kind returns "cluster".
-func (g ClusterGen) Kind() string { return "cluster" }
 
 // Validate reports whether the cluster parameters are usable.
 func (g ClusterGen) Validate() error {

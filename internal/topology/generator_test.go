@@ -30,7 +30,7 @@ func buildCase(t *testing.T, gen Generator, seed int64) *Network {
 	t.Helper()
 	net, err := gen.Build(rand.New(rand.NewSource(seed)))
 	if err != nil {
-		t.Fatalf("%s.Build: %v", gen.Kind(), err)
+		t.Fatalf("%T.Build: %v", gen, err)
 	}
 	return net
 }
@@ -68,7 +68,7 @@ func TestGeneratorUnitDisk(t *testing.T) {
 	for _, tc := range generatorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			net := buildCase(t, tc.gen, 11)
-			r := net.RadioRange()
+			const r = 1.0
 			for i := 0; i < net.N(); i++ {
 				id := NodeID(i)
 				nbs := map[NodeID]bool{}
@@ -180,10 +180,10 @@ func TestGeneratorValidate(t *testing.T) {
 	}
 	for _, g := range bad {
 		if err := g.Validate(); err == nil {
-			t.Errorf("%s %+v validated", g.Kind(), g)
+			t.Errorf("%#v validated", g)
 		}
 		if _, err := g.Build(rand.New(rand.NewSource(1))); err == nil {
-			t.Errorf("%s %+v built", g.Kind(), g)
+			t.Errorf("%#v built", g)
 		}
 	}
 }
@@ -194,7 +194,7 @@ func TestGeneratorValidate(t *testing.T) {
 func legacyBuildConnected(kind string, sample func() []Point) (*Network, error) {
 	var lastErr error
 	for a := 0; a < connectAttempts; a++ {
-		net, err := New(sample(), 1.0)
+		net, err := New(sample())
 		if err == nil {
 			return net, nil
 		}

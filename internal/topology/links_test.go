@@ -14,18 +14,18 @@ func TestGeneratorsEmitPerfectLinks(t *testing.T) {
 	for _, g := range gens {
 		net, err := g.Build(nil)
 		if err != nil {
-			t.Fatalf("%s: %v", g.Kind(), err)
+			t.Fatalf("%T: %v", g, err)
 		}
 		if net.Lossy() {
-			t.Errorf("%s: fresh network marked lossy", g.Kind())
+			t.Errorf("%T: fresh network marked lossy", g)
 		}
 		if got := net.MeanLinkPRR(); got != 1 {
-			t.Errorf("%s: MeanLinkPRR = %v, want exactly 1", g.Kind(), got)
+			t.Errorf("%T: MeanLinkPRR = %v, want exactly 1", g, got)
 		}
 		for i := 0; i < net.N(); i++ {
 			for _, nb := range net.Neighbors(NodeID(i)) {
 				if prr := net.LinkPRR(NodeID(i), nb); prr != 1 {
-					t.Fatalf("%s: LinkPRR(%d,%d) = %v, want 1", g.Kind(), i, nb, prr)
+					t.Fatalf("%T: LinkPRR(%d,%d) = %v, want 1", g, i, nb, prr)
 				}
 			}
 		}

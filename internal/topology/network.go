@@ -26,12 +26,11 @@ func (p Point) Dist(q Point) float64 {
 // (PRR 1), and a channel model may overwrite them via SetLink before
 // the network is shared (see internal/channel.Apply).
 type Network struct {
-	pos      []Point
-	radioRng float64
-	adj      [][]NodeID
-	parent   []NodeID
-	ring     []int
-	depth    int
+	pos    []Point
+	adj    [][]NodeID
+	parent []NodeID
+	ring   []int
+	depth  int
 
 	// linkPRR[i][k] is the packet reception ratio of the directed link
 	// i → adj[i][k]; linkGain[i][k] its received-power gain in dB (an
@@ -45,24 +44,20 @@ type Network struct {
 }
 
 // New builds a network from node positions. positions[0] is the sink.
-// Two nodes are neighbours when their distance is at most radioRange.
-// The routing tree is the breadth-first shortest-path tree rooted at the
+// Two nodes are neighbours when their distance is at most 1, the radio
+// range Point is measured in. The routing tree is the breadth-first shortest-path tree rooted at the
 // sink, with ties broken toward the lowest neighbour ID so that repeated
 // builds are deterministic. New fails if the graph is disconnected.
-func New(positions []Point, radioRange float64) (*Network, error) {
+func New(positions []Point) (*Network, error) {
 	if len(positions) < 2 {
 		return nil, fmt.Errorf("topology: need at least a sink and one node, got %d positions", len(positions))
 	}
-	if radioRange <= 0 {
-		return nil, fmt.Errorf("topology: radio range %v must be positive", radioRange)
-	}
 	n := len(positions)
 	net := &Network{
-		pos:      append([]Point(nil), positions...),
-		radioRng: radioRange,
-		adj:      make([][]NodeID, n),
-		parent:   make([]NodeID, n),
-		ring:     make([]int, n),
+		pos:    append([]Point(nil), positions...),
+		adj:    make([][]NodeID, n),
+		parent: make([]NodeID, n),
+		ring:   make([]int, n),
 	}
 	net.buildAdjacency()
 	if err := net.buildTree(); err != nil {
@@ -74,13 +69,12 @@ func New(positions []Point, radioRange float64) (*Network, error) {
 // buildAdjacency links every pair of nodes within radio range, using grid
 // binning so that large networks do not pay the full O(n²) scan.
 func (net *Network) buildAdjacency() {
-	r := net.radioRng
-	bins := newCellIndex(net.pos, r)
+	bins := newCellIndex(net.pos)
 	for i, p := range net.pos {
 		cx, cy := bins.cell(p)
 		for x := cx - 1; x <= cx+1; x++ {
 			for _, b := range bins.column(x, cy) {
-				if j := b.id; int(j) > i && p.Dist(net.pos[j]) <= r {
+				if j := b.id; int(j) > i && p.Dist(net.pos[j]) <= 1 {
 					net.adj[i] = append(net.adj[i], j)
 					net.adj[j] = append(net.adj[j], NodeID(i))
 				}
@@ -93,13 +87,12 @@ func (net *Network) buildAdjacency() {
 	}
 }
 
-// cellIndex bins nodes into square cells whose side is the radio range,
+// cellIndex bins nodes into unit square cells, one radio range a side,
 // so two nodes within range lie in the same or adjacent cells. Instead
 // of a map of cells it keeps the nodes sorted by cell, column by column,
 // so the three cells of one column of a node's neighbourhood are one
 // contiguous run.
 type cellIndex struct {
-	side float64
 	bins []binned
 }
 
@@ -109,8 +102,8 @@ type binned struct {
 	id     NodeID
 }
 
-func newCellIndex(pos []Point, side float64) cellIndex {
-	ix := cellIndex{side: side, bins: make([]binned, len(pos))}
+func newCellIndex(pos []Point) cellIndex {
+	ix := cellIndex{bins: make([]binned, len(pos))}
 	for i, p := range pos {
 		cx, cy := ix.cell(p)
 		ix.bins[i] = binned{cx, cy, NodeID(i)}
@@ -126,7 +119,7 @@ func newCellIndex(pos []Point, side float64) cellIndex {
 
 // cell returns the column and row of p's cell.
 func (ix cellIndex) cell(p Point) (int, int) {
-	return int(math.Floor(p.X / ix.side)), int(math.Floor(p.Y / ix.side))
+	return int(math.Floor(p.X)), int(math.Floor(p.Y))
 }
 
 // column returns the nodes in cells (cx, cy−1), (cx, cy) and (cx, cy+1).
@@ -183,9 +176,6 @@ func errUnreachable(id int) error {
 
 // N returns the number of nodes including the sink.
 func (net *Network) N() int { return len(net.pos) }
-
-// RadioRange returns the unit-disk radius the network was built with.
-func (net *Network) RadioRange() float64 { return net.radioRng }
 
 // Depth returns the maximum ring (hop count) in the network.
 func (net *Network) Depth() int { return net.depth }
@@ -353,10 +343,6 @@ type SurvivorStats struct {
 	// Reachable counts alive non-sink nodes whose whole routing path to
 	// the sink is alive.
 	Reachable int
-	// Cut counts alive non-sink nodes stranded behind a dead ancestor.
-	Cut int
-	// Dead counts dead non-sink nodes.
-	Dead int
 	// Depth is the maximum ring among reachable nodes (0 when none).
 	Depth int
 	// MeanDegree is the average degree of the subgraph induced by the
@@ -382,21 +368,13 @@ func (net *Network) SurvivorStats(alive []bool) SurvivorStats {
 	}
 	sort.Slice(order, func(a, b int) bool { return net.ring[order[a]] < net.ring[order[b]] })
 	for _, id := range order {
-		if id == 0 {
+		if id == 0 || !alive[id] || !reach[net.parent[id]] {
 			continue
 		}
-		if !alive[id] {
-			st.Dead++
-			continue
-		}
-		if reach[net.parent[id]] {
-			reach[id] = true
-			st.Reachable++
-			if net.ring[id] > st.Depth {
-				st.Depth = net.ring[id]
-			}
-		} else {
-			st.Cut++
+		reach[id] = true
+		st.Reachable++
+		if net.ring[id] > st.Depth {
+			st.Depth = net.ring[id]
 		}
 	}
 	if st.Reachable == 0 {

@@ -12,9 +12,8 @@ import (
 
 // Model describes an application traffic pattern on an explicit network.
 // It serves two consumers at once: the analytic side reads the long-run
-// MeanRates (which feed ComputeRates and, averaged, the closed-form MAC
-// models), and the simulator replays the exact packet creation times
-// from Arrivals.
+// MeanRates (which, averaged, feed the closed-form MAC models), and the
+// simulator replays the exact packet creation times from Arrivals.
 //
 // Models are immutable value types. Arrivals is deterministic: equal
 // (net, id, seed, duration) always return the same schedule, which is

@@ -40,9 +40,8 @@ func testModels() map[string]Model {
 }
 
 // TestNodeFlowsConservation asserts, for every model on every topology
-// family, that the flows derived from MeanRates conserve traffic: the
-// rate delivered at the sink (and carried by ring-1 nodes) equals the
-// total generated rate.
+// family, that MeanRates gives the sink rate 0 and the non-sink nodes a
+// positive total rate.
 func TestNodeFlowsConservation(t *testing.T) {
 	for netName, net := range testNetworks(t) {
 		for modelName, m := range testModels() {
@@ -51,31 +50,12 @@ func TestNodeFlowsConservation(t *testing.T) {
 				if rates[0] != 0 {
 					t.Fatalf("sink rate = %v, want 0", rates[0])
 				}
-				flows, err := ComputeRates(net, rates)
-				if err != nil {
-					t.Fatalf("ComputeRates: %v", err)
-				}
 				total := 0.0
 				for _, r := range rates {
 					total += r
 				}
 				if total <= 0 {
 					t.Fatal("model generates nothing")
-				}
-				if !closeTo(flows.In[0], total, 1e-9) {
-					t.Errorf("sink In = %v, want total generated %v", flows.In[0], total)
-				}
-				ring1 := 0.0
-				for _, id := range net.NodesAtRing(1) {
-					ring1 += flows.Out[id]
-				}
-				if !closeTo(ring1, total, 1e-9) {
-					t.Errorf("ring-1 Out sum = %v, want total generated %v", ring1, total)
-				}
-				for i := 1; i < net.N(); i++ {
-					if flows.In[i] < -1e-12 || flows.Out[i] < rates[i]-1e-12 {
-						t.Errorf("node %d flows inconsistent: out %v in %v rate %v", i, flows.Out[i], flows.In[i], rates[i])
-					}
 				}
 			})
 		}
@@ -148,7 +128,7 @@ func TestArrivalsMatchMeanRates(t *testing.T) {
 // co-located nodes report the same events at nearly the same instant.
 func TestEventCorrelation(t *testing.T) {
 	// Two nodes half a range apart: their sensing disks almost coincide.
-	net, err := topology.New([]topology.Point{{X: 0, Y: 0}, {X: 0.5, Y: 0}, {X: 0.9, Y: 0.1}}, 1.0)
+	net, err := topology.New([]topology.Point{{X: 0, Y: 0}, {X: 0.5, Y: 0}, {X: 0.9, Y: 0.1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,22 +214,6 @@ func TestCircleIntersectionArea(t *testing.T) {
 	}
 	if a, b := circleIntersectionArea(1.3, 0.8, 1.1), circleIntersectionArea(1.3, 1.1, 0.8); !closeTo(a, b, 1e-12) {
 		t.Errorf("asymmetric: %v vs %v", a, b)
-	}
-}
-
-// TestComputeRatesErrors asserts the input validation of ComputeRates.
-func TestComputeRatesErrors(t *testing.T) {
-	net := testNetworks(t)["line"]
-	if _, err := ComputeRates(nil, nil); err == nil {
-		t.Error("nil network accepted")
-	}
-	if _, err := ComputeRates(net, make([]float64, net.N()-1)); err == nil {
-		t.Error("short rate vector accepted")
-	}
-	rates := make([]float64, net.N())
-	rates[1] = -0.5
-	if _, err := ComputeRates(net, rates); err == nil {
-		t.Error("negative rate accepted")
 	}
 }
 

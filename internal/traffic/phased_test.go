@@ -137,7 +137,7 @@ func TestPhasedSpliceExactness(t *testing.T) {
 // TestPhasedRateConservation asserts, on every topology family, that
 // each phase's empirical generation rate matches the phase model's mean
 // rates and that the long-run MeanRates are their duration-weighted
-// blend feeding a conservative flow computation.
+// blend, with the sink silent.
 func TestPhasedRateConservation(t *testing.T) {
 	m := phasedTestModel()
 	// Long horizon so empirical phase rates concentrate: cycle the
@@ -167,18 +167,6 @@ func TestPhasedRateConservation(t *testing.T) {
 		}
 		if got[0] != 0 {
 			t.Fatalf("%s: sink rate %v, want 0", name, got[0])
-		}
-		// The blended rates must feed a conservative flow computation.
-		flows, err := ComputeRates(net, got)
-		if err != nil {
-			t.Fatalf("%s: ComputeRates: %v", name, err)
-		}
-		sum := 0.0
-		for i := 1; i < net.N(); i++ {
-			sum += got[i]
-		}
-		if math.Abs(flows.In[0]-sum) > 1e-9*math.Max(1, sum) {
-			t.Fatalf("%s: sink inflow %v, want %v", name, flows.In[0], sum)
 		}
 		// Per-phase empirical rates: count arrivals inside each scaled
 		// window over all nodes and compare to the phase's aggregate

@@ -91,62 +91,6 @@ func TestBackgroundNonNegative(t *testing.T) {
 	}
 }
 
-func TestComputeOnLine(t *testing.T) {
-	net, err := topology.Line(4, 0.8)
-	if err != nil {
-		t.Fatalf("Line: %v", err)
-	}
-	fs := 0.1
-	flows, err := ComputeRates(net, uniformRates(net, fs))
-	if err != nil {
-		t.Fatalf("ComputeRates: %v", err)
-	}
-	// Chain 0(sink)-1-2-3-4: node 1 forwards for 2,3,4 plus itself.
-	wantOut := []float64{0, 0.4, 0.3, 0.2, 0.1}
-	for i, want := range wantOut {
-		if math.Abs(flows.Out[i]-want) > 1e-12 {
-			t.Errorf("Out[%d] = %v, want %v", i, flows.Out[i], want)
-		}
-	}
-	if math.Abs(flows.In[0]-0.4) > 1e-12 {
-		t.Errorf("sink In = %v, want 0.4", flows.In[0])
-	}
-	// Node 2 hears nodes 1 and 3 (out: 0.4 and 0.2) and must receive 0.2
-	// of it (from 3), so it overhears 0.4.
-	if math.Abs(flows.Background[2]-0.4) > 1e-12 {
-		t.Errorf("Background[2] = %v, want 0.4", flows.Background[2])
-	}
-}
-
-func TestComputeConservation(t *testing.T) {
-	net, err := topology.Rings(topology.RingModel{Depth: 3, Density: 4})
-	if err != nil {
-		t.Fatalf("Rings: %v", err)
-	}
-	fs := 1.0 / 300
-	flows, err := ComputeRates(net, uniformRates(net, fs))
-	if err != nil {
-		t.Fatalf("ComputeRates: %v", err)
-	}
-	// Sink intake equals total generation.
-	want := fs * float64(net.N()-1)
-	if math.Abs(flows.In[0]-want) > 1e-9 {
-		t.Errorf("sink In = %v, want %v", flows.In[0], want)
-	}
-	// Each node's output = own sampling + children's outputs.
-	for i := 1; i < net.N(); i++ {
-		sum := fs
-		for c := 1; c < net.N(); c++ {
-			if net.Parent(topology.NodeID(c)) == topology.NodeID(i) {
-				sum += flows.Out[c]
-			}
-		}
-		if math.Abs(flows.Out[i]-sum) > 1e-9 {
-			t.Errorf("node %d: Out=%v, want own+children=%v", i, flows.Out[i], sum)
-		}
-	}
-}
-
 // TestRingApproximationTracksExact compares the analytic ring rates with
 // exact rates on the deterministic ring placement; the inner-ring load
 // must agree within a modest factor (the approximation is coarse by
@@ -158,16 +102,20 @@ func TestRingApproximationTracksExact(t *testing.T) {
 		t.Fatalf("Rings: %v", err)
 	}
 	fs := 0.01
-	exact, err := ComputeRates(net, uniformRates(net, fs))
-	if err != nil {
-		t.Fatalf("ComputeRates: %v", err)
+	// A node's exact transmit rate is its subtree's load: each node adds
+	// fs to itself and to every ancestor.
+	exact := make([]float64, net.N())
+	for i := 1; i < net.N(); i++ {
+		for id := topology.NodeID(i); id > 0; id = net.Parent(id) {
+			exact[id] += fs
+		}
 	}
 	approx := RingFlows{Rings: m, Rate: fs}
 	for d := 1; d <= m.Depth; d++ {
 		ids := net.NodesAtRing(d)
 		var mean float64
 		for _, id := range ids {
-			mean += exact.Out[id]
+			mean += exact[id]
 		}
 		mean /= float64(len(ids))
 		want := approx.Out(d)
