@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 
+	"github.com/edmac-project/edmac/internal/par"
+	"github.com/edmac-project/edmac/internal/scenario"
 	"github.com/edmac-project/edmac/internal/sim"
 )
 
@@ -40,48 +42,70 @@ func (o BatchOutcome) MarshalJSON() ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// simulateBatch is the fan-out behind Client.Batch: every run's seed is
-// folded with the client's base seed, configs are validated up front,
-// and the independent runs execute on the shared worker pool. One batch
-// is one scenario, so its environment and network are built once and
-// every run shares the network object, which lets the materialized
-// world below serve every rep. Networks are immutable.
+// simulateBatch is the fan-out behind Client.Batch. One batch is one
+// scenario, so its spec is materialized once, and every run shares the
+// simulator world attached below. Every run is checked and configured
+// before any starts, so a bad run reports its own error even when ctx
+// is already done. The runs then execute on the worker pool; a run the
+// pool never starts carries the context's error.
 func simulateBatch(ctx context.Context, s Scenario, runs []BatchRun, workers int, baseSeed int64) []BatchOutcome {
 	out := make([]BatchOutcome, len(runs))
-	cfgs := make([]sim.Config, 0, len(runs))
-	cfgIdx := make([]int, 0, len(runs)) // batch index of each config
-	rs := newRingSetup(s)
+	sp, err := s.spec()
+	var m *scenario.Materialized
+	if err == nil {
+		m, err = sp.spec.Materialize()
+	}
+	cfgs := make([]sim.Config, len(runs))
+	var ready []int // batch indices of the runs that passed their checks
 	for i, r := range runs {
 		out[i].Run = r
-		opts := r.Options
-		opts.Seed ^= baseSeed
-		cfg, err := rs.config(r.Protocol, r.Params, opts)
-		if err != nil {
-			out[i].Err = err
-			continue
+		if cfgs[i], out[i].Err = batchConfig(sp, m, err, r, baseSeed); out[i].Err == nil {
+			ready = append(ready, i)
 		}
-		cfgs = append(cfgs, cfg)
-		cfgIdx = append(cfgIdx, i)
 	}
 	// Materialize the shared world once: neighbour tables, link tables
 	// and (for LMAC) the slot plan stop being re-derived per rep. Tables
 	// that do not match a particular rep (a different seed's arrivals, a
 	// re-bargained slot count) are ignored by that rep, never misapplied.
-	if len(cfgs) > 0 {
-		if shared, err := sim.Materialize(cfgs[0]); err == nil {
-			for j := range cfgs {
-				cfgs[j].Shared = shared
+	if len(ready) > 0 {
+		if shared, err := sim.Materialize(cfgs[ready[0]]); err == nil {
+			for _, i := range ready {
+				cfgs[i].Shared = shared
 			}
 		}
 	}
-	results := sim.RunBatch(ctx, cfgs, workers)
-	for j, br := range results {
-		i := cfgIdx[j]
-		if br.Err != nil {
-			out[i].Err = br.Err
-			continue
+	results := make([]*sim.Result, len(runs))
+	err = par.ForEach(ctx, len(ready), workers, func(j int) {
+		i := ready[j]
+		results[i], out[i].Err = sim.RunContext(ctx, cfgs[i])
+	})
+	for _, i := range ready {
+		switch {
+		case results[i] != nil:
+			out[i].Report = simReportOf(runs[i].Protocol, runs[i].Params, cfgs[i].Seed, m, results[i])
+		case out[i].Err == nil:
+			out[i].Err = err
 		}
-		out[i].Report = rs.report(runs[i].Protocol, runs[i].Params, cfgs[j].Seed, br.Result)
 	}
 	return out
+}
+
+// batchConfig checks one run of a batch over the spec sp, materialized
+// as m (scenErr when the scenario is invalid), and builds its config:
+// the protocol is checked before the scenario, as Simulate checks it,
+// and the run's seed is folded with the base seed.
+func batchConfig(sp ScenarioSpec, m *scenario.Materialized, scenErr error, r BatchRun, baseSeed int64) (sim.Config, error) {
+	if err := simulable(r.Protocol); err != nil {
+		return sim.Config{}, err
+	}
+	if scenErr != nil {
+		return sim.Config{}, scenErr
+	}
+	if err := checkRun(r.Protocol, sp, r.Params); err != nil {
+		return sim.Config{}, err
+	}
+	o := r.Options.withDefaults()
+	o.Seed ^= baseSeed
+	cfg := simConfigOf(sp.spec, m, r.Protocol, r.Params, o.Duration, o.Seed)
+	return cfg, cfg.Validate()
 }

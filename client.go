@@ -59,21 +59,6 @@ func WithScenario(s Scenario) Option {
 	}
 }
 
-// WithRadio swaps the transceiver profile of the client's default
-// scenario ("cc2420", "cc1101"). It composes with WithScenario in
-// option order.
-func WithRadio(name string) Option {
-	return func(c *Client) error {
-		s := c.scenario
-		s.Radio = name
-		if _, err := s.env(); err != nil {
-			return fmt.Errorf("edmac: WithRadio: %w", err)
-		}
-		c.scenario = s
-		return nil
-	}
-}
-
 // WithBaseSeed sets the client's seed policy: the base is folded (XOR)
 // into every simulation seed a request supplies, so one deployment's
 // runs decorrelate from another's while each request stays
@@ -516,7 +501,9 @@ func (c *Client) Params(ctx context.Context, req ParamsRequest) (ParamsReport, e
 type SimulateRequest struct {
 	Protocol Protocol `json:"protocol"`
 	// Scenario simulates the deterministic ring placement of the
-	// analytic scenario.
+	// analytic scenario, as its equivalent spec: periodic traffic at
+	// 1/SampleInterval and, for a LinkPRR below 1, a Bernoulli channel
+	// at that PRR.
 	Scenario *Scenario `json:"scenario,omitempty"`
 	// ScenarioName selects a builtin declarative scenario by registry
 	// name (see BuiltinScenarios).
@@ -575,39 +562,44 @@ func (c *Client) Simulate(ctx context.Context, req SimulateRequest) (SimulateRep
 		return SimulateReport{}, fmt.Errorf("edmac: simulate request names %d deployments; set at most one of scenario, scenario_name, spec", named)
 	}
 
-	var rep SimReport
-	var analytic Scenario
+	// Every deployment runs as a spec. The analytic check takes a ring
+	// request's Scenario exactly as given: a spec's equivalent ring
+	// would round-trip its rate through 1/(1/interval), which is
+	// inexact for some intervals.
+	var sp ScenarioSpec
+	var analytic *Scenario
 	switch {
-	case req.Spec != nil || req.ScenarioName != "":
-		sp := ScenarioSpec{}
-		if req.Spec != nil {
-			sp = *req.Spec
-		} else {
-			var ok bool
-			sp, ok = BuiltinScenario(req.ScenarioName)
-			if !ok {
-				return SimulateReport{}, fmt.Errorf("edmac: unknown builtin scenario %q", req.ScenarioName)
-			}
-		}
-		rep, err = simulateScenario(ctx, req.Protocol, sp, req.Params, o)
-		if err != nil {
-			return SimulateReport{}, err
-		}
-		if req.Validate {
-			if analytic, err = sp.Scenario(); err != nil {
-				return SimulateReport{}, err
-			}
+	case req.Spec != nil:
+		sp = *req.Spec
+	case req.ScenarioName != "":
+		var ok bool
+		if sp, ok = BuiltinScenario(req.ScenarioName); !ok {
+			return SimulateReport{}, fmt.Errorf("edmac: unknown builtin scenario %q", req.ScenarioName)
 		}
 	default:
-		analytic = c.scenarioOrDefault(req.Scenario)
-		rep, err = simulate(ctx, req.Protocol, analytic, req.Params, o)
-		if err != nil {
+		if err := simulable(req.Protocol); err != nil {
 			return SimulateReport{}, err
 		}
+		s := c.scenarioOrDefault(req.Scenario)
+		if sp, err = s.spec(); err != nil {
+			return SimulateReport{}, err
+		}
+		analytic = &s
+	}
+	rep, err := simulateScenario(ctx, req.Protocol, sp, req.Params, o)
+	if err != nil {
+		return SimulateReport{}, err
 	}
 	out := SimulateReport{Sim: rep}
 	if req.Validate {
-		check, err := analyticCheckOf(req.Protocol, analytic, req.Params, rep)
+		if analytic == nil {
+			s, err := sp.Scenario()
+			if err != nil {
+				return SimulateReport{}, err
+			}
+			analytic = &s
+		}
+		check, err := analyticCheckOf(req.Protocol, *analytic, req.Params, rep)
 		if err != nil {
 			return SimulateReport{}, err
 		}
@@ -645,8 +637,8 @@ func analyticCheckOf(p Protocol, s Scenario, params []float64, rep SimReport) (A
 
 // BatchRequest executes independent simulation runs concurrently.
 type BatchRequest struct {
-	// Scenario is the shared deployment; nil selects the client's
-	// default.
+	// Scenario is the shared ring deployment, simulated as Simulate
+	// simulates it; nil selects the client's default.
 	Scenario *Scenario `json:"scenario,omitempty"`
 	// Runs are the independent simulations; outcomes keep this order.
 	Runs []BatchRun `json:"runs"`

@@ -10,9 +10,6 @@ import (
 )
 
 func TestNewClientOptionErrors(t *testing.T) {
-	if _, err := edmac.NewClient(edmac.WithRadio("nrf24")); err == nil {
-		t.Error("unknown radio accepted")
-	}
 	if _, err := edmac.NewClient(edmac.WithScenario(edmac.Scenario{})); err == nil {
 		t.Error("invalid scenario accepted")
 	}

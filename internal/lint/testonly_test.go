@@ -48,9 +48,10 @@ var testOnlyExempt = map[string]bool{
 //     taken as a method value, by non-test code, through the interface
 //     or through a type that implements it.
 //
-// The benchmark module in perfbench/ is loaded too, so its uses count.
-// The root package is not checked: the apisurface golden pins its
-// exported surface. The first check exempts methods some named type
+// The root package is checked too, its names printed as "edmac.X":
+// an exported function only tests call is API nothing in the module
+// needs. The benchmark module in perfbench/ is loaded too, so its uses
+// count. The first check exempts methods some named type
 // provides to a non-empty interface it implements (promoted methods
 // count), which callers may reach through the interface; a method
 // whose name merely matches an interface's, on a type that does not
@@ -85,8 +86,8 @@ func TestNoTestOnlyCode(t *testing.T) {
 	var fields []namedField
 	var ifaces []*types.Interface
 	for _, p := range pkgs {
-		rel := strings.TrimPrefix(strings.TrimPrefix(p.Path, l.Module()), "/")
-		checked := strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/")
+		rel := relPath(p.Types, l.Module())
+		checked := p.Path == l.Module() || strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/")
 		if checked {
 			fs, its := declaredTypes(p, rel)
 			fields, ifaces = append(fields, fs...), append(ifaces, its...)
@@ -244,11 +245,20 @@ func exemptFunc(fd *ast.FuncDecl, fn *types.Func, provided map[*types.Func]bool)
 	return fd.Name.Name == "main" || fd.Name.Name == "init"
 }
 
+// relPath is pkg's module-relative path, or its name for the module's
+// root package: "internal/opt", "edmac".
+func relPath(pkg *types.Package, module string) string {
+	if pkg.Path() == module {
+		return pkg.Name()
+	}
+	return strings.TrimPrefix(pkg.Path(), module+"/")
+}
+
 // qualifiedName is fn's module-relative package path and name, with a
 // method's receiver type: "internal/macmodel.Names",
-// "internal/opt.Bounds.Clamp".
+// "internal/opt.Bounds.Clamp", "edmac.WithCache".
 func qualifiedName(fn *types.Func, module string) string {
-	pkg := strings.TrimPrefix(strings.TrimPrefix(fn.Pkg().Path(), module), "/")
+	pkg := relPath(fn.Pkg(), module)
 	recv := fn.Type().(*types.Signature).Recv()
 	if recv == nil {
 		return pkg + "." + fn.Name()

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
@@ -15,7 +16,7 @@ func FuzzParse(f *testing.F) {
 	// Seed with every builtin (all schema versions and every optional
 	// block in realistic combination)...
 	for _, sp := range Builtins() {
-		data, err := sp.JSON()
+		data, err := json.Marshal(sp)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -49,7 +50,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return // rejected without panicking: the contract for garbage
 		}
-		canon, err := s.JSON()
+		canon, err := json.Marshal(s)
 		if err != nil {
 			t.Fatalf("accepted spec does not encode: %v", err)
 		}
@@ -57,7 +58,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonical encoding rejected by its own parser: %v\n%s", err, canon)
 		}
-		canon2, err := s2.JSON()
+		canon2, err := json.Marshal(s2)
 		if err != nil {
 			t.Fatalf("re-parsed spec does not encode: %v", err)
 		}

@@ -348,16 +348,6 @@ func Load(path string) (Spec, error) {
 	return s, nil
 }
 
-// JSON encodes the spec in the canonical indented form builtin fixtures
-// and examples use.
-func (s Spec) JSON() ([]byte, error) {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
 // TrafficKind returns the workload family the spec selects — the
 // stationary model's kind, or "phased" for a version-2 phase
 // composition.
@@ -494,15 +484,6 @@ func (s Spec) ChannelKind() string {
 		return "perfect"
 	}
 	return s.Channel.Model
-}
-
-// FailureKind returns the failure-model family the spec selects:
-// "none" when no failures block is present.
-func (s Spec) FailureKind() string {
-	if s.Failures == nil {
-		return "none"
-	}
-	return s.Failures.Model
 }
 
 // Faulty reports whether the scenario injects failure dynamics (churn,

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
@@ -79,7 +80,7 @@ func TestBuiltinsCoverKinds(t *testing.T) {
 // materialization from a round-tripped spec reproduces the network.
 func TestParseRoundTrip(t *testing.T) {
 	for _, spec := range Builtins() {
-		data, err := spec.JSON()
+		data, err := json.Marshal(spec)
 		if err != nil {
 			t.Fatalf("%s: JSON: %v", spec.Name, err)
 		}
@@ -189,7 +190,7 @@ func TestPhasedSpec(t *testing.T) {
 	if v1.SpecVersion != 1 {
 		t.Fatalf("stationary builtin declares version %d, want 1", v1.SpecVersion)
 	}
-	data, err := v1.JSON()
+	data, err := json.Marshal(v1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +211,8 @@ func TestFaultSpec(t *testing.T) {
 	if !ok {
 		t.Fatal("ring-churn missing from the registry")
 	}
-	if churn.FailureKind() != FailChurn || !churn.Faulty() {
-		t.Fatalf("FailureKind %q Faulty %v, want churn/true", churn.FailureKind(), churn.Faulty())
+	if churn.Failures == nil || churn.Failures.Model != FailChurn || !churn.Faulty() {
+		t.Fatalf("failures %+v Faulty %v, want churn/true", churn.Failures, churn.Faulty())
 	}
 	if churn.Adaptation == nil || churn.Adaptation.Mode != AdaptOnDeath {
 		t.Fatalf("adaptation %+v, want on-death", churn.Adaptation)
@@ -227,7 +228,7 @@ func TestFaultSpec(t *testing.T) {
 	// Pre-v4 builtins must not leak the new blocks into their JSON.
 	for _, name := range []string{"ring-baseline", "meadow-stormcycle", "ring-lossy"} {
 		spec, _ := ByName(name)
-		data, err := spec.JSON()
+		data, err := json.Marshal(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,8 +275,8 @@ func TestFaultSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.FailureKind() != FailSchedule {
-		t.Errorf("FailureKind %q, want schedule", spec.FailureKind())
+	if spec.Failures == nil || spec.Failures.Model != FailSchedule {
+		t.Errorf("failures %+v, want schedule", spec.Failures)
 	}
 	if _, err := spec.Materialize(); err != nil {
 		t.Fatal(err)

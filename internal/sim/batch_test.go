@@ -2,20 +2,20 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"reflect"
 	"testing"
 
 	"github.com/edmac-project/edmac/internal/channel"
 	"github.com/edmac-project/edmac/internal/opt"
+	"github.com/edmac-project/edmac/internal/par"
 	"github.com/edmac-project/edmac/internal/radio"
 	"github.com/edmac-project/edmac/internal/topology"
 	"github.com/edmac-project/edmac/internal/traffic"
 )
 
 // batchConfigs builds one runnable config per protocol plus seed
-// variations — the matrix a batch must reproduce bit-identically. The
-// matrix covers both channels: perfect links and a lossy shadowed
+// variations — the matrix a worker pool must reproduce bit-identically.
+// The matrix covers both channels: perfect links and a lossy shadowed
 // network with capture, so the parallel-equals-sequential proof (run
 // under -race in CI) extends to the per-link draw machinery.
 func batchConfigs(t *testing.T) []Config {
@@ -65,76 +65,33 @@ func batchConfigs(t *testing.T) []Config {
 	return cfgs
 }
 
-// RunBatch must produce results byte-identical to sequential Run calls
-// for the same configs: every run owns its world, so concurrency must
-// not leak into the measurements. Run under -race this doubles as the
-// proof that the batch shares nothing mutable.
-func TestRunBatchMatchesSequential(t *testing.T) {
+// Runs on a worker pool must produce results identical to sequential
+// runs of the same configs (a one-worker pool runs them in order,
+// inline), at any pool size: every run owns its world, so concurrency
+// must not leak into the measurements. Run under -race this doubles as
+// the proof that concurrent runs share nothing mutable.
+func TestPooledRunsMatchSequential(t *testing.T) {
 	cfgs := batchConfigs(t)
-	sequential := make([]*Result, len(cfgs))
-	for i, c := range cfgs {
-		res, err := RunContext(context.Background(), c)
-		if err != nil {
-			t.Fatalf("sequential run %d: %v", i, err)
+	var sequential []*Result
+	for _, workers := range []int{1, 3, 5} {
+		got := make([]*Result, len(cfgs))
+		errs := make([]error, len(cfgs))
+		if err := par.ForEach(context.Background(), len(cfgs), workers, func(i int) {
+			got[i], errs[i] = RunContext(context.Background(), cfgs[i])
+		}); err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
 		}
-		sequential[i] = res
-	}
-	batch := RunBatch(context.Background(), cfgs, 4)
-	if len(batch) != len(cfgs) {
-		t.Fatalf("RunBatch returned %d results, want %d", len(batch), len(cfgs))
-	}
-	for i, br := range batch {
-		if br.Err != nil {
-			t.Fatalf("batch run %d (%s seed %d): %v", i, cfgs[i].Protocol, cfgs[i].Seed, br.Err)
+		for i, c := range cfgs {
+			if errs[i] != nil {
+				t.Fatalf("%d workers, run %d (%s seed %d): %v", workers, i, c.Protocol, c.Seed, errs[i])
+			}
+			if sequential != nil && !reflect.DeepEqual(sequential[i], got[i]) {
+				t.Errorf("%d workers, run %d (%s seed %d): pooled result differs from sequential\nsequential %+v\npooled     %+v",
+					workers, i, c.Protocol, c.Seed, sequential[i], got[i])
+			}
 		}
-		if !reflect.DeepEqual(sequential[i], br.Result) {
-			t.Errorf("run %d (%s seed %d): batch result differs from sequential\nsequential %+v\nbatch      %+v",
-				i, cfgs[i].Protocol, cfgs[i].Seed, sequential[i], br.Result)
+		if sequential == nil {
+			sequential = got
 		}
-	}
-}
-
-// Equal seeds must agree even across distinct batches (regression guard
-// for hidden state shared between runs, e.g. pools leaking through).
-func TestRunBatchReproducible(t *testing.T) {
-	cfgs := batchConfigs(t)
-	a := RunBatch(context.Background(), cfgs, 3)
-	b := RunBatch(context.Background(), cfgs, 5)
-	for i := range cfgs {
-		if a[i].Err != nil || b[i].Err != nil {
-			t.Fatalf("run %d: errs %v, %v", i, a[i].Err, b[i].Err)
-		}
-		if !reflect.DeepEqual(a[i].Result, b[i].Result) {
-			t.Errorf("run %d (%s seed %d): two batches disagree", i, cfgs[i].Protocol, cfgs[i].Seed)
-		}
-	}
-}
-
-func TestRunBatchCancellation(t *testing.T) {
-	// An already-cancelled context must run nothing: every outcome
-	// carries the cancellation error and no simulation executes.
-	cfgs := batchConfigs(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	out := RunBatch(ctx, cfgs, 2)
-	for i, br := range out {
-		if !errors.Is(br.Err, context.Canceled) {
-			t.Errorf("outcome %d: err = %v, want context.Canceled", i, br.Err)
-		}
-		if br.Result != nil {
-			t.Errorf("outcome %d: simulation ran despite pre-cancelled context", i)
-		}
-	}
-}
-
-func TestRunBatchPropagatesConfigErrors(t *testing.T) {
-	cfgs := batchConfigs(t)
-	cfgs[1].Protocol = "nosuch"
-	out := RunBatch(context.Background(), cfgs, 2)
-	if out[1].Err == nil {
-		t.Error("invalid config produced no error")
-	}
-	if out[0].Err != nil || out[2].Err != nil {
-		t.Errorf("valid configs failed: %v, %v", out[0].Err, out[2].Err)
 	}
 }

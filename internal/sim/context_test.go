@@ -74,21 +74,3 @@ func TestRunPhasedContextCancelled(t *testing.T) {
 		t.Fatalf("cancelled phased run returned a result")
 	}
 }
-
-// TestRunBatchCancelInFlight proves cancellation reaches runs already
-// handed to a worker, not only queued ones: with a single worker and a
-// context cancelled mid-batch, every outcome is either a completed
-// result (started before the cancel) or a context error.
-func TestRunBatchCancelInFlight(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	cfgs := []Config{
-		lineConfig(t, "xmac", opt.Vector{0.25}, 4, 0.05, 3000),
-		lineConfig(t, "xmac", opt.Vector{0.3}, 4, 0.05, 3000),
-	}
-	for _, br := range RunBatch(ctx, cfgs, 1) {
-		if !errors.Is(br.Err, context.Canceled) {
-			t.Fatalf("want context.Canceled outcome, got result=%v err=%v", br.Result, br.Err)
-		}
-	}
-}

@@ -24,9 +24,9 @@
 // event for event. Independent runs share nothing mutable — every run
 // builds a fresh Engine, Medium and RNG set, and topology.Network,
 // radio.Radio and the Materialized world a run reads are immutable
-// after construction — so any number of runs may execute concurrently (see
-// RunBatch), and a batch's results are bit-identical to executing the
-// same configs sequentially.
+// after construction — so any number of runs may execute concurrently,
+// and their results are bit-identical to executing the same configs
+// sequentially.
 package sim
 
 import (

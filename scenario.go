@@ -1,12 +1,10 @@
 package edmac
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 
 	"github.com/edmac-project/edmac/internal/opt"
-	"github.com/edmac-project/edmac/internal/radio"
 	"github.com/edmac-project/edmac/internal/scenario"
 	"github.com/edmac-project/edmac/internal/sim"
 	"github.com/edmac-project/edmac/internal/topology"
@@ -29,16 +27,6 @@ type ScenarioSpec struct {
 // LoadScenario reads and validates a JSON scenario spec from disk.
 func LoadScenario(path string) (ScenarioSpec, error) {
 	s, err := scenario.Load(path)
-	if err != nil {
-		return ScenarioSpec{}, err
-	}
-	return ScenarioSpec{spec: s}, nil
-}
-
-// ParseScenario decodes and validates a JSON scenario spec. Unknown
-// fields are rejected so typos fail loudly.
-func ParseScenario(data []byte) (ScenarioSpec, error) {
-	s, err := scenario.Parse(data)
 	if err != nil {
 		return ScenarioSpec{}, err
 	}
@@ -89,18 +77,6 @@ func (sp ScenarioSpec) Phased() bool { return len(sp.spec.Phases) > 0 }
 // "shadowing"); scenarios without a channel block are "perfect".
 func (sp ScenarioSpec) ChannelKind() string { return sp.spec.ChannelKind() }
 
-// FailureKind returns the failure-process family ("churn", "schedule");
-// scenarios without a failures block are "none".
-func (sp ScenarioSpec) FailureKind() string { return sp.spec.FailureKind() }
-
-// Faulty reports whether the scenario injects failure dynamics — node
-// churn, an explicit crash schedule, or finite batteries (version 4).
-// Faulty scenarios' simulation reports carry the survivability block.
-func (sp ScenarioSpec) Faulty() bool { return sp.spec.Faulty() }
-
-// JSON returns the spec in its canonical indented JSON encoding.
-func (sp ScenarioSpec) JSON() ([]byte, error) { return sp.spec.JSON() }
-
 // MarshalJSON encodes the spec compactly, so specs can ride inside
 // larger request documents (SuiteRequest, edserve payloads) and inside
 // the Client's canonical cache keys.
@@ -111,8 +87,8 @@ func (sp ScenarioSpec) MarshalJSON() ([]byte, error) {
 	return json.Marshal(sp.spec)
 }
 
-// UnmarshalJSON decodes and validates an embedded scenario spec with
-// the same strictness as ParseScenario (unknown fields rejected).
+// UnmarshalJSON decodes and validates a scenario spec. Unknown fields
+// are rejected so typos fail loudly.
 func (sp *ScenarioSpec) UnmarshalJSON(data []byte) error {
 	s, err := scenario.Parse(data)
 	if err != nil {
@@ -125,7 +101,7 @@ func (sp *ScenarioSpec) UnmarshalJSON(data []byte) error {
 // valid reports whether the spec was built by a constructor.
 func (sp ScenarioSpec) valid() error {
 	if sp.spec.Name == "" {
-		return fmt.Errorf("edmac: zero ScenarioSpec; use LoadScenario, ParseScenario or BuiltinScenario")
+		return fmt.Errorf("edmac: zero ScenarioSpec; use LoadScenario, BuiltinScenario or json.Unmarshal")
 	}
 	return nil
 }
@@ -170,41 +146,39 @@ func analyticScenarioOf(m *scenario.Materialized) Scenario {
 	return s
 }
 
-// simulateScenario is the context-aware run behind Client.Simulate's
-// declarative-scenario path.
-func simulateScenario(ctx context.Context, p Protocol, sp ScenarioSpec, params []float64, o SimOptions) (SimReport, error) {
-	if err := sp.valid(); err != nil {
-		return SimReport{}, err
-	}
-	if p == SCPMAC {
-		return SimReport{}, fmt.Errorf("edmac: scpmac is analytic-only; simulate xmac, bmac, dmac or lmac")
-	}
-	prof, err := radio.Profile(sp.spec.Radio)
+// spec spells the ring scenario out as its equivalent declarative spec,
+// the deployment Simulate and Batch run for it: the ring topology,
+// periodic traffic at the sampling rate the analytic models see, the
+// scenario's radio, payload and window, and, for a LinkPRR below 1, a
+// Bernoulli channel at that PRR, which analyticScenarioOf reads back as
+// the network's mean link PRR. The scenario is validated first, so an
+// invalid one fails as it does on the analytic side.
+func (s Scenario) spec() (ScenarioSpec, error) {
+	env, err := s.env()
 	if err != nil {
-		return SimReport{}, err
+		return ScenarioSpec{}, err
 	}
-	if err := checkFrame(p, prof, sp.spec.Payload, params); err != nil {
-		return SimReport{}, err
+	sp := scenario.Spec{
+		SpecVersion: scenario.Version,
+		Name:        "ring-scenario",
+		Topology:    scenario.TopologySpec{Kind: "ring", Depth: s.Depth, Density: s.Density},
+		Traffic:     scenario.TrafficSpec{Kind: "periodic", Rate: env.SampleRate},
+		Radio:       s.Radio,
+		Payload:     s.Payload,
+		Window:      s.Window,
 	}
-	o = o.withDefaults()
-	m, err := sp.spec.Materialize()
-	if err != nil {
-		return SimReport{}, err
+	if s.LinkPRR > 0 && s.LinkPRR < 1 {
+		sp.Channel = &scenario.ChannelSpec{Model: "bernoulli", PRR: s.LinkPRR}
 	}
-	cfg := simConfigOf(sp.spec, m, p, params, o.Duration, o.Seed)
-	res, err := sim.RunContext(ctx, cfg)
-	if err != nil {
-		return SimReport{}, err
-	}
-	return simReportOf(p, params, cfg.Seed, m.Network.Depth(), sp.spec.Window, m.Network, res), nil
+	return ScenarioSpec{spec: sp}, nil
 }
 
 // simConfigOf maps a materialized spec and a parameter vector onto the
 // simulator's config — the one place the two vocabularies meet, shared
-// by the direct simulation path and the suite runner. The spec's
-// version-4 failure blocks become the fault configuration; a
-// failure-free spec leaves Failures and Battery nil, which keeps the
-// simulator on its draw-free fixed-topology path.
+// by Simulate, Batch and the suite runner. The spec's version-4 failure
+// blocks become the fault configuration; a failure-free spec leaves
+// Failures and Battery nil, which keeps the simulator on its draw-free
+// fixed-topology path.
 func simConfigOf(spec scenario.Spec, mat *scenario.Materialized, p Protocol, params []float64, duration float64, seed int64) sim.Config {
 	capture, captureDB := spec.CaptureConfig()
 	cfg := sim.Config{

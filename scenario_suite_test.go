@@ -3,6 +3,7 @@ package edmac_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -28,14 +29,11 @@ func TestBuiltinScenarioRegistry(t *testing.T) {
 		if _, ok := edmac.BuiltinScenario(sp.Name()); !ok {
 			t.Errorf("BuiltinScenario(%q) not found", sp.Name())
 		}
-		data, err := sp.JSON()
+		data, err := json.Marshal(sp)
 		if err != nil {
 			t.Fatalf("%s: JSON: %v", sp.Name(), err)
 		}
-		back, err := edmac.ParseScenario(data)
-		if err != nil {
-			t.Fatalf("%s: ParseScenario: %v", sp.Name(), err)
-		}
+		back := parseSpec(t, data)
 		if back.Name() != sp.Name() || back.TopologyKind() != sp.TopologyKind() || back.TrafficKind() != sp.TrafficKind() {
 			t.Errorf("%s: round trip changed identity", sp.Name())
 		}
@@ -48,7 +46,7 @@ func TestBuiltinScenarioRegistry(t *testing.T) {
 // TestLoadScenario asserts a spec written to disk loads and simulates.
 func TestLoadScenario(t *testing.T) {
 	sp, _ := edmac.BuiltinScenario("tunnel-chain")
-	data, err := sp.JSON()
+	data, err := json.Marshal(sp)
 	if err != nil {
 		t.Fatal(err)
 	}

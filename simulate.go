@@ -7,9 +7,9 @@ import (
 
 	"github.com/edmac-project/edmac/internal/macmodel"
 	"github.com/edmac-project/edmac/internal/radio"
+	"github.com/edmac-project/edmac/internal/scenario"
 	"github.com/edmac-project/edmac/internal/sim"
 	"github.com/edmac-project/edmac/internal/topology"
-	"github.com/edmac-project/edmac/internal/traffic"
 )
 
 // SimOptions configure a packet-level simulation run.
@@ -186,74 +186,50 @@ type simReportWire struct {
 	DegradedRebargains int       `json:"degraded_rebargains,omitempty"`
 }
 
-// simulate is the context-aware run behind Client.Simulate's
-// ring-scenario path.
-func simulate(ctx context.Context, p Protocol, s Scenario, params []float64, o SimOptions) (SimReport, error) {
-	rs := newRingSetup(s)
-	cfg, err := rs.config(p, params, o)
+// simulateScenario is the one simulation path of the facade: Simulate
+// and Batch run every deployment, ring scenarios included, as a spec
+// that is materialized, mapped onto a sim.Config by simConfigOf and
+// reported by simReportOf, as suite cells are.
+func simulateScenario(ctx context.Context, p Protocol, sp ScenarioSpec, params []float64, o SimOptions) (SimReport, error) {
+	if err := checkRun(p, sp, params); err != nil {
+		return SimReport{}, err
+	}
+	o = o.withDefaults()
+	m, err := sp.spec.Materialize()
 	if err != nil {
 		return SimReport{}, err
 	}
+	cfg := simConfigOf(sp.spec, m, p, params, o.Duration, o.Seed)
 	res, err := sim.RunContext(ctx, cfg)
 	if err != nil {
 		return SimReport{}, err
 	}
-	return rs.report(p, params, cfg.Seed, res), nil
+	return simReportOf(p, params, cfg.Seed, m, res), nil
 }
 
-// ringSetup is what every simulation over one ring scenario shares: the
-// model environment and the network, each with the error building it,
-// so a batch builds them once.
-type ringSetup struct {
-	env    macmodel.Env
-	envErr error
-	net    *topology.Network
-	netErr error
-}
-
-func newRingSetup(s Scenario) ringSetup {
-	var rs ringSetup
-	if rs.env, rs.envErr = s.env(); rs.envErr == nil {
-		rs.net, rs.netErr = topology.Rings(rs.env.Rings)
+// checkRun holds the checks a run passes before anything is built: a
+// constructed spec, a simulable protocol, the spec's radio and the
+// LMAC frame bounds.
+func checkRun(p Protocol, sp ScenarioSpec, params []float64) error {
+	if err := sp.valid(); err != nil {
+		return err
 	}
-	return rs
+	if err := simulable(p); err != nil {
+		return err
+	}
+	prof, err := radio.Profile(sp.spec.Radio)
+	if err != nil {
+		return err
+	}
+	return checkFrame(p, prof, sp.spec.Payload, params)
 }
 
-// config validates one run over the scenario and builds its sim.Config,
-// checking the protocol, the scenario, the parameter vector and the
-// network in that order.
-func (rs ringSetup) config(p Protocol, params []float64, o SimOptions) (sim.Config, error) {
+// simulable rejects the protocol the simulator does not implement.
+func simulable(p Protocol) error {
 	if p == SCPMAC {
-		return sim.Config{}, fmt.Errorf("edmac: scpmac is analytic-only; simulate xmac, bmac, dmac or lmac")
+		return fmt.Errorf("edmac: scpmac is analytic-only; simulate xmac, bmac, dmac or lmac")
 	}
-	o = o.withDefaults()
-	if rs.envErr != nil {
-		return sim.Config{}, rs.envErr
-	}
-	m, err := macmodel.New(string(p), rs.env)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	x, err := vec(m, params)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	if err := checkFrame(p, rs.env.Radio, rs.env.Payload, params); err != nil {
-		return sim.Config{}, err
-	}
-	if rs.netErr != nil {
-		return sim.Config{}, rs.netErr
-	}
-	return sim.Config{
-		Protocol: string(p),
-		Network:  rs.net,
-		Radio:    rs.env.Radio,
-		Params:   x,
-		Traffic:  traffic.Periodic{Rate: rs.env.SampleRate},
-		Payload:  rs.env.Payload,
-		Duration: o.Duration,
-		Seed:     o.Seed,
-	}, nil
+	return nil
 }
 
 // checkFrame rejects an LMAC vector whose frame has more slots than the
@@ -286,15 +262,11 @@ func checkFrame(p Protocol, r radio.Radio, payload int, params []float64) error 
 	return nil
 }
 
-// report assembles the public report of a run over the scenario.
-func (rs ringSetup) report(p Protocol, params []float64, seed int64, res *sim.Result) SimReport {
-	return simReportOf(p, params, seed, rs.env.Rings.Depth, rs.env.Window, rs.net, res)
-}
-
-// simReportOf assembles the public report from a raw simulation result:
-// outer is the ring whose packets define the reference delay, window the
-// energy-accounting window in seconds.
-func simReportOf(p Protocol, params []float64, seed int64, outer int, window float64, net *topology.Network, res *sim.Result) SimReport {
+// simReportOf assembles the public report of a run over a materialized
+// spec: the packets of the network's outermost ring define the
+// reference delay, and energy is accounted per the spec's window.
+func simReportOf(p Protocol, params []float64, seed int64, m *scenario.Materialized, res *sim.Result) SimReport {
+	net, outer := m.Network, m.Network.Depth()
 	rep := SimReport{
 		Protocol:      p,
 		Params:        append([]float64(nil), params...),
@@ -317,7 +289,7 @@ func simReportOf(p Protocol, params []float64, seed int64, outer int, window flo
 		OuterRingDelay: res.Metrics.MeanDelayFrom(func(id topology.NodeID) bool {
 			return net.Ring(id) == outer
 		}),
-		BottleneckEnergy: res.MeanRingEnergyPerWindow(net, 1, window),
+		BottleneckEnergy: res.MeanRingEnergyPerWindow(net, 1, m.Spec.Window),
 		Events:           res.Events,
 		PeakPending:      res.PeakPending,
 		WheelPromotions:  res.WheelPromotions,

@@ -403,7 +403,7 @@ func runSuiteCell(ctx context.Context, spec scenario.Spec, mat *scenario.Materia
 		cell.Err = err.Error()
 		return cell
 	}
-	static := suiteSimOf(simReportOf(p, params, cfg.Seed, mat.Network.Depth(), spec.Window, mat.Network, simRes))
+	static := suiteSimOf(simReportOf(p, params, cfg.Seed, mat, simRes))
 	if !adaptive {
 		cell.Sim = static
 		return cell
@@ -443,7 +443,7 @@ func runSuiteCell(ctx context.Context, spec scenario.Spec, mat *scenario.Materia
 		cell.Err = err.Error()
 		return cell
 	}
-	cell.Sim = suiteSimOf(simReportOf(p, params, cfg.Seed, mat.Network.Depth(), spec.Window, mat.Network, adaptRes))
+	cell.Sim = suiteSimOf(simReportOf(p, params, cfg.Seed, mat, adaptRes))
 	return cell
 }
 

@@ -124,10 +124,7 @@ func TestRunSuiteAdaptiveFlag(t *testing.T) {
 	if !ok {
 		t.Fatal("ring-baseline missing")
 	}
-	staticMode, err := edmac.ParseScenario([]byte(staticModePhasedSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
+	staticMode := parseSpec(t, []byte(staticModePhasedSpec))
 	phased := phasedBuiltins(t)[0]
 	cli := newClient(t)
 	ctx := context.Background()
@@ -226,10 +223,7 @@ func TestSimulateScenarioZeroGenerated(t *testing.T) {
   "payload": 32,
   "window": 60
 }`)
-	sp, err := edmac.ParseScenario(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := parseSpec(t, spec)
 	cli := newClient(t)
 	ctx := context.Background()
 	sim, err := cli.Simulate(ctx, edmac.SimulateRequest{
