@@ -102,38 +102,20 @@ func cmdRun(ctx context.Context, cli *edmac.Client, args []string, validate bool
 	}
 	opts := edmac.SimOptions{Duration: *duration, Seed: *seed}
 
+	p := edmac.Protocol(*protocol)
 	if *reps > 1 {
-		return runReplicated(ctx, cli, edmac.Protocol(*protocol), scenario, params, opts, *reps, validate)
+		return runReplicated(ctx, cli, p, scenario, params, opts, *reps, validate)
 	}
 
-	rep, err := cli.Simulate(ctx, edmac.SimulateRequest{
-		Protocol: edmac.Protocol(*protocol),
-		Scenario: &scenario,
-		Params:   params,
-		Options:  opts,
-		Validate: validate,
-	})
+	rep, err := cli.Simulate(ctx, edmac.SimulateRequest{Protocol: p, Scenario: &scenario, Params: params, Options: opts})
 	if err != nil {
 		return err
 	}
 	printSimReport(rep.Sim)
 	if validate {
-		fmt.Printf("\n%-26s %-14s %-14s %s\n", "metric", "analytic", "measured", "ratio")
-		fmt.Printf("%-26s %-14.5g %-14.5g %.2f\n", "bottleneck energy [J/win]",
-			rep.Analytic.Energy, rep.Sim.BottleneckEnergy, ratioOrNaN(rep.Analytic.EnergyRatio))
-		fmt.Printf("%-26s %-14.5g %-14.5g %.2f\n", "outer-ring delay [s]",
-			rep.Analytic.Delay, rep.Sim.OuterRingDelay, ratioOrNaN(rep.Analytic.DelayRatio))
+		printAnalytic(ctx, cli, p, scenario, params, rep.Sim.BottleneckEnergy, rep.Sim.OuterRingDelay)
 	}
 	return nil
-}
-
-// ratioOrNaN unboxes an optional ratio, NaN when the measurement was
-// unusable — the value the validate table always printed.
-func ratioOrNaN(r *float64) float64 {
-	if r == nil {
-		return math.NaN()
-	}
-	return *r
 }
 
 // runReplicated fans reps simulations with consecutive seeds across the
@@ -177,23 +159,28 @@ func runReplicated(ctx context.Context, cli *edmac.Client, p edmac.Protocol, s e
 	fmt.Printf("%-8s %-10.4f %-12.4g %-12.4g %-12.5g\n", "mean", mDeliv, mDelay, mOuter, mEnergy)
 	fmt.Printf("%-8s %-10.4f %-12.4g %-12.4g %-12.5g\n", "stddev", sdDeliv, sdDelay, sdOuter, sdEnergy)
 
-	if !validate {
-		return nil
+	if validate {
+		printAnalytic(ctx, cli, p, s, params, mEnergy, mOuter)
 	}
-	// The runs stand on their own, so a failed evaluation (parameters
-	// outside the model's admissible box) takes the table's place
-	// rather than failing the command.
+	return nil
+}
+
+// printAnalytic prints the model's predictions at params next to the
+// measured bottleneck energy and outer-ring delay. The runs stand on
+// their own, so a failed evaluation (parameters outside the model's
+// admissible box) takes the table's place rather than failing the
+// command.
+func printAnalytic(ctx context.Context, cli *edmac.Client, p edmac.Protocol, s edmac.Scenario, params []float64, energy, outer float64) {
 	eval, err := cli.Evaluate(ctx, edmac.EvaluateRequest{Protocol: p, Scenario: &s, Params: params})
 	if err != nil {
 		fmt.Printf("\nno analytic comparison: %v\n", err)
-		return nil
+		return
 	}
 	fmt.Printf("\n%-26s %-14s %-14s %s\n", "metric", "analytic", "measured", "ratio")
 	fmt.Printf("%-26s %-14.5g %-14.5g %.2f\n", "bottleneck energy [J/win]",
-		eval.Energy, mEnergy, mEnergy/eval.Energy)
+		eval.Energy, energy, energy/eval.Energy)
 	fmt.Printf("%-26s %-14.5g %-14.5g %.2f\n", "outer-ring delay [s]",
-		eval.Delay, mOuter, mOuter/eval.Delay)
-	return nil
+		eval.Delay, outer, outer/eval.Delay)
 }
 
 // meanStd returns the sample mean and standard deviation, ignoring NaNs.

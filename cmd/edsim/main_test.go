@@ -40,16 +40,21 @@ func TestRunSubcommands(t *testing.T) {
 	}
 }
 
-// TestReplicatedValidateReportsAnalyticError: with -reps, parameters the
-// analytic model rejects print the evaluation error where the
-// comparison table would be, instead of dropping the table silently.
-func TestReplicatedValidateReportsAnalyticError(t *testing.T) {
+// Parameters the analytic model rejects (X-MAC Tw = 12 s) print the
+// evaluation error where the comparison table would be, with -reps and
+// without: the table is neither dropped silently nor computed outside
+// the model's box.
+func TestReplicatedValidateReportsAnalyticError(t *testing.T) { validateOutOfBox(t, "-reps", "2") }
+
+func TestValidateReportsAnalyticError(t *testing.T) { validateOutOfBox(t) }
+
+func validateOutOfBox(t *testing.T, extra ...string) {
 	out := captureStdout(t, func() error {
-		return run(context.Background(), []string{"validate", "-protocol", "xmac", "-params", "12",
-			"-depth", "2", "-density", "2", "-duration", "200", "-reps", "2"})
+		return run(context.Background(), append([]string{"validate", "-protocol", "xmac", "-params", "12",
+			"-depth", "2", "-density", "2", "-duration", "200"}, extra...))
 	})
-	if !strings.Contains(out, "outside the admissible box") {
-		t.Errorf("validate -reps output lacks the evaluation error:\n%s", out)
+	if !strings.Contains(out, "no analytic comparison: ") || !strings.Contains(out, "outside the admissible box") {
+		t.Errorf("validate %v output lacks the evaluation error:\n%s", extra, out)
 	}
 }
 
