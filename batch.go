@@ -50,16 +50,16 @@ func (o BatchOutcome) MarshalJSON() ([]byte, error) {
 // pool never starts carries the context's error.
 func simulateBatch(ctx context.Context, s Scenario, runs []BatchRun, workers int, baseSeed int64) []BatchOutcome {
 	out := make([]BatchOutcome, len(runs))
-	sp, err := s.spec()
+	sp, specErr := s.spec()
 	var m *scenario.Materialized
-	if err == nil {
-		m, err = sp.spec.Materialize()
+	if specErr == nil {
+		m, specErr = sp.spec.Materialize()
 	}
 	cfgs := make([]sim.Config, len(runs))
 	var ready []int // batch indices of the runs that passed their checks
 	for i, r := range runs {
 		out[i].Run = r
-		if cfgs[i], out[i].Err = batchConfig(sp, m, err, r, baseSeed); out[i].Err == nil {
+		if cfgs[i], out[i].Err = batchConfig(sp, m, specErr, r, baseSeed); out[i].Err == nil {
 			ready = append(ready, i)
 		}
 	}
@@ -75,7 +75,7 @@ func simulateBatch(ctx context.Context, s Scenario, runs []BatchRun, workers int
 		}
 	}
 	results := make([]*sim.Result, len(runs))
-	err = par.ForEach(ctx, len(ready), workers, func(j int) {
+	err := par.ForEach(ctx, len(ready), workers, func(j int) {
 		i := ready[j]
 		results[i], out[i].Err = sim.RunContext(ctx, cfgs[i])
 	})
@@ -91,15 +91,15 @@ func simulateBatch(ctx context.Context, s Scenario, runs []BatchRun, workers int
 }
 
 // batchConfig checks one run of a batch over the spec sp, materialized
-// as m (scenErr when the scenario is invalid), and builds its config:
+// as m (specErr when the scenario is invalid), and builds its config:
 // the protocol is checked before the scenario, as Simulate checks it,
 // and the run's seed is folded with the base seed.
-func batchConfig(sp ScenarioSpec, m *scenario.Materialized, scenErr error, r BatchRun, baseSeed int64) (sim.Config, error) {
+func batchConfig(sp ScenarioSpec, m *scenario.Materialized, specErr error, r BatchRun, baseSeed int64) (sim.Config, error) {
 	if err := simulable(r.Protocol); err != nil {
 		return sim.Config{}, err
 	}
-	if scenErr != nil {
-		return sim.Config{}, scenErr
+	if specErr != nil {
+		return sim.Config{}, specErr
 	}
 	if err := checkRun(r.Protocol, sp, r.Params); err != nil {
 		return sim.Config{}, err

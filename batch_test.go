@@ -99,7 +99,8 @@ func TestSimulateBatchMatchesSequential(t *testing.T) {
 		}
 	}
 
-	// 1/(1/49) is not 49 in floating point, so only the Scenario as
+	// The spec's equivalent ring re-derives density and rate from the
+	// placement (1/(1/49) is not even 49), so only the Scenario as
 	// given reproduces Evaluate's numbers.
 	s.SampleInterval = 49
 	validated, err := cli.Simulate(ctx, edmac.SimulateRequest{

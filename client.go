@@ -563,9 +563,9 @@ func (c *Client) Simulate(ctx context.Context, req SimulateRequest) (SimulateRep
 	}
 
 	// Every deployment runs as a spec. The analytic check takes a ring
-	// request's Scenario exactly as given: a spec's equivalent ring
-	// would round-trip its rate through 1/(1/interval), which is
-	// inexact for some intervals.
+	// request's Scenario exactly as given: the spec's equivalent ring
+	// re-derives the density from the placement's mean degree and the
+	// interval from a mean rate, and neither returns the Scenario's own.
 	var sp ScenarioSpec
 	var analytic *Scenario
 	switch {
