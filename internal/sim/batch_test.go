@@ -65,33 +65,52 @@ func batchConfigs(t *testing.T) []Config {
 	return cfgs
 }
 
-// Runs on a worker pool must produce results identical to sequential
-// runs of the same configs (a one-worker pool runs them in order,
-// inline), at any pool size: every run owns its world, so concurrency
-// must not leak into the measurements. Run under -race this doubles as
-// the proof that concurrent runs share nothing mutable.
-func TestPooledRunsMatchSequential(t *testing.T) {
+// runBatch runs cfgs on a pool of the given number of workers, the way
+// the facade's Batch fans out: par.ForEach over RunContext, one result
+// per config in input order. One worker runs them in order, inline.
+func runBatch(t *testing.T, cfgs []Config, workers int) []*Result {
+	t.Helper()
+	out := make([]*Result, len(cfgs))
+	errs := make([]error, len(cfgs))
+	if err := par.ForEach(context.Background(), len(cfgs), workers, func(i int) {
+		out[i], errs[i] = RunContext(context.Background(), cfgs[i])
+	}); err != nil {
+		t.Fatalf("%d workers: %v", workers, err)
+	}
+	for i, c := range cfgs {
+		if errs[i] != nil {
+			t.Fatalf("%d workers, run %d (%s seed %d): %v", workers, i, c.Protocol, c.Seed, errs[i])
+		}
+	}
+	return out
+}
+
+// A pooled batch must produce results identical to sequential runs of
+// the same configs: every run owns its world, so concurrency must not
+// leak into the measurements. Run under -race this doubles as the proof
+// that concurrent runs share nothing mutable.
+func TestRunBatchMatchesSequential(t *testing.T) {
 	cfgs := batchConfigs(t)
-	var sequential []*Result
-	for _, workers := range []int{1, 3, 5} {
-		got := make([]*Result, len(cfgs))
-		errs := make([]error, len(cfgs))
-		if err := par.ForEach(context.Background(), len(cfgs), workers, func(i int) {
-			got[i], errs[i] = RunContext(context.Background(), cfgs[i])
-		}); err != nil {
-			t.Fatalf("%d workers: %v", workers, err)
+	sequential := runBatch(t, cfgs, 1)
+	pooled := runBatch(t, cfgs, 4)
+	for i, c := range cfgs {
+		if !reflect.DeepEqual(sequential[i], pooled[i]) {
+			t.Errorf("run %d (%s seed %d): pooled result differs from sequential\nsequential %+v\npooled     %+v",
+				i, c.Protocol, c.Seed, sequential[i], pooled[i])
 		}
-		for i, c := range cfgs {
-			if errs[i] != nil {
-				t.Fatalf("%d workers, run %d (%s seed %d): %v", workers, i, c.Protocol, c.Seed, errs[i])
-			}
-			if sequential != nil && !reflect.DeepEqual(sequential[i], got[i]) {
-				t.Errorf("%d workers, run %d (%s seed %d): pooled result differs from sequential\nsequential %+v\npooled     %+v",
-					workers, i, c.Protocol, c.Seed, sequential[i], got[i])
-			}
-		}
-		if sequential == nil {
-			sequential = got
+	}
+}
+
+// Equal seeds must agree across distinct batches at different pool
+// sizes (regression guard for hidden state shared between runs, e.g.
+// pools leaking through).
+func TestRunBatchReproducible(t *testing.T) {
+	cfgs := batchConfigs(t)
+	a := runBatch(t, cfgs, 3)
+	b := runBatch(t, cfgs, 5)
+	for i, c := range cfgs {
+		if !reflect.DeepEqual(a[i], b[i]) {
+			t.Errorf("run %d (%s seed %d): two batches disagree", i, c.Protocol, c.Seed)
 		}
 	}
 }
